@@ -4,8 +4,12 @@ Every run is fully determined by (config, seed); outputs carry a config hash
 so repeated runs are byte-identical and auditable.  CSV files are RFC-4180
 with a single leading comment line; all files are written atomically.
 
-Exit codes: 0 success, 2 config or precondition error, 3 schedule
-truncation or overflow, 4 resource cap, 5 internal invariant violation.
+Exit codes: 0 success; 1 an honest quantitative miss (a weave whose final
+empirical distance exceeds its `bound`); 2 config or precondition error;
+3 schedule truncation or overflow; 4 resource cap (the shadowing
+tracked-interval cap, or a block search that exhausted its budget: a cap on
+the work, not evidence that no block exists); 5 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -18,22 +22,33 @@ import sys
 import tempfile
 
 from . import __version__
-from .entropy import InfeasibleCountError, katok_entropy
+from .entropy import katok_entropy
 from .measures import (LocallyConstantObservable, TestFunctionFamily,
-                       frequency_observable, markov_entropy,
+                       _state_json, frequency_observable, markov_entropy,
                        measure_from_json)
-from .shadowing import (PseudoOrbitViolation, ResourceCapError,
-                        make_rng, perturbed_orbit, shadow_interval,
-                        shadow_shift, shadowing_modulus, _random_start)
-from .systems import ShiftSpace, Word, system_from_json
-from .variational import EmptyConstraintError, shrink_experiment, spectrum
-from .weaving import run_weave
+from .shadowing import (ResourceCapError, make_rng, perturbed_orbit,
+                        shadow_interval, shadow_shift, shadowing_modulus,
+                        _random_start)
+from .systems import ShiftSpace, system_from_json
+from .variational import shrink_experiment, spectrum
+from .weaving import BlockSearchError, run_weave
 
 EXIT_OK = 0
+EXIT_MISS = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
+
+# library failure -> (exit code, stderr prefix); the first matching row wins,
+# so OverflowError is read as truncation before ArithmeticError
+EXIT_CODES = [
+    ((KeyError, ValueError), EXIT_CONFIG, "config/precondition error"),
+    (OverflowError, EXIT_TRUNCATION, "truncation"),
+    ((ResourceCapError, BlockSearchError), EXIT_RESOURCE, "resource cap"),
+    ((AssertionError, ArithmeticError), EXIT_INTERNAL,
+     "internal invariant violation"),
+]
 
 
 def _fmt(x) -> str:
@@ -85,12 +100,6 @@ def _observable(doc: dict, alphabet: int) -> LocallyConstantObservable:
 def _family(config, alphabet: int) -> TestFunctionFamily:
     return TestFunctionFamily("cylinder", int(config.get("family_N", 16)),
                               alphabet)
-
-
-def _state_json(x):
-    if isinstance(x, Word):
-        return {"head": list(x.head), "cycle": list(x.cycle)}
-    return float(x)
 
 
 def cmd_spectrum(config: dict, seed: int, out: str) -> int:
@@ -183,7 +192,7 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
               file=sys.stderr)
         return EXIT_TRUNCATION
     bound = float(config.get("bound", 0.05))
-    return EXIT_OK if outcome.final_distance <= bound else 1
+    return EXIT_OK if outcome.final_distance <= bound else EXIT_MISS
 
 
 def cmd_shadow(config: dict, seed: int, out: str) -> int:
@@ -279,19 +288,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](config, args.seed, args.out)
-    except (KeyError, ValueError, EmptyConstraintError,
-            InfeasibleCountError, PseudoOrbitViolation) as exc:
-        print(f"config/precondition error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OverflowError as exc:
-        print(f"truncation: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (AssertionError, ArithmeticError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        for kinds, code, label in EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

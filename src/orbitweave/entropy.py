@@ -9,7 +9,6 @@ the target window.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence

@@ -3,9 +3,9 @@
 Empirical measures are finitely supported; Markov measures carry an exact
 entropy formula; mixtures of Markov measures stay explicit weighted lists so
 entropy is affine by construction.  The weak* distance is evaluated against a
-deterministic truncated test-function family (cylinder indicators on shifts,
-dyadic hats on intervals); every reported distance is exact for the truncated
-family and the truncation tail bound is 2^-N.
+deterministic truncated test-function family of cylinder indicators; every
+reported distance is exact for the truncated family and the truncation tail
+bound is 2^-N.
 """
 
 from __future__ import annotations
@@ -14,20 +14,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .systems import ShiftSpace, State, System, Word, apply_map, orbit
+from .systems import ShiftSpace, State, System, Word, orbit
 
 __all__ = [
     "AtomicMeasure",
     "MarkovMeasure",
     "MixtureMeasure",
     "TestFunctionFamily",
-    "MeasureBall",
     "CylinderIndicator",
-    "HatFunction",
     "LocallyConstantObservable",
     "bernoulli",
     "empirical",
@@ -162,22 +160,6 @@ class CylinderIndicator:
 
 
 @dataclass(frozen=True)
-class HatFunction:
-    """Tent basis function on a dyadic grid over [lo, hi], sup norm 1."""
-
-    level: int
-    position: int
-    lo: float
-    hi: float
-
-    def __call__(self, x: float) -> float:
-        nodes = 2 ** self.level
-        h = (self.hi - self.lo) / nodes
-        c = self.lo + self.position * h
-        return max(0.0, 1.0 - abs(x - c) / h)
-
-
-@dataclass(frozen=True)
 class LocallyConstantObservable:
     """Function of the first `depth` symbols of a shift point."""
 
@@ -208,30 +190,23 @@ def frequency_observable(symbol: int, alphabet_size: int = 2) -> LocallyConstant
 class TestFunctionFamily:
     """Deterministic truncated family behind the weak* metric.
 
-    Cylinder kind: indicators of cylinders ordered by (length, lexicographic).
-    Hat kind: dyadic hat functions ordered by (level, position).
-    All sup norms equal 1; the tail bound of the truncation is 2^-N.
+    The only kind is "cylinder": indicators of cylinders ordered by
+    (length, lexicographic).  All sup norms equal 1; the tail bound of the
+    truncation is 2^-N.
     """
 
     __test__ = False  # not a test case despite the class name prefix
 
-    def __init__(self, kind: str, N: int, alphabet_size: int = 2,
-                 interval: tuple[float, float] = (0.0, 1.0)):
+    def __init__(self, kind: str, N: int, alphabet_size: int = 2):
         if N < 1:
             raise ValueError("truncation N must be >= 1")
+        if kind != "cylinder":
+            raise ValueError(f"unknown family kind {kind!r}")
         self.kind = kind
         self.N = N
         self.alphabet_size = alphabet_size
-        self.interval = interval
-        if kind == "cylinder":
-            self.functions = list(itertools.islice(
-                _enumerate_cylinders(alphabet_size), N))
-        elif kind == "hat":
-            self.functions = list(itertools.islice(
-                _enumerate_hats(*interval), N))
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
-        self.norms = [1.0] * N
+        self.functions = list(itertools.islice(
+            _enumerate_cylinders(alphabet_size), N))
 
     @property
     def tail(self) -> float:
@@ -239,8 +214,6 @@ class TestFunctionFamily:
 
     @property
     def max_depth(self) -> int:
-        if self.kind != "cylinder":
-            raise ValueError("depth only meaningful for cylinder families")
         return max(f.depth for f in self.functions)
 
     def to_json(self) -> dict:
@@ -253,14 +226,6 @@ def _enumerate_cylinders(k: int):
         for w in itertools.product(range(k), repeat=length):
             yield CylinderIndicator(w)
         length += 1
-
-
-def _enumerate_hats(lo: float, hi: float):
-    level = 0
-    while True:
-        for pos in range(2 ** level + 1):
-            yield HatFunction(level, pos, lo, hi)
-        level += 1
 
 
 def empirical(system: System, x: State, n: int) -> AtomicMeasure:
@@ -293,10 +258,6 @@ def integrate(measure, phi) -> float:
         if isinstance(measure, (MarkovMeasure, MixtureMeasure)):
             return measure.cylinder_mass(phi.word)
         raise TypeError(f"cannot integrate {type(measure).__name__}")
-    if isinstance(phi, HatFunction):
-        if isinstance(measure, AtomicMeasure):
-            return sum(w * phi(float(x)) for x, w in measure.atoms)
-        raise TypeError("hat functions integrate against atomic measures only")
     if isinstance(phi, LocallyConstantObservable):
         if isinstance(measure, AtomicMeasure):
             out = 0.0
@@ -326,18 +287,8 @@ def weak_star_distance(mu, nu, family: TestFunctionFamily) -> float:
     total = 0.0
     for i, phi in enumerate(family.functions, start=1):
         diff = abs(integrate(mu, phi) - integrate(nu, phi))
-        total += diff / (2.0 ** (i + 1) * family.norms[i - 1])
+        total += diff / 2.0 ** (i + 1)
     return total
-
-
-@dataclass(frozen=True)
-class MeasureBall:
-    center: object
-    radius: float
-
-    def __post_init__(self):
-        if not (0 < self.radius <= 1.0):
-            raise ValueError("radius must be in (0, 1] since the metric is <= 1")
 
 
 def markov_entropy(m) -> float:

@@ -57,7 +57,8 @@ class Word:
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.symbol(i) for i in range(n))
+        reps = -(-max(0, n - len(self.head)) // len(self.cycle))
+        return (self.head + self.cycle * reps)[:max(0, n)]
 
     def shift(self) -> "Word":
         if self.head:
@@ -217,7 +218,6 @@ class EndpointFixedMap:
 
 State = Union[Word, float]
 System = Union[ShiftSpace, TentMap, EndpointFixedMap]
-IntervalMap = (TentMap, EndpointFixedMap)
 
 
 def full_shift(k: int) -> ShiftSpace:

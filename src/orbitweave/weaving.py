@@ -1,28 +1,29 @@
 """Orbit weaving: schedule integers, typical-block selection with return
-times, transitive connectors, pseudo-orbit concatenation, and the shadowed
-point whose empirical measures track a prescribed target.
+times, transitive connectors, segment splicing, and the shadowed point whose
+empirical measures track a prescribed target.
 
 The infinite nested construction is truncated at a finite level; the
 truncation level, the orbit-length cap, and the achieved empirical distance
 are all reported rather than hidden.  Partition cells are depth-1 cylinders,
 so the pseudo-orbit jumps stay below 1/2 and the symbolic splice shadows them
-within 1/4.
+within 1/4.  On a shift the splice is the concatenation of the segment
+symbols (block prefixes and connector paths), so the woven orbit is one
+symbol sequence and only the segment ends need checking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .entropy import katok_entropy
-from .measures import (CylinderIndicator, MarkovMeasure, MixtureMeasure,
-                       TestFunctionFamily, convex_decompose, integrate)
-from .shadowing import (PseudoOrbit, ShadowResult, canonical_cycle, make_rng,
-                        shadow_shift, validate_pseudo, word_state)
+from .measures import MarkovMeasure, TestFunctionFamily, convex_decompose
+from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, make_rng,
+                        word_state)
 from .systems import ShiftSpace, Word
 
 __all__ = [
@@ -69,35 +70,44 @@ class BlockFamily:
     gamma: float
     blocks: tuple[tuple[int, ...], ...]
     acceptance_rate: float
-    size_bound: float
-    size_bound_vacuous: bool
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("empty block family")
 
 
+def _cylinder_distances(symbols: Sequence[int], ms, measure,
+                       family: TestFunctionFamily) -> np.ndarray:
+    """Weak* distance between the m-window empirical measure of a symbol
+    sequence and a Markov/mixture measure, for every window length m in ms,
+    via exact cylinder frequencies: the m-window frequency of a cylinder
+    counts its occurrences starting at positions 0..m-1."""
+    sym = np.asarray(symbols, dtype=np.int8)
+    ms = np.asarray(ms, dtype=np.int64)
+    top = int(ms.max())
+    if top + family.max_depth - 1 > len(sym):
+        raise ValueError("word too short for this window")
+    total = np.zeros(len(ms))
+    for i, phi in enumerate(family.functions, start=1):
+        hit = np.ones(top, dtype=bool)
+        for off, s in enumerate(phi.word):
+            hit &= sym[off:off + top] == s
+        hits = np.cumsum(hit)[ms - 1]
+        total += np.abs(hits / ms - measure.cylinder_mass(phi.word)) \
+            / 2.0 ** (i + 1)
+    return total
+
+
 def word_empirical_distance(word: Sequence[int], m: int,
                             measure, family: TestFunctionFamily) -> float:
     """Weak* distance between the m-window empirical measure of a finite word
     and a Markov/mixture measure, via exact cylinder frequencies."""
-    total = 0.0
-    for i, phi in enumerate(family.functions, start=1):
-        if not isinstance(phi, CylinderIndicator):
-            raise TypeError("cylinder family required")
-        d = phi.depth
-        if m + d - 1 > len(word):
-            raise ValueError("word too short for this window")
-        hits = sum(1 for t in range(m)
-                   if tuple(word[t:t + d]) == phi.word)
-        total += abs(hits / m - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
-    return total
+    return float(_cylinder_distances(word, [m], measure, family)[0])
 
 
 def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
                   epsilon: float, k: int, gamma: float, budget: int, seed: int,
-                  family: TestFunctionFamily | None = None,
-                  katok_delta: float = 0.1) -> BlockFamily:
+                  family: TestFunctionFamily | None = None) -> BlockFamily:
     """Monte-Carlo block selection from the measure, rejecting words that miss
     the return-window or empirical-closeness conditions, then pruning to a
     separated family within the most popular cell and return time."""
@@ -111,6 +121,7 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
         family = TestFunctionFamily("cylinder", 16, shift.alphabet_size)
     depth = family.max_depth
     block_len = window[-1] + q_extra + depth
+    ms = np.arange(n, block_len - depth + 2)
     rng = make_rng(seed)
     accepted = []  # (word, return step)
     attempts = 0
@@ -119,12 +130,7 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
         returns = [q for q in window if w[q] == w[0]]
         if not returns:
             continue
-        ok = True
-        for m in range(n, block_len - depth + 2):
-            if word_empirical_distance(w, m, measure, family) >= 1.0 / k:
-                ok = False
-                break
-        if ok:
+        if np.all(_cylinder_distances(w, ms, measure, family) < 1.0 / k):
             accepted.append((w, returns))
         if len(accepted) >= budget:
             break
@@ -146,19 +152,10 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
     seen = {}
     for w in pool:
         seen.setdefault(w[:n_sel], w)
-    blocks = tuple(seen.values())
-    est = katok_entropy(shift, measure, epsilon, katok_delta,
-                        _katok_grid(q_extra))
-    bound = math.exp(n_sel * (1 - gamma) * (est.value - 4 * gamma))
     return BlockFamily(
         measure=measure, n=n_sel, cell=cell, epsilon=epsilon, k=k, gamma=gamma,
-        blocks=blocks, acceptance_rate=len(accepted) / attempts,
-        size_bound=bound, size_bound_vacuous=bound < 1.0)
-
-
-def _katok_grid(q_extra: int) -> list[int]:
-    top = max(8, 22 - q_extra)
-    return sorted({max(4, top // 2), top})
+        blocks=tuple(seen.values()),
+        acceptance_rate=len(accepted) / attempts)
 
 
 def connector(shift: ShiftSpace, from_cell: int, to_cell: int):
@@ -400,16 +397,28 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
 
 def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
                 families: dict, seed: int = 0, picks: dict | None = None):
-    """Emit the pseudo-orbit in the construction's exact order and validate it.
+    """Splice the pseudo-orbit in the construction's exact order and check it.
+
+    The pseudo-orbit is a chain of segments: a picked block w contributes the
+    states word_state(w[p:]) for p < n(k,j), a connector path the states
+    word_state((path + (target,))[p:]) for p < len(path).  Inside a segment
+    each state is the shift of the previous one, so the 1/2-pseudo-orbit
+    check and the shadow deviations only involve segment ends, and the
+    shadowing point is the concatenated segment symbols followed by the last
+    state.  Each state is compared with the point to AUDIT_DEPTH coordinates.
 
     families maps (k, j) to a BlockFamily; picks (slot -> block index) fixes
     block choices per (k, j, i, t) slot, with seeded random defaults.
-    Returns (PseudoOrbit, picks used).
+    Returns (point, max shadow deviation, picks used).
     """
     rng = make_rng(seed)
     chosen: dict = {}
-    states: list[Word] = []
-    # per-segment bookkeeping for the audit: (offset, kind, payload)
+    segments = []  # (symbols emitted, head of the segment's first state)
+
+    def bridge(from_cell, to_cell):
+        _s, path = connector(shift, from_cell, to_cell)
+        segments.append((path, path + (to_cell,)))
+
     for k in range(1, schedule.k_max + 1):
         sk = len(schedule.coefficients[k - 1])
         for i in range(1, schedule.T[k - 1] + 1):
@@ -427,28 +436,41 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
                         idx = int(rng.integers(len(fam.blocks)))
                     chosen[slot] = idx
                     w = fam.blocks[idx]
-                    for p in range(n_kj):
-                        states.append(word_state(shift, w[p:]))
+                    segments.append((w[:n_kj], w))
                 # in-cycle connector to the next family's cell
                 j2 = j + 1 if j < sk else 1
-                _s, path = connector(shift, schedule.cells[k - 1][j - 1],
-                                     schedule.cells[k - 1][j2 - 1])
-                target = schedule.cells[k - 1][j2 - 1]
-                for p in range(len(path)):
-                    states.append(word_state(shift, path[p:] + (target,)))
+                bridge(schedule.cells[k - 1][j - 1],
+                       schedule.cells[k - 1][j2 - 1])
         # trailing connector into the next level's first cell (wraps at the top)
-        if k < schedule.k_max:
-            target = schedule.cells[k][0]
-        else:
-            target = schedule.cells[0][0]
-        _s, path = connector(shift, schedule.cells[k - 1][0], target)
-        for p in range(len(path)):
-            states.append(word_state(shift, path[p:] + (target,)))
-    if len(states) != schedule.total_length:
+        bridge(schedule.cells[k - 1][0],
+               schedule.cells[k][0] if k < schedule.k_max
+               else schedule.cells[0][0])
+    sizes = [len(emit) for emit, _ in segments]
+    ends = np.cumsum(sizes)  # index just past each segment
+    if ends[-1] != schedule.total_length:
         raise AssertionError(
-            f"length {len(states)} != scheduled {schedule.total_length}")
-    po = validate_pseudo(shift, states, DELTA_PRIME)
-    return po, chosen
+            f"length {ends[-1]} != scheduled {schedule.total_length}")
+    states = [word_state(shift, head) for _, head in segments]
+    point = Word(tuple(itertools.chain.from_iterable(
+        emit for emit, _ in segments[:-1])) + states[-1].head, states[-1].cycle)
+    # e = first mismatch between a segment's continuation and the point:
+    # the jump at the segment end is 2^-e (e = 0 breaks the 1/2-pseudo-orbit)
+    # and the segment's last state is 2^-(1+e) from the shifted point
+    depth = AUDIT_DEPTH - 1
+    cont = np.array([x.prefix(n + depth)[n:] for x, n in zip(states, sizes)])
+    z = np.array(point.prefix(ends[-1] + depth))
+    miss = cont != z[ends[:, None] + np.arange(depth)]
+    bad = np.flatnonzero(miss[:, 0])
+    if bad.size:
+        raise PseudoOrbitViolation(int(ends[bad[0]]) - 1, 1.0)
+    seq = np.array(point.prefix(len(point.head) + len(point.cycle) + 1))
+    if (seq.min() < 0 or seq.max() >= shift.alphabet_size
+            or not np.all(np.array(shift.transition)[seq[:-1], seq[1:]])):
+        raise ValueError("spliced point inadmissible")
+    hit = miss.any(axis=1)
+    deviation = (2.0 ** -(1 + int(miss.argmax(axis=1)[hit].min()))
+                 if hit.any() else 0.0)
+    return point, deviation, chosen
 
 
 @dataclass
@@ -460,47 +482,27 @@ class WeaveOutcome:
     per_block_deviation: float
     final_distance: float
     picks: dict
-    shadow: ShadowResult
-
-
-def _cylinder_frequency_tables(z: Word, length: int,
-                               family: TestFunctionFamily) -> list[np.ndarray]:
-    sym = np.array(z.prefix(length + family.max_depth), dtype=np.int8)
-    tables = []
-    for phi in family.functions:
-        w = np.array(phi.word, dtype=np.int8)
-        hit = np.ones(length, dtype=bool)
-        for off, s in enumerate(w):
-            hit &= sym[off:off + length] == s
-        tables.append(np.cumsum(hit))
-    return tables
 
 
 def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
                 target, family: TestFunctionFamily, seed: int = 0,
                 picks: dict | None = None) -> WeaveOutcome:
-    """Shadow the concatenated pseudo-orbit and audit the empirical distances
-    to the target along the offset grid and at the full length."""
-    po, used = concatenate(shift, schedule, families, seed=seed, picks=picks)
-    res = shadow_shift(shift, po)
-    z = res.point
+    """Splice the woven point and audit the empirical distances to the
+    target along the offset grid and at the full length."""
+    z, deviation, used = concatenate(shift, schedule, families, seed=seed,
+                                     picks=picks)
     L = schedule.total_length
-    freq = _cylinder_frequency_tables(z, L, family)
-    targets = [integrate(target, phi) for phi in family.functions]
-
-    def D_at(n: int) -> float:
-        return float(sum(abs(freq[i][n - 1] / n - targets[i]) / 2.0 ** (i + 2)
-                         for i in range(len(targets))))
-
     grid = sorted({schedule.M_i(k, i)
                    for k in range(1, schedule.k_max + 1)
                    for i in range(1, schedule.T[k - 1] + 1)} | {L})
-    convergence = [(n, D_at(n)) for n in grid if n >= 1]
+    grid = [n for n in grid if n >= 1]
+    D = _cylinder_distances(z.prefix(L + family.max_depth), grid, target,
+                           family)
+    convergence = [(n, float(d)) for n, d in zip(grid, D)]
     return WeaveOutcome(
         point=z, total_length=L, convergence=convergence,
-        truncation_level=schedule.k_max,
-        per_block_deviation=res.max_deviation,
-        final_distance=convergence[-1][1], picks=used, shadow=res)
+        truncation_level=schedule.k_max, per_block_deviation=deviation,
+        final_distance=convergence[-1][1], picks=used)
 
 
 def run_weave(shift: ShiftSpace, target, family: TestFunctionFamily,

@@ -148,3 +148,28 @@ def test_missing_config_exits_2(tmp_path):
 def test_missing_key_exits_2(tmp_path):
     code, _ = run(tmp_path, "katok", {"system": {"kind": "full_shift", "k": 2}})
     assert code == 2
+
+
+def test_block_search_budget_exits_4_without_artifact(tmp_path, capsys):
+    # the period-2 chain returns to its cell only at even times, and the
+    # return window [15, floor(1.01 * 15)] holds only 15
+    cfg = {"system": {"kind": "full_shift", "k": 2},
+           "target": {"P": [[0, 1], [1, 0]], "pi": [0.5, 0.5]},
+           "block_length": 15, "gamma": 0.01}
+    code, out = run(tmp_path, "weave", cfg)
+    assert code == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_weave_three_symbols(tmp_path):
+    cfg = {"system": {"kind": "full_shift", "k": 3},
+           "target": {"bernoulli": [0.5, 0.3, 0.2]},
+           "min_total_length": 6000}
+    code, out = run(tmp_path, "weave", cfg)
+    assert code == 0
+    sched = json.loads((out / "schedule.json").read_text())
+    runs = [r.split("x") for r in (out / "woven.txt").read_text().split()]
+    symbols = [int(s) for s, n in runs for _ in range(int(n))]
+    assert len(symbols) == sched["total_length"] >= 6000
+    assert set(symbols) == {0, 1, 2}

@@ -28,6 +28,8 @@ def test_family_ordering():
     assert words[:6] == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     assert FAMILY.max_depth == 4
     assert FAMILY.tail == 2.0 ** -16
+    with pytest.raises(ValueError):
+        TestFunctionFamily("hat", 4)
 
 
 def test_dirac_distance_reference_value():

@@ -1,0 +1,24 @@
+"""The benchmark's tracer wraps orbitweave functions by name; a rename or a
+deletion of a traced name must fail here, not in a traced benchmark run."""
+
+import importlib
+import importlib.util
+import pathlib
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_trace_targets_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for modname, attr, kind in tracing.TARGETS:
+        assert kind in ("span", "count")
+        owner = importlib.import_module(f"orbitweave.{modname}")
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        # methods are patched on the class itself, not inherited
+        target = vars(owner).get(name) if path else getattr(owner, name, None)
+        assert callable(target), f"{modname}.{attr} does not resolve"

@@ -5,11 +5,12 @@ import pytest
 
 from orbitweave.measures import (MixtureMeasure, TestFunctionFamily, bernoulli,
                                  integrate)
-from orbitweave.shadowing import make_rng
+from orbitweave.shadowing import (PseudoOrbitViolation, make_rng,
+                                  shadow_shift, validate_pseudo, word_state)
 from orbitweave.systems import full_shift, golden_mean_shift
-from orbitweave.weaving import (BlockSearchError, build_schedule, concatenate,
-                                connector, run_weave, select_blocks,
-                                separation_audit, weave_point,
+from orbitweave.weaving import (BlockFamily, BlockSearchError, build_schedule,
+                                concatenate, connector, run_weave,
+                                select_blocks, separation_audit, weave_point,
                                 word_empirical_distance)
 
 FAMILY = TestFunctionFamily("cylinder", 16, 2)
@@ -52,6 +53,30 @@ def test_select_blocks_invariants():
     assert len(prefixes) == len(fam.blocks)
     assert 16 <= fam.n <= 20
     assert 0.0 < fam.acceptance_rate <= 1.0
+
+
+def _loop_empirical_distance(word, m, measure, family):
+    """Reference count: one Python scan per window and cylinder."""
+    total = 0.0
+    for i, phi in enumerate(family.functions, start=1):
+        d = phi.depth
+        hits = sum(1 for t in range(m) if tuple(word[t:t + d]) == phi.word)
+        total += abs(hits / m - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
+    return total
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_word_empirical_distance_matches_loop(k):
+    family = TestFunctionFamily("cylinder", 16, k)
+    measure = bernoulli([0.5, 0.3, 0.2] if k == 3 else 0.7)
+    rng = make_rng(k)
+    for _ in range(20):
+        w = measure.sample_word(40, rng)
+        for m in (1, 7, 20, 40 - family.max_depth + 1):
+            assert word_empirical_distance(w, m, measure, family) == \
+                _loop_empirical_distance(w, m, measure, family)
+    with pytest.raises(ValueError):
+        word_empirical_distance(w, 40, measure, family)
 
 
 def test_select_blocks_deterministic_measure():
@@ -136,14 +161,85 @@ def test_concatenate_length_and_block_windows():
     sched = build_schedule(decomposition, [[fam.n]], [[fam.cell]],
                            lambda a, b: connector(FULL, a, b),
                            gamma=0.25, k_max=1, epsilon=0.25)
-    po, picks = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
-    assert len(po.states) == sched.total_length
+    point, _deviation, picks = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
+    # the spliced symbols, then the head of the last state (its target cell)
+    assert len(point.head) == sched.total_length + 1
     # every block window holds the picked block's prefix verbatim
     for (k, j, i, t), idx in picks.items():
         off = sched.M_ijt(k, i, j, t)
         n = sched.block_lengths[k - 1][j - 1]
-        got = tuple(po.states[off + p].symbol(0) for p in range(n))
+        got = tuple(point.symbol(off + p) for p in range(n))
         assert got == fam.blocks[idx][:n]
+
+
+def _per_position_states(shift, schedule, families, picks):
+    """The pseudo-orbit with one word_state per position, in the
+    construction's order: the reference the segment splice must match."""
+    states = []
+    cells = schedule.cells
+
+    def bridge(a, b):
+        _s, path = connector(shift, a, b)
+        states.extend(word_state(shift, path[p:] + (b,))
+                      for p in range(len(path)))
+
+    for k in range(1, schedule.k_max + 1):
+        sk = len(schedule.coefficients[k - 1])
+        for i in range(1, schedule.T[k - 1] + 1):
+            for j in range(1, sk + 1):
+                n = schedule.block_lengths[k - 1][j - 1]
+                for t in range(1, schedule.repetitions(k, j) + 1):
+                    w = families[(k, j)].blocks[picks[(k, j, i, t)]]
+                    states.extend(word_state(shift, w[p:]) for p in range(n))
+                bridge(cells[k - 1][j - 1], cells[k - 1][j % sk])
+        bridge(cells[k - 1][0], (cells[k] if k < schedule.k_max
+                                 else cells[0])[0])
+    return states
+
+
+GOLDEN_CHAIN = [[0.6, 0.4], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("golden", [False, True])
+def test_splice_matches_per_position_oracle(golden, seed):
+    from orbitweave.measures import MarkovMeasure
+    shift = golden_mean_shift() if golden else FULL
+    target = (MarkovMeasure(GOLDEN_CHAIN, shift=shift) if golden
+              else bernoulli(0.7))
+    schedule, families, outcome = run_weave(
+        shift, target, FAMILY, k_max=2, gamma=0.3, block_length=10,
+        budget=100, seed=seed, min_total_length=3000)
+    point, deviation, picks = concatenate(shift, schedule, families,
+                                          seed=seed)
+    assert picks == outcome.picks
+    states = _per_position_states(shift, schedule, families, picks)
+    assert len(states) == schedule.total_length
+    ref = shadow_shift(shift, validate_pseudo(shift, states, 0.5))
+    assert point == ref.point
+    assert deviation == ref.max_deviation
+    assert outcome.per_block_deviation == ref.max_deviation
+
+
+def test_splice_violation_matches_per_position_oracle():
+    # n = 4 in cell 0: the first block returns to 0 at step 4, the second
+    # lands in 1 and breaks the 1/2-pseudo-orbit at the end of its slot
+    good = (0, 1, 0, 1, 0, 1, 1, 0, 0)
+    bad = (0, 1, 1, 0, 1, 0, 0, 1, 1)
+    fam = BlockFamily(measure=bernoulli(0.5), n=4, cell=0, epsilon=0.25,
+                      k=1, gamma=0.25, blocks=(good, bad), acceptance_rate=1.0)
+    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[0]],
+                           lambda a, b: connector(FULL, a, b), gamma=0.25,
+                           k_max=1, epsilon=0.25, min_total_length=40)
+    picks = {(1, 1, i, 1): 0 for i in range(1, sched.T[0] + 1)}
+    picks[(1, 1, 3, 1)] = 1
+    with pytest.raises(PseudoOrbitViolation) as got:
+        concatenate(FULL, sched, {(1, 1): fam}, picks=picks)
+    states = _per_position_states(FULL, sched, {(1, 1): fam}, picks)
+    with pytest.raises(PseudoOrbitViolation) as ref:
+        validate_pseudo(FULL, states, 0.5)
+    assert got.value.index == ref.value.index == sched.M_ijt(1, 3, 1, 1) + 3
+    assert got.value.gap == ref.value.gap
 
 
 def test_weave_point_bernoulli_half():
