@@ -9,7 +9,7 @@ empirical distance exceeds its `bound`); 2 config or precondition error;
 3 schedule truncation or overflow; 4 resource cap (the shadowing
 tracked-interval cap, or a block search that exhausted its budget: a cap on
 the work, not evidence that no block exists); 5 internal invariant
-violation.
+violation or any other unexpected error.  No failure prints a traceback.
 """
 
 from __future__ import annotations
@@ -41,13 +41,16 @@ EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
 # library failure -> (exit code, stderr prefix); the first matching row wins,
-# so OverflowError is read as truncation before ArithmeticError
+# so OverflowError is read as truncation before ArithmeticError, and the last
+# row catches the rest
 EXIT_CODES = [
-    ((KeyError, ValueError), EXIT_CONFIG, "config/precondition error"),
+    ((KeyError, TypeError, ValueError), EXIT_CONFIG,
+     "config/precondition error"),
     (OverflowError, EXIT_TRUNCATION, "truncation"),
     ((ResourceCapError, BlockSearchError), EXIT_RESOURCE, "resource cap"),
     ((AssertionError, ArithmeticError), EXIT_INTERNAL,
      "internal invariant violation"),
+    (Exception, EXIT_INTERNAL, "internal error"),
 ]
 
 
@@ -289,11 +292,10 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](config, args.seed, args.out)
     except Exception as exc:
-        for kinds, code, label in EXIT_CODES:
-            if isinstance(exc, kinds):
-                print(f"{label}: {exc}", file=sys.stderr)
-                return code
-        raise
+        code, label = next((code, label) for kinds, code, label in EXIT_CODES
+                           if isinstance(exc, kinds))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,18 +2,20 @@
 
 Separated/spanning counts are exact (branch-and-bound / exact set cover) on
 small instances with a flagged greedy fallback; the Katok count is exact on
-shifts because a Bowen d_n-ball of radius 2^-q is precisely an (n+q)-cylinder;
+shifts over any alphabet, because a Bowen d_n-ball of radius 2^-q is precisely
+an (n+q)-cylinder and cylinder masses come in classes counted by a
+transition-count dynamic program (budget: 2^22 classes, n + q <= 26);
 level-set counting enumerates admissible words whose Birkhoff average lies in
 the target window.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .measures import LocallyConstantObservable, MarkovMeasure
 from .systems import ShiftSpace, State, System, dist_n
@@ -35,7 +37,7 @@ EXACT_LIMIT = 24  # instances up to this size get exact combinatorial answers
 
 
 class InfeasibleCountError(ValueError):
-    """Requested enumeration exceeds the desk-scale cylinder budget."""
+    """Requested count exceeds the desk-scale budget."""
 
 
 @dataclass
@@ -230,49 +232,46 @@ def _epsilon_to_q(epsilon: float) -> int:
 def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, L: int):
     """(mass, multiplicity) classes over all admissible L-cylinders.
 
-    Two-letter alphabets use a transition-count dynamic program (polynomial in
-    L); small alphabets fall back to direct vectorized enumeration.
+    A cylinder's mass is pi[first] times P[a, b] per transition, so it depends
+    only on the first symbol and the multiset of transitions.  A dynamic
+    program over (first, last, sorted transition indices k*a + b) counts the
+    cylinders of each class, polynomially in L on every alphabet.  The budget
+    is the class table: InfeasibleCountError once it would pass 2^22 entries.
     """
     k = shift.alphabet_size
     if m.alphabet_size != k:
         raise ValueError("measure alphabet mismatch")
     allowed = [[j for j in range(k) if shift.allowed(i, j) and m.P[i, j] > 0]
                for i in range(k)]
-    if k == 2:
-        # state: (first symbol, last symbol, transition counts) -> multiplicity
-        states: dict[tuple, int] = {}
-        for a in range(k):
-            if m.pi[a] > 0:
-                states[(a, a, (0, 0, 0, 0))] = 1
-        for _ in range(L - 1):
-            nxt: dict[tuple, int] = {}
-            for (first, last, cnt), mult in states.items():
-                for b in allowed[last]:
-                    c = list(cnt)
-                    c[2 * last + b] += 1
-                    key = (first, b, tuple(c))
-                    nxt[key] = nxt.get(key, 0) + mult
-            states = nxt
-        classes = []
-        for (first, _last, cnt), mult in states.items():
-            mass = float(m.pi[first])
-            for idx, c in enumerate(cnt):
-                if c:
-                    mass *= float(m.P[idx // 2, idx % 2]) ** c
-            if mass > 0:
-                classes.append((mass, mult))
-        return classes
-    if k ** L > 2 ** 22:
-        raise InfeasibleCountError(f"{k}^{L} cylinders exceed the desk budget")
-    masses = np.array([m.pi[a] for a in range(k)])
-    lasts = np.arange(k)
+    # state: (first symbol, last symbol, sorted transitions) -> multiplicity;
+    # the last symbol follows from the others, so states are the classes
+    states: dict[tuple, int] = {}
+    for a in range(k):
+        if m.pi[a] > 0:
+            states[(a, a, ())] = 1
     for _ in range(L - 1):
-        step = m.P[lasts]  # (current, k)
-        masses = (masses[:, None] * step).ravel()
-        lasts = np.tile(np.arange(k), len(lasts))
-        keep = masses > 0
-        masses, lasts = masses[keep], lasts[keep]
-    return [(float(v), 1) for v in masses]
+        nxt: dict[tuple, int] = {}
+        for (first, last, edges), mult in states.items():
+            for b in allowed[last]:
+                e = k * last + b
+                i = bisect.bisect_right(edges, e)
+                key = (first, b, edges[:i] + (e,) + edges[i:])
+                if key in nxt:
+                    nxt[key] += mult
+                elif len(nxt) < 2 ** 22:
+                    nxt[key] = mult
+                else:
+                    raise InfeasibleCountError(
+                        f"more than 2^22 mass classes of {L}-cylinders")
+        states = nxt
+    classes = []
+    for (first, _last, edges), mult in states.items():
+        mass = float(m.pi[first])
+        for e, run in itertools.groupby(edges):
+            mass *= float(m.P[e // k, e % k]) ** len(list(run))
+        if mass > 0:
+            classes.append((mass, mult))
+    return classes
 
 
 def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,

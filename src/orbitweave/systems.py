@@ -69,10 +69,6 @@ class Word:
     def periodic(cycle) -> "Word":
         return Word((), tuple(cycle))
 
-    @staticmethod
-    def eventually(head, cycle) -> "Word":
-        return Word(tuple(head), tuple(cycle))
-
 
 def _exact_compare_depth(x: Word, y: Word) -> int:
     """Depth after which two eventually periodic words agreeing so far agree forever."""

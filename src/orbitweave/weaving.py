@@ -13,6 +13,7 @@ symbol sequence and only the segment ends need checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -208,9 +209,6 @@ class WeaveSchedule:
 
     def s(self, k1, j1, k2, j2) -> int:
         return self.s_table[(k1, j1, k2, j2)]
-
-    def level_sizes(self) -> list[int]:
-        return [len(c) for c in self.coefficients]
 
     # ---- offsets; indices are 1-based like the construction ----
     def M(self, q: int) -> int:
@@ -415,19 +413,22 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     chosen: dict = {}
     segments = []  # (symbols emitted, head of the segment's first state)
 
+    @functools.cache
     def bridge(from_cell, to_cell):
         _s, path = connector(shift, from_cell, to_cell)
-        segments.append((path, path + (to_cell,)))
+        return path, path + (to_cell,)
 
     for k in range(1, schedule.k_max + 1):
         sk = len(schedule.coefficients[k - 1])
+        level = []  # (j, family, n(k,j), repetitions) per family of level k
+        for j in range(1, sk + 1):
+            fam: BlockFamily = families[(k, j)]
+            n_kj = schedule.block_lengths[k - 1][j - 1]
+            if fam.n != n_kj:
+                raise ValueError("schedule/family block length mismatch")
+            level.append((j, fam, n_kj, schedule.repetitions(k, j)))
         for i in range(1, schedule.T[k - 1] + 1):
-            for j in range(1, sk + 1):
-                fam: BlockFamily = families[(k, j)]
-                n_kj = schedule.block_lengths[k - 1][j - 1]
-                if fam.n != n_kj:
-                    raise ValueError("schedule/family block length mismatch")
-                reps = schedule.repetitions(k, j)
+            for j, fam, n_kj, reps in level:
                 for t in range(1, reps + 1):
                     slot = (k, j, i, t)
                     if picks is not None and slot in picks:
@@ -439,12 +440,12 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
                     segments.append((w[:n_kj], w))
                 # in-cycle connector to the next family's cell
                 j2 = j + 1 if j < sk else 1
-                bridge(schedule.cells[k - 1][j - 1],
-                       schedule.cells[k - 1][j2 - 1])
+                segments.append(bridge(schedule.cells[k - 1][j - 1],
+                                       schedule.cells[k - 1][j2 - 1]))
         # trailing connector into the next level's first cell (wraps at the top)
-        bridge(schedule.cells[k - 1][0],
-               schedule.cells[k][0] if k < schedule.k_max
-               else schedule.cells[0][0])
+        segments.append(bridge(schedule.cells[k - 1][0],
+                               schedule.cells[k][0] if k < schedule.k_max
+                               else schedule.cells[0][0]))
     sizes = [len(emit) for emit, _ in segments]
     ends = np.cumsum(sizes)  # index just past each segment
     if ends[-1] != schedule.total_length:

@@ -89,6 +89,39 @@ def test_katok_infeasible_exits_2(tmp_path):
     assert code == 2
 
 
+def test_katok_three_symbols_past_cylinder_enumeration(tmp_path):
+    # 3^14 cylinders: exact through the mass-class table, not k^L masses
+    cfg = {"system": {"kind": "full_shift", "k": 3},
+           "measure": {"bernoulli": [0.5, 0.3, 0.2]},
+           "q": 1, "n_grid": [13]}
+    code, out = run(tmp_path, "katok", cfg)
+    assert code == 0
+    _, rows = read_rows(out / "katok.csv")
+    assert [int(r["n"]) for r in rows] == [13]
+
+
+def test_malformed_config_type_exits_2_without_traceback(tmp_path, capsys):
+    cfg = {"system": {"kind": "full_shift", "k": None},
+           "measure": {"bernoulli": 0.5}, "q": 1, "n_grid": [8]}
+    code, out = run(tmp_path, "katok", cfg)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "katok.csv").exists()
+
+
+def test_unexpected_error_exits_5_without_traceback(tmp_path, capsys,
+                                                    monkeypatch):
+    from orbitweave import cli
+
+    def broken(config, seed, out):
+        raise RuntimeError("unexpected")
+    monkeypatch.setitem(cli.COMMANDS, "katok", broken)
+    code, _ = run(tmp_path, "katok", {})
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error: unexpected" in err
+
+
 def test_shadow_single_true_orbit(tmp_path):
     cfg = {"system": {"kind": "full_shift", "k": 2},
            "mode": "single", "delta": 0.0, "length": 50}

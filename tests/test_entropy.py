@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,29 +74,34 @@ def test_separated_spanning_sandwich_small():
 
 
 def test_katok_count_fair_coin_closed_form():
-    sh = full_shift(2)
-    m = bernoulli(0.5)
-    # all (n+q)-cylinders weigh 2^-(n+q); need the least count with
-    # count * 2^-(n+q) > 1 - delta
-    for n, q, delta in [(4, 1, 0.1), (6, 2, 0.25)]:
-        expect = math.floor((1 - delta) * 2 ** (n + q)) + 1
-        assert katok_count(sh, m, n, 2.0 ** -q, delta) == expect
+    # all (n+q)-cylinders of the uniform measure on k symbols weigh
+    # k^-(n+q); need the least count with count * k^-(n+q) > 1 - delta
+    for k, n, q, delta in [(2, 4, 1, 0.1), (2, 6, 2, 0.25), (3, 13, 1, 0.1)]:
+        expect = math.floor((1 - delta) * k ** (n + q)) + 1
+        m = bernoulli([1 / k] * k)
+        assert katok_count(full_shift(k), m, n, 2.0 ** -q, delta) == expect
 
 
 def test_katok_count_matches_enumeration():
-    sh = full_shift(2)
-    m = bernoulli(0.7)
-    n, q, delta = 5, 2, 0.2
-    masses = sorted((m.cylinder_mass(w)
-                     for w in itertools.product(range(2), repeat=n + q)),
-                    reverse=True)
-    cum, cnt = 0.0, 0
-    for mass in masses:
-        if cum > 1 - delta:
-            break
-        cum += mass
-        cnt += 1
-    assert katok_count(sh, m, n, 2.0 ** -q, delta) == cnt
+    gm = golden_mean_shift()
+    chain = np.random.default_rng(3).random((3, 3))
+    cases = [
+        (full_shift(2), bernoulli(0.7), 5, 2, 0.2),
+        (full_shift(3), bernoulli([0.5, 0.3, 0.2]), 6, 1, 0.2),
+        (full_shift(3), MarkovMeasure(chain / chain.sum(axis=1, keepdims=True)),
+         5, 2, 0.1),
+        (gm, MarkovMeasure([[0.6, 0.4], [1.0, 0.0]], shift=gm), 8, 1, 0.2),
+    ]
+    for sh, m, n, q, delta in cases:
+        words = itertools.product(range(sh.alphabet_size), repeat=n + q)
+        masses = sorted((m.cylinder_mass(w) for w in words), reverse=True)
+        cum, cnt = 0.0, 0
+        for mass in masses:
+            if cum > 1 - delta:
+                break
+            cum += mass
+            cnt += 1
+        assert katok_count(sh, m, n, 2.0 ** -q, delta) == cnt
 
 
 def test_katok_count_respects_sft_support():
