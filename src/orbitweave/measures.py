@@ -103,12 +103,26 @@ class MarkovMeasure:
             m *= self.P[a, b]
         return float(m)
 
+    def sample_words(self, count: int, n: int, rng) -> np.ndarray:
+        """(count, n) int8 matrix of words, drawn from one uniform array by
+        inverse CDF one column at a time: column 0 from pi, each later column
+        from the row of P of the symbol before it.  A uniform past a row's
+        float sum goes to that row's last positive-probability symbol, so no
+        zero-probability symbol or transition is ever drawn."""
+        u = rng.random((count, n))
+        table = np.vstack([self.pi, self.P])  # row 0 is pi, row 1 + a is P[a]
+        cum = np.cumsum(table, axis=1)
+        last = self.alphabet_size - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+        W = np.empty((count, n), dtype=np.int8)
+        row = np.zeros(count, dtype=np.intp)
+        for j in range(n):
+            sym = np.minimum((u[:, j, None] >= cum[row]).sum(axis=1), last[row])
+            W[:, j] = sym
+            row = sym + 1
+        return W
+
     def sample_word(self, n: int, rng) -> tuple[int, ...]:
-        k = self.alphabet_size
-        out = [int(rng.choice(k, p=self.pi))]
-        for _ in range(n - 1):
-            out.append(int(rng.choice(k, p=self.P[out[-1]])))
-        return tuple(out)
+        return tuple(self.sample_words(1, n, rng)[0].tolist())
 
     def __eq__(self, other):
         return (isinstance(other, MarkovMeasure)

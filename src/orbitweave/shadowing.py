@@ -9,6 +9,7 @@ into a resource error rather than a bogus nonexistence claim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,9 +89,11 @@ def validate_pseudo(system: System, states: Sequence[State],
     return PseudoOrbit(states, delta)
 
 
+@functools.cache
 def canonical_cycle(shift: ShiftSpace, last: int) -> tuple[int, ...]:
     """Lexicographically-least shortest admissible cycle through `last`,
-    used to extend finite words to admissible infinite states."""
+    used to extend finite words to admissible infinite states (cached per
+    shift and symbol)."""
     if shift.allowed(last, last):
         return (last,)
     k = shift.alphabet_size
@@ -142,14 +145,14 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
         m = int(math.ceil(-math.log2(delta)))  # keep 2^-m <= delta
         if m < 1:
             raise ValueError("shift perturbation needs delta < 1")
+        succ = _successors(system)
         states = [x0]
         for _ in range(n - 1):
             base = apply_map(system, states[-1])
             head = list(base.prefix(m))
             for _ in range(8):  # resampled tail below resolution 2^-m
-                choices = [b for b in range(system.alphabet_size)
-                           if system.allowed(head[-1], b)]
-                head.append(int(choices[rng.integers(len(choices))]))
+                choices = succ[head[-1]]
+                head.append(choices[rng.integers(len(choices))])
             states.append(word_state(system, head))
         return PseudoOrbit(tuple(states), delta)
     lo, hi = system.domain
@@ -205,11 +208,13 @@ def shadow_interval(map_: TentMap | EndpointFixedMap, po: PseudoOrbit,
     hi0 = min(map_.domain[1], states[0] + epsilon)
     if lo0 > hi0:
         return None
-    # (value lo, value hi, branch history)
-    pieces: list[tuple[float, float, tuple[int, ...]]] = [(lo0, hi0, ())]
+    # (value lo, value hi) per tracked interval; back[t - 1][i] is the
+    # (interval index at t - 1, branch) that interval i at step t came from
+    pieces: list[tuple[float, float]] = [(lo0, hi0)]
+    back: list[list[tuple[int, int]]] = []
     for t in range(1, len(states)):
-        nxt = []
-        for vlo, vhi, hist in pieces:
+        nxt, ptr = [], []
+        for prev, (vlo, vhi) in enumerate(pieces):
             for bi, (plo, phi_, m, c) in enumerate(map_pieces):
                 xlo, xhi = max(vlo, plo), min(vhi, phi_)
                 if xlo > xhi:
@@ -219,18 +224,22 @@ def shadow_interval(map_: TentMap | EndpointFixedMap, po: PseudoOrbit,
                 yhi = min(yhi, states[t] + epsilon)
                 if ylo > yhi:
                     continue
-                nxt.append((ylo, yhi, hist + (bi,)))
+                nxt.append((ylo, yhi))
+                ptr.append((prev, bi))
         if len(nxt) > piece_cap:
             raise ResourceCapError(f"{len(nxt)} tracked intervals exceed cap")
         if not nxt:
             return None
         pieces = nxt
-    vlo, vhi, hist = max(pieces, key=lambda p: p[1] - p[0])
-    ys = [0.5 * (vlo + vhi)]
-    for bi in reversed(hist):
+        back.append(ptr)
+    i = max(range(len(pieces)), key=lambda j: pieces[j][1] - pieces[j][0])
+    ys = [0.5 * (pieces[i][0] + pieces[i][1])]
+    for ptr in reversed(back):
+        i, bi = ptr[i]
         plo, phi_, m, c = map_pieces[bi]
-        y = (ys[0] - c) / m
-        ys.insert(0, min(max(y, plo), phi_))  # clamp rounding into the branch
+        y = (ys[-1] - c) / m
+        ys.append(min(max(y, plo), phi_))  # clamp rounding into the branch
+    ys.reverse()
     per_step = [abs(y - s) for y, s in zip(ys, states)]
     result = ShadowResult(point=ys[0], max_deviation=max(per_step),
                           per_step=per_step)
@@ -304,11 +313,17 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
 
 def _random_start(system: System, rng) -> State:
     if isinstance(system, ShiftSpace):
-        k = system.alphabet_size
-        head = [int(rng.integers(k))]
+        succ = _successors(system)
+        head = [int(rng.integers(system.alphabet_size))]
         for _ in range(31):
-            choices = [b for b in range(k) if system.allowed(head[-1], b)]
-            head.append(int(choices[rng.integers(len(choices))]))
+            choices = succ[head[-1]]
+            head.append(choices[rng.integers(len(choices))])
         return word_state(system, head)
     lo, hi = system.domain
     return float(rng.uniform(lo + 1e-6, hi - 1e-6))
+
+
+def _successors(shift: ShiftSpace) -> list[list[int]]:
+    """Allowed next symbols of every symbol, in increasing order."""
+    k = shift.alphabet_size
+    return [[b for b in range(k) if shift.allowed(a, b)] for a in range(k)]

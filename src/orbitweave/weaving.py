@@ -77,23 +77,25 @@ class BlockFamily:
             raise ValueError("empty block family")
 
 
-def _cylinder_distances(symbols: Sequence[int], ms, measure,
-                       family: TestFunctionFamily) -> np.ndarray:
+def _cylinder_distances(symbols, ms, measure,
+                        family: TestFunctionFamily) -> np.ndarray:
     """Weak* distance between the m-window empirical measure of a symbol
     sequence and a Markov/mixture measure, for every window length m in ms,
     via exact cylinder frequencies: the m-window frequency of a cylinder
-    counts its occurrences starting at positions 0..m-1."""
+    counts its occurrences starting at positions 0..m-1.  Leading axes of
+    `symbols` are batch axes: a (B, L) matrix gives a (B, len(ms)) array,
+    each row equal to the call on that row alone."""
     sym = np.asarray(symbols, dtype=np.int8)
     ms = np.asarray(ms, dtype=np.int64)
     top = int(ms.max())
-    if top + family.max_depth - 1 > len(sym):
+    if top + family.max_depth - 1 > sym.shape[-1]:
         raise ValueError("word too short for this window")
-    total = np.zeros(len(ms))
+    total = np.zeros(sym.shape[:-1] + ms.shape)
     for i, phi in enumerate(family.functions, start=1):
-        hit = np.ones(top, dtype=bool)
+        hit = np.ones(sym.shape[:-1] + (top,), dtype=bool)
         for off, s in enumerate(phi.word):
-            hit &= sym[off:off + top] == s
-        hits = np.cumsum(hit)[ms - 1]
+            hit &= sym[..., off:off + top] == s
+        hits = np.cumsum(hit, axis=-1)[..., ms - 1]
         total += np.abs(hits / ms - measure.cylinder_mass(phi.word)) \
             / 2.0 ** (i + 1)
     return total
@@ -123,40 +125,29 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
     depth = family.max_depth
     block_len = window[-1] + q_extra + depth
     ms = np.arange(n, block_len - depth + 2)
-    rng = make_rng(seed)
-    accepted = []  # (word, return step)
-    attempts = 0
-    for attempts in range(1, budget + 1):
-        w = measure.sample_word(block_len, rng)
-        returns = [q for q in window if w[q] == w[0]]
-        if not returns:
-            continue
-        if np.all(_cylinder_distances(w, ms, measure, family) < 1.0 / k):
-            accepted.append((w, returns))
-        if len(accepted) >= budget:
-            break
-    if not accepted:
+    W = measure.sample_words(budget, block_len, make_rng(seed))
+    returns = W[:, window] == W[:, :1]  # returns[r, i]: word r back at window[i]
+    ok = returns.any(axis=1)
+    ok[ok] = np.all(_cylinder_distances(W[ok], ms, measure, family) < 1.0 / k,
+                    axis=1)
+    if not ok.any():
         raise BlockSearchError(
-            f"no block accepted in {attempts} attempts", attempts, 0)
+            f"no block accepted in {budget} attempts", budget, 0)
     # return time maximizing the family size, smallest on ties
-    counts = {q: sum(1 for _w, rs in accepted if q in rs) for q in window}
-    n_sel = min(window, key=lambda q: (-counts[q], q))
-    pool = [w for w, rs in accepted if n_sel in rs]
+    q_idx = int(np.argmax(returns[ok].sum(axis=0)))
+    n_sel = window[q_idx]
+    pool = ok & returns[:, q_idx]
     # common partition cell: depth-1 cylinder with the most members
-    cells = {}
-    for w in pool:
-        cells[w[0]] = cells.get(w[0], 0) + 1
-    cell = min(cells, key=lambda c: (-cells[c], c))
-    pool = [w for w in pool if w[0] == cell]
+    cell = int(np.argmax(np.bincount(W[pool, 0])))
     # separated pruning: distinct prefixes of length n_sel keep the woven
     # points separated at the splice accuracy (see separation_audit)
     seen = {}
-    for w in pool:
+    for w in map(tuple, W[pool & (W[:, 0] == cell)].tolist()):
         seen.setdefault(w[:n_sel], w)
     return BlockFamily(
         measure=measure, n=n_sel, cell=cell, epsilon=epsilon, k=k, gamma=gamma,
         blocks=tuple(seen.values()),
-        acceptance_rate=len(accepted) / attempts)
+        acceptance_rate=int(ok.sum()) / budget)
 
 
 def connector(shift: ShiftSpace, from_cell: int, to_cell: int):

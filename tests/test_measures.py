@@ -14,6 +14,7 @@ from orbitweave.measures import (AtomicMeasure, CylinderIndicator,
                                  limit_measures, markov_entropy,
                                  measure_from_json, measure_to_json,
                                  weak_star_distance)
+from orbitweave.shadowing import make_rng
 from orbitweave.systems import Word, full_shift, golden_mean_shift
 
 FAMILY = TestFunctionFamily("cylinder", 16, 2)
@@ -80,6 +81,76 @@ def test_markov_stationary_and_support():
     MarkovMeasure([[0.5, 0.5], [1.0, 0.0]], shift=gm)
     with pytest.raises(ValueError):
         MarkovMeasure([[0.5, 0.5], [0.5, 0.5]], shift=gm)
+
+
+PERIOD2 = [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("measure", [
+    MarkovMeasure([[0.6, 0.4], [1.0, 0.0]], shift=golden_mean_shift()),
+    bernoulli(0.0),
+    MarkovMeasure(PERIOD2, [0.5, 0.5]),
+    bernoulli([0.7, 0.2, 0.1, 0.0]),
+], ids=["golden", "bernoulli0", "period2", "zero_last"])
+def test_sample_words_support(measure):
+    W = measure.sample_words(2000, 30, make_rng(5))
+    assert W.shape == (2000, 30) and W.dtype == np.int8
+    assert np.all(measure.pi[W[:, 0]] > 0)
+    assert np.all(measure.P[W[:, :-1], W[:, 1:]] > 0)
+    assert measure.sample_word(30, make_rng(5)) == tuple(W[0].tolist())
+
+
+@pytest.mark.parametrize("P", [[[0.6, 0.4], [1.0, 0.0]],
+                               [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3],
+                                [0.0, 0.4, 0.6]]])
+def test_sample_words_matches_choice_loop(P):
+    # Generator.choice inverts the CDF of one random() draw, and random()
+    # fills a matrix row by row, so the batch repeats the per-symbol stream
+    m = MarkovMeasure(P)
+    rng = make_rng(3)
+    ref = []
+    for _ in range(40):
+        w = [int(rng.choice(m.alphabet_size, p=m.pi))]
+        for _ in range(24):
+            w.append(int(rng.choice(m.alphabet_size, p=m.P[w[-1]])))
+        ref.append(w)
+    assert m.sample_words(40, 25, make_rng(3)).tolist() == ref
+
+
+def test_sample_words_clamps_past_row_sum():
+    # the float sum of (0.7, 0.2, 0.1, 0) is 1 - 2^-53, which the largest
+    # uniform reaches: the draw must be symbol 2, not the zero-mass 3
+    class TopUniform:
+        def random(self, shape):
+            return np.full(shape, np.nextafter(1.0, 0.0))
+
+    m = bernoulli([0.7, 0.2, 0.1, 0.0])
+    assert np.cumsum(m.pi)[-1] <= np.nextafter(1.0, 0.0)
+    assert np.all(m.sample_words(3, 5, TopUniform()) == 2)
+    assert np.all(bernoulli(0.0).sample_words(3, 5, TopUniform()) == 0)
+
+
+@pytest.mark.parametrize("P", [
+    [[0.6, 0.4], [1.0, 0.0]],
+    [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.0, 0.4, 0.6]],
+    [[0.5, 0.3, 0.2]] * 3,
+])
+def test_sample_words_frequencies(P):
+    # rows are independent chains, so every column is an i.i.d. draw of pi
+    # and every pair of adjacent columns an i.i.d. draw of pi_a P_ab
+    m = MarkovMeasure(P)
+    k, rows = m.alphabet_size, 200_000
+    W = m.sample_words(rows, 3, make_rng(11)).astype(np.intp)
+
+    def within(counts, probs):
+        se = np.sqrt(rows * probs * (1 - probs))
+        return np.all(np.abs(counts - rows * probs) <= 5 * se + 1e-9)
+
+    for j in range(3):
+        assert within(np.bincount(W[:, j], minlength=k), m.pi)
+    for j in range(2):
+        pairs = np.bincount(k * W[:, j] + W[:, j + 1], minlength=k * k)
+        assert within(pairs, (m.pi[:, None] * m.P).ravel())
 
 
 def test_markov_entropy_closed_forms():

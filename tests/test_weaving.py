@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitweave.measures import (MixtureMeasure, TestFunctionFamily, bernoulli,
@@ -8,13 +9,15 @@ from orbitweave.measures import (MixtureMeasure, TestFunctionFamily, bernoulli,
 from orbitweave.shadowing import (PseudoOrbitViolation, make_rng,
                                   shadow_shift, validate_pseudo, word_state)
 from orbitweave.systems import full_shift, golden_mean_shift
-from orbitweave.weaving import (BlockFamily, BlockSearchError, build_schedule,
+from orbitweave.weaving import (BlockFamily, BlockSearchError,
+                                _cylinder_distances, build_schedule,
                                 concatenate, connector, run_weave,
                                 select_blocks, separation_audit, weave_point,
                                 word_empirical_distance)
 
 FAMILY = TestFunctionFamily("cylinder", 16, 2)
 FULL = full_shift(2)
+GOLDEN_CHAIN = [[0.6, 0.4], [1.0, 0.0]]
 
 
 def test_connector_full_shift():
@@ -79,11 +82,68 @@ def test_word_empirical_distance_matches_loop(k):
         word_empirical_distance(w, 40, measure, family)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_cylinder_distances_batch_matches_rows(k):
+    family = TestFunctionFamily("cylinder", 16, k)
+    measure = bernoulli([0.5, 0.3, 0.2] if k == 3 else 0.7)
+    W = measure.sample_words(50, 40, make_rng(k))
+    ms = np.arange(1, 40 - family.max_depth + 2)
+    batch = _cylinder_distances(W, ms, measure, family)
+    assert batch.shape == (50, len(ms))
+    for row, got in zip(W, batch):
+        assert np.array_equal(got, _cylinder_distances(row, ms, measure,
+                                                       family))
+
+
+def _loop_select_blocks(measure, n, epsilon, k, gamma, budget, seed, family):
+    """Reference selection: the per-word return test and
+    word_empirical_distance on each row of the same sampled matrix."""
+    window = list(range(n, math.floor((1 + gamma) * n) + 1))
+    block_len = window[-1] + max(1, round(-math.log2(epsilon))) \
+        + family.max_depth
+    W = measure.sample_words(budget, block_len, make_rng(seed))
+    accepted = []
+    for w in map(tuple, W.tolist()):
+        returns = [q for q in window if w[q] == w[0]]
+        if returns and all(
+                word_empirical_distance(w, m, measure, family) < 1.0 / k
+                for m in range(n, block_len - family.max_depth + 2)):
+            accepted.append((w, returns))
+    counts = {q: sum(1 for _w, rs in accepted if q in rs) for q in window}
+    n_sel = min(window, key=lambda q: (-counts[q], q))
+    pool = [w for w, rs in accepted if n_sel in rs]
+    cells = {}
+    for w in pool:
+        cells[w[0]] = cells.get(w[0], 0) + 1
+    cell = min(cells, key=lambda c: (-cells[c], c))
+    seen = {}
+    for w in pool:
+        if w[0] == cell:
+            seen.setdefault(w[:n_sel], w)
+    return tuple(seen.values()), n_sel, cell, len(accepted) / budget
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("golden", [False, True])
+def test_select_blocks_matches_loop(golden, k):
+    from orbitweave.measures import MarkovMeasure
+    shift = golden_mean_shift() if golden else FULL
+    measure = (MarkovMeasure(GOLDEN_CHAIN, shift=shift) if golden
+               else bernoulli(0.5))
+    args = (measure, 10, 0.5, k, 0.3, 300, 9)
+    fam = select_blocks(shift, *args, family=FAMILY)
+    blocks, n, cell, rate = _loop_select_blocks(*args, FAMILY)
+    assert (fam.blocks, fam.n, fam.cell, fam.acceptance_rate) == \
+        (blocks, n, cell, rate)
+    assert len(blocks) > 1 and 0 < rate < 1
+
+
 def test_select_blocks_deterministic_measure():
     fam = select_blocks(FULL, bernoulli(0.0), 12, 0.5, 2, 0.25,
                         budget=50, seed=1, family=FAMILY)
     assert len(fam.blocks) == 1
     assert set(fam.blocks[0]) == {0}
+    assert fam.n == 12 and fam.cell == 0  # every q ties: the smallest wins
 
 
 def test_select_blocks_budget_exhaustion():
@@ -195,9 +255,6 @@ def _per_position_states(shift, schedule, families, picks):
         bridge(cells[k - 1][0], (cells[k] if k < schedule.k_max
                                  else cells[0])[0])
     return states
-
-
-GOLDEN_CHAIN = [[0.6, 0.4], [1.0, 0.0]]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
