@@ -230,9 +230,6 @@ class TestFunctionFamily:
     def max_depth(self) -> int:
         return max(f.depth for f in self.functions)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "N": self.N}
-
 
 def _enumerate_cylinders(k: int):
     length = 1

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 __all__ = [
     "Word",
     "ShiftSpace",
@@ -147,9 +149,8 @@ class TentMap:
 
     domain = (0.0, 2.0)
 
-    def value(self, x: float) -> float:
-        # ties at the kink resolve to the left branch; values coincide
-        return self.slope * x if x <= 1.0 else self.slope * (2.0 - x)
+    def value(self, x):  # elementwise; the kink goes left, values coincide
+        return np.where(x <= 1.0, self.slope * x, self.slope * (2.0 - x))
 
     def pieces(self):
         """Linear pieces as (xlo, xhi, slope, intercept)."""
@@ -193,15 +194,12 @@ class EndpointFixedMap:
             if ga * gb < -tol * tol and not (abs(ga) <= tol or abs(gb) <= tol):
                 raise InteriorFixedPointError(f"fixed point inside ({a},{b})")
 
-    def value(self, x: float) -> float:
-        bp, vals = self.breakpoints, self.values
-        if x <= bp[0]:
-            return vals[0]
-        for a, b, fa, fb in zip(bp, bp[1:], vals, vals[1:]):
-            if x <= b:
-                t = (x - a) / (b - a)
-                return fa + t * (fb - fa)
-        return vals[-1]
+    def value(self, x):
+        """Linear interpolation of the knots on [0, 1], elementwise on arrays."""
+        bp, vals = np.array(self.breakpoints), np.array(self.values)
+        j = np.clip(np.searchsorted(bp, x), 1, len(bp) - 1)  # bp[j-1] < x <= bp[j]
+        t = (x - bp[j - 1]) / (bp[j] - bp[j - 1])
+        return vals[j - 1] + t * (vals[j] - vals[j - 1])
 
     def pieces(self):
         out = []
@@ -249,7 +247,7 @@ def apply_map(system: System, x: State) -> State:
         return x.shift()
     if not _in_domain(system, x):
         raise ValueError(f"point {x} outside domain {system.domain}")
-    return system.value(float(x))
+    return float(system.value(float(x)))
 
 
 def dist(system: System, x: State, y: State, depth: int | None = None) -> float:

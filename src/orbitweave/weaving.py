@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .measures import MarkovMeasure, TestFunctionFamily, convex_decompose
-from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, make_rng,
-                        word_state)
+from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, _admissible,
+                        make_rng, word_state)
 from .systems import ShiftSpace, Word
 
 __all__ = [
@@ -456,8 +456,7 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     if bad.size:
         raise PseudoOrbitViolation(int(ends[bad[0]]) - 1, 1.0)
     seq = np.array(point.prefix(len(point.head) + len(point.cycle) + 1))
-    if (seq.min() < 0 or seq.max() >= shift.alphabet_size
-            or not np.all(np.array(shift.transition)[seq[:-1], seq[1:]])):
+    if not _admissible(shift, seq):
         raise ValueError("spliced point inadmissible")
     hit = miss.any(axis=1)
     deviation = (2.0 ** -(1 + int(miss.argmax(axis=1)[hit].min()))

@@ -141,6 +141,24 @@ def test_shadow_modulus_table(tmp_path):
     assert "delta_hat=" in lines[0]
 
 
+@pytest.mark.parametrize("system,bad", [
+    ({"kind": "tent", "s": 2.0}, {"epsilon": 0}),
+    ({"kind": "full_shift", "k": 2}, {"epsilon": 0}),
+    ({"kind": "tent", "s": 2.0}, {"epsilon": -1e-3}),
+    ({"kind": "tent", "s": 2.0}, {"epsilon": math.inf}),
+    ({"kind": "tent", "s": 2.0}, {"trials": 0}),
+    ({"kind": "full_shift", "k": 2}, {"length": 1}),
+])
+def test_shadow_modulus_bad_input_exits_2_without_artifact(tmp_path, capsys,
+                                                           system, bad):
+    cfg = {"system": system, "mode": "modulus", "epsilon": 1e-3,
+           "trials": 10, "length": 40} | bad
+    code, out = run(tmp_path, "shadow", cfg)
+    assert code == 2
+    assert not (out / "modulus.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_weave_and_truncation(tmp_path):
     cfg = {"system": {"kind": "full_shift", "k": 2},
            "target": {"bernoulli": 0.7},

@@ -1,16 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitweave.shadowing import (PseudoOrbit, PseudoOrbitViolation,
-                                  ResourceCapError, canonical_cycle, make_rng,
-                                  perturbed_orbit, shadow_interval,
-                                  shadow_shift, shadowing_modulus,
-                                  validate_pseudo, word_state)
-from orbitweave.systems import (TentMap, Word, apply_map, dist, full_shift,
-                                golden_mean_shift, orbit)
+from orbitweave.shadowing import (NO_SHADOW, OVER_CAP, SHADOWED, PseudoOrbit,
+                                  PseudoOrbitViolation, ResourceCapError,
+                                  _interval_orbits, _interval_shadow,
+                                  _random_start, _shift_heads, _splice,
+                                  _splice_deviations, _uniforms,
+                                  canonical_cycle, make_rng, perturbed_orbit,
+                                  shadow_interval, shadow_shift,
+                                  shadowing_modulus, validate_pseudo,
+                                  word_state)
+from orbitweave.systems import (EndpointFixedMap, ShiftSpace, TentMap, Word,
+                                apply_map, dist, full_shift, golden_mean_shift,
+                                orbit)
 
 
 def test_validate_reports_first_violation():
@@ -144,3 +150,333 @@ def test_make_rng_deterministic():
     a = make_rng(42).integers(0, 100, size=5)
     b = make_rng(42).integers(0, 100, size=5)
     assert list(a) == list(b)
+
+
+# --------------------------------------------------------------------------
+# Per-trial reference loops, the oracle for the batched kernels: one trial
+# at a time, scalar map values, one rng.uniform per step, one Python list of
+# intervals per trial, per-position Word comparisons.
+
+PLMAP = EndpointFixedMap((0.0, 0.25, 0.5, 1.0), (0.0, 0.9, 0.6, 1.0))
+INTERVAL_MAPS = [TentMap(2.0), TentMap(1.2), PLMAP]
+
+
+def ref_value(map_, x):
+    if isinstance(map_, TentMap):
+        return map_.slope * x if x <= 1.0 else map_.slope * (2.0 - x)
+    bp, vals = map_.breakpoints, map_.values
+    if x <= bp[0]:
+        return vals[0]
+    for a, b, fa, fb in zip(bp, bp[1:], vals, vals[1:]):
+        if x <= b:
+            t = (x - a) / (b - a)
+            return fa + t * (fb - fa)
+    return vals[-1]
+
+
+def ref_interval_orbit(map_, x0, n, delta, seed):
+    rng = make_rng(seed)
+    lo, hi = map_.domain
+    states = [float(x0)]
+    for _ in range(n - 1):
+        y = ref_value(map_, states[-1])
+        if delta > 0:
+            y = min(hi, max(lo, y + rng.uniform(-delta / 2, delta / 2)))
+        states.append(y)
+    return states
+
+
+def ref_shadow_interval(map_, states, epsilon, piece_cap=4096):
+    map_pieces = map_.pieces()
+    lo0 = max(map_.domain[0], states[0] - epsilon)
+    hi0 = min(map_.domain[1], states[0] + epsilon)
+    if lo0 > hi0:
+        return None
+    pieces = [(lo0, hi0)]
+    back = []
+    for t in range(1, len(states)):
+        nxt, ptr = [], []
+        for prev, (vlo, vhi) in enumerate(pieces):
+            for bi, (plo, phi_, m, c) in enumerate(map_pieces):
+                xlo, xhi = max(vlo, plo), min(vhi, phi_)
+                if xlo > xhi:
+                    continue
+                ylo, yhi = sorted((m * xlo + c, m * xhi + c))
+                ylo = max(ylo, states[t] - epsilon)
+                yhi = min(yhi, states[t] + epsilon)
+                if ylo > yhi:
+                    continue
+                nxt.append((ylo, yhi))
+                ptr.append((prev, bi))
+        if len(nxt) > piece_cap:
+            raise ResourceCapError(f"{len(nxt)} tracked intervals exceed cap")
+        if not nxt:
+            return None
+        pieces = nxt
+        back.append(ptr)
+    i = max(range(len(pieces)), key=lambda j: pieces[j][1] - pieces[j][0])
+    ys = [0.5 * (pieces[i][0] + pieces[i][1])]
+    for ptr in reversed(back):
+        i, bi = ptr[i]
+        plo, phi_, m, c = map_pieces[bi]
+        ys.append(min(max((ys[-1] - c) / m, plo), phi_))
+    ys.reverse()
+    per_step = [abs(y - s) for y, s in zip(ys, states)]
+    return None if max(per_step) >= epsilon else (ys, per_step)
+
+
+def ref_outcome(map_, states, epsilon, piece_cap=4096):
+    try:
+        res = ref_shadow_interval(map_, states, epsilon, piece_cap)
+    except ResourceCapError:
+        return OVER_CAP, None
+    return (NO_SHADOW, None) if res is None else (SHADOWED, res)
+
+
+def ref_modulus_row(system, epsilon, trials, length, seed, delta):
+    """Successes of one modulus row, one trial at a time."""
+    ok = 0
+    for t in range(trials):
+        x0 = _random_start(system, make_rng(seed + 7919 * t))
+        if isinstance(system, ShiftSpace):
+            po = ref_shift_orbit(system, x0, length, delta,
+                                 seed + 104729 * t + 1)
+            ok += max(ref_shadow_shift(system, po)[1]) < epsilon
+        else:
+            states = ref_interval_orbit(system, x0, length, delta,
+                                        seed + 104729 * t + 1)
+            ok += ref_outcome(system, states, epsilon)[0] == SHADOWED
+    return ok
+
+
+def ref_shift_orbit(shift, x0, n, delta, seed):
+    """One state at a time: state i + 1 is the shift of state i cut to m
+    symbols, then 8 symbols succ[floor(u * len(succ))], u from row i of
+    rng.random((n - 1, 8))."""
+    u = make_rng(seed).random((n - 1, 8))
+    m = int(math.ceil(-math.log2(delta)))
+    k = shift.alphabet_size
+    succ = [[b for b in range(k) if shift.allowed(a, b)] for a in range(k)]
+    states = [x0]
+    for i in range(n - 1):
+        head = list(apply_map(shift, states[-1]).prefix(m))
+        for j in range(8):
+            choices = succ[head[-1]]
+            head.append(choices[min(int(u[i, j] * len(choices)),
+                                    len(choices) - 1)])
+        states.append(word_state(shift, head))
+    return states
+
+
+def ref_shadow_shift(shift, states):
+    """Per-position splice: (point, per-step deviations)."""
+    firsts = [s.symbol(0) for s in states[:-1]]
+    last = states[-1]
+    z = Word(tuple(firsts) + last.head, last.cycle)
+    if not shift.admissible(z, depth=len(z.head) + len(z.cycle)):
+        raise ValueError("spliced point inadmissible")
+    per_step = []
+    for i, s in enumerate(states):
+        d = 0.0
+        for j in range(64):
+            if z.symbol(i + j) != s.symbol(j):
+                d = 2.0 ** (-j)
+                break
+        per_step.append(d)
+    return z, per_step
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def batch_inputs(system, trials, length, seed):
+    x0 = [_random_start(system, make_rng(seed + 7919 * t)) for t in range(trials)]
+    u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
+    return x0, u
+
+
+@pytest.mark.parametrize("map_", INTERVAL_MAPS)
+def test_interval_orbits_match_reference_bitwise(map_):
+    x0, u = batch_inputs(map_, 12, 80, 5)
+    for delta in (0.0, 1e-2, 1e-3 / 3, 2.0 ** -20):
+        xs = _interval_orbits(map_, np.array(x0), delta, u)
+        for t in range(12):
+            ref = ref_interval_orbit(map_, x0[t], 80, delta, 5 + 104729 * t + 1)
+            assert bits(xs[t]) == bits(ref)
+        one = perturbed_orbit(map_, x0[3], 80, delta, seed=5 + 104729 * 3 + 1)
+        assert bits(one.states) == bits(xs[3])
+    grid = np.linspace(*map_.domain, 1001)
+    assert bits(map_.value(grid)) == bits([ref_value(map_, x) for x in grid])
+
+
+@pytest.mark.parametrize("map_,epsilon,length", [
+    (TentMap(2.0), 1e-3, 120), (TentMap(1.2), 1e-3, 80), (PLMAP, 1e-2, 80)])
+def test_interval_shadow_matches_reference(map_, epsilon, length):
+    x0, u = batch_inputs(map_, 25, length, 3)
+    seen = set()
+    for delta in (epsilon, epsilon / 2, epsilon / 8, epsilon / 64):
+        xs = _interval_orbits(map_, np.array(x0), delta, u)
+        ys = xs.copy()  # the kernel writes each shadow over its row
+        outcome = _interval_shadow(map_, ys, epsilon)
+        for t in range(25):
+            want, res = ref_outcome(map_, xs[t].tolist(), epsilon)
+            assert outcome[t] == want
+            seen.add(want)
+            if want == SHADOWED:
+                assert bits(ys[t]) == bits(res[0])
+                one = shadow_interval(map_, PseudoOrbit(tuple(xs[t]), delta),
+                                      epsilon)
+                assert bits(one.per_step) == bits(res[1])
+                assert one.max_deviation == max(res[1])
+    assert SHADOWED in seen
+
+
+def test_interval_batch_mixes_outcomes_per_trial():
+    # one cap for the whole batch: some trials pass it, others succeed, and
+    # an appended jump row empties; every trial keeps its own outcome
+    f = TentMap(2.0)
+    x0, u = batch_inputs(f, 30, 30, 7)
+    xs = _interval_orbits(f, np.array(x0), 0.3, u)
+    xs = np.vstack([xs, [0.1, 1.5] + [1.0] * 28])
+    ys = xs.copy()
+    outcome = _interval_shadow(f, ys, 0.3, piece_cap=64)
+    assert set(outcome.tolist()) == {SHADOWED, NO_SHADOW, OVER_CAP}
+    for t in range(len(xs)):
+        want, res = ref_outcome(f, xs[t].tolist(), 0.3, piece_cap=64)
+        assert outcome[t] == want
+        if want == SHADOWED:
+            assert bits(ys[t]) == bits(res[0])
+    alone = [_interval_shadow(f, xs[t:t + 1].copy(), 0.3, piece_cap=64)[0]
+             for t in range(len(xs))]
+    assert alone == outcome.tolist()
+
+
+@pytest.mark.parametrize("system,epsilon,trials,length,seed", [
+    (TentMap(2.0), 1e-3, 20, 150, 4),
+    (TentMap(1.2), 1e-3, 20, 120, 1),
+    (PLMAP, 1e-2, 15, 100, 6),
+    (TentMap(1.2), 0.05, 6, 50, 3),  # rows with trials over the cap
+    (full_shift(2), 2.0 ** -6, 10, 60, 2),
+    (golden_mean_shift(), 0.3, 10, 60, 3),
+])
+def test_shadowing_modulus_matches_reference(system, epsilon, trials, length,
+                                             seed):
+    delta_hat, table = shadowing_modulus(system, epsilon, trials, length, seed)
+    assert [t for _, _, t in table] == [trials] * len(table)
+    for delta, ok, _ in table:
+        assert ok == ref_modulus_row(system, epsilon, trials, length, seed,
+                                     delta)
+    good = [d for d, ok, tr in table if ok / tr >= 0.95]
+    assert delta_hat == (max(good) if good else 0.0)
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift()])
+def test_shift_kernel_matches_word_splice(shift):
+    x0, u = batch_inputs(shift, 15, 70, 11)
+    for delta in (0.3, 2.0 ** -5, 2.0 ** -9, 1e-12):
+        heads = _shift_heads(shift, x0, delta, u)
+        deviation = _splice_deviations(shift, *_splice(shift, x0, heads))
+        for t in range(15):
+            states = ref_shift_orbit(shift, x0[t], 70, delta,
+                                     11 + 104729 * t + 1)
+            assert [s.head for s in states[1:]] == [
+                tuple(h) for h in heads[t].tolist()]
+            point, per_step = ref_shadow_shift(shift, states)
+            assert deviation[t].tolist() == per_step
+            one = perturbed_orbit(shift, x0[t], 70, delta,
+                                  seed=11 + 104729 * t + 1)
+            assert one.states == tuple(states)
+            res = shadow_shift(shift, one)
+            assert res.point == point and res.per_step == per_step
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift()])
+def test_shadow_shift_matches_word_splice_on_any_states(shift):
+    # true orbits (states with empty heads) and hand-made pseudo-orbits
+    x = word_state(shift, (0, 1, 0, 0, 1, 0))
+    cases = [orbit(shift, x, 12), orbit(shift, Word.periodic((0,)), 5),
+             [x, word_state(shift, (0, 0, 1)), word_state(shift, (0, 1, 0))]]
+    for states in cases:
+        point, per_step = ref_shadow_shift(shift, states)
+        res = shadow_shift(shift, PseudoOrbit(tuple(states), 1.0))
+        assert res.point == point and res.per_step == per_step
+
+
+def test_inadmissible_splice_raises_on_both_paths():
+    gm = golden_mean_shift()
+    states = (Word((1,), (0,)), Word((1, 0), (0,)))
+    with pytest.raises(ValueError):
+        ref_shadow_shift(gm, states)
+    with pytest.raises(ValueError, match="inadmissible"):
+        shadow_shift(gm, PseudoOrbit(states, 1.0))
+    windows = np.array([s.prefix(64) for s in states])
+    z = np.array(Word((1, 1, 0), (0,)).prefix(70))
+    with pytest.raises(ValueError, match="inadmissible"):
+        _splice_deviations(gm, lambda j: windows[None, :, j], z[None])
+
+
+THREE = ShiftSpace(3, ((0, 0, 1), (1, 1, 0), (1, 1, 1)))  # 1, 2, 3 successors
+
+
+@pytest.mark.parametrize("shift", [golden_mean_shift(), THREE])
+def test_successor_draw_admissible_and_uniform(shift):
+    trials, n, m = 40, 500, 3
+    x0, u = batch_inputs(shift, trials, n, 21)
+    heads = _shift_heads(shift, x0, 2.0 ** -m, u)
+    allowed = np.array(shift.transition, dtype=bool)
+    assert allowed[heads[..., :-1], heads[..., 1:]].all()
+    # resampled positions m (the spine) and m + 1 .. m + 7 (the tail)
+    for j in range(m, m + 8):
+        prev, nxt = heads[..., j - 1].ravel(), heads[..., j].ravel()
+        for a in range(shift.alphabet_size):
+            succ = np.flatnonzero(allowed[a])
+            got = nxt[prev == a]
+            if len(succ) < 2 or len(got) < 100:
+                continue
+            p = 1.0 / len(succ)
+            se = math.sqrt(len(got) * p * (1 - p))
+            for b in succ:
+                assert abs(np.count_nonzero(got == b) - len(got) * p) <= 5 * se
+
+
+class _LargestUniform:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape, out):
+        out[...] = self.value
+
+
+@pytest.mark.parametrize("value", [np.nextafter(1.0, 0.0), 1.0])
+def test_successor_draw_clamps_to_last_successor(monkeypatch, value):
+    # u = 1.0 rounds up to the successor count: the padded table still picks
+    # the last allowed successor
+    import orbitweave.shadowing as sh_mod
+    monkeypatch.setattr(sh_mod, "make_rng", lambda seed: _LargestUniform(value))
+    x0 = word_state(THREE, (0, 2, 1, 0, 2))
+    po = perturbed_orbit(THREE, x0, 30, 2.0 ** -3, seed=0)
+    last = {a: max(b for b in range(3) if THREE.allowed(a, b)) for a in range(3)}
+    for s in po.states[1:]:
+        tail = s.head[2:]
+        assert all(b == last[a] for a, b in zip(tail, tail[1:]))
+    validate_pseudo(THREE, po.states, 2.0 ** -3)
+
+
+@pytest.mark.parametrize("system", [TentMap(2.0), full_shift(2)])
+def test_broken_kernel_input_raises(monkeypatch, system):
+    # a shape error inside a row must surface, not read as 0 successes
+    import orbitweave.shadowing as sh_mod
+    good = sh_mod._uniforms
+    monkeypatch.setattr(sh_mod, "_uniforms", lambda *a: good(*a)[..., None])
+    with pytest.raises(ValueError, match="broadcast"):
+        shadowing_modulus(system, 1e-3, trials=5, length=20, seed=1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(epsilon=0.0), dict(epsilon=-1e-3), dict(epsilon=math.inf),
+    dict(epsilon=math.nan), dict(trials=0), dict(length=1)])
+def test_shadowing_modulus_rejects_bad_inputs(kwargs):
+    args = dict(epsilon=1e-3, trials=5, length=20, seed=1) | kwargs
+    with pytest.raises(ValueError):
+        shadowing_modulus(TentMap(2.0), **args)
