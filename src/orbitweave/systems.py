@@ -77,6 +77,15 @@ def _exact_compare_depth(x: Word, y: Word) -> int:
     return len(x.head) + len(y.head) + math.lcm(len(x.cycle), len(y.cycle))
 
 
+def strongly_connected(adjacency: np.ndarray) -> bool:
+    """Every vertex reaches every other: each squaring of B | I doubles the
+    path length covered, and paths of length m - 1 suffice."""
+    reach = adjacency | np.eye(len(adjacency), dtype=bool)
+    for _ in range((len(adjacency) - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
+
+
 @dataclass(frozen=True)
 class ShiftSpace:
     """Full shift or subshift of finite type on {0,...,k-1}.
@@ -108,19 +117,7 @@ class ShiftSpace:
         return self.transition[a][b] == 1
 
     def is_irreducible(self) -> bool:
-        n = self.alphabet_size
-        for s in range(n):
-            seen = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in range(n):
-                    if self.transition[u][v] and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) != n:
-                return False
-        return True
+        return strongly_connected(np.array(self.transition, dtype=bool))
 
     def admissible(self, x: Word, depth: int | None = None) -> bool:
         """Check transition legality up to `depth` (full exactness if None)."""

@@ -4,15 +4,20 @@ The supremum sup{h_mu : integral of phi equals alpha} is evaluated through
 transfer-matrix pressure and Legendre duality: P(q) is the log spectral
 radius of the exp(q phi)-weighted transition matrix, H(alpha) is the
 infimum of P(q) - q alpha, and the maximizing measure is the Gibbs-Markov
-chain read off the leading eigen-data.  For locally constant observables on
-a subshift of finite type this realizes the supremum exactly.
+chain read off the leading eigen-data.  One kernel returns P, P' (the Gibbs
+mean of phi) and P'' (its asymptotic variance) from Collatz-Wielandt
+certified eigenpairs; Newton steps on P'(q) = alpha inside a bisection
+bracket find the infimum.  For locally constant observables on a subshift of
+finite type this realizes the supremum exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,14 +25,13 @@ from .entropy import EntropyEstimate, LevelSetQuery, levelset_count
 from .measures import (LocallyConstantObservable, MarkovMeasure,
                        TestFunctionFamily, markov_entropy, weak_star_distance)
 from .shadowing import make_rng
-from .systems import ShiftSpace
+from .systems import ShiftSpace, strongly_connected
 
 __all__ = [
-    "PressureCurve",
     "SpectrumPoint",
     "SpectrumResult",
     "pressure",
-    "pressure_curve",
+    "gibbs_kernel",
     "gibbs_data",
     "constrained_sup",
     "spectrum",
@@ -38,8 +42,8 @@ __all__ = [
 ]
 
 Q_CAP = 50.0           # |q| beyond this changes P(q) - q alpha below 1e-12
-POWER_TOL = 1e-12
-CONVEXITY_SLACK = 1e-9
+POWER_TOL = 1e-12      # relative Collatz-Wielandt spread of a Perron vector
+NEWTON_TOL = 1e-13     # |P'(q) - alpha| at which the Newton search stops
 
 
 class ReducibleLiftError(ValueError):
@@ -51,130 +55,114 @@ class EmptyConstraintError(ValueError):
 
 
 def _lift_words(shift: ShiftSpace, depth: int) -> list[tuple[int, ...]]:
-    """Admissible words of the given length, the index set of the lift."""
+    """Admissible words of the given length, in lexicographic order."""
     k = shift.alphabet_size
     return [w for w in itertools.product(range(k), repeat=depth)
             if shift.word_admissible(w)]
 
 
-def _weighted_matrix(shift: ShiftSpace, phi: LocallyConstantObservable,
-                     q: float):
-    """Transfer matrix on (d-1)-words (1-words when d = 1) with entries
-    exp(q phi) on admissible transitions; also returns the index words and,
-    per edge, the d-word the observable is evaluated on."""
+@functools.lru_cache(maxsize=128)
+def _lift(shift: ShiftSpace, phi: LocallyConstantObservable):
+    """(words, src, dst, f): the lift of phi, once per (shift, phi).  The
+    vertices are the admissible (d-1)-words (1-words when d = 1); each
+    admissible max(d, 2)-word w is an edge from its first to its last vertex
+    word, carrying phi of its last d symbols.  The arrays are read-only."""
     d = phi.depth
     side = max(d - 1, 1)
-    words = _lift_words(shift, side)
-    m = len(words)
-    M = np.zeros((m, m))
-    eval_word = {}
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if d == 1:
-                ok = shift.allowed(u[-1], v[-1])
-                w = v
-            else:
-                ok = u[1:] == v[:-1] and shift.allowed(u[-1], v[-1])
-                w = u + v[-1:]
-            if ok:
-                M[i, j] = math.exp(q * phi.value(w))
-                eval_word[(i, j)] = w
-    _require_irreducible(M)
-    return M, words, eval_word
+    words = tuple(_lift_words(shift, side))
+    index = {w: i for i, w in enumerate(words)}
+    edges = _lift_words(shift, max(d, 2))
+    src = np.array([index[w[:side]] for w in edges])
+    dst = np.array([index[w[-side:]] for w in edges])
+    f = np.array([phi.value(w[-d:]) for w in edges], dtype=float)
+    adjacency = np.zeros((len(words), len(words)), dtype=bool)
+    adjacency[src, dst] = True
+    if not strongly_connected(adjacency):
+        raise ReducibleLiftError("weighted transition matrix is reducible")
+    src.flags.writeable = dst.flags.writeable = f.flags.writeable = False
+    return words, src, dst, f
 
 
-def _require_irreducible(M: np.ndarray):
-    m = M.shape[0]
-    B = M > 0
-    for s in range(m):
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(B[u])[0]:
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        if len(seen) != m:
-            raise ReducibleLiftError("weighted transition matrix is reducible")
+def _perron_vector(M: np.ndarray, lam: float):
+    """(v, root): positive Perron vector of the irreducible M by inverse
+    iteration from ones, shifted just above the estimate lam, where
+    (mu I - M)^-1 is a positive matrix.  Certified once the Collatz-Wielandt
+    bounds min and max of (M v) / v, which bracket the root, pinch to
+    POWER_TOL relative spread."""
+    A = lam * (1.0 + 1e-10) * np.eye(len(M)) - M
+    v = np.ones(len(M))
+    for _ in range(50):  # each step damps the rest of the spectrum ~1e10-fold
+        v = np.linalg.solve(A, v)
+        v = v / v.sum()
+        if v.min() > 0:
+            ratios = (M @ v) / v
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if hi - lo <= POWER_TOL * hi:
+                return v, 0.5 * (lo + hi)
+    raise ArithmeticError("Perron vector failed its Collatz-Wielandt bound")
 
 
-def _power_eigen(M: np.ndarray, max_iter: int = 500_000):
-    """Perron eigenvalue and positive right eigenvector by power iteration.
+class Gibbs(NamedTuple):
+    """Gibbs data at one q: pressure P(q), the Gibbs-Markov chain (Q, pi) on
+    the lift's vertices, P'(q) (the Gibbs mean of phi) and P''(q) (the
+    asymptotic variance of phi under the Gibbs measure)."""
+    P: float
+    Q: np.ndarray
+    pi: np.ndarray
+    mean: float
+    var: float
 
-    Iterates on M + c I with an adaptive Rayleigh shift c: the shift keeps the
-    iteration convergent on periodic supports (where a second eigenvalue of
-    equal modulus would otherwise cycle forever) and tracking c near the
-    Perron value keeps the spectral gap wide at any matrix scale.  Stops when
-    the Collatz-Wielandt bounds pinch to POWER_TOL relative spread.
+
+def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
+                 q: float) -> Gibbs:
+    """Pressure and Gibbs data of q phi on the cached lift.
+
+    The weights exp(q phi - max q phi) keep every entry in [e^-700, 1], so no
+    |q| overflows, and a wider spread of q phi is refused; the maximum comes
+    back in P.  The chain is
+    Q_ij = M_ij r_j / (lam r_i) with stationary vector l r / <l, r>.  The
+    variance solves the Poisson equation (I - Q + 1 pi) g = h for the
+    conditional mean h of the centred edge value c, and is
+    E[(c + g(target) - g(source))^2] under the Gibbs edge masses.
     """
-    m = M.shape[0]
-    v = np.ones(m) / m
-    c = float(M.sum(axis=1).max())
-    if c <= 0:
-        raise ArithmeticError("matrix has no positive row")
-    for _ in range(max_iter):
-        Mv = M @ v
-        ratios = Mv / v
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= POWER_TOL * max(hi, 1e-300):
-            return 0.5 * (lo + hi), v
-        c = max(float(v @ Mv / (v @ v)), 1e-300)
-        w = Mv + c * v
-        v = w / np.linalg.norm(w)
-    raise ArithmeticError("power iteration failed to converge")
+    words, src, dst, f = _lift(shift, phi)
+    m = len(words)
+    x = q * f
+    top = float(x.max())
+    if top - float(x.min()) > 700:  # weights below e^-700 would drop off M
+        raise ValueError(f"exp(q phi) spans past the float range at q={q}")
+    M = np.zeros((m, m))
+    M[src, dst] = np.exp(x - top)
+    estimate = float(np.linalg.eigvals(M).real.max())
+    r, lam = _perron_vector(M, estimate)
+    l, _ = _perron_vector(M.T, estimate)
+    Q = M * r[None, :] / (lam * r[:, None])
+    Q = Q / Q.sum(axis=1, keepdims=True)  # absorb 1e-12 certificate residue
+    pi = l * r / (l @ r)
+    Q.flags.writeable = pi.flags.writeable = False  # shared by the range cache
+    step = Q[src, dst]
+    mass = pi[src] * step
+    mean = float(mass @ f)
+    c = f - mean
+    h = np.bincount(src, weights=step * c, minlength=m)
+    g = np.linalg.solve(np.eye(m) - Q + pi[None, :], h)
+    var = float(mass @ (c + g[dst] - g[src]) ** 2)
+    return Gibbs(math.log(lam) + top, Q, pi, mean, var)
 
 
 def pressure(shift: ShiftSpace, phi: LocallyConstantObservable,
              q: float) -> float:
     """P(q) = log spectral radius of the exp(q phi)-weighted matrix."""
-    M, _, _ = _weighted_matrix(shift, phi, q)
-    lam, _ = _power_eigen(M)
-    return math.log(lam)
-
-
-@dataclass
-class PressureCurve:
-    observable: LocallyConstantObservable
-    samples: list[tuple[float, float]]
-    derivatives: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        qs = [q for q, _ in self.samples]
-        ps = [p for _, p in self.samples]
-        for i in range(1, len(qs) - 1):
-            left = (ps[i] - ps[i - 1]) / (qs[i] - qs[i - 1])
-            right = (ps[i + 1] - ps[i]) / (qs[i + 1] - qs[i])
-            if right - left < -CONVEXITY_SLACK:
-                raise ValueError(f"pressure samples not convex near q={qs[i]}")
-        if not self.derivatives:
-            self.derivatives = [
-                (qs[i], (ps[i + 1] - ps[i - 1]) / (qs[i + 1] - qs[i - 1]))
-                for i in range(1, len(qs) - 1)]
-
-
-def pressure_curve(shift, phi, q_grid) -> PressureCurve:
-    qs = sorted(q_grid)
-    return PressureCurve(phi, [(q, pressure(shift, phi, q)) for q in qs])
+    return gibbs_kernel(shift, phi, q).P
 
 
 def gibbs_data(shift: ShiftSpace, phi: LocallyConstantObservable, q: float):
     """Gibbs-Markov chain at parameter q: (measure on lifted words, words,
-    integral of phi, P(q)).  The chain Q_ij = M_ij r_j / (lam r_i) with
-    stationary vector l r / <l, r> is the entropy maximizer of h + q int(phi).
+    integral of phi, P(q)).  The chain is the entropy maximizer of
+    h + q int(phi).
     """
-    M, words, eval_word = _weighted_matrix(shift, phi, q)
-    lam, r = _power_eigen(M)
-    _, l = _power_eigen(M.T)
-    Q = M * r[None, :] / (lam * r[:, None])
-    Q = Q / Q.sum(axis=1, keepdims=True)  # absorb 1e-12 iteration residue
-    pi = l * r
-    pi = pi / pi.sum()
-    chain = MarkovMeasure(Q, pi)
-    integral = 0.0
-    for (i, j), w in eval_word.items():
-        integral += pi[i] * Q[i, j] * phi.value(w)
-    return chain, words, float(integral), math.log(lam)
+    g = gibbs_kernel(shift, phi, q)
+    return MarkovMeasure(g.Q, g.pi), list(_lift(shift, phi)[0]), g.mean, g.P
 
 
 @dataclass
@@ -191,45 +179,59 @@ class SpectrumPoint:
     endpoint_limit: bool = False   # alpha at the edge: value is a one-sided limit
 
 
+@functools.lru_cache(maxsize=128)
+def _edge_gibbs(shift: ShiftSpace, phi: LocallyConstantObservable,
+                q_cap: float) -> tuple[Gibbs, Gibbs]:
+    """Kernel at -q_cap and q_cap: the ends of the attainable range of the
+    integral and the one-sided limits there, once per (shift, phi)."""
+    return gibbs_kernel(shift, phi, -q_cap), gibbs_kernel(shift, phi, q_cap)
+
+
+def _point(alpha: float, q: float, g: Gibbs,
+           endpoint: bool = False) -> SpectrumPoint:
+    chain = MarkovMeasure(g.Q, g.pi)
+    gap = markov_entropy(chain) + q * g.mean - g.P
+    return SpectrumPoint(alpha, max(g.P - q * alpha, 0.0), chain, q_star=q,
+                         duality_gap=gap, maximizer_integral=g.mean,
+                         endpoint_limit=endpoint)
+
+
 def constrained_sup(shift: ShiftSpace, phi: LocallyConstantObservable,
                     alpha: float, q_cap: float = Q_CAP) -> SpectrumPoint:
     """H(alpha) = inf_q (P(q) - q alpha) with the maximizing Gibbs-Markov
-    measure.  The pressure derivative (the Gibbs integral of phi) is monotone
-    in q, so the infimum is located by bisection on it; alpha at or beyond the
+    measure.  P' (the Gibbs integral of phi) increases in q, so the infimum
+    solves P'(q) = alpha: Newton steps from q = 0 with slope P'', inside a
+    bracket on [-q_cap, q_cap] that every evaluation shrinks, bisecting when a
+    step would leave it, until |P'(q) - alpha| <= NEWTON_TOL.  Each evaluation
+    rests on Collatz-Wielandt certified eigenpairs.  Alpha at or beyond the
     attainable edge comes back as a one-sided limit or tagged empty.
     """
-    _, _, lo_val, _ = gibbs_data(shift, phi, -q_cap)
-    _, _, hi_val, _ = gibbs_data(shift, phi, q_cap)
-    if hi_val - lo_val < 1e-13:  # observable with constant invariant integral
-        if abs(alpha - lo_val) <= 1e-9:
-            chain, _, integral, P0 = gibbs_data(shift, phi, 0.0)
-            return SpectrumPoint(alpha, P0, chain, q_star=0.0,
-                                 duality_gap=0.0, maximizer_integral=integral)
+    low, high = _edge_gibbs(shift, phi, q_cap)
+    if high.mean - low.mean < 1e-13:  # constant invariant integral
+        if abs(alpha - low.mean) <= 1e-9:
+            return _point(alpha, 0.0, gibbs_kernel(shift, phi, 0.0))
         return SpectrumPoint(alpha, None, None, empty=True)
-    if alpha < lo_val - 1e-9 or alpha > hi_val + 1e-9:
+    if alpha < low.mean - 1e-9 or alpha > high.mean + 1e-9:
         return SpectrumPoint(alpha, None, None, empty=True)
-    if alpha <= lo_val:
-        q_star, endpoint = -q_cap, True
-    elif alpha >= hi_val:
-        q_star, endpoint = q_cap, True
-    else:
-        lo_q, hi_q = -q_cap, q_cap
-        for _ in range(200):
-            mid = 0.5 * (lo_q + hi_q)
-            _, _, val, _ = gibbs_data(shift, phi, mid)
-            if val < alpha:
-                lo_q = mid
-            else:
-                hi_q = mid
-            if hi_q - lo_q < 1e-13:
-                break
-        q_star, endpoint = 0.5 * (lo_q + hi_q), False
-    chain, _, integral, P = gibbs_data(shift, phi, q_star)
-    h = P - q_star * alpha
-    h = max(h, 0.0)
-    gap = markov_entropy(chain) + q_star * integral - P
-    return SpectrumPoint(alpha, h, chain, q_star=q_star, duality_gap=gap,
-                         maximizer_integral=integral, endpoint_limit=endpoint)
+    if alpha <= low.mean:
+        return _point(alpha, -q_cap, low, endpoint=True)
+    if alpha >= high.mean:
+        return _point(alpha, q_cap, high, endpoint=True)
+    lo_q, hi_q, q = -q_cap, q_cap, 0.0
+    for _ in range(200):
+        g = gibbs_kernel(shift, phi, q)
+        miss = g.mean - alpha
+        if abs(miss) <= NEWTON_TOL:
+            break
+        if miss < 0:
+            lo_q = q
+        else:
+            hi_q = q
+        if hi_q - lo_q < 1e-13:
+            break
+        newton = q - miss / g.var if g.var > 0 else lo_q
+        q = newton if lo_q < newton < hi_q else 0.5 * (lo_q + hi_q)
+    return _point(alpha, q, g)
 
 
 @dataclass

@@ -179,3 +179,14 @@ def test_system_from_json():
     assert isinstance(pl, EndpointFixedMap)
     with pytest.raises(ValueError):
         system_from_json({"kind": "nope"})
+
+
+def test_irreducible_cycles_need_every_path_length():
+    # on the k-cycle, k - 1 steps are needed to go from i + 1 back to i
+    for k in range(2, 10):
+        cycle = tuple(tuple(int(b == (a + 1) % k) for b in range(k))
+                      for a in range(k))
+        assert ShiftSpace(k, cycle).is_irreducible()
+        broken = tuple(tuple(int(b == a + 1) for b in range(k))
+                       for a in range(k))
+        assert not ShiftSpace(k, broken).is_irreducible()

@@ -1,17 +1,20 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitweave import variational
 from orbitweave.measures import (LocallyConstantObservable, TestFunctionFamily,
                                  bernoulli, frequency_observable,
                                  markov_entropy)
 from orbitweave.systems import ShiftSpace, full_shift, golden_mean_shift
 from orbitweave.variational import (EmptyConstraintError, ReducibleLiftError,
                                     constrained_sup, count_at, gibbs_data,
-                                    pressure, pressure_curve,
-                                    shrink_experiment, spectrum)
+                                    gibbs_kernel, pressure, shrink_experiment,
+                                    spectrum)
 
 FULL = full_shift(2)
 PHI = frequency_observable(1)
@@ -42,24 +45,122 @@ def test_pressure_large_negative_q():
     assert pressure(FULL, PHI, -40.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pressure_curve_convex_with_derivatives():
-    curve = pressure_curve(FULL, PHI, [-2, -1, 0, 1, 2])
-    assert len(curve.samples) == 5
-    assert len(curve.derivatives) == 3
-    ds = [d for _, d in curve.derivatives]
-    assert ds == sorted(ds)  # derivative of a convex function increases
+# ---------------------------------------------------------------- oracle
+# The dense lift and shifted power iteration that the kernel replaced; the
+# kernel's eigen-data must match them.
+
+def _reference_matrix(shift, phi, q):
+    """exp(q phi)-weighted transfer matrix on (d-1)-words (1-words when
+    d = 1) and, per edge, the d-word that phi is evaluated on."""
+    d = phi.depth
+    side = max(d - 1, 1)
+    words = [w for w in itertools.product(range(shift.alphabet_size),
+                                          repeat=side)
+             if shift.word_admissible(w)]
+    M = np.zeros((len(words), len(words)))
+    eval_word = {}
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            if d == 1:
+                ok = shift.allowed(u[-1], v[-1])
+                w = v
+            else:
+                ok = u[1:] == v[:-1] and shift.allowed(u[-1], v[-1])
+                w = u + v[-1:]
+            if ok:
+                M[i, j] = math.exp(q * phi.value(w))
+                eval_word[(i, j)] = w
+    return M, eval_word
 
 
-def test_pressure_curve_rejects_nonconvex_samples():
-    from orbitweave.variational import PressureCurve
-    with pytest.raises(ValueError):
-        PressureCurve(PHI, [(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+def _reference_power_eigen(M, max_iter=500_000):
+    """Power iteration on M + c I with an adaptive Rayleigh shift c, until
+    the Collatz-Wielandt bounds pinch to 1e-12 relative spread."""
+    m = M.shape[0]
+    v = np.ones(m) / m
+    for _ in range(max_iter):
+        Mv = M @ v
+        ratios = Mv / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= 1e-12 * max(hi, 1e-300):
+            return 0.5 * (lo + hi), v
+        c = max(float(v @ Mv / (v @ v)), 1e-300)
+        w = Mv + c * v
+        v = w / np.linalg.norm(w)
+    raise ArithmeticError("power iteration failed to converge")
+
+
+def _reference_gibbs(shift, phi, q):
+    M, eval_word = _reference_matrix(shift, phi, q)
+    lam, r = _reference_power_eigen(M)
+    _, l = _reference_power_eigen(M.T)
+    Q = M * r[None, :] / (lam * r[:, None])
+    Q = Q / Q.sum(axis=1, keepdims=True)
+    pi = l * r
+    pi = pi / pi.sum()
+    integral = sum(pi[i] * Q[i, j] * phi.value(w)
+                   for (i, j), w in eval_word.items())
+    return math.log(lam), Q, pi, integral
+
+
+GOLDEN = golden_mean_shift()
+DEPTH2 = LocallyConstantObservable(2, (((0, 0), 0.3), ((0, 1), 1.0),
+                                       ((1, 0), -0.5), ((1, 1), 2.0)))
+DEPTH3 = LocallyConstantObservable(3, tuple(
+    (w, 0.25 * sum(w) + 0.4 * (w[0] == w[2]) - 0.1 * w[1])
+    for w in itertools.product(range(2), repeat=3)))
+PERIOD2 = ShiftSpace(2, ((0, 1), (1, 0)))
+LIFTS = {"full": (FULL, PHI), "golden": (GOLDEN, PHI),
+         "golden_depth2": (GOLDEN, DEPTH2), "full_depth3": (FULL, DEPTH3),
+         "period2": (PERIOD2, PHI)}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_kernel_matches_power_iteration_oracle(name):
+    shift, phi = LIFTS[name]
+    for q in (-50.0, -5.0, 0.0, 5.0, 50.0):
+        P, Q, pi, integral = _reference_gibbs(shift, phi, q)
+        g = gibbs_kernel(shift, phi, q)
+        assert g.P == pytest.approx(P, abs=1e-10)
+        assert np.abs(g.Q - Q).max() <= 1e-10
+        assert np.abs(g.pi - pi).max() <= 1e-10
+        assert g.mean == pytest.approx(integral, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_kernel_derivatives_match_differences(name):
+    shift, phi = LIFTS[name]
+    h = 1e-4
+    for q in np.linspace(-5.0, 5.0, 21):
+        g = gibbs_kernel(shift, phi, q)
+        lo = gibbs_kernel(shift, phi, q - h)
+        hi = gibbs_kernel(shift, phi, q + h)
+        assert g.mean == pytest.approx((hi.P - lo.P) / (2 * h), abs=1e-6)
+        assert g.var == pytest.approx((hi.mean - lo.mean) / (2 * h), abs=1e-5)
+        assert g.var >= 0.0  # P is convex
 
 
 def test_reducible_lift_rejected():
     reducible = ShiftSpace(2, ((1, 1), (0, 1)))
     with pytest.raises(ReducibleLiftError):
         pressure(reducible, PHI, 0.0)
+    # depth 2 on three symbols, 2 -> {0, 1} only: no edge returns to 2
+    tail = ShiftSpace(3, ((1, 1, 0), (1, 1, 0), (1, 1, 0)))
+    phi2 = LocallyConstantObservable(2, tuple(
+        (w, float(w[0] == w[1]))
+        for w in itertools.product(range(3), repeat=2)))
+    with pytest.raises(ReducibleLiftError):
+        pressure(tail, phi2, 0.0)
+
+
+def test_weights_past_float_range():
+    # only the spread of q phi matters: exp(q phi - max q phi) is in (0, 1]
+    high = LocallyConstantObservable(1, (((0,), 100.0), ((1,), 101.0)))
+    assert pressure(FULL, high, 50.0) == pytest.approx(
+        5050.0 + math.log1p(math.exp(-50.0)), rel=1e-15)
+    wide = LocallyConstantObservable(1, (((0,), 0.0), ((1,), 20.0)))
+    with pytest.raises(ValueError, match="float range"):
+        constrained_sup(FULL, wide, 10.0)
 
 
 def test_gibbs_measure_is_bernoulli_on_full_shift():
@@ -97,6 +198,63 @@ def test_constrained_sup_empty_constraint():
     pt = constrained_sup(FULL, PHI, 1.5)
     assert pt.empty
     assert pt.h_var is None
+
+
+@pytest.mark.parametrize("shift, alpha", [(FULL, 0.001), (FULL, 0.999),
+                                          (GOLDEN, 0.4999)])
+def test_constrained_sup_near_edge(shift, alpha):
+    # P'' -> 0 toward the attainable edge: Newton from q = 0 crawls there, and
+    # stops only once |P'(q) - alpha| <= 1e-13
+    pt = constrained_sup(shift, PHI, alpha)
+    if shift is FULL:
+        oracle = binary_entropy(alpha)
+    else:
+        oracle = (1 - alpha) * binary_entropy(alpha / (1 - alpha))
+    assert not pt.endpoint_limit
+    assert pt.h_var == pytest.approx(oracle, abs=1e-9)
+    assert pt.maximizer_integral == pytest.approx(alpha, abs=1e-12)
+
+
+RUN3 = LocallyConstantObservable(3, tuple(
+    (w, float(w == (1, 1, 1))) for w in itertools.product(range(2), repeat=3)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+def test_constrained_sup_bisection_safeguard(monkeypatch, alpha):
+    # frequency of 111 on the full shift: from q = 0 a Newton step leaves the
+    # bracket, so the search must bisect and still land on P'(q) = alpha
+    variational._edge_gibbs(FULL, RUN3, variational.Q_CAP)
+    steps = []
+    kernel = variational.gibbs_kernel
+
+    def spy(shift, phi, q):
+        steps.append((q, kernel(shift, phi, q)))
+        return steps[-1][1]
+    monkeypatch.setattr(variational, "gibbs_kernel", spy)
+    pt = constrained_sup(FULL, RUN3, alpha)
+    assert any(q1 != q0 - (g0.mean - alpha) / g0.var
+               for (q0, g0), (q1, _) in zip(steps, steps[1:]))
+    P, _, _, integral = _reference_gibbs(FULL, RUN3, pt.q_star)
+    assert integral == pytest.approx(alpha, abs=1e-10)
+    assert pt.h_var == pytest.approx(P - pt.q_star * alpha, abs=1e-10)
+
+
+@pytest.mark.parametrize("shift, grid", [
+    (FULL, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+    (GOLDEN, [0.05, 0.1, 0.2, 0.3, 0.4, 0.45])])
+def test_constrained_sup_kernel_calls(monkeypatch, shift, grid):
+    calls = []
+    kernel = variational.gibbs_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(variational, "gibbs_kernel", counted)
+    for alpha in grid:
+        variational._edge_gibbs.cache_clear()  # count the range too
+        calls.clear()
+        constrained_sup(shift, PHI, alpha)
+        assert len(calls) <= 10, (alpha, len(calls))
 
 
 def test_constrained_sup_golden_mean_range():
