@@ -169,29 +169,23 @@ def min_spanning(system: System, targets: Sequence[State], n: int,
     if m <= EXACT_LIMIT:
         chosen = _exact_set_cover(covers, full, m)
         return SpanningResult(len(chosen), [targets[c] for c in chosen], exact=True)
-    chosen_idx: list[int] = []
-    covered = 0
+    chosen = _greedy_cover(covers, full, m)
+    return SpanningResult(len(chosen), [targets[c] for c in chosen],
+                          exact=False)
+
+
+def _greedy_cover(covers: list[int], full: int, m: int) -> list[int]:
+    """Repeatedly the set that covers the most targets still uncovered."""
+    chosen, covered = [], 0
     while covered != full:
         c = max(range(m), key=lambda i: bin(covers[i] & ~covered).count("1"))
-        chosen_idx.append(c)
+        chosen.append(c)
         covered |= covers[c]
-    return SpanningResult(len(chosen_idx), [targets[c] for c in chosen_idx],
-                          exact=False)
+    return chosen
 
 
 def _exact_set_cover(covers: list[int], full: int, m: int) -> list[int]:
     best: list[int] | None = None
-
-    def greedy_size(covered):
-        cnt, cov = 0, covered
-        while cov != full:
-            c = max(range(m), key=lambda i: bin(covers[i] & ~cov).count("1"))
-            gain = bin(covers[c] & ~cov).count("1")
-            if gain == 0:
-                return math.inf
-            cov |= covers[c]
-            cnt += 1
-        return cnt
 
     def rec(covered: int, chosen: list[int]):
         nonlocal best
@@ -210,14 +204,7 @@ def _exact_set_cover(covers: list[int], full: int, m: int) -> list[int]:
                 rec(covered | covers[c], chosen)
                 chosen.pop()
 
-    # seed the bound with the greedy solution
-    g = []
-    cov = 0
-    while cov != full:
-        c = max(range(m), key=lambda i: bin(covers[i] & ~cov).count("1"))
-        g.append(c)
-        cov |= covers[c]
-    best = g
+    best = _greedy_cover(covers, full, m)  # seeds the bound
     rec(0, [])
     return best
 

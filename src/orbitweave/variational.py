@@ -1,14 +1,13 @@
-"""Constrained entropy maximization over Markov measures.
+"""Entropy maximization on a subshift of finite type through one kernel.
 
-The supremum sup{h_mu : integral of phi equals alpha} is evaluated through
-transfer-matrix pressure and Legendre duality: P(q) is the log spectral
-radius of the exp(q phi)-weighted transition matrix, H(alpha) is the
-infimum of P(q) - q alpha, and the maximizing measure is the Gibbs-Markov
-chain read off the leading eigen-data.  One kernel returns P, P' (the Gibbs
-mean of phi) and P'' (its asymptotic variance) from Collatz-Wielandt
-certified eigenpairs; Newton steps on P'(q) = alpha inside a bisection
-bracket find the infimum.  For locally constant observables on a subshift of
-finite type this realizes the supremum exactly.
+The kernel weights the lift (the admissible words) by exp(F c), F a feature
+matrix, and returns P(c), the Gibbs-Markov chain, and the Gibbs mean and
+covariance of the features (gradient and Hessian of P) from certified
+Perron eigenpairs.  sup{h_mu : integral of phi equals alpha} is
+inf_q P(q) - q alpha, by Newton steps on P'(q) = alpha in a bisection
+bracket, exact for locally constant phi.  sup{h_mu : D(mu, nu) <= delta} is
+bracketed by weak duality from above, minimised by log-barrier Newton
+steps, and by a Gibbs measure mixed into the ball from below.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import numpy as np
 
 from .entropy import EntropyEstimate, LevelSetQuery, levelset_count
 from .measures import (LocallyConstantObservable, MarkovMeasure,
-                       TestFunctionFamily, markov_entropy, weak_star_distance)
-from .shadowing import make_rng
+                       TestFunctionFamily, markov_entropy)
 from .systems import ShiftSpace, strongly_connected
 
 __all__ = [
@@ -37,13 +35,18 @@ __all__ = [
     "spectrum",
     "count_at",
     "shrink_experiment",
+    "ShrinkRow",
     "ReducibleLiftError",
     "EmptyConstraintError",
 ]
 
-Q_CAP = 50.0           # |q| beyond this changes P(q) - q alpha below 1e-12
+# |q| at the range ends; the Gibbs means there miss extreme cycle means of phi
+# that lie close (0.29934 for 0.3: depth-2 {00: 0.3, 01: 1.0, 10: -0.5} on the
+# golden mean), so an alpha between the two reads as empty
+Q_CAP = 50.0
 POWER_TOL = 1e-12      # relative Collatz-Wielandt spread of a Perron vector
 NEWTON_TOL = 1e-13     # |P'(q) - alpha| at which the Newton search stops
+GAP_TOL = 1e-11        # upper - lower at which the shrink barrier stops
 
 
 class ReducibleLiftError(ValueError):
@@ -62,25 +65,23 @@ def _lift_words(shift: ShiftSpace, depth: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=128)
-def _lift(shift: ShiftSpace, phi: LocallyConstantObservable):
-    """(words, src, dst, f): the lift of phi, once per (shift, phi).  The
-    vertices are the admissible (d-1)-words (1-words when d = 1); each
-    admissible max(d, 2)-word w is an edge from its first to its last vertex
-    word, carrying phi of its last d symbols.  The arrays are read-only."""
-    d = phi.depth
-    side = max(d - 1, 1)
+def _lift(shift: ShiftSpace, depth: int):
+    """(words, edges, src, dst): the depth-d lift, once per (shift, depth).
+    The vertices are the admissible (d-1)-words (1-words when d = 1); each
+    admissible max(d, 2)-word is an edge from its first to its last vertex
+    word.  The index arrays are read-only."""
+    side = max(depth - 1, 1)
     words = tuple(_lift_words(shift, side))
     index = {w: i for i, w in enumerate(words)}
-    edges = _lift_words(shift, max(d, 2))
+    edges = tuple(_lift_words(shift, max(depth, 2)))
     src = np.array([index[w[:side]] for w in edges])
     dst = np.array([index[w[-side:]] for w in edges])
-    f = np.array([phi.value(w[-d:]) for w in edges], dtype=float)
     adjacency = np.zeros((len(words), len(words)), dtype=bool)
     adjacency[src, dst] = True
     if not strongly_connected(adjacency):
         raise ReducibleLiftError("weighted transition matrix is reducible")
-    src.flags.writeable = dst.flags.writeable = f.flags.writeable = False
-    return words, src, dst, f
+    src.flags.writeable = dst.flags.writeable = False
+    return words, edges, src, dst
 
 
 def _perron_vector(M: np.ndarray, lam: float):
@@ -88,49 +89,51 @@ def _perron_vector(M: np.ndarray, lam: float):
     iteration from ones, shifted just above the estimate lam, where
     (mu I - M)^-1 is a positive matrix.  Certified once the Collatz-Wielandt
     bounds min and max of (M v) / v, which bracket the root, pinch to
-    POWER_TOL relative spread."""
-    A = lam * (1.0 + 1e-10) * np.eye(len(M)) - M
-    v = np.ones(len(M))
+    POWER_TOL relative spread.  A positive iterate that is not certified yet
+    moves the iteration to D^-1 M D, D = diag(v), whose Perron vector is near
+    ones: where v spans many decades, the ratios at its tiny entries keep
+    their precision only there."""
+    scale = v = np.ones(len(M))
     for _ in range(50):  # each step damps the rest of the spectrum ~1e10-fold
-        v = np.linalg.solve(A, v)
+        v = np.linalg.solve(lam * (1.0 + 1e-10) * np.eye(len(M)) - M, v)
         v = v / v.sum()
         if v.min() > 0:
             ratios = (M @ v) / v
             lo, hi = float(ratios.min()), float(ratios.max())
             if hi - lo <= POWER_TOL * hi:
-                return v, 0.5 * (lo + hi)
+                return scale * v, 0.5 * (lo + hi)
+            scale, M = scale * v, M * v / v[:, None]
+            v = np.ones(len(M))
     raise ArithmeticError("Perron vector failed its Collatz-Wielandt bound")
 
 
 class Gibbs(NamedTuple):
-    """Gibbs data at one q: pressure P(q), the Gibbs-Markov chain (Q, pi) on
-    the lift's vertices, P'(q) (the Gibbs mean of phi) and P''(q) (the
-    asymptotic variance of phi under the Gibbs measure)."""
+    """Gibbs data at one coefficient vector c: pressure P(c), the chain (Q,
+    pi) on the lift's vertices, and the Gibbs mean and asymptotic covariance
+    of the features, the gradient and Hessian of P."""
     P: float
     Q: np.ndarray
     pi: np.ndarray
-    mean: float
-    var: float
+    mean: np.ndarray
+    var: np.ndarray
 
 
-def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
-                 q: float) -> Gibbs:
-    """Pressure and Gibbs data of q phi on the cached lift.
-
-    The weights exp(q phi - max q phi) keep every entry in [e^-700, 1], so no
-    |q| overflows, and a wider spread of q phi is refused; the maximum comes
-    back in P.  The chain is
-    Q_ij = M_ij r_j / (lam r_i) with stationary vector l r / <l, r>.  The
-    variance solves the Poisson equation (I - Q + 1 pi) g = h for the
-    conditional mean h of the centred edge value c, and is
-    E[(c + g(target) - g(source))^2] under the Gibbs edge masses.
-    """
-    words, src, dst, f = _lift(shift, phi)
+def _gibbs(shift: ShiftSpace, depth: int, F: np.ndarray,
+           c: np.ndarray) -> Gibbs:
+    """Pressure and Gibbs data of the edge potential F c on the depth lift,
+    F an (edges x N) feature matrix.  The weights exp(F c - max F c) lie in
+    [e^-700, 1], so no |c| overflows; a wider spread is refused, and the
+    maximum comes back in P.  The chain is Q_ij = M_ij r_j / (lam r_i) with
+    stationary vector l r / <l, r>.  The covariance is E[Z Z^T] under the
+    edge masses, Z = C + g(target) - g(source) for the centred features C
+    and the solution g of the Poisson equation (I - Q + 1 pi) g = h, with h
+    the conditional mean of C."""
+    words, _, src, dst = _lift(shift, depth)
     m = len(words)
-    x = q * f
+    x = F @ c
     top = float(x.max())
     if top - float(x.min()) > 700:  # weights below e^-700 would drop off M
-        raise ValueError(f"exp(q phi) spans past the float range at q={q}")
+        raise ValueError(f"exp(F c) spans past the float range at c={c}")
     M = np.zeros((m, m))
     M[src, dst] = np.exp(x - top)
     estimate = float(np.linalg.eigvals(M).real.max())
@@ -142,12 +145,23 @@ def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
     Q.flags.writeable = pi.flags.writeable = False  # shared by the range cache
     step = Q[src, dst]
     mass = pi[src] * step
-    mean = float(mass @ f)
-    c = f - mean
-    h = np.bincount(src, weights=step * c, minlength=m)
+    mean = mass @ F
+    C = F - mean
+    h = np.zeros((m, F.shape[1]))
+    np.add.at(h, src, step[:, None] * C)
     g = np.linalg.solve(np.eye(m) - Q + pi[None, :], h)
-    var = float(mass @ (c + g[dst] - g[src]) ** 2)
-    return Gibbs(math.log(lam) + top, Q, pi, mean, var)
+    Z = C + g[dst] - g[src]
+    return Gibbs(math.log(lam) + top, Q, pi, mean, Z.T @ (mass[:, None] * Z))
+
+
+def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
+                 q: float) -> Gibbs:
+    """The one-column kernel: phi on the last d symbols of each edge word,
+    c = (q,); mean and var come back as the floats P'(q) and P''(q)."""
+    d, value = phi.depth, phi.lookup()
+    F = np.array([[value[w[-d:]]] for w in _lift(shift, d)[1]])
+    g = _gibbs(shift, d, F, np.array([float(q)]))
+    return g._replace(mean=float(g.mean[0]), var=float(g.var[0, 0]))
 
 
 def pressure(shift: ShiftSpace, phi: LocallyConstantObservable,
@@ -162,7 +176,8 @@ def gibbs_data(shift: ShiftSpace, phi: LocallyConstantObservable, q: float):
     h + q int(phi).
     """
     g = gibbs_kernel(shift, phi, q)
-    return MarkovMeasure(g.Q, g.pi), list(_lift(shift, phi)[0]), g.mean, g.P
+    words = list(_lift(shift, phi.depth)[0])
+    return MarkovMeasure(g.Q, g.pi), words, g.mean, g.P
 
 
 @dataclass
@@ -299,74 +314,70 @@ def count_at(shift: ShiftSpace, phi: LocallyConstantObservable,
     return est
 
 
+class ShrinkRow(NamedTuple):
+    """lower <= sup{h(mu) : D(mu, nu) <= delta} <= upper."""
+    delta: float
+    lower: float
+    upper: float
+
+
 def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
-                      family: TestFunctionFamily, delta_grid,
-                      search_budget: int, seed: int):
-    """sup{h_mu : D(mu, nu) <= delta} over Markov measures, estimated from a
-    shared candidate pool so the profile is nonincreasing by construction.
+                      family: TestFunctionFamily,
+                      delta_grid) -> list[ShrinkRow]:
+    """Certified brackets of sup{h_mu : D(mu, nu) <= delta} over invariant
+    mu on the shift, one per delta of a strictly decreasing grid.
 
-    Candidates are line searches from nu toward random stochastic matrices
-    (and toward the uniform one), bisected to each ball boundary, plus local
-    perturbations of the per-delta best.  nu itself is always feasible, so
-    the estimate never drops below its entropy.  When nu is Bernoulli, the
-    line toward the uniform matrix is the Bernoulli family.
-
-    Each reported value is the entropy of a feasible first-order Markov
-    chain, so it is a lower bound on the supremum over all invariant
-    measures in the ball, not a certified value.
+    The cylinders C_i, weighted 2^-(i+1), are the features F of the lift to
+    the deepest one (only admissible words), so D(mu, nu) = |mu(F) - b|_1
+    with b = nu(F).  Upper: h(mu) <= P(y) - y.mu(F), and |y.(mu(F) - b)| <=
+    t delta in the ball when all |y_i| <= t, so such (y, t) bound the sup by
+    P(y) - y.b + delta t.  Newton steps on the barrier tau (P(y) - y.b +
+    delta t) - sum_i log(t -+ y_i), with the kernel's covariance as the
+    Hessian of P and each step stopped short of the boundary, follow the
+    central path as tau grows tenfold until the bracket is GAP_TOL wide.
+    Lower: mu_y mixed with nu at s = min(1, delta / D(mu_y, nu)) lies in the
+    ball, as D(s mu + (1 - s) nu, nu) = s D(mu, nu), and entropy is affine.
+    A ball's upper bound holds for every smaller ball and its lower bound
+    for every larger one, so both columns are monotone.
     """
     grid = list(delta_grid)
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta_grid must be strictly decreasing")
-    rng = make_rng(seed)
-    k = nu.alphabet_size
-    base = nu.P
-    h_nu = markov_entropy(nu)
-    targets = [np.full((k, k), 1.0 / k)]
-    for _ in range(search_budget):
-        T = rng.random((k, k)) + 1e-9
-        targets.append(T / T.sum(axis=1, keepdims=True))
-
-    def chain_at(t, T):
-        return MarkovMeasure((1.0 - t) * base + t * T)
-
-    pool: list[tuple[float, float, np.ndarray]] = []  # (distance, entropy, P)
-
-    def add(m):
-        pool.append((weak_star_distance(m, nu, family), markov_entropy(m), m.P))
-
-    for T in targets:
-        full = chain_at(1.0, T)
-        add(full)
-        for delta in grid:
-            if weak_star_distance(full, nu, family) <= delta:
-                continue
-            lo_t, hi_t = 0.0, 1.0
-            for _ in range(50):
-                mid = 0.5 * (lo_t + hi_t)
-                if weak_star_distance(chain_at(mid, T), nu, family) <= delta:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            add(chain_at(lo_t, T))
-    # local refinement of the best point inside each ball
+    MarkovMeasure(nu.P, nu.pi, shift=shift)  # raises if nu leaves the shift
+    depth = family.max_depth
+    weight = 2.0 ** -np.arange(2, family.N + 2)
+    F = weight * np.array([[w[-depth:][:f.depth] == f.word
+                            for f in family.functions]
+                           for w in _lift(shift, depth)[1]])
+    b = weight * np.array([nu.cylinder_mass(f.word)
+                           for f in family.functions])
+    n, h_nu = len(b), markov_entropy(nu)
+    # z = (y, t); the slacks A z = (t - y, t + y) stay positive
+    A = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
+    lowers, upper, uppers = [], math.inf, []
     for delta in grid:
-        feas = [(h, P) for d, h, P in pool if d <= delta]
-        if not feas:
-            continue
-        _, P = max(feas, key=lambda x: x[0])
-        for _ in range(40):
-            noise = rng.normal(0.0, 0.01, size=(k, k))
-            cand = np.clip(P + noise, 1e-9, None)
-            cand = cand / cand.sum(axis=1, keepdims=True)
-            m = MarkovMeasure(cand)
-            d = weak_star_distance(m, nu, family)
-            h = markov_entropy(m)
-            pool.append((d, h, cand))
-            if d <= delta and h > markov_entropy(MarkovMeasure(P)):
-                P = cand
-    rows = []
-    for delta in grid:
-        sup_hat = max([h_nu] + [h for d, h, _ in pool if d <= delta])
-        rows.append((delta, sup_hat))
-    return rows
+        z, tau = np.append(np.zeros(n), 1.0), 2 * n / delta  # t = 1 central
+        lower = h_nu
+        g = _gibbs(shift, depth, F, z[:n])
+        while upper - lower > GAP_TOL and tau < 1e16:  # tau P keeps digits
+            for _ in range(50):  # Newton steps to the centre at this tau
+                inv = 1 / (A @ z)
+                grad = tau * np.append(g.mean - b, delta) - A.T @ inv
+                H = A.T @ (A * inv[:, None] ** 2)
+                H[:n, :n] += tau * g.var
+                step = -np.linalg.solve(H, grad)
+                if -grad @ step <= 1e-4:  # squared Newton decrement
+                    break
+                rate = np.max(-(A @ step) * inv)  # 1 / step to the boundary
+                z = z + (min(1.0, 0.99 / rate) if rate > 0 else 1.0) * step
+                g = _gibbs(shift, depth, F, z[:n])
+            D = np.abs(g.mean - b).sum()
+            s = min(1.0, delta / D) if D > 0 else 1.0
+            h = markov_entropy(MarkovMeasure(g.Q, g.pi))
+            lower = max(lower, s * h + (1 - s) * h_nu)
+            upper = min(upper, g.P - z[:n] @ b + delta * z[n])
+            tau *= 10
+        lowers.append(lower)
+        uppers.append(upper)
+    lowers = np.maximum.accumulate(lowers[::-1])[::-1].tolist()
+    return [ShrinkRow(*row) for row in zip(grid, lowers, uppers)]

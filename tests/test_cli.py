@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -59,6 +60,21 @@ def test_spectrum_bad_grid_exits_2_without_csv(tmp_path):
     code, out = run(tmp_path, "spectrum", cfg)
     assert code == 2
     assert not (out / "spectrum.csv").exists()
+
+
+def test_spectrum_perron_vector_over_many_decades(tmp_path):
+    # the range search probes q = +-50, where this observable's Perron
+    # vector runs from about 1e-17 to 1
+    values = [-0.316422, -0.316414, -0.314453, -0.314453, -0.282227,
+              -0.282227, -0.280762, -0.280762, 0.109131, 0.109131, 0.109497,
+              0.109497, 0.132874, 0.132874, 0.132843, 0.132843]
+    table = [[list(w), v] for w, v in
+             zip(itertools.product(range(2), repeat=4), values)]
+    cfg = {"system": {"kind": "full_shift", "k": 2},
+           "observable": {"depth": 4, "table": table}, "alpha_grid": [0.0]}
+    code, out = run(tmp_path, "spectrum", cfg)
+    assert code == 0
+    assert (out / "spectrum.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -182,12 +198,27 @@ def test_weave_and_truncation(tmp_path):
 def test_shrink_csv(tmp_path):
     cfg = {"system": {"kind": "full_shift", "k": 2},
            "nu": {"bernoulli": 0.8},
-           "delta_grid": [0.2, 0.1], "budget": 20}
+           "delta_grid": [0.2, 0.1]}
     code, out = run(tmp_path, "shrink", cfg)
     assert code == 0
     _, rows = read_rows(out / "shrink.csv")
     assert len(rows) == 2
     assert float(rows[0]["sup_hat"]) >= float(rows[1]["sup_hat"])
+    comment = (out / "shrink.csv").read_text().splitlines()[0]
+    assert float(comment.split("max_gap=")[1].split()[0]) <= 1e-9
+
+
+def test_shrink_respects_sft(tmp_path):
+    # on the golden-mean shift no invariant measure has entropy above
+    # log of the golden ratio, however large the ball
+    cfg = {"system": {"kind": "sft", "transition": [[1, 1], [1, 0]]},
+           "nu": {"P": [[0.9, 0.1], [1, 0]]},
+           "delta_grid": [0.2, 0.1, 0.05, 0.02]}
+    code, out = run(tmp_path, "shrink", cfg)
+    assert code == 0
+    _, rows = read_rows(out / "shrink.csv")
+    log_phi = math.log((1 + math.sqrt(5)) / 2)
+    assert all(float(r["sup_hat"]) <= log_phi + 1e-12 for r in rows)
 
 
 def test_missing_config_exits_2(tmp_path):

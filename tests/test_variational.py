@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitweave import variational
-from orbitweave.measures import (LocallyConstantObservable, TestFunctionFamily,
-                                 bernoulli, frequency_observable,
-                                 markov_entropy)
+from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
+                                 TestFunctionFamily, bernoulli,
+                                 frequency_observable, markov_entropy)
 from orbitweave.systems import ShiftSpace, full_shift, golden_mean_shift
 from orbitweave.variational import (EmptyConstraintError, ReducibleLiftError,
                                     constrained_sup, count_at, gibbs_data,
@@ -312,26 +312,96 @@ def test_count_at_binomial():
 
 
 def test_shrink_center_is_global_max():
-    rows = shrink_experiment(FULL, bernoulli(0.5), FAMILY,
-                             [0.2, 0.1, 0.05], 20, seed=3)
-    for _, sup_hat in rows:
+    rows = shrink_experiment(FULL, bernoulli(0.5), FAMILY, [0.2, 0.1, 0.05])
+    for _, sup_hat, _ in rows:
         assert sup_hat == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_shrink_whole_space_ball():
-    rows = shrink_experiment(FULL, bernoulli(0.8), FAMILY, [1.0], 30, seed=4)
+    rows = shrink_experiment(FULL, bernoulli(0.8), FAMILY, [1.0])
     assert rows[0][1] == pytest.approx(math.log(2), abs=1e-3)
 
 
 def test_shrink_profile_monotone_and_bounded():
     nu = bernoulli(0.8)
-    rows = shrink_experiment(FULL, nu, FAMILY, [0.2, 0.1, 0.05, 0.02],
-                             40, seed=5)
-    sups = [s for _, s in rows]
+    rows = shrink_experiment(FULL, nu, FAMILY, [0.2, 0.1, 0.05, 0.02])
+    sups = [r.lower for r in rows]
     assert all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
     assert all(s >= markov_entropy(nu) - 1e-9 for s in sups)
 
 
 def test_shrink_requires_decreasing_grid():
     with pytest.raises(ValueError):
-        shrink_experiment(FULL, bernoulli(0.5), FAMILY, [0.1, 0.2], 5, seed=0)
+        shrink_experiment(FULL, bernoulli(0.5), FAMILY, [0.1, 0.2])
+
+
+LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
+SHRINK_CASES = {
+    "golden": (GOLDEN, MarkovMeasure([[0.9, 0.1], [1.0, 0.0]]), 16,
+               [0.2, 0.1, 0.05, 0.02], LOG_PHI),
+    "three_symbols": (full_shift(3), bernoulli([0.5, 0.3, 0.2]), 16,
+                      [0.2, 0.1, 0.05, 0.02], math.log(3)),
+    "family_40": (FULL, bernoulli(0.8), 40, [0.2, 0.1, 0.05, 0.02],
+                  math.log(2)),
+    "b099": (FULL, bernoulli(0.99), 16, [0.2, 0.05, 0.01, 0.005, 0.001],
+             math.log(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_CASES))
+def test_shrink_bracket_contract(name):
+    # upper may pass h_top by the barrier's leftover gap, never by more
+    shift, nu, n, grid, h_top = SHRINK_CASES[name]
+    family = TestFunctionFamily("cylinder", n, shift.alphabet_size)
+    rows = shrink_experiment(shift, nu, family, grid)
+    for r in rows:
+        assert r.lower <= r.upper
+        assert r.lower <= h_top + 1e-12
+        assert r.upper - r.lower <= 1e-10
+    lowers = [r.lower for r in rows]
+    assert all(a >= b for a, b in zip(lowers, lowers[1:]))
+    if name == "golden":  # the ball at 0.2 holds the Parry measure
+        assert rows[0].lower == pytest.approx(LOG_PHI, abs=1e-10)
+        assert rows[0].upper == pytest.approx(LOG_PHI, abs=1e-10)
+    if name == "three_symbols":  # a search over sign vectors stalls 1e-2 short
+        assert rows[-1].lower - markov_entropy(nu) >= 0.04151
+
+
+@given(st.booleans(), st.floats(0.02, 0.98),
+       st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=5, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_shrink_bracket_property(golden, p, deltas):
+    if golden:
+        shift, nu, h_top = GOLDEN, MarkovMeasure([[1 - p, p], [1, 0]]), LOG_PHI
+    else:
+        shift, nu, h_top = FULL, bernoulli(p), math.log(2)
+    rows = shrink_experiment(shift, nu, FAMILY, sorted(deltas, reverse=True))
+    h_nu = markov_entropy(nu)
+    for r in rows:
+        assert h_nu - 1e-12 <= r.lower <= r.upper
+        assert r.lower <= h_top + 1e-12
+        assert r.upper - r.lower <= 1e-10
+    assert all(a.lower >= b.lower and a.upper >= b.upper
+               for a, b in zip(rows, rows[1:]))
+
+
+def test_shrink_rejects_nu_off_the_shift():
+    with pytest.raises(ValueError, match="forbidden by the SFT"):
+        shrink_experiment(GOLDEN, bernoulli(0.5), FAMILY, [0.1])
+
+
+WIDE = LocallyConstantObservable(4, tuple(zip(
+    itertools.product(range(2), repeat=4),
+    (-0.316422, -0.316414, -0.314453, -0.314453, -0.282227, -0.282227,
+     -0.280762, -0.280762, 0.109131, 0.109131, 0.109497, 0.109497,
+     0.132874, 0.132874, 0.132843, 0.132843))))
+
+
+@pytest.mark.parametrize("q", [30.0, 50.0])
+def test_perron_vector_over_many_decades(q):
+    # at these q the Perron vector runs down to about 1e-17, where the
+    # Collatz-Wielandt ratios of the unscaled matrix stall near 1e-10
+    M, _ = _reference_matrix(FULL, WIDE, q)
+    lam = max(np.linalg.eigvals(M).real)
+    assert gibbs_kernel(FULL, WIDE, q).P == pytest.approx(math.log(lam),
+                                                          rel=1e-12)
