@@ -23,9 +23,9 @@ import tempfile
 
 from . import __version__
 from .entropy import katok_entropy
-from .measures import (LocallyConstantObservable, TestFunctionFamily,
-                       _state_json, frequency_observable, markov_entropy,
-                       measure_from_json)
+from .measures import (LocallyConstantObservable, MarkovMeasure,
+                       TestFunctionFamily, _state_json, frequency_observable,
+                       markov_entropy, measure_from_json)
 from .shadowing import (ResourceCapError, make_rng, perturbed_orbit,
                         shadow_interval, shadow_shift, shadowing_modulus,
                         _random_start)
@@ -237,6 +237,9 @@ def cmd_katok(config: dict, seed: int, out: str) -> int:
         print("katok requires a shift system", file=sys.stderr)
         return EXIT_CONFIG
     m = measure_from_json(config["measure"], shift=system)
+    if not isinstance(m, MarkovMeasure):
+        print("katok requires a Markov measure", file=sys.stderr)
+        return EXIT_CONFIG
     q = int(config["q"])
     delta = float(config.get("delta", 0.1))
     n_grid = [int(n) for n in config["n_grid"]]
@@ -254,6 +257,9 @@ def cmd_shrink(config: dict, seed: int, out: str) -> int:
         print("shrink requires a shift system", file=sys.stderr)
         return EXIT_CONFIG
     nu = measure_from_json(config["nu"], shift=system)
+    if not isinstance(nu, MarkovMeasure):
+        print("shrink requires a Markov measure nu", file=sys.stderr)
+        return EXIT_CONFIG
     family = _family(config, system.alphabet_size)
     grid = [float(d) for d in config["delta_grid"]]
     rows = shrink_experiment(system, nu, family, grid)

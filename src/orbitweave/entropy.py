@@ -3,18 +3,18 @@
 Separated/spanning counts are exact (branch-and-bound / exact set cover) on
 small instances with a flagged greedy fallback; the Katok count is exact on
 shifts over any alphabet, because a Bowen d_n-ball of radius 2^-q is precisely
-an (n+q)-cylinder and cylinder masses come in classes counted by a
-transition-count dynamic program (budget: 2^22 classes, n + q <= 26);
-level-set counting enumerates admissible words whose Birkhoff average lies in
-the target window.
+an (n+q)-cylinder, and a cylinder's mass is fixed by the value pi[first] and
+the number of transitions carrying each distinct value of P, so the masses
+come in classes counted by a dynamic program over those counts (budget: 2^22
+table entries, n + q <= 26); level-set counting enumerates admissible words
+whose Birkhoff average lies in the target window.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .measures import LocallyConstantObservable, MarkovMeasure
@@ -217,48 +217,48 @@ def _epsilon_to_q(epsilon: float) -> int:
 
 
 def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, L: int):
-    """(mass, multiplicity) classes over all admissible L-cylinders.
+    """(mass, multiplicity) classes of all admissible L-cylinders, with the
+    masses as exact integers over the returned unit.
 
-    A cylinder's mass is pi[first] times P[a, b] per transition, so it depends
-    only on the first symbol and the multiset of transitions.  A dynamic
-    program over (first, last, sorted transition indices k*a + b) counts the
-    cylinders of each class, polynomially in L on every alphabet.  The budget
-    is the class table: InfeasibleCountError once it would pass 2^22 entries.
+    A cylinder's mass is pi[first] times P[a, b] per transition: it depends
+    only on the value pi[first] and on how many transitions carry each
+    distinct value of P, and its extensions only on its last symbol.  So a
+    dynamic program over (pi value index, last symbol, counts per P value
+    packed in radix L) counts each class, polynomially in L on every alphabet;
+    InfeasibleCountError once its table passes 2^22 entries.
     """
     k = shift.alphabet_size
     if m.alphabet_size != k:
         raise ValueError("measure alphabet mismatch")
-    allowed = [[j for j in range(k) if shift.allowed(i, j) and m.P[i, j] > 0]
-               for i in range(k)]
-    # state: (first symbol, last symbol, sorted transitions) -> multiplicity;
-    # the last symbol follows from the others, so states are the classes
-    states: dict[tuple, int] = {}
-    for a in range(k):
-        if m.pi[a] > 0:
-            states[(a, a, ())] = 1
+    P, pi = m.P.tolist(), m.pi.tolist()
+    allowed = [[b for b in range(k) if shift.allowed(a, b) and P[a][b] > 0]
+               for a in range(k)]
+    values = sorted({P[a][b] for a in range(k) for b in allowed[a]})
+    step = [[(b, L ** values.index(P[a][b])) for b in allowed[a]]
+            for a in range(k)]
+    pis = sorted({p for p in pi if p > 0})
+    states = {(pis.index(pi[a]), a, 0): 1 for a in range(k) if pi[a] > 0}
     for _ in range(L - 1):
         nxt: dict[tuple, int] = {}
-        for (first, last, edges), mult in states.items():
-            for b in allowed[last]:
-                e = k * last + b
-                i = bisect.bisect_right(edges, e)
-                key = (first, b, edges[:i] + (e,) + edges[i:])
-                if key in nxt:
-                    nxt[key] += mult
-                elif len(nxt) < 2 ** 22:
-                    nxt[key] = mult
-                else:
-                    raise InfeasibleCountError(
-                        f"more than 2^22 mass classes of {L}-cylinders")
+        for (f, last, counts), mult in states.items():
+            for b, inc in step[last]:
+                key = (f, b, counts + inc)
+                nxt[key] = nxt.get(key, 0) + mult
+            if len(nxt) > 2 ** 22:
+                raise InfeasibleCountError(
+                    f"more than 2^22 mass classes of {L}-cylinders")
         states = nxt
-    classes = []
-    for (first, _last, edges), mult in states.items():
-        mass = float(m.pi[first])
-        for e, run in itertools.groupby(edges):
-            mass *= float(m.P[e // k, e % k]) ** len(list(run))
-        if mass > 0:
-            classes.append((mass, mult))
-    return classes
+    classes: dict[tuple, int] = {}
+    for (f, _last, counts), mult in states.items():
+        classes[f, counts] = classes.get((f, counts), 0) + mult
+    # each entry is read as the shortest decimal that gives back its float
+    # (a config's 0.3 is 3/10), so ties such as 0.64 + 0.16 = 1 - 0.2 hold
+    exact = {x: Fraction(str(x)) for x in values + pis}
+    scale = math.lcm(*(r.denominator for r in exact.values()))
+    num = {x: int(r * scale) for x, r in exact.items()}
+    return [(math.prod((num[v] ** (counts // L ** g % L)
+                        for g, v in enumerate(values)), start=num[pis[f]]),
+             mult) for (f, counts), mult in classes.items()], scale ** L
 
 
 def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
@@ -267,7 +267,8 @@ def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
 
     On a shift with epsilon = 2^-q the Bowen d_n-balls are (n+q)-cylinders, so
     the optimum is: sort cylinder masses descending, take the shortest prefix
-    whose cumulative mass exceeds 1 - delta.
+    whose cumulative mass exceeds 1 - delta; in exact rational arithmetic on
+    the decimals of pi, P and delta.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
@@ -275,15 +276,14 @@ def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
     L = n + q
     if L > 26:
         raise InfeasibleCountError(f"n + q = {L} > 26")
-    classes = sorted(_cylinder_mass_classes(shift, m, L), reverse=True)
-    target = 1.0 - delta
-    total = 0
-    cum = 0.0
-    for mass, cnt in classes:
+    classes, unit = _cylinder_mass_classes(shift, m, L)
+    # cum is an integer, so cum > target iff cum / unit > 1 - delta exactly
+    target = math.floor((1 - Fraction(str(delta))) * unit)
+    total = cum = 0
+    for mass, cnt in sorted(classes, reverse=True):
         if cum > target:
             break
-        need = math.floor((target - cum) / mass) + 1
-        take = min(need, cnt)
+        take = min((target - cum) // mass + 1, cnt)
         total += take
         cum += take * mass
     if cum <= target:

@@ -85,6 +85,9 @@ class MarkovMeasure:
             raise ValueError("stationary vector must sum to 1")
         self.pi = pi
         if shift is not None:
+            if P.shape[0] != shift.alphabet_size:
+                raise ValueError(f"{P.shape[0]}-symbol measure on a "
+                                 f"{shift.alphabet_size}-symbol shift")
             for i in range(P.shape[0]):
                 for j in range(P.shape[0]):
                     if P[i, j] > 0 and not shift.allowed(i, j):

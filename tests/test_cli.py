@@ -116,6 +116,32 @@ def test_katok_three_symbols_past_cylinder_enumeration(tmp_path):
     assert [int(r["n"]) for r in rows] == [13]
 
 
+MIXTURE = {"mixture": [[0.5, {"bernoulli": 0.3}], [0.5, {"bernoulli": 0.6}]]}
+
+
+@pytest.mark.parametrize("command, key, extra", [
+    ("katok", "measure", {"q": 1, "n_grid": [8]}),
+    ("shrink", "nu", {"delta_grid": [0.1]}),
+])
+def test_mixture_measure_exits_2_without_csv(tmp_path, capsys, command, key,
+                                             extra):
+    cfg = {"system": {"kind": "full_shift", "k": 2}, key: MIXTURE, **extra}
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "requires a Markov measure" in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_shrink_measure_on_fewer_symbols_exits_2(tmp_path, capsys):
+    cfg = {"system": {"kind": "full_shift", "k": 3},
+           "nu": {"bernoulli": 0.3}, "delta_grid": [0.1]}
+    code, out = run(tmp_path, "shrink", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config/precondition error: 2-symbol measure on a 3-symbol" in err
+    assert not (out / "shrink.csv").exists()
+
+
 def test_malformed_config_type_exits_2_without_traceback(tmp_path, capsys):
     cfg = {"system": {"kind": "full_shift", "k": None},
            "measure": {"bernoulli": 0.5}, "q": 1, "n_grid": [8]}

@@ -1,5 +1,8 @@
+import bisect
 import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
-                                katok_count, katok_entropy, levelset_count,
-                                max_separated, min_spanning)
+                                _cylinder_mass_classes, katok_count,
+                                katok_entropy, levelset_count, max_separated,
+                                min_spanning)
 from orbitweave.measures import (MarkovMeasure, bernoulli,
                                  frequency_observable)
 from orbitweave.systems import Word, dist_n, full_shift, golden_mean_shift
@@ -76,7 +80,8 @@ def test_separated_spanning_sandwich_small():
 def test_katok_count_fair_coin_closed_form():
     # all (n+q)-cylinders of the uniform measure on k symbols weigh
     # k^-(n+q); need the least count with count * k^-(n+q) > 1 - delta
-    for k, n, q, delta in [(2, 4, 1, 0.1), (2, 6, 2, 0.25), (3, 13, 1, 0.1)]:
+    for k, n, q, delta in [(2, 4, 1, 0.1), (2, 6, 2, 0.25), (3, 13, 1, 0.1),
+                           (32, 3, 1, 0.1)]:
         expect = math.floor((1 - delta) * k ** (n + q)) + 1
         m = bernoulli([1 / k] * k)
         assert katok_count(full_shift(k), m, n, 2.0 ** -q, delta) == expect
@@ -102,6 +107,195 @@ def test_katok_count_matches_enumeration():
             cum += mass
             cnt += 1
         assert katok_count(sh, m, n, 2.0 ** -q, delta) == cnt
+
+
+def _edge_tuple_mass_classes(shift, m, L):
+    """The earlier class table, kept as the oracle: one state per (first
+    symbol, last symbol, sorted transition indices k*a + b)."""
+    k = shift.alphabet_size
+    if m.alphabet_size != k:
+        raise ValueError("measure alphabet mismatch")
+    allowed = [[j for j in range(k) if shift.allowed(i, j) and m.P[i, j] > 0]
+               for i in range(k)]
+    # state: (first symbol, last symbol, sorted transitions) -> multiplicity;
+    # the last symbol follows from the others, so states are the classes
+    states: dict[tuple, int] = {}
+    for a in range(k):
+        if m.pi[a] > 0:
+            states[(a, a, ())] = 1
+    for _ in range(L - 1):
+        nxt: dict[tuple, int] = {}
+        for (first, last, edges), mult in states.items():
+            for b in allowed[last]:
+                e = k * last + b
+                i = bisect.bisect_right(edges, e)
+                key = (first, b, edges[:i] + (e,) + edges[i:])
+                if key in nxt:
+                    nxt[key] += mult
+                elif len(nxt) < 2 ** 22:
+                    nxt[key] = mult
+                else:
+                    raise InfeasibleCountError(
+                        f"more than 2^22 mass classes of {L}-cylinders")
+        states = nxt
+    classes = []
+    for (first, _last, edges), mult in states.items():
+        mass = float(m.pi[first])
+        for e, run in itertools.groupby(edges):
+            mass *= float(m.P[e // k, e % k]) ** len(list(run))
+        if mass > 0:
+            classes.append((mass, mult))
+    return classes
+
+
+def _mass_levels(classes):
+    """Classes merged where masses agree to 1e-9 relative: [mass, total]."""
+    levels = []
+    for mass, mult in sorted(classes):
+        if levels and mass <= levels[-1][0] * (1 + 1e-9):
+            levels[-1][1] += mult
+        else:
+            levels.append([mass, mult])
+    return levels
+
+
+def _random_chain(k, seed):
+    P = np.random.default_rng(seed).random((k, k))
+    return MarkovMeasure(P / P.sum(axis=1, keepdims=True))
+
+
+TIED = MarkovMeasure([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                      [0.25, 0.25, 0.5]], [1 / 3] * 3)
+
+ORACLE_GRID = [
+    (full_shift(2), bernoulli(0.7), 12),
+    (full_shift(2), bernoulli(0.5), 12),
+    (full_shift(2), _random_chain(2, 5), 12),
+    (full_shift(3), bernoulli([0.5, 0.3, 0.2]), 12),
+    (full_shift(3), bernoulli([1 / 3] * 3), 10),
+    (full_shift(3), _random_chain(3, 0), 11),
+    (full_shift(3), _random_chain(3, 1), 9),
+    (full_shift(3), TIED, 12),
+    (full_shift(4), _random_chain(4, 2), 6),
+    (golden_mean_shift(), MarkovMeasure([[0.6, 0.4], [1.0, 0.0]],
+                                        shift=golden_mean_shift()), 12),
+    (golden_mean_shift(), MarkovMeasure([[0.5, 0.5], [1.0, 0.0]],
+                                        shift=golden_mean_shift()), 12),
+]
+
+
+def _enumerated_count(shift, m, L, delta):
+    """Fewest L-cylinders with mass > 1 - delta, by listing every word, in
+    exact rational arithmetic on the decimals of the measure's entries."""
+    k = shift.alphabet_size
+    pi = [Fraction(str(x)) for x in m.pi.tolist()]
+    P = [[Fraction(str(x)) for x in row] for row in m.P.tolist()]
+    cylinders = list(enumerate(pi))  # (last symbol, mass) per word
+    for _ in range(L - 1):
+        cylinders = [(b, mass * P[a][b]) for a, mass in cylinders
+                     for b in range(k) if shift.allowed(a, b)]
+    cum, cnt, target = Fraction(0), 0, 1 - Fraction(str(delta))
+    for mass in sorted((mass for _, mass in cylinders), reverse=True):
+        if cum > target:
+            break
+        cum += mass
+        cnt += 1
+    return cnt
+
+
+@pytest.mark.parametrize("shift, m, top", ORACLE_GRID)
+def test_mass_classes_match_edge_tuple_oracle(shift, m, top):
+    k = shift.alphabet_size
+    for L in sorted({1, 2, 3, top // 2, top}):
+        new, unit = _cylinder_mass_classes(shift, m, L)
+        old = _edge_tuple_mass_classes(shift, m, L)
+        assert len(new) <= len(old)
+        got = _mass_levels([(mass / unit, mult) for mass, mult in new])
+        want = _mass_levels(old)
+        assert [t for _, t in got] == [t for _, t in want]
+        assert [x for x, _ in got] == pytest.approx([x for x, _ in want],
+                                                    rel=1e-12)
+        if k ** L <= 5000:
+            for delta in (0.1, 0.25, 0.5):
+                assert (katok_count(shift, m, L - 1, 0.5, delta)
+                        == _enumerated_count(shift, m, L, delta))
+
+
+@pytest.mark.parametrize("probs, L, delta, count", [
+    # 0.64 + 0.16 is 0.8 = 1 - delta: reached, not exceeded
+    ([0.2, 0.8], 2, 0.2, 3),
+    # 0.125 + 3 * 0.075 + 3 * 0.05 = 0.5
+    ([0.5, 0.3, 0.2], 3, 0.5, 8),
+    ([0.5, 0.3, 0.2], 4, 0.9, 3),
+    ([0.4, 0.4, 0.2], 3, 0.2, 18),
+])
+def test_katok_count_exact_at_a_tie(probs, L, delta, count):
+    # float sums land on either side of such ties
+    m = bernoulli(probs)
+    assert katok_count(full_shift(len(probs)), m, L - 1, 0.5, delta) == count
+    assert _enumerated_count(full_shift(len(probs)), m, L, delta) == count
+
+
+def test_tied_transition_values_merge_classes():
+    # six transitions carry 1/4 and three carry 1/2, so a cylinder's class is
+    # how many of its steps stay put; the edge-tuple key keeps every sorted
+    # transition multiset apart
+    sh, L = full_shift(3), 8
+    new, _unit = _cylinder_mass_classes(sh, TIED, L)
+    assert len(new) == L  # 0 to 7 steps that stay put, one pi value
+    assert len(_edge_tuple_mass_classes(sh, TIED, L)) > 100
+    for delta in (0.1, 0.3):
+        assert (katok_count(sh, TIED, L - 1, 0.5, delta)
+                == _enumerated_count(sh, TIED, L, delta))
+
+
+def _bernoulli_reference(probs, L, delta):
+    """Fewest L-cylinders of the Bernoulli measure with mass > 1 - delta,
+    greedy over multinomial classes in exact rational arithmetic."""
+    k, classes = len(probs), []
+    for cut in itertools.combinations(range(L + k - 1), k - 1):
+        # stars and bars: symbol counts summing to L
+        parts = [b - a - 1 for a, b in zip((-1,) + cut, cut + (L + k - 1,))]
+        mult = math.factorial(L)
+        for c in parts:
+            mult //= math.factorial(c)
+        classes.append((math.prod(p ** c for p, c in zip(probs, parts)), mult))
+    classes.sort(reverse=True)
+    target, cum, total = 1 - delta, Fraction(0), 0
+    for mass, mult in classes:
+        if cum > target:
+            break
+        take = min(mult, math.floor((target - cum) / mass) + 1)
+        total += take
+        cum += take * mass
+    return total
+
+
+@pytest.mark.parametrize("probs", [
+    ["0.3", "0.7"], ["0.5", "0.5"], ["0.9", "0.1"],
+    ["0.5", "0.3", "0.2"], ["0.6", "0.3", "0.1"],
+    ["0.4", "0.3", "0.2", "0.1"], ["0.25"] * 4,
+])
+def test_katok_count_bernoulli_exact_reference(probs):
+    exact = [Fraction(p) for p in probs]
+    m = bernoulli([float(p) for p in exact])
+    sh = full_shift(len(probs))
+    for L in (1, 2, 5, 9, 14):
+        for delta in ("0.1", "0.3"):
+            assert (katok_count(sh, m, L - 1, 0.5, float(delta))
+                    == _bernoulli_reference(exact, L, Fraction(delta)))
+
+
+def test_katok_count_large_alphabet_repeated_values():
+    # eight distinct symbol masses, yet one P value per column: 8 x C(13, 6)
+    # = 13,728 classes, where the edge-tuple key had 1,596,120
+    exact = [Fraction(i, 36) for i in range(1, 9)]
+    m = bernoulli([i / 36 for i in range(1, 9)])
+    start = time.perf_counter()
+    count = katok_count(full_shift(8), m, 6, 0.5, 0.1)
+    elapsed = time.perf_counter() - start
+    assert count == _bernoulli_reference(exact, 7, Fraction("0.1"))
+    assert elapsed < 2.0
 
 
 def test_katok_count_respects_sft_support():

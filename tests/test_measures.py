@@ -83,6 +83,13 @@ def test_markov_stationary_and_support():
         MarkovMeasure([[0.5, 0.5], [0.5, 0.5]], shift=gm)
 
 
+def test_markov_rejects_other_alphabet_than_the_shift():
+    with pytest.raises(ValueError, match="2-symbol measure on a 3-symbol"):
+        bernoulli(0.3, shift=full_shift(3))
+    with pytest.raises(ValueError, match="3-symbol measure on a 2-symbol"):
+        bernoulli([0.5, 0.3, 0.2], shift=golden_mean_shift())
+
+
 PERIOD2 = [[0.0, 1.0], [1.0, 0.0]]
 
 
