@@ -21,6 +21,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import __version__
 from .entropy import katok_entropy
 from .measures import (LocallyConstantObservable, MarkovMeasure,
@@ -134,19 +136,12 @@ def cmd_spectrum(config: dict, seed: int, out: str) -> int:
     return EXIT_OK
 
 
-def _run_length_encode(symbols) -> str:
-    out = []
-    prev, count = None, 0
-    for s in symbols:
-        if s == prev:
-            count += 1
-        else:
-            if prev is not None:
-                out.append(f"{prev}x{count}")
-            prev, count = s, 1
-    if prev is not None:
-        out.append(f"{prev}x{count}")
-    return " ".join(out)
+def _run_length_encode(symbols: np.ndarray) -> str:
+    """Space-separated `AxN` tokens, one per run of N copies of symbol A."""
+    starts = np.flatnonzero(np.diff(symbols, prepend=-1))
+    counts = np.diff(starts, append=len(symbols))
+    return " ".join([f"{a}x{n}" for a, n in zip(symbols[starts].tolist(),
+                                                 counts.tolist())])
 
 
 def cmd_weave(config: dict, seed: int, out: str) -> int:
@@ -187,7 +182,7 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
     _write_atomic(os.path.join(out, "schedule.json"),
                   json.dumps(doc, indent=2) + "\n")
     _write_atomic(os.path.join(out, "woven.txt"), _run_length_encode(
-        outcome.point.prefix(outcome.total_length)) + "\n")
+        outcome.symbols[:outcome.total_length]) + "\n")
     _write_csv(os.path.join(out, "convergence.csv"), _header(config, seed),
                ["n", "D"], outcome.convergence)
     if schedule.truncated:

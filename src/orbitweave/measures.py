@@ -33,7 +33,6 @@ __all__ = [
     "markov_entropy",
     "integrate",
     "convex_decompose",
-    "limit_measures",
     "DecompositionError",
     "measure_from_json",
     "measure_to_json",
@@ -379,39 +378,6 @@ def _rational_weights(weights, q):
     if excess != 0:
         return None
     return [Fraction(c, q) for c in counts]
-
-
-def limit_measures(system: System, x: State, horizon: int,
-                   family: TestFunctionFamily, cluster_tol: float,
-                   grid_ratio: float = 1.2) -> list[AtomicMeasure]:
-    """Cluster representatives of the empirical measures along a geometric
-    n-grid: a finite stand-in for the limit-measure set of the orbit."""
-    if horizon < 10:
-        raise ValueError("horizon must be >= 10")
-    grid = []
-    n = 10
-    while n < horizon:
-        grid.append(n)
-        n = max(n + 1, int(round(n * grid_ratio)))
-    grid.append(horizon)
-    mus = [empirical(system, x, n) for n in grid]
-    # single-linkage clustering under the weak* distance
-    parent = list(range(len(mus)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            if weak_star_distance(mus[i], mus[j], family) < cluster_tol:
-                parent[find(i)] = find(j)
-    reps: dict[int, int] = {}
-    for i in range(len(mus)):
-        reps[find(i)] = i  # keep the largest-n member per cluster
-    return [mus[i] for i in sorted(reps.values())]
 
 
 def measure_from_json(doc, shift: ShiftSpace | None = None):

@@ -180,15 +180,22 @@ def _shift_heads(shift: ShiftSpace, x0: Sequence[Word], delta: float,
     return heads
 
 
+def _cycle_rows(shift: ShiftSpace, last: np.ndarray, width: int) -> np.ndarray:
+    """(alphabet, width) int8 table: for each symbol a in `last`, row a is
+    the canonical cycle through a repeated from the symbol after a, the
+    continuation of any word ending in a; rows of absent symbols are 0."""
+    rows = np.zeros((shift.alphabet_size, width), dtype=np.int8)
+    for a in np.flatnonzero(np.bincount(np.ravel(last))).tolist():
+        cyc = canonical_cycle(shift, a)
+        rows[a] = np.resize(cyc[1:] + cyc[:1], width)
+    return rows
+
+
 def _splice(shift: ShiftSpace, x0: Sequence[Word], heads: np.ndarray):
     """(column, z) for _splice_deviations; each head continues with the
     canonical cycle through its last symbol, by table lookup."""
     h, last = heads.shape[-1], heads[..., -1]
-    width = AUDIT_DEPTH + shift.alphabet_size
-    cont = np.zeros((shift.alphabet_size, width), dtype=np.int8)
-    for a in np.flatnonzero(np.bincount(last.ravel())).tolist():
-        cyc = canonical_cycle(shift, a)
-        cont[a] = np.resize(cyc[1:] + cyc[:1], width)
+    cont = _cycle_rows(shift, last, AUDIT_DEPTH + shift.alphabet_size)
     first = np.array([x.prefix(AUDIT_DEPTH) for x in x0], dtype=np.int8)
 
     def column(j):

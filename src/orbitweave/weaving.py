@@ -7,14 +7,15 @@ truncation level, the orbit-length cap, and the achieved empirical distance
 are all reported rather than hidden.  Partition cells are depth-1 cylinders,
 so the pseudo-orbit jumps stay below 1/2 and the symbolic splice shadows them
 within 1/4.  On a shift the splice is the concatenation of the segment
-symbols (block prefixes and connector paths), so the woven orbit is one
-symbol sequence and only the segment ends need checking.
+symbols (block prefixes and connector paths), so the woven orbit is one int8
+array and only the segment ends need checking: a family's blocks form one
+int8 matrix with a continuation table, so the splice writes each family's
+picks with one fancy index and checks every segment end in one comparison.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +25,7 @@ import numpy as np
 
 from .measures import MarkovMeasure, TestFunctionFamily, convex_decompose
 from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, _admissible,
-                        make_rng, word_state)
+                        _cycle_rows, canonical_cycle, make_rng, word_state)
 from .systems import ShiftSpace, Word
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
 
 DELTA_PRIME = 0.5       # depth-1 partition cells have diameter 1/2
 DEFAULT_LENGTH_CAP = 10 ** 6
-DEFAULT_DENOM_CAP = 10 ** 4
 
 
 class BlockSearchError(RuntimeError):
@@ -57,24 +57,30 @@ class BlockSearchError(RuntimeError):
 class BlockFamily:
     """Separated family of typical words with a common return time and cell.
 
-    `blocks` are sampled words (longer than n so empirical windows and the
-    separation prefix are supported); each satisfies: return to its depth-1
-    cell at step exactly n, and empirical distance to the measure < 1/k on
-    every tested window length.
+    `blocks` is an int8 matrix, one sampled word per row (longer than n so
+    empirical windows and the separation prefix are supported); each row
+    satisfies: return to its depth-1 cell at step exactly n, and empirical
+    distance to the measure < 1/k on every tested window length.  Row r of
+    `continuation`, int8 (blocks, AUDIT_DEPTH - 1) made once per family, is
+    what follows the first n symbols of block r in its state: the rest of
+    the block, then the canonical cycle through its last symbol.
     """
 
     measure: MarkovMeasure
+    shift: ShiftSpace
     n: int
     cell: int
-    epsilon: float
-    k: int
-    gamma: float
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray
     acceptance_rate: float
+    continuation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.blocks:
+        if not len(self.blocks):
             raise ValueError("empty block family")
+        depth, last = AUDIT_DEPTH - 1, self.blocks[:, -1]
+        self.continuation = np.concatenate(
+            [self.blocks[:, self.n:self.n + depth],
+             _cycle_rows(self.shift, last, depth)[last]], axis=1)[:, :depth]
 
 
 def _cylinder_distances(symbols, ms, measure,
@@ -139,15 +145,14 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
     pool = ok & returns[:, q_idx]
     # common partition cell: depth-1 cylinder with the most members
     cell = int(np.argmax(np.bincount(W[pool, 0])))
-    # separated pruning: distinct prefixes of length n_sel keep the woven
-    # points separated at the splice accuracy (see separation_audit)
-    seen = {}
-    for w in map(tuple, W[pool & (W[:, 0] == cell)].tolist()):
-        seen.setdefault(w[:n_sel], w)
-    return BlockFamily(
-        measure=measure, n=n_sel, cell=cell, epsilon=epsilon, k=k, gamma=gamma,
-        blocks=tuple(seen.values()),
-        acceptance_rate=int(ok.sum()) / budget)
+    # separated pruning: the first row per length-n_sel prefix (one void
+    # scalar) keeps the woven points separated (see separation_audit)
+    kept = W[pool & (W[:, 0] == cell)]
+    _, first = np.unique(np.ascontiguousarray(kept[:, :n_sel]).view(
+        f"V{n_sel}"), return_index=True)
+    return BlockFamily(measure=measure, shift=shift, n=n_sel, cell=cell,
+                       blocks=kept[np.sort(first)],
+                       acceptance_rate=int(ok.sum()) / budget)
 
 
 def connector(shift: ShiftSpace, from_cell: int, to_cell: int):
@@ -180,7 +185,6 @@ class WeaveSchedule:
 
     k_max: int
     coefficients: list[list[Fraction]]         # a_{k,j}
-    measures: list[list]                       # m_{k,j}
     block_lengths: list[list[int]]             # n(k,j)
     cells: list[list[int]]                     # partition cell per (k,j)
     C: list[list[Fraction]]                    # a_{k,j} / n(k,j)
@@ -209,12 +213,10 @@ class WeaveSchedule:
         return self.M(q) + (i - 1) * self.Y[q - 1]
 
     def M_ij(self, q: int, i: int, j: int) -> int:
-        base = self.M_i(q, i)
-        for p in range(1, j):
-            base += (self.N[q - 1] * self.block_lengths[q - 1][p - 1]
-                     * self.C[q - 1][p - 1]
-                     + self.s(q, p, q, p + 1))
-        return int(base)
+        return int(self.M_i(q, i) + sum(
+            self.N[q - 1] * self.block_lengths[q - 1][p - 1]
+            * self.C[q - 1][p - 1] + self.s(q, p, q, p + 1)
+            for p in range(1, j)))
 
     def M_ijt(self, q: int, i: int, j: int, t: int) -> int:
         return self.M_ij(q, i, j) + (t - 1) * self.block_lengths[q - 1][j - 1]
@@ -238,9 +240,8 @@ class WeaveSchedule:
                 assert c.denominator == 1 and c > 0, "N_k C_{k,j} not integral"
             bound = k * self._connector_sum(k)
             assert self.N[k - 1] >= bound, "connector-budget bound fails"
-            x = sum(self.s(k, j, k, j + 1) for j in range(1, sk)) + \
-                self.s(k, sk, k, 1)
-            assert x == self.X[k - 1]
+            assert self.X[k - 1] == sum(self.s(k, j, k, j % sk + 1)
+                                        for j in range(1, sk + 1))
             assert self.Y[k - 1] == self.N[k - 1] + self.X[k - 1]
             assert self.N[k - 1] * k >= (k - 1) * self.Y[k - 1], \
                 "N_k / Y_k >= 1 - 1/k fails"
@@ -264,19 +265,13 @@ class WeaveSchedule:
         return self
 
     def _connector_sum(self, k: int) -> int:
+        """Sum of s over all pairs of (level, j) cells up to level k + 1."""
         top = min(k + 1, self.k_max)
-        total = 0
-        for r1 in range(1, top + 1):
-            for j1 in range(1, len(self.coefficients[r1 - 1]) + 1):
-                for r2 in range(1, top + 1):
-                    for j2 in range(1, len(self.coefficients[r2 - 1]) + 1):
-                        total += self.s(r1, j1, r2, j2)
-        return total
+        return sum(s for (r1, _j1, r2, _j2), s in self.s_table.items()
+                   if r1 <= top and r2 <= top)
 
     def _next_level_connector(self, r: int) -> int:
-        if r < self.k_max:
-            return self.s(r, 1, r + 1, 1)
-        return self.s_table[(self.k_max, 1, self.k_max + 1, 1)]
+        return self.s(r, 1, r + 1, 1)  # at r = k_max, the wrap to level 1
 
 
 def build_schedule(decomposition, block_lengths, cells, connector_fn,
@@ -298,44 +293,33 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     coeffs = [[Fraction(a) for a, _m in level] for level in decomposition]
-    meas = [[m for _a, m in level] for level in decomposition]
     for level in coeffs:
         if sum(level) != 1 or any(a <= 0 for a in level):
             raise ValueError("coefficients must be positive rationals summing to 1")
-    # connector table over all (level, j) cells plus the truncation wrap-around
-    s_table = {}
-    for k1 in range(1, k_max + 1):
-        for j1 in range(1, len(coeffs[k1 - 1]) + 1):
-            for k2 in range(1, k_max + 1):
-                for j2 in range(1, len(coeffs[k2 - 1]) + 1):
-                    s, _ = connector_fn(cells[k1 - 1][j1 - 1],
-                                        cells[k2 - 1][j2 - 1])
-                    s_table[(k1, j1, k2, j2)] = s
-    # the trailing connector after the last level wraps to the first cell
-    s_wrap, _ = connector_fn(cells[k_max - 1][0], cells[0][0])
-    s_table[(k_max, 1, k_max + 1, 1)] = s_wrap
+    # connector table over all pairs of (level, j) cells
+    cell_of = {(k, j): cells[k - 1][j - 1] for k in range(1, k_max + 1)
+               for j in range(1, len(coeffs[k - 1]) + 1)}
+    s_table = {a + b: connector_fn(cell_of[a], cell_of[b])[0]
+               for a in cell_of for b in cell_of}
 
     def make(km):
         C = [[a / n for a, n in zip(coeffs[k], block_lengths[k])]
              for k in range(km)]
         sched = WeaveSchedule(
-            k_max=km, coefficients=coeffs[:km], measures=meas[:km],
+            k_max=km, coefficients=coeffs[:km],
             block_lengths=[list(b) for b in block_lengths[:km]],
             cells=[list(c) for c in cells[:km]], C=C,
             N=[], X=[], Y=[], T=[], s_table=dict(s_table), epsilon=epsilon)
-        if km < k_max:
-            sw, _ = connector_fn(cells[km - 1][0], cells[0][0])
-            sched.s_table[(km, 1, km + 1, 1)] = sw
+        # the trailing connector after the last level wraps to the first cell
+        sched.s_table[(km, 1, km + 1, 1)], _ = connector_fn(cells[km - 1][0],
+                                                           cells[0][0])
         for k in range(1, km + 1):
             sk = len(coeffs[k - 1])
-            lcm = 1
-            for c in C[k - 1]:
-                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+            lcm = math.lcm(*(c.denominator for c in C[k - 1]))
             bound = k * sched._connector_sum(k)
             N_k = lcm * max(1, math.ceil(bound / lcm))
             sched.N.append(N_k)
-            X_k = sum(sched.s(k, j, k, j + 1) for j in range(1, sk)) + \
-                sched.s(k, sk, k, 1)
+            X_k = sum(sched.s(k, j, k, j % sk + 1) for j in range(1, sk + 1))
             sched.X.append(X_k)
             sched.Y.append(N_k + X_k)
         # least admissible strictly increasing cycle counts
@@ -363,12 +347,11 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
             if need > 0:
                 T[-1] = max(T[-1], math.ceil(need / sched.Y[km - 1]))
         sched.T = T
-        m = 0
-        sched.offsets_M = []
+        sched.offsets_M = [0]
         for q in range(1, km + 1):
-            sched.offsets_M.append(m)
-            m += sched.T[q - 1] * sched.Y[q - 1] + sched._next_level_connector(q)
-        sched.offsets_M.append(m)
+            sched.offsets_M.append(sched.offsets_M[-1] + sched.T[q - 1]
+                                   * sched.Y[q - 1]
+                                   + sched._next_level_connector(q))
         return sched
 
     sched = make(k_max)
@@ -394,82 +377,98 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     each state is the shift of the previous one, so the 1/2-pseudo-orbit
     check and the shadow deviations only involve segment ends, and the
     shadowing point is the concatenated segment symbols followed by the last
-    state.  Each state is compared with the point to AUDIT_DEPTH coordinates.
+    state.  The point is one preallocated int8 array: each family's picks
+    are written with one fancy index at their schedule offsets, connector
+    paths come from a per-cell-pair table.  Past its end, a segment's last
+    state holds its family's continuation row (for a connector, the cycle
+    through its target); all are checked to AUDIT_DEPTH at once.
 
     families maps (k, j) to a BlockFamily; picks (slot -> block index) fixes
-    block choices per (k, j, i, t) slot, with seeded random defaults.
-    Returns (point, max shadow deviation, picks used).
+    block choices per (k, j, i, t) slot, with seeded random defaults drawn
+    one slot at a time in the construction's order.
+    Returns (symbols, max shadow deviation, picks used), where symbols holds
+    the point's first total_length + AUDIT_DEPTH + p symbols, p the period
+    of its cycle.
     """
     rng = make_rng(seed)
+    depth = AUDIT_DEPTH - 1
     chosen: dict = {}
-    segments = []  # (symbols emitted, head of the segment's first state)
+    segments = []  # (starts, symbols, continuations): one row per segment
 
     @functools.cache
-    def bridge(from_cell, to_cell):
-        _s, path = connector(shift, from_cell, to_cell)
-        return path, path + (to_cell,)
+    def bridge(from_cell, to_cell):  # path and its continuation, as rows
+        cyc = np.array(canonical_cycle(shift, to_cell), dtype=np.int8)
+        return (np.array([connector(shift, from_cell, to_cell)[1]], np.int8),
+                np.resize(cyc, (1, depth)))
 
+    pos = 0
     for k in range(1, schedule.k_max + 1):
-        sk = len(schedule.coefficients[k - 1])
-        level = []  # (j, family, n(k,j), repetitions) per family of level k
-        for j in range(1, sk + 1):
+        cells, T = schedule.cells[k - 1], schedule.T[k - 1]
+        level = []  # (j, family, repetitions, picks in (i, t) order)
+        for j in range(1, len(cells) + 1):
             fam: BlockFamily = families[(k, j)]
-            n_kj = schedule.block_lengths[k - 1][j - 1]
-            if fam.n != n_kj:
+            if fam.n != schedule.block_lengths[k - 1][j - 1]:
                 raise ValueError("schedule/family block length mismatch")
-            level.append((j, fam, n_kj, schedule.repetitions(k, j)))
-        for i in range(1, schedule.T[k - 1] + 1):
-            for j, fam, n_kj, reps in level:
+            level.append((j, fam, schedule.repetitions(k, j), []))
+        for i in range(1, T + 1):
+            for j, fam, reps, got in level:
                 for t in range(1, reps + 1):
                     slot = (k, j, i, t)
-                    if picks is not None and slot in picks:
-                        idx = picks[slot]
-                    else:
-                        idx = int(rng.integers(len(fam.blocks)))
-                    chosen[slot] = idx
-                    w = fam.blocks[idx]
-                    segments.append((w[:n_kj], w))
-                # in-cycle connector to the next family's cell
-                j2 = j + 1 if j < sk else 1
-                segments.append(bridge(schedule.cells[k - 1][j - 1],
-                                       schedule.cells[k - 1][j2 - 1]))
+                    chosen[slot] = (picks[slot] if picks and slot in picks
+                                    else int(rng.integers(len(fam.blocks))))
+                    got.append(chosen[slot])
+        # T cycles of: each family's blocks, then a connector to the next cell
+        bridges = [bridge(c, cells[(j + 1) % len(cells)])
+                   for j, c in enumerate(cells)]
+        cycle = sum(reps * fam.n + path.shape[1]
+                    for (_j, fam, reps, _g), (path, _r) in zip(level, bridges))
+        at = pos + cycle * np.arange(T)
+        for (_j, fam, reps, got), (path, row) in zip(level, bridges):
+            starts = (at[:, None] + fam.n * np.arange(reps)).ravel()
+            segments.append((starts, fam.blocks[got, :fam.n],
+                             fam.continuation[got]))
+            at = at + reps * fam.n
+            segments.append((at, path, row))
+            at = at + path.shape[1]
+        pos += T * cycle
         # trailing connector into the next level's first cell (wraps at the top)
-        segments.append(bridge(schedule.cells[k - 1][0],
-                               schedule.cells[k][0] if k < schedule.k_max
-                               else schedule.cells[0][0]))
-    sizes = [len(emit) for emit, _ in segments]
-    ends = np.cumsum(sizes)  # index just past each segment
-    if ends[-1] != schedule.total_length:
-        raise AssertionError(
-            f"length {ends[-1]} != scheduled {schedule.total_length}")
-    states = [word_state(shift, head) for _, head in segments]
-    point = Word(tuple(itertools.chain.from_iterable(
-        emit for emit, _ in segments[:-1])) + states[-1].head, states[-1].cycle)
+        path, row = bridge(cells[0], schedule.cells[k][0]
+                           if k < schedule.k_max else schedule.cells[0][0])
+        segments.append((np.array([pos]), path, row))
+        pos += path.shape[1]
+    L = schedule.total_length
+    if pos != L:
+        raise AssertionError(f"length {pos} != scheduled {L}")
+    cyc = np.array(canonical_cycle(shift, schedule.cells[0][0]), dtype=np.int8)
+    z = np.empty(L + AUDIT_DEPTH + len(cyc), dtype=np.int8)
+    for starts, symbols, _cont in segments:
+        z[starts[:, None] + np.arange(symbols.shape[1])] = symbols
+    z[L:] = np.resize(cyc, len(z) - L)  # the last state, from its target on
+    ends = np.concatenate([starts + symbols.shape[1]
+                           for starts, symbols, _cont in segments])
+    cont = np.concatenate([np.broadcast_to(c, (len(starts), depth))
+                           for starts, _symbols, c in segments])
     # e = first mismatch between a segment's continuation and the point:
     # the jump at the segment end is 2^-e (e = 0 breaks the 1/2-pseudo-orbit)
     # and the segment's last state is 2^-(1+e) from the shifted point
-    depth = AUDIT_DEPTH - 1
-    cont = np.array([x.prefix(n + depth)[n:] for x, n in zip(states, sizes)])
-    z = np.array(point.prefix(ends[-1] + depth))
     miss = cont != z[ends[:, None] + np.arange(depth)]
-    bad = np.flatnonzero(miss[:, 0])
+    bad = ends[miss[:, 0]]
     if bad.size:
-        raise PseudoOrbitViolation(int(ends[bad[0]]) - 1, 1.0)
-    seq = np.array(point.prefix(len(point.head) + len(point.cycle) + 1))
-    if not _admissible(shift, seq):
+        raise PseudoOrbitViolation(int(bad.min()) - 1, 1.0)
+    if not _admissible(shift, z):
         raise ValueError("spliced point inadmissible")
     hit = miss.any(axis=1)
     deviation = (2.0 ** -(1 + int(miss.argmax(axis=1)[hit].min()))
                  if hit.any() else 0.0)
-    return point, deviation, chosen
+    return z, deviation, chosen
 
 
 @dataclass
 class WeaveOutcome:
     point: Word
+    symbols: np.ndarray  # the point's first symbols (see concatenate)
     total_length: int
     convergence: list[tuple[int, float]]
-    truncation_level: int
     per_block_deviation: float
     final_distance: float
     picks: dict
@@ -487,12 +486,11 @@ def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
                    for k in range(1, schedule.k_max + 1)
                    for i in range(1, schedule.T[k - 1] + 1)} | {L})
     grid = [n for n in grid if n >= 1]
-    D = _cylinder_distances(z.prefix(L + family.max_depth), grid, target,
-                           family)
+    D = _cylinder_distances(z[:L + family.max_depth], grid, target, family)
     convergence = [(n, float(d)) for n, d in zip(grid, D)]
     return WeaveOutcome(
-        point=z, total_length=L, convergence=convergence,
-        truncation_level=schedule.k_max, per_block_deviation=deviation,
+        point=word_state(shift, z[:L + 1].tolist()), symbols=z, total_length=L,
+        convergence=convergence, per_block_deviation=deviation,
         final_distance=convergence[-1][1], picks=used)
 
 
@@ -542,10 +540,12 @@ def separation_audit(shift: ShiftSpace, schedule: WeaveSchedule,
     if off + n_mj > outcome_a.total_length:
         raise ValueError("slot offset out of range")
     threshold = schedule.epsilon / 2
-    za, zb = outcome_a.point, outcome_b.point
     q_scan = n_mj + max(0, int(round(-math.log2(threshold)))) + 1
-    for c in range(q_scan):
-        if za.symbol(off + c) != zb.symbol(off + c):
-            idx = min(c, n_mj - 1)
-            return 2.0 ** (-(c - idx)) >= threshold
-    return False
+    # past total_length both points continue with the same last state, so
+    # the symbol arrays cover every position that can differ
+    differ = np.flatnonzero(outcome_a.symbols[off:off + q_scan]
+                            != outcome_b.symbols[off:off + q_scan])
+    if not differ.size:
+        return False
+    c = int(differ[0])
+    return 2.0 ** (-(c - min(c, n_mj - 1))) >= threshold

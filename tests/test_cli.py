@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbitweave.cli import main
+from orbitweave.cli import _run_length_encode, main
 
 
 def run(tmp_path, command, config, seed=1, outdir="out"):
@@ -219,6 +223,73 @@ def test_weave_and_truncation(tmp_path):
     cfg.pop("min_total_length")
     code2, _ = run(tmp_path, "weave", cfg, seed=11, outdir="trunc")
     assert code2 == 3
+
+
+FULL2 = {"kind": "full_shift", "k": 2}
+GOLDEN = {"kind": "sft", "transition": [[1, 1], [1, 0]]}
+WEAVE_MIXTURE = {"mixture": [[0.37, {"bernoulli": 0.25}],
+                             [0.63, {"bernoulli": 0.8}]]}
+# sha256 of woven.txt, schedule.json and convergence.csv at seed 1, as the
+# weave wrote them with one Word per segment; a change to the sampled
+# blocks, the draws, the splice or the formats shows here
+WEAVE_DIGESTS = {
+    "b07": (
+        {"system": FULL2, "target": {"bernoulli": 0.7},
+         "min_total_length": 5000},
+        ["ae3b6bb3d2be880bf27220d54df71f01bb2f4e161fa191b717bb6a113e959b2b",
+         "f1e832d220f204dbf57d23aa888ebdbaaa15a4020e4eb3ce6f9d7c2439c307af",
+         "543f9c659d2da5effad07f6ebee555f5569a6ff86ae491bce14835d143ad3d03"]),
+    "golden_markov": (
+        {"system": GOLDEN, "target": {"P": [[0.6, 0.4], [1.0, 0.0]]},
+         "min_total_length": 5000},
+        ["eb17b380c30803a8ece00c57da344e4fcd78676567ecaf8a0db949975e072f1c",
+         "0b091c1f12b0d1a6c9de34a3e3aa4327c5f9113ade21ed8ec047648e6434e7b7",
+         "8983b8d1809db820a35860f9b3332d29d7c92a2cf3ce2985b69eaee320ec9805"]),
+    "mixture": (
+        {"system": FULL2, "target": WEAVE_MIXTURE, "k_max": 2,
+         "min_total_length": 5000},
+        ["4b40824af142dfd42a24d1e829c90c69973acd654859d11c50da0e529e45a46d",
+         "11673943a5642208db11acb9b6b7c6cf03ba1b629cfcc34aa519782db6be645e",
+         "24cf46672a717712de33f3018d20e3b59248c852b9e9b31864a039941047f3b3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEAVE_DIGESTS))
+def test_weave_artifacts_byte_identical(tmp_path, name):
+    cfg, digests = WEAVE_DIGESTS[name]
+    code, out = run(tmp_path, "weave", cfg)
+    assert code == 0
+    assert [hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("woven.txt", "schedule.json", "convergence.csv")] \
+        == digests
+
+
+def _loop_run_length_encode(symbols) -> str:
+    """Reference encoder: one Python step per symbol."""
+    out = []
+    prev, count = None, 0
+    for s in symbols:
+        if s == prev:
+            count += 1
+        else:
+            if prev is not None:
+                out.append(f"{prev}x{count}")
+            prev, count = s, 1
+    if prev is not None:
+        out.append(f"{prev}x{count}")
+    return " ".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3000)),
+                min_size=1, max_size=40))
+@example([(0, 1)])
+@example([(1, 1)])
+@example([(2, 50_000)])
+def test_run_length_encode_matches_loop(runs):
+    symbols = [a for a, n in runs for _ in range(n)]
+    assert _run_length_encode(np.array(symbols, dtype=np.int8)) == \
+        _loop_run_length_encode(symbols)
 
 
 def test_shrink_csv(tmp_path):

@@ -11,7 +11,7 @@ from orbitweave.measures import (AtomicMeasure, CylinderIndicator,
                                  MixtureMeasure, TestFunctionFamily,
                                  bernoulli, convex_decompose, empirical,
                                  frequency_observable, integrate,
-                                 limit_measures, markov_entropy,
+                                 markov_entropy,
                                  measure_from_json, measure_to_json,
                                  weak_star_distance)
 from orbitweave.shadowing import make_rng
@@ -214,12 +214,6 @@ def test_convex_decompose_cap_reported():
     with pytest.raises(DecompositionError) as exc:
         convex_decompose(mix, 10 ** 9, FAMILY, denominator_cap=2)
     assert exc.value.achieved < 1.0
-
-
-def test_limit_measures_periodic_orbit():
-    sh = full_shift(2)
-    reps = limit_measures(sh, Word.periodic((0, 1)), 200, FAMILY, 0.05)
-    assert len(reps) == 1
 
 
 def test_measure_json_round_trip():

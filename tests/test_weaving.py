@@ -6,10 +6,11 @@ import pytest
 
 from orbitweave.measures import (MixtureMeasure, TestFunctionFamily, bernoulli,
                                  integrate)
-from orbitweave.shadowing import (PseudoOrbitViolation, make_rng,
-                                  shadow_shift, validate_pseudo, word_state)
-from orbitweave.systems import full_shift, golden_mean_shift
-from orbitweave.weaving import (BlockFamily, BlockSearchError,
+from orbitweave.shadowing import (AUDIT_DEPTH, PseudoOrbitViolation,
+                                  make_rng, shadow_shift, validate_pseudo,
+                                  word_state)
+from orbitweave.systems import Word, full_shift, golden_mean_shift
+from orbitweave.weaving import (BlockFamily, BlockSearchError, WeaveOutcome,
                                 _cylinder_distances, build_schedule,
                                 concatenate, connector, run_weave,
                                 select_blocks, separation_audit, weave_point,
@@ -46,13 +47,13 @@ def test_connector_requires_irreducible():
 def test_select_blocks_invariants():
     fam = select_blocks(FULL, bernoulli(0.5), 16, 0.5, 2, 0.25,
                         budget=300, seed=7, family=FAMILY)
-    assert fam.blocks
+    assert len(fam.blocks)
     window = range(fam.n, fam.n + 1)
     for w in fam.blocks:
         assert w[0] == fam.cell
         assert w[fam.n] == w[0]  # return to the cell at exactly n steps
         assert word_empirical_distance(w, fam.n, fam.measure, FAMILY) < 0.5
-    prefixes = {w[:fam.n] for w in fam.blocks}
+    prefixes = {tuple(w[:fam.n]) for w in fam.blocks.tolist()}
     assert len(prefixes) == len(fam.blocks)
     assert 16 <= fam.n <= 20
     assert 0.0 < fam.acceptance_rate <= 1.0
@@ -133,7 +134,8 @@ def test_select_blocks_matches_loop(golden, k):
     args = (measure, 10, 0.5, k, 0.3, 300, 9)
     fam = select_blocks(shift, *args, family=FAMILY)
     blocks, n, cell, rate = _loop_select_blocks(*args, FAMILY)
-    assert (fam.blocks, fam.n, fam.cell, fam.acceptance_rate) == \
+    assert (tuple(map(tuple, fam.blocks.tolist())), fam.n, fam.cell,
+            fam.acceptance_rate) == \
         (blocks, n, cell, rate)
     assert len(blocks) > 1 and 0 < rate < 1
 
@@ -221,22 +223,27 @@ def test_concatenate_length_and_block_windows():
     sched = build_schedule(decomposition, [[fam.n]], [[fam.cell]],
                            lambda a, b: connector(FULL, a, b),
                            gamma=0.25, k_max=1, epsilon=0.25)
-    point, _deviation, picks = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
-    # the spliced symbols, then the head of the last state (its target cell)
-    assert len(point.head) == sched.total_length + 1
+    z, _deviation, picks = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
+    # the spliced symbols, then the last state (its target cell, then its
+    # cycle, of period 1 on the full shift) to AUDIT_DEPTH + 1 coordinates
+    assert len(z) == sched.total_length + AUDIT_DEPTH + 1
+    assert set(z[sched.total_length:].tolist()) == {sched.cells[0][0]}
     # every block window holds the picked block's prefix verbatim
     for (k, j, i, t), idx in picks.items():
         off = sched.M_ijt(k, i, j, t)
         n = sched.block_lengths[k - 1][j - 1]
-        got = tuple(point.symbol(off + p) for p in range(n))
-        assert got == fam.blocks[idx][:n]
+        assert np.array_equal(z[off:off + n], fam.blocks[idx, :n])
 
 
-def _per_position_states(shift, schedule, families, picks):
+def _per_position_states(shift, schedule, families, picks, seed=0):
     """The pseudo-orbit with one word_state per position, in the
-    construction's order: the reference the segment splice must match."""
+    construction's order: the reference the segment splice must match.
+    A slot missing from picks draws its block with one rng.integers call,
+    in slot order.  Returns (states, picks used)."""
     states = []
     cells = schedule.cells
+    rng = make_rng(seed)
+    used = {}
 
     def bridge(a, b):
         _s, path = connector(shift, a, b)
@@ -248,13 +255,48 @@ def _per_position_states(shift, schedule, families, picks):
         for i in range(1, schedule.T[k - 1] + 1):
             for j in range(1, sk + 1):
                 n = schedule.block_lengths[k - 1][j - 1]
+                blocks = families[(k, j)].blocks.tolist()
                 for t in range(1, schedule.repetitions(k, j) + 1):
-                    w = families[(k, j)].blocks[picks[(k, j, i, t)]]
+                    slot = (k, j, i, t)
+                    used[slot] = (picks[slot] if slot in picks
+                                  else int(rng.integers(len(blocks))))
+                    w = blocks[used[slot]]
                     states.extend(word_state(shift, w[p:]) for p in range(n))
                 bridge(cells[k - 1][j - 1], cells[k - 1][j % sk])
         bridge(cells[k - 1][0], (cells[k] if k < schedule.k_max
                                  else cells[0])[0])
-    return states
+    return states, used
+
+
+def _assert_splice_matches_oracle(shift, schedule, families, seed, picks):
+    z, deviation, used = concatenate(shift, schedule, families, seed=seed,
+                                     picks=picks)
+    states, ref_picks = _per_position_states(shift, schedule, families,
+                                             picks or {}, seed)
+    assert used == ref_picks
+    assert len(states) == schedule.total_length
+    ref = shadow_shift(shift, validate_pseudo(shift, states, 0.5))
+    assert np.array_equal(z, ref.point.prefix(len(z)))
+    assert deviation == ref.max_deviation
+    return ref, ref_picks
+
+
+def _assert_weave_matches_oracle(shift, target, seed):
+    schedule, families, outcome = run_weave(
+        shift, target, FAMILY, k_max=2, gamma=0.3, block_length=10,
+        budget=100, seed=seed, min_total_length=3000)
+    ref, ref_picks = _assert_splice_matches_oracle(shift, schedule, families,
+                                                   seed, None)
+    assert outcome.point == ref.point
+    assert outcome.picks == ref_picks
+    assert outcome.per_block_deviation == ref.max_deviation
+    # a one-slot repick, every other slot given as in the outcome
+    slot = sorted(s for s in outcome.picks
+                  if len(families[s[:2]].blocks) > 1)[seed]
+    picks = dict(outcome.picks)
+    picks[slot] = (picks[slot] + 1) % len(families[slot[:2]].blocks)
+    _assert_splice_matches_oracle(shift, schedule, families, seed, picks)
+    return schedule
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -264,18 +306,16 @@ def test_splice_matches_per_position_oracle(golden, seed):
     shift = golden_mean_shift() if golden else FULL
     target = (MarkovMeasure(GOLDEN_CHAIN, shift=shift) if golden
               else bernoulli(0.7))
-    schedule, families, outcome = run_weave(
-        shift, target, FAMILY, k_max=2, gamma=0.3, block_length=10,
-        budget=100, seed=seed, min_total_length=3000)
-    point, deviation, picks = concatenate(shift, schedule, families,
-                                          seed=seed)
-    assert picks == outcome.picks
-    states = _per_position_states(shift, schedule, families, picks)
-    assert len(states) == schedule.total_length
-    ref = shadow_shift(shift, validate_pseudo(shift, states, 0.5))
-    assert point == ref.point
-    assert deviation == ref.max_deviation
-    assert outcome.per_block_deviation == ref.max_deviation
+    _assert_weave_matches_oracle(shift, target, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_splice_matches_per_position_oracle_on_mixture(seed):
+    mix = MixtureMeasure(((Fraction(1, 3), bernoulli(0.25)),
+                          (Fraction(2, 3), bernoulli(0.8))))
+    schedule = _assert_weave_matches_oracle(FULL, mix, seed)
+    # two families per level, so two in-cycle connectors per cycle
+    assert [len(level) for level in schedule.cells] == [2, 2]
 
 
 def test_splice_violation_matches_per_position_oracle():
@@ -283,20 +323,37 @@ def test_splice_violation_matches_per_position_oracle():
     # lands in 1 and breaks the 1/2-pseudo-orbit at the end of its slot
     good = (0, 1, 0, 1, 0, 1, 1, 0, 0)
     bad = (0, 1, 1, 0, 1, 0, 0, 1, 1)
-    fam = BlockFamily(measure=bernoulli(0.5), n=4, cell=0, epsilon=0.25,
-                      k=1, gamma=0.25, blocks=(good, bad), acceptance_rate=1.0)
+    fam = BlockFamily(measure=bernoulli(0.5), shift=FULL, n=4, cell=0,
+                      blocks=np.array([good, bad], dtype=np.int8),
+                      acceptance_rate=1.0)
     sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[0]],
                            lambda a, b: connector(FULL, a, b), gamma=0.25,
                            k_max=1, epsilon=0.25, min_total_length=40)
     picks = {(1, 1, i, 1): 0 for i in range(1, sched.T[0] + 1)}
-    picks[(1, 1, 3, 1)] = 1
+    picks[(1, 1, 3, 1)] = picks[(1, 1, 5, 1)] = 1  # the first one is raised
     with pytest.raises(PseudoOrbitViolation) as got:
         concatenate(FULL, sched, {(1, 1): fam}, picks=picks)
-    states = _per_position_states(FULL, sched, {(1, 1): fam}, picks)
+    states, _ = _per_position_states(FULL, sched, {(1, 1): fam}, picks)
     with pytest.raises(PseudoOrbitViolation) as ref:
         validate_pseudo(FULL, states, 0.5)
     assert got.value.index == ref.value.index == sched.M_ijt(1, 3, 1, 1) + 3
     assert got.value.gap == ref.value.gap
+
+
+def test_splice_of_a_periodic_point_has_no_deviation():
+    # golden mean, cell 1: blocks 1010 and connectors 10 splice to (10)^oo,
+    # which every state's continuation (the block's tail 101, then the
+    # cycle through 1 from its second symbol) matches to AUDIT_DEPTH
+    gm = golden_mean_shift()
+    fam = BlockFamily(measure=bernoulli(0.5), shift=gm, n=4, cell=1,
+                      blocks=np.array([[1, 0, 1, 0, 1, 0, 1]], dtype=np.int8),
+                      acceptance_rate=1.0)
+    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[1]],
+                           lambda a, b: connector(gm, a, b), gamma=0.25,
+                           k_max=1, epsilon=0.25, min_total_length=40)
+    ref, _ = _assert_splice_matches_oracle(gm, sched, {(1, 1): fam}, 0, None)
+    assert ref.max_deviation == 0.0
+    assert ref.point.prefix(6) == (1, 0, 1, 0, 1, 0)
 
 
 def test_weave_point_bernoulli_half():
@@ -338,6 +395,34 @@ def test_separation_audit_pair():
     assert separation_audit(FULL, schedule, outcome, out2)
     with pytest.raises(ValueError):
         separation_audit(FULL, schedule, outcome, outcome)
+
+
+@pytest.mark.parametrize("past, separated", [(2, True), (3, False)])
+def test_separation_audit_difference_past_the_block(past, separated):
+    # epsilon 0.25: threshold 1/8 and a scan of n + 4 symbols; a first
+    # difference at c = n + past is read as 2^-(past + 1) apart
+    sched = _single_level_schedule(n=16, min_total=100)
+    slot = (1, 1, 2, 1)  # (k, j, i, t)
+    off, L = sched.M_ijt(1, 2, 1, 1), sched.total_length
+
+    def outcome(symbols, pick):
+        return WeaveOutcome(
+            point=Word(tuple(symbols[:L + 1].tolist()), (0,)),
+            symbols=symbols, total_length=L, convergence=[],
+            per_block_deviation=0.0, final_distance=0.0, picks={slot: pick})
+
+    za = np.zeros(L + AUDIT_DEPTH, dtype=np.int8)
+    zb = za.copy()
+    zb[off + 16 + past] = 1
+    assert separation_audit(FULL, sched, outcome(za, 0),
+                            outcome(zb, 1)) is separated
+
+
+def test_empty_block_family_rejected():
+    with pytest.raises(ValueError, match="empty block family"):
+        BlockFamily(measure=bernoulli(0.5), shift=FULL, n=4, cell=0,
+                    blocks=np.empty((0, 9), dtype=np.int8),
+                    acceptance_rate=0.0)
 
 
 def test_weave_on_golden_mean():
