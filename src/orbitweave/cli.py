@@ -6,10 +6,10 @@ with a single leading comment line; all files are written atomically.
 
 Exit codes: 0 success; 1 an honest quantitative miss (a weave whose final
 empirical distance exceeds its `bound`); 2 config or precondition error;
-3 schedule truncation or overflow; 4 resource cap (the shadowing
-tracked-interval cap, or a block search that exhausted its budget: a cap on
-the work, not evidence that no block exists); 5 internal invariant
-violation or any other unexpected error.  No failure prints a traceback.
+3 schedule truncation or overflow; 4 resource cap (a block search that
+exhausted its budget: a cap on the work, not evidence that no block
+exists); 5 internal invariant violation or any other unexpected error.
+No failure prints a traceback.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .entropy import katok_entropy
 from .measures import (LocallyConstantObservable, MarkovMeasure,
                        TestFunctionFamily, _state_json, frequency_observable,
                        markov_entropy, measure_from_json)
-from .shadowing import (ResourceCapError, make_rng, perturbed_orbit,
-                        shadow_interval, shadow_shift, shadowing_modulus,
-                        _random_start)
+from .shadowing import (make_rng, perturbed_orbit, shadow_interval,
+                        shadow_shift, shadowing_modulus, _random_start)
 from .systems import ShiftSpace, system_from_json
 from .variational import shrink_experiment, spectrum
 from .weaving import BlockSearchError, run_weave
@@ -49,7 +48,7 @@ EXIT_CODES = [
     ((KeyError, TypeError, ValueError), EXIT_CONFIG,
      "config/precondition error"),
     (OverflowError, EXIT_TRUNCATION, "truncation"),
-    ((ResourceCapError, BlockSearchError), EXIT_RESOURCE, "resource cap"),
+    (BlockSearchError, EXIT_RESOURCE, "resource cap"),
     ((AssertionError, ArithmeticError), EXIT_INTERNAL,
      "internal invariant violation"),
     (Exception, EXIT_INTERNAL, "internal error"),

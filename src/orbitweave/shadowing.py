@@ -2,14 +2,13 @@
 
 Shifts get the exact symbolic splice (first symbol of every pseudo-orbit
 state), with the guarantee that a validated 2^-m pseudo-orbit is shadowed to
-within 2^-(m+1).  Interval maps get branchwise interval refinement over the
-linear pieces; failure is reported honestly and a tracked-interval cap turns
-into a resource error rather than a bogus nonexistence claim.
+within 2^-(m+1).  On interval maps the values a shadow can take at time t
+form one interval (the maps are continuous), tracked forward over the linear
+pieces; the shadow is rebuilt backward from it, with no cap on the work.
 
-`shadowing_modulus` runs each delta row as one batch over all trials, one
-kernel per system kind; the single-trial functions are batches of one.  Shift
-perturbations resample symbols as succ[floor(u * len(succ))], so shift
-single-mode streams differ from the former rng.integers draws.
+`shadowing_modulus` runs each delta row as one batch over all trials; the
+single-trial functions are batches of one.  Shift symbols, of random starts
+and perturbations alike, are succ[floor(u * len(succ))] for uniforms u.
 """
 
 from __future__ import annotations
@@ -26,21 +25,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .systems import (EndpointFixedMap, ShiftSpace, State, System, TentMap,
                       Word, apply_map, dist, orbit)
 
-__all__ = [
-    "PseudoOrbit",
-    "ShadowResult",
-    "PseudoOrbitViolation",
-    "ResourceCapError",
-    "validate_pseudo",
-    "perturbed_orbit",
-    "shadow_shift",
-    "shadow_interval",
-    "shadowing_modulus",
-    "canonical_cycle",
-    "make_rng",
-]
+__all__ = ["PseudoOrbit", "ShadowResult", "PseudoOrbitViolation",
+           "validate_pseudo", "perturbed_orbit", "shadow_shift",
+           "shadow_interval", "shadowing_modulus", "canonical_cycle",
+           "make_rng"]
 
 AUDIT_DEPTH = 64  # coordinate depth to which shadow deviations are measured
+START_LENGTH = 32  # drawn symbols of a random shift start
+SWEEP = 14  # most rows of the modulus's halving sweep
+SPLICE_CHUNK = 1 << 18  # symbols compared per chunk of splice trials
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -53,10 +46,6 @@ class PseudoOrbitViolation(ValueError):
         super().__init__(f"pseudo-orbit gap {gap:g} at index {index} exceeds delta")
         self.index = index
         self.gap = gap
-
-
-class ResourceCapError(RuntimeError):
-    """Tracked-interval cap exceeded; not evidence of non-shadowability."""
 
 
 @dataclass(frozen=True)
@@ -136,12 +125,13 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
         return PseudoOrbit(tuple(orbit(system, x0, n)), 0.0)
     u = _uniforms(system, n, [seed])
     if isinstance(system, ShiftSpace):
-        heads = _shift_heads(system, [x0], delta, u)[0].tolist()
+        start = np.array([x0.prefix(_resolution(delta) + 1)], dtype=np.int8)
+        heads = _shift_heads(system, start, delta, u)[0].tolist()
         cycles = {a: word_state(system, [a]).cycle for a in {h[-1] for h in heads}}
         return PseudoOrbit((x0,) + tuple(Word(tuple(h), cycles[h[-1]])
                                          for h in heads), delta)
     xs = _interval_orbits(system, np.array([float(x0)]), delta, u)
-    return PseudoOrbit(tuple(xs[0].tolist()), delta)
+    return PseudoOrbit(tuple(xs[:, 0].tolist()), delta)
 
 
 def _uniforms(system: System, n: int, seeds) -> np.ndarray:
@@ -153,22 +143,27 @@ def _uniforms(system: System, n: int, seeds) -> np.ndarray:
     return u
 
 
-def _shift_heads(shift: ShiftSpace, x0: Sequence[Word], delta: float,
-                 u: np.ndarray) -> np.ndarray:
-    """Heads (trials, n - 1, m + 8) of states 1..n-1, 2^-m <= delta.  Only
-    the first of the 8 resampled symbols survives into later heads: one
-    sequential spine column runs across trials, the other 7 all at once."""
-    m = int(math.ceil(-math.log2(delta)))  # keep 2^-m <= delta
+def _resolution(delta: float) -> int:
+    """m with 2^-m <= delta: shift kicks resample the symbols from depth m."""
+    m = int(math.ceil(-math.log2(delta)))
     if m < 1:
         raise ValueError("shift perturbation needs delta < 1")
+    return m
+
+
+def _shift_heads(shift: ShiftSpace, start: np.ndarray, delta: float,
+                 u: np.ndarray) -> np.ndarray:
+    """Heads (trials, n - 1, m + 8) of states 1..n-1, 2^-m <= delta, from the
+    start windows (trials, >= m + 1).  Only the first of the 8 resampled
+    symbols survives into later heads: one sequential spine column runs
+    across trials, the other 7 all at once."""
+    m = _resolution(delta)
     table, count = _successor_table(shift)
     trials, steps = u.shape[:2]
     spine = np.empty((trials, m + 1 + steps), dtype=np.int8)
-    spine[:, :m + 1] = [x.prefix(m + 1) for x in x0]
+    spine[:, :m + 1] = start[:, :m + 1]
     # first resampled symbol of every step, for every current symbol
-    nxt = np.empty((trials, steps, shift.alphabet_size), dtype=np.int8)
-    for a in range(shift.alphabet_size):
-        nxt[..., a] = table[a, (u[..., 0] * count[a]).astype(np.intp)]
+    nxt = table[np.arange(len(count)), (u[..., :1] * count).astype(np.intp)]
     rows = np.arange(trials)
     for i in range(steps):
         spine[:, m + 1 + i] = nxt[rows, i, spine[:, m + i]]
@@ -191,18 +186,17 @@ def _cycle_rows(shift: ShiftSpace, last: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _splice(shift: ShiftSpace, x0: Sequence[Word], heads: np.ndarray):
-    """(column, z) for _splice_deviations; each head continues with the
-    canonical cycle through its last symbol, by table lookup."""
-    h, last = heads.shape[-1], heads[..., -1]
+def _splice(shift: ShiftSpace, start: np.ndarray, heads: np.ndarray):
+    """(windows, z) for _splice_deviations: the first AUDIT_DEPTH symbols of
+    states 0..n-1 (the start window, then each head continued by the
+    canonical cycle through its last symbol) and the spliced point."""
+    last = heads[..., -1]
     cont = _cycle_rows(shift, last, AUDIT_DEPTH + shift.alphabet_size)
-    first = np.array([x.prefix(AUDIT_DEPTH) for x in x0], dtype=np.int8)
-
-    def column(j):
-        rest = heads[..., j] if j < h else cont[last, j - h]
-        return np.concatenate([first[:, j, None], rest], axis=1)
-    return column, np.concatenate([first[:, :1], heads[:, :-1, 0], heads[:, -1],
-                                   cont[last[:, -1]]], axis=1)
+    windows = np.empty((len(heads), heads.shape[1] + 1, AUDIT_DEPTH), np.int8)
+    windows[:, 0] = start[:, :AUDIT_DEPTH]
+    windows[:, 1:] = np.concatenate([heads, cont[last]], -1)[..., :AUDIT_DEPTH]
+    return windows, np.concatenate([start[:, :1], heads[:, :-1, 0],
+                                    heads[:, -1], cont[last[:, -1]]], axis=1)
 
 
 def _admissible(shift: ShiftSpace, seq: np.ndarray) -> bool:
@@ -211,17 +205,17 @@ def _admissible(shift: ShiftSpace, seq: np.ndarray) -> bool:
         np.array(shift.transition, dtype=bool)[seq[..., :-1], seq[..., 1:]]))
 
 
-def _splice_deviations(shift: ShiftSpace, column, z: np.ndarray) -> np.ndarray:
-    """2^-j per state (..., n), j the first mismatch of z[i:] with state i,
-    whose depth-j symbols are column(j), 0 if none below AUDIT_DEPTH; z
-    must also cover one period of the spliced point, which is checked."""
+def _splice_deviations(shift: ShiftSpace, windows: np.ndarray,
+                       z: np.ndarray) -> np.ndarray:
+    """2^-j per state (..., n), j the first mismatch of z[i:] with window i
+    of windows (..., n, AUDIT_DEPTH), 0 if none; z must also cover one
+    period of the spliced point, which is checked."""
     if not _admissible(shift, z):
         raise ValueError("spliced point inadmissible; pseudo-orbit was not validated")
-    first = np.full(column(0).shape, AUDIT_DEPTH, dtype=np.int8)
-    n = first.shape[-1]
-    for j in range(AUDIT_DEPTH - 1, -1, -1):  # a smaller j overwrites
-        first[z[..., j:j + n] != column(j)] = j
-    return np.where(first < AUDIT_DEPTH, 2.0 ** -first, 0.0)
+    n = windows.shape[-2]
+    differ = sliding_window_view(z, AUDIT_DEPTH, axis=-1)[..., :n, :] != windows
+    first = differ.argmax(axis=-1)
+    return np.where(differ.any(axis=-1), 2.0 ** -first, 0.0)
 
 
 def shadow_shift(shift: ShiftSpace, po: PseudoOrbit) -> ShadowResult:
@@ -231,98 +225,86 @@ def shadow_shift(shift: ShiftSpace, po: PseudoOrbit) -> ShadowResult:
     windows = np.array([s.prefix(AUDIT_DEPTH) for s in states])
     z = Word(tuple(windows[:-1, 0].tolist()) + states[-1].head, states[-1].cycle)
     seq = z.prefix(len(z.head) + len(z.cycle) + AUDIT_DEPTH)
-    per_step = _splice_deviations(shift, lambda j: windows[:, j],
-                                  np.array(seq)).tolist()
+    per_step = _splice_deviations(shift, windows, np.array(seq)).tolist()
     return ShadowResult(point=z, max_deviation=max(per_step), per_step=per_step)
 
 
 def _interval_orbits(map_: TentMap | EndpointFixedMap, x0: np.ndarray,
                      delta: float, u: np.ndarray) -> np.ndarray:
-    """Perturbed orbits (trials, n): the kick a + (b - a) * u, (a, b) =
-    (-delta/2, delta/2), is the double rng.uniform(a, b) draws.  No -0.0
-    arises in forward passes, so numpy's min and max equal Python's."""
+    """Perturbed orbits (n, trials), time-major: the kick a + (b - a) * u,
+    (a, b) = (-delta/2, delta/2), is the double rng.uniform(a, b) draws.  No
+    -0.0 arises in forward passes, so numpy's min and max equal Python's."""
     lo, hi = map_.domain
-    xs = np.empty((len(x0), u.shape[1] + 1))
-    xs[:, 0] = x0
+    xs = np.empty((u.shape[1] + 1, len(x0)))
+    xs[0] = x0
     for i in range(u.shape[1]):
-        y = map_.value(xs[:, i])
+        y = map_.value(xs[i])
         kick = -delta / 2 + (delta / 2 - -delta / 2) * u[:, i]
-        xs[:, i + 1] = np.clip(y + kick, lo, hi) if delta > 0 else y
+        xs[i + 1] = np.minimum(np.maximum(y + kick, lo), hi) if delta > 0 else y
     return xs
 
 
-SHADOWED, NO_SHADOW, OVER_CAP = 0, 1, 2  # per-trial outcomes of _interval_shadow
-
-
 def _interval_shadow(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
-                     epsilon: float, piece_cap: int = 4096):
-    """shadow_interval on every row of xs (trials, n): flat arrays (lo, hi,
-    trial) in single-trial order, per-step back-pointers source * nb + branch.
-    Returns per trial SHADOWED, NO_SHADOW (set emptied or shadow reached
-    epsilon) or OVER_CAP (past piece_cap); a SHADOWED row of xs is
-    overwritten with its shadow orbit, and other rows may be changed too."""
-    trials, n = xs.shape
-    plo, phi_, m, c = np.array(map_.pieces()).T
-    nb = len(m)
-    lo = np.maximum(map_.domain[0], xs[:, 0] - epsilon)  # lo > hi empties at t = 1
-    hi = np.minimum(map_.domain[1], xs[:, 0] + epsilon)
-    outcome, trial, back = np.zeros(trials, np.int8), np.arange(trials), []
-    for t in range(1, n):
-        xlo, xhi = np.maximum(lo[:, None], plo), np.minimum(hi[:, None], phi_)
-        ya, yb = m * xlo + c, m * xhi + c
-        s = xs[trial, t, None]
-        ylo = np.maximum(np.minimum(ya, yb), s - epsilon)
-        yhi = np.minimum(np.maximum(ya, yb), s + epsilon)
-        keep = np.flatnonzero((xlo <= xhi) & (ylo <= yhi))  # source * nb + branch
-        count = np.bincount(trial[keep // nb], minlength=trials)
-        gone = (outcome == SHADOWED) & ((count == 0) | (count > piece_cap))
-        if gone.any():
-            outcome[gone] = np.where(count[gone] > piece_cap, OVER_CAP, NO_SHADOW)
-            keep = keep[outcome[trial[keep // nb]] == SHADOWED]
-        lo, hi, trial = ylo.ravel()[keep], yhi.ravel()[keep], trial[keep // nb]
-        back.append(keep.astype(np.int32))
-    order = np.lexsort((lo - hi, trial))  # widest first, earliest on ties
-    i = order[np.flatnonzero(np.diff(trial[order], prepend=-1))]
-    won = trial[i]
-    y = 0.5 * (lo[i] + hi[i])
-    deviation = np.abs(y - xs[won, -1])
-    xs[won, -1] = y
+                     epsilon: float):
+    """shadow_interval on every column of xs (n, trials): (ok, s).  s[t]
+    = (lo, -hi) of the interval S_t = f(S_{t-1}) ∩ [x_t - eps, x_t + eps]
+    (S_0: the window ∩ domain), hi negated so that one maximum clips both
+    ends.  f is continuous, so S_t is one interval, its ends the min and max
+    over the pieces of m * clip(S_{t-1}, piece) + c; once empty (lo > hi) it
+    stays empty, and s of such a trial ends as a point.  The shadow, written
+    over xs (meaningful where ok), starts at the midpoint of S_n and steps
+    back to the preimage of least residual |m x - (y - c)|, x clipped to
+    piece ∩ S_{t-1}.  A trial fails when some S_t empties or the shadow
+    reaches epsilon (boundary-equal fails)."""
+    n, trials = xs.shape
+    plo, phi_, m, c = (np.broadcast_to(v[:, None], (len(v), trials)).copy()
+                       for v in np.array(map_.pieces()).T)
+    bound = np.stack([plo, -phi_])  # max(bound, (lo, -hi)) = (xlo, -xhi)
+    # y[b, a] = slope * q[b] + shift: f at the clipped end b, negated if a
+    slope, shift = np.array([[m, -m], [-m, m]]), np.array([[c, -c], [c, -c]])
+    (q, y), (x, d, r) = np.empty((2,) + slope.shape), np.empty((3,) + m.shape)
+    s = xs[:, None] * [[1.0], [-1.0]]  # the windows (x - eps, -(x + eps))
+    s -= epsilon
+    np.maximum(s[0], [[map_.domain[0]], [-map_.domain[1]]], out=s[0])
+    with np.errstate(invalid="ignore"):  # 0 * inf: flat piece, empty S
+        for t in range(1, n):
+            np.maximum(bound[:, None], s[t - 1, :, None, None], out=q)
+            np.add(np.multiply(slope, q, out=y), shift, out=y)
+            image = np.minimum(y[0], y[1], out=y[0])  # (lo, -hi) per piece
+            miss = np.add(q[0, 0], q[1, 0], out=d) > 0.0  # xlo > xhi
+            np.copyto(image, np.inf, where=miss)  # the piece misses S_{t-1}
+            np.maximum(s[t], np.minimum.reduce(image, axis=1), out=s[t])
+    alive = s[-1, 0] <= -s[-1, 1]
+    s[..., ~alive] = [[map_.domain[0]], [-map_.domain[0]]]  # finite rebuilds
+    safe, q, cols = np.where(m == 0, np.inf, m), q[0], np.arange(trials)
+    y = 0.5 * (s[-1, 0] - s[-1, 1])
+    deviation, xs[-1] = np.abs(y - xs[-1]), y
     for t in range(n - 1, 0, -1):
-        b, i = back[t - 1][i] % nb, back[t - 1][i] // nb
-        y = (y - c[b]) / m[b]
-        # min(max(y, plo), phi) keeps y on ties: a -0.0 from a slope < 0 stays
-        y = np.where(plo[b] > y, plo[b], y)
-        y = np.where(phi_[b] < y, phi_[b], y)
-        deviation = np.maximum(deviation, np.abs(y - xs[won, t - 1]))
-        xs[won, t - 1] = y
-    outcome[won[deviation >= epsilon]] = NO_SHADOW  # boundary-equal fails
-    return outcome
+        np.divide(np.subtract(y, c, out=d), safe, out=x)  # flat: 0
+        np.maximum(bound, s[t - 1, :, None], out=q)
+        np.negative(q[1], out=q[1])  # (xlo, xhi)
+        np.minimum(np.maximum(x, q[0], out=x), q[1], out=x)
+        np.abs(np.subtract(np.multiply(m, x, out=r), d, out=r), out=r)
+        np.copyto(r, np.inf, where=q[0] > q[1])
+        y = x[r.argmin(axis=0), cols]
+        np.maximum(deviation, np.abs(y - xs[t - 1]), out=deviation)
+        xs[t - 1] = y
+    return alive & (deviation < epsilon), s
 
 
 def shadow_interval(map_: TentMap | EndpointFixedMap, po: PseudoOrbit,
-                    epsilon: float, piece_cap: int = 4096) -> ShadowResult | None:
-    """Branchwise interval refinement for piecewise-linear maps.
-
-    Tracks the set of attainable current values {f^t(x) : x shadows so far}
-    as a union of intervals, one per surviving branch history.  Tracking the
-    value at time t instead of the initial coordinate keeps every number
-    O(1), so expanding maps do not exhaust float precision; the shadow orbit
-    is then reconstructed by backward iteration through the recorded
-    branches, which is contracting exactly when the forward map expands.
-
-    Returns None when the interval set empties (strict failure at the
-    boundary per the shadowing definition); exceeding piece_cap is a
-    resource error, not a nonexistence claim.  A batch of one.
-    """
+                    epsilon: float) -> ShadowResult | None:
+    """Tracks the interval of attainable current values {f^t(x) : x shadows
+    so far}, which keeps every number O(1) on expanding maps, then rebuilds
+    the shadow backward, contracting where the map expands.  None when the
+    interval empties or the shadow reaches epsilon (strict failure at the
+    boundary per the shadowing definition).  A batch of one."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    ys = np.array([po.states], dtype=float)
-    outcome = _interval_shadow(map_, ys, epsilon, piece_cap)[0]
-    if outcome == OVER_CAP:
-        raise ResourceCapError(f"tracked intervals exceed cap {piece_cap}")
-    if outcome == NO_SHADOW:
+    ys = np.array(po.states, dtype=float)[:, None]
+    if not _interval_shadow(map_, ys, epsilon)[0][0]:
         return None
-    per_step = np.abs(ys[0] - po.states).tolist()
+    per_step = np.abs(ys[:, 0] - po.states).tolist()
     return ShadowResult(point=float(ys[0, 0]), max_deviation=max(per_step),
                         per_step=per_step)
 
@@ -333,26 +315,34 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     """Empirical delta(epsilon): sweep delta downward by halving, then bisect
     around the success threshold; returns (delta_hat, table of
     (delta, successes, trials)).  Starts and perturbation uniforms are drawn
-    once per call, and each row runs all trials as one batch; an interval
-    trial over the tracked-interval cap counts as a failure."""
+    once per call, and each row runs all trials as one batch."""
     if not (math.isfinite(epsilon) and epsilon > 0 and trials >= 1
             and length >= 2):
         raise ValueError(f"need finite epsilon > 0, trials >= 1, length >= 2; "
                          f"got {epsilon}, {trials}, {length}")
-    x0 = [_random_start(system, make_rng(seed + 7919 * t)) for t in range(trials)]
+    rngs = (make_rng(seed + 7919 * t) for t in range(trials))  # one pass
     u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
+    if isinstance(system, ShiftSpace):
+        words = _shift_starts(system, np.array([r.random(START_LENGTH) for r in rngs]))
+        # continued as far as the heads of the sweep's smallest delta reach
+        width = max(AUDIT_DEPTH, _resolution(epsilon / 2 ** (SWEEP - 1)) + 1)
+        start = np.hstack([words, _cycle_rows(system, words[:, -1], width)[
+            words[:, -1]]])
+        step = max(1, SPLICE_CHUNK // (length * AUDIT_DEPTH))
+    else:
+        x0 = np.array([_random_start(system, r) for r in rngs])
 
     def run(delta: float) -> int:
         if isinstance(system, ShiftSpace):
-            heads = _shift_heads(system, x0, delta, u)
-            deviation = _splice_deviations(system, *_splice(system, x0, heads))
-            return int(np.count_nonzero(deviation.max(axis=-1) < epsilon))
-        xs = _interval_orbits(system, np.array(x0), delta, u)
-        return int(np.count_nonzero(_interval_shadow(system, xs, epsilon)
-                                    == SHADOWED))
+            heads = _shift_heads(system, start, delta, u)
+            return sum(int(np.count_nonzero(_splice_deviations(
+                system, *_splice(system, start[a:a + step], heads[a:a + step])
+            ).max(axis=-1) < epsilon)) for a in range(0, trials, step))
+        xs = _interval_orbits(system, x0, delta, u)
+        return int(np.count_nonzero(_interval_shadow(system, xs, epsilon)[0]))
 
     delta, bad, table = epsilon, None, []  # coarse sweep, then bisection
-    for _ in range(14):
+    for _ in range(SWEEP):
         table.append((delta, run(delta), trials))
         if table[-1][1] / trials >= success_target:
             break
@@ -371,13 +361,23 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     return max(d for d, ok, tr in table if ok / tr >= success_target), table
 
 
+def _shift_starts(shift: ShiftSpace, u: np.ndarray) -> np.ndarray:
+    """int8 words of the shape of the uniforms u: symbol 0 is floor(u * k),
+    each later one a successor, drawn as _shift_heads draws them."""
+    table, count = _successor_table(shift)
+    out = np.empty(u.shape, dtype=np.int8)
+    out[:, 0] = np.minimum(u[:, 0] * len(count), len(count) - 1)
+    for j in range(1, u.shape[1]):
+        a = out[:, j - 1]
+        out[:, j] = table[a, (u[:, j] * count[a]).astype(np.intp)]
+    return out
+
+
 def _random_start(system: System, rng) -> State:
+    """A drawn word with its canonical cycle, or a point inside the domain."""
     if isinstance(system, ShiftSpace):
-        table, count = _successor_table(system)
-        head = [int(rng.integers(system.alphabet_size))]
-        for _ in range(31):
-            head.append(int(table[head[-1], rng.integers(count[head[-1]])]))
-        return word_state(system, head)
+        u = rng.random((1, START_LENGTH))
+        return word_state(system, _shift_starts(system, u)[0].tolist())
     lo, hi = system.domain
     return float(rng.uniform(lo + 1e-6, hi - 1e-6))
 

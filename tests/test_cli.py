@@ -264,6 +264,48 @@ def test_weave_artifacts_byte_identical(tmp_path, name):
         == digests
 
 
+def _modulus(system, epsilon, trials, length):
+    return {"system": system, "mode": "modulus", "epsilon": epsilon,
+            "trials": trials, "length": length}
+
+
+# sha256 of modulus.csv for the benchmark's four shadow configs at their
+# seeds (run seed 1); a change to a kernel, the draws or the format that
+# moves any row of these tables shows here
+SHADOW_DIGESTS = {
+    "full": (_modulus(FULL2, 2.0 ** -9, 100, 200), 100,
+             "08803d2167360c6f86f7c9d9c49a4a7336bc6de5922b568b55390a015997199f"),
+    "golden": (_modulus(GOLDEN, 2.0 ** -9, 100, 200), 101,
+               "aa97090ce821d2deb312bd5a23544031f0f623d3f443e59313b66597e9805686"),
+    "tent2": (_modulus({"kind": "tent", "s": 2.0}, 1e-3, 100, 1000), 102,
+              "8ef0fcdff71362741162424b5dad554a3b68ac03726278a2583c9884f262c8b2"),
+    "tent12": (_modulus({"kind": "tent", "s": 1.2}, 1e-3, 100, 200), 1,
+               "cb844f694fd8e68f7435a5a76f8da0f746376d86a86337ecd2b6326ff721d14b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_DIGESTS))
+def test_shadow_artifacts_byte_identical(tmp_path, name):
+    cfg, seed, digest = SHADOW_DIGESTS[name]
+    code, out = run(tmp_path, "shadow", cfg, seed=seed)
+    assert code == 0
+    assert hashlib.sha256((out / "modulus.csv").read_bytes()).hexdigest() \
+        == digest
+
+
+@pytest.mark.parametrize("system", [FULL2, GOLDEN])
+def test_shift_modulus_is_one_full_row_for_any_start(tmp_path, system):
+    # the splice shadows every validated 2^-m pseudo-orbit to 2^-(m+1), so
+    # the table is the row (eps, trials, trials) whatever starts are drawn
+    for seed in (0, 3, 17, 2024):
+        code, out = run(tmp_path, "shadow", _modulus(system, 2.0 ** -6, 12, 50),
+                        seed=seed, outdir=f"out{seed}")
+        assert code == 0
+        _, rows = read_rows(out / "modulus.csv")
+        assert [(float(r["delta"]), int(r["successes"]), int(r["trials"]))
+                for r in rows] == [(2.0 ** -6, 12, 12)]
+
+
 def _loop_run_length_encode(symbols) -> str:
     """Reference encoder: one Python step per symbol."""
     out = []

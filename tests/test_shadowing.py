@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitweave.shadowing import (NO_SHADOW, OVER_CAP, SHADOWED, PseudoOrbit,
-                                  PseudoOrbitViolation, ResourceCapError,
-                                  _interval_orbits, _interval_shadow,
-                                  _random_start, _shift_heads, _splice,
+from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
+                                  PseudoOrbitViolation, _interval_orbits,
+                                  _interval_shadow, _random_start,
+                                  _shift_heads, _shift_starts, _splice,
                                   _splice_deviations, _uniforms,
                                   canonical_cycle, make_rng, perturbed_orbit,
                                   shadow_interval, shadow_shift,
@@ -106,13 +106,11 @@ def test_shadow_interval_reports_failure():
     # jump by 0.8 cannot be traced within 0.01
     po = PseudoOrbit((0.1, 0.2 * 2, 1.2), delta=1.0)
     assert shadow_interval(f, po, 0.01) is None
-
-
-def test_shadow_interval_resource_cap():
-    f = TentMap(2.0)
-    po = PseudoOrbit(tuple(orbit(f, 0.37, 10)), delta=0.0)
-    with pytest.raises(ResourceCapError):
-        shadow_interval(f, po, 0.9, piece_cap=1)
+    # the only shadow, (0.75, 1.5), lies on the windows' edges: a deviation
+    # equal to epsilon fails, a larger epsilon finds it
+    po = PseudoOrbit((0.5, 1.75), delta=1.0)
+    assert shadow_interval(f, po, 0.25) is None
+    assert shadow_interval(f, po, 0.2500001).point == pytest.approx(0.75)
 
 
 def test_shadow_interval_long_expanding_orbit():
@@ -156,6 +154,13 @@ def test_make_rng_deterministic():
 # Per-trial reference loops, the oracle for the batched kernels: one trial
 # at a time, scalar map values, one rng.uniform per step, one Python list of
 # intervals per trial, per-position Word comparisons.
+
+SHADOWED, NO_SHADOW, OVER_CAP = "shadowed", "no shadow", "over cap"
+
+
+class OverCap(Exception):
+    """The branchwise oracle tracks more intervals than its cap."""
+
 
 PLMAP = EndpointFixedMap((0.0, 0.25, 0.5, 1.0), (0.0, 0.9, 0.6, 1.0))
 INTERVAL_MAPS = [TentMap(2.0), TentMap(1.2), PLMAP]
@@ -209,7 +214,7 @@ def ref_shadow_interval(map_, states, epsilon, piece_cap=4096):
                 nxt.append((ylo, yhi))
                 ptr.append((prev, bi))
         if len(nxt) > piece_cap:
-            raise ResourceCapError(f"{len(nxt)} tracked intervals exceed cap")
+            raise OverCap(f"{len(nxt)} tracked intervals exceed cap")
         if not nxt:
             return None
         pieces = nxt
@@ -228,9 +233,100 @@ def ref_shadow_interval(map_, states, epsilon, piece_cap=4096):
 def ref_outcome(map_, states, epsilon, piece_cap=4096):
     try:
         res = ref_shadow_interval(map_, states, epsilon, piece_cap)
-    except ResourceCapError:
+    except OverCap:
         return OVER_CAP, None
     return (NO_SHADOW, None) if res is None else (SHADOWED, res)
+
+
+def ref_union_interval(map_, states, epsilon):
+    """ref_shadow_interval's branchwise images with no cap, overlapping
+    intervals merged at each step: the unions S_0, S_1, ... as lists of
+    (lo, hi), up to and including the first empty one."""
+    lo0 = max(map_.domain[0], states[0] - epsilon)
+    hi0 = min(map_.domain[1], states[0] + epsilon)
+    unions = [[(lo0, hi0)] if lo0 <= hi0 else []]
+    for x in states[1:]:
+        if not unions[-1]:
+            break
+        images = []
+        for vlo, vhi in unions[-1]:
+            for plo, phi_, m, c in map_.pieces():
+                xlo, xhi = max(vlo, plo), min(vhi, phi_)
+                if xlo > xhi:
+                    continue
+                ylo, yhi = sorted((m * xlo + c, m * xhi + c))
+                ylo, yhi = max(ylo, x - epsilon), min(yhi, x + epsilon)
+                if ylo <= yhi:
+                    images.append((ylo, yhi))
+        merged = []
+        for ylo, yhi in sorted(images):
+            if merged and ylo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], yhi))
+            else:
+                merged.append((ylo, yhi))
+        unions.append(merged)
+    return unions
+
+
+def ref_union_witness(map_, unions, states, epsilon):
+    """Shadow rebuilt backward through one-interval unions: the midpoint
+    of S_n, then at each step the per-piece preimage of least residual
+    |m x - (y - c)|, clipped to piece ∩ S_{t-1}; None when a union empties
+    or the witness reaches epsilon."""
+    if len(unions) < len(states) or not unions[-1]:
+        return None
+    (lo, hi), = unions[-1]
+    ys = [0.5 * (lo + hi)]
+    for (vlo, vhi), in reversed(unions[:-1]):
+        y, best = ys[-1], None
+        for plo, phi_, m, c in map_.pieces():
+            xlo, xhi = max(plo, vlo), min(phi_, vhi)
+            if xlo > xhi:
+                continue
+            x = min(max((y - c) / m if m else 0.0, xlo), xhi)
+            r = abs(m * x - (y - c))
+            if best is None or r < best[0]:
+                best = (r, x)
+        ys.append(best[1])
+    ys.reverse()
+    return ys if max(abs(y - s) for y, s in zip(ys, states)) < epsilon else None
+
+
+def assert_shadows(map_, ys, states, epsilon):
+    """Independent check of a witness: each step maps onto the next to
+    1e-14 under the scalar map, and every deviation is below epsilon."""
+    assert max(abs(ref_value(map_, a) - b) for a, b in zip(ys, ys[1:])) <= 1e-14
+    assert max(abs(y - s) for y, s in zip(ys, states)) < epsilon
+
+
+def ref_union_outcome(map_, states, epsilon):
+    """(unions, witness or None) of the merged-union reference."""
+    unions = ref_union_interval(map_, states, epsilon)
+    return unions, ref_union_witness(map_, unions, states, epsilon)
+
+
+def shadow_batch(map_, xs, epsilon):
+    """(ok, ys, s) of the kernel, which writes the shadows over its input."""
+    ys = xs.copy()
+    ok, s = _interval_shadow(map_, ys, epsilon)
+    return ok, ys, s
+
+
+def assert_matches_union(map_, xs, epsilon, ok, ys, s):
+    """Kernel (ok, ys, s) on the columns of xs against the merged-union
+    reference: one interval per step equal to S_t, the same outcome and the
+    same witness, which passes the independent check."""
+    for t in range(xs.shape[1]):
+        states = xs[:, t].tolist()
+        unions, witness = ref_union_outcome(map_, states, epsilon)
+        assert all(len(u) == 1 for u in unions[:-1])
+        alive = len(unions) == len(states) and len(unions[-1]) == 1
+        if alive:
+            assert [u[0] for u in unions] == list(zip(s[:, 0, t], -s[:, 1, t]))
+        assert ok[t] == (witness is not None)
+        if ok[t]:
+            assert ys[:, t].tolist() == witness
+            assert_shadows(map_, witness, states, epsilon)
 
 
 def ref_modulus_row(system, epsilon, trials, length, seed, delta):
@@ -245,7 +341,7 @@ def ref_modulus_row(system, epsilon, trials, length, seed, delta):
         else:
             states = ref_interval_orbit(system, x0, length, delta,
                                         seed + 104729 * t + 1)
-            ok += ref_outcome(system, states, epsilon)[0] == SHADOWED
+            ok += ref_union_outcome(system, states, epsilon)[1] is not None
     return ok
 
 
@@ -296,6 +392,10 @@ def batch_inputs(system, trials, length, seed):
     return x0, u
 
 
+def windows(states, width=AUDIT_DEPTH):
+    return np.array([s.prefix(width) for s in states], dtype=np.int8)
+
+
 @pytest.mark.parametrize("map_", INTERVAL_MAPS)
 def test_interval_orbits_match_reference_bitwise(map_):
     x0, u = batch_inputs(map_, 12, 80, 5)
@@ -303,9 +403,9 @@ def test_interval_orbits_match_reference_bitwise(map_):
         xs = _interval_orbits(map_, np.array(x0), delta, u)
         for t in range(12):
             ref = ref_interval_orbit(map_, x0[t], 80, delta, 5 + 104729 * t + 1)
-            assert bits(xs[t]) == bits(ref)
+            assert bits(xs[:, t]) == bits(ref)
         one = perturbed_orbit(map_, x0[3], 80, delta, seed=5 + 104729 * 3 + 1)
-        assert bits(one.states) == bits(xs[3])
+        assert bits(one.states) == bits(xs[:, 3])
     grid = np.linspace(*map_.domain, 1001)
     assert bits(map_.value(grid)) == bits([ref_value(map_, x) for x in grid])
 
@@ -313,50 +413,97 @@ def test_interval_orbits_match_reference_bitwise(map_):
 @pytest.mark.parametrize("map_,epsilon,length", [
     (TentMap(2.0), 1e-3, 120), (TentMap(1.2), 1e-3, 80), (PLMAP, 1e-2, 80)])
 def test_interval_shadow_matches_reference(map_, epsilon, length):
+    # the merged-union reference pins S_t, the outcome and the witness; the
+    # branchwise oracle's shadows are all found again, and a trial it fails
+    # while the kernel shadows it had its witness on the window's edge
     x0, u = batch_inputs(map_, 25, length, 3)
     seen = set()
     for delta in (epsilon, epsilon / 2, epsilon / 8, epsilon / 64):
         xs = _interval_orbits(map_, np.array(x0), delta, u)
-        ys = xs.copy()  # the kernel writes each shadow over its row
-        outcome = _interval_shadow(map_, ys, epsilon)
+        ok, ys, s = shadow_batch(map_, xs, epsilon)
+        assert_matches_union(map_, xs, epsilon, ok, ys, s)
         for t in range(25):
-            want, res = ref_outcome(map_, xs[t].tolist(), epsilon)
-            assert outcome[t] == want
+            want, res = ref_outcome(map_, xs[:, t].tolist(), epsilon)
             seen.add(want)
+            assert want != OVER_CAP
             if want == SHADOWED:
-                assert bits(ys[t]) == bits(res[0])
-                one = shadow_interval(map_, PseudoOrbit(tuple(xs[t]), delta),
+                assert ok[t]
+            if ok[t]:
+                one = shadow_interval(map_, PseudoOrbit(tuple(xs[:, t]), delta),
                                       epsilon)
-                assert bits(one.per_step) == bits(res[1])
-                assert one.max_deviation == max(res[1])
+                assert one.per_step == np.abs(ys[:, t] - xs[:, t]).tolist()
+                assert one.max_deviation == max(one.per_step)
     assert SHADOWED in seen
 
 
 def test_interval_batch_mixes_outcomes_per_trial():
-    # one cap for the whole batch: some trials pass it, others succeed, and
-    # an appended jump row empties; every trial keeps its own outcome
+    # some trials succeed, and an appended jump row empties; every trial
+    # keeps its own outcome, alone or in the batch
     f = TentMap(2.0)
     x0, u = batch_inputs(f, 30, 30, 7)
     xs = _interval_orbits(f, np.array(x0), 0.3, u)
-    xs = np.vstack([xs, [0.1, 1.5] + [1.0] * 28])
-    ys = xs.copy()
-    outcome = _interval_shadow(f, ys, 0.3, piece_cap=64)
-    assert set(outcome.tolist()) == {SHADOWED, NO_SHADOW, OVER_CAP}
-    for t in range(len(xs)):
-        want, res = ref_outcome(f, xs[t].tolist(), 0.3, piece_cap=64)
-        assert outcome[t] == want
-        if want == SHADOWED:
-            assert bits(ys[t]) == bits(res[0])
-    alone = [_interval_shadow(f, xs[t:t + 1].copy(), 0.3, piece_cap=64)[0]
-             for t in range(len(xs))]
-    assert alone == outcome.tolist()
+    xs = np.hstack([xs, np.array([[0.1, 1.5] + [1.0] * 28]).T])
+    ok, ys, s = shadow_batch(f, xs, 0.3)
+    assert set(ok.tolist()) == {True, False}
+    assert_matches_union(f, xs, 0.3, ok, ys, s)
+    alone = [bool(shadow_batch(f, xs[:, t:t + 1], 0.3)[0][0])
+             for t in range(xs.shape[1])]
+    assert alone == ok.tolist()
+
+
+def test_union_oracle_where_branch_histories_explode():
+    # slope 1.2 at eps 0.05: at delta_hat the branchwise oracle passes its
+    # cap of 4,096 intervals on 20 trials; the merged union stays one
+    # interval and each of those trials is shadowed
+    f, epsilon, length, trials, seed = TentMap(1.2), 0.05, 60, 30, 7
+    delta_hat, table = shadowing_modulus(f, epsilon, trials, length, seed)
+    assert delta_hat > 0.0
+    x0, u = batch_inputs(f, trials, length, seed)
+    for delta, successes, _ in table:
+        xs = _interval_orbits(f, np.array(x0), delta, u)
+        ok, ys, s = shadow_batch(f, xs, epsilon)
+        assert successes == np.count_nonzero(ok)
+        assert_matches_union(f, xs, epsilon, ok, ys, s)
+        if delta == delta_hat:
+            over = [t for t in range(trials) if ref_outcome(
+                f, xs[:, t].tolist(), epsilon)[0] == OVER_CAP]
+            assert len(over) == 20 and ok[over].all()
+
+
+def test_contracting_piece_witnesses_hold():
+    # PLMAP's slope-0.8 piece expands backward, so many rebuilt witnesses
+    # reach epsilon; every one the kernel accepts is a true shadow
+    epsilon, length, trials = 1e-2, 300, 100
+    shadowed = 0
+    for seed in range(3):
+        x0, u = batch_inputs(PLMAP, trials, length, seed)
+        for delta in (epsilon, epsilon / 8):
+            xs = _interval_orbits(PLMAP, np.array(x0), delta, u)
+            ok, ys, _ = shadow_batch(PLMAP, xs, epsilon)
+            for t in np.flatnonzero(ok):
+                assert_shadows(PLMAP, ys[:, t].tolist(), xs[:, t].tolist(),
+                               epsilon)
+            shadowed += np.count_nonzero(ok)
+    assert shadowed > 0
+
+
+def test_flat_piece_shadows_without_warnings():
+    # a constant piece has no preimage formula: its candidate is the clip
+    flat = EndpointFixedMap((0.0, 0.3, 0.6, 1.0), (0.0, 0.8, 0.8, 1.0))
+    x0, u = batch_inputs(flat, 20, 40, 4)
+    for delta in (1e-2, 1e-4):
+        xs = _interval_orbits(flat, np.array(x0), delta, u)
+        xs = np.hstack([xs, np.array([[0.1, 0.9] + [0.5] * 38]).T])
+        ok, ys, s = shadow_batch(flat, xs, 1e-2)
+        assert ok[:-1].any() and not ok[-1]
+        assert_matches_union(flat, xs, 1e-2, ok, ys, s)
 
 
 @pytest.mark.parametrize("system,epsilon,trials,length,seed", [
     (TentMap(2.0), 1e-3, 20, 150, 4),
     (TentMap(1.2), 1e-3, 20, 120, 1),
     (PLMAP, 1e-2, 15, 100, 6),
-    (TentMap(1.2), 0.05, 6, 50, 3),  # rows with trials over the cap
+    (TentMap(1.2), 0.05, 6, 50, 3),  # branch histories past any small cap
     (full_shift(2), 2.0 ** -6, 10, 60, 2),
     (golden_mean_shift(), 0.3, 10, 60, 3),
 ])
@@ -375,8 +522,9 @@ def test_shadowing_modulus_matches_reference(system, epsilon, trials, length,
 def test_shift_kernel_matches_word_splice(shift):
     x0, u = batch_inputs(shift, 15, 70, 11)
     for delta in (0.3, 2.0 ** -5, 2.0 ** -9, 1e-12):
-        heads = _shift_heads(shift, x0, delta, u)
-        deviation = _splice_deviations(shift, *_splice(shift, x0, heads))
+        heads = _shift_heads(shift, windows(x0), delta, u)
+        deviation = _splice_deviations(shift, *_splice(shift, windows(x0),
+                                                       heads))
         for t in range(15):
             states = ref_shift_orbit(shift, x0[t], 70, delta,
                                      11 + 104729 * t + 1)
@@ -410,20 +558,87 @@ def test_inadmissible_splice_raises_on_both_paths():
         ref_shadow_shift(gm, states)
     with pytest.raises(ValueError, match="inadmissible"):
         shadow_shift(gm, PseudoOrbit(states, 1.0))
-    windows = np.array([s.prefix(64) for s in states])
     z = np.array(Word((1, 1, 0), (0,)).prefix(70))
     with pytest.raises(ValueError, match="inadmissible"):
-        _splice_deviations(gm, lambda j: windows[None, :, j], z[None])
+        _splice_deviations(gm, windows(states)[None], z[None])
+    with pytest.raises(ValueError, match="inadmissible"):
+        ref_splice_deviations(gm, lambda j: windows(states)[None, :, j], z[None])
 
 
 THREE = ShiftSpace(3, ((0, 0, 1), (1, 1, 0), (1, 1, 1)))  # 1, 2, 3 successors
+
+
+def ref_splice_deviations(shift, column, z):
+    """The former column loop: 2^-j per state, j the first mismatch of
+    z[i:] with state i, whose depth-j symbols are column(j)."""
+    seq = np.asarray(z)
+    allowed = np.array(shift.transition, dtype=bool)
+    if (seq.min() < 0 or seq.max() >= shift.alphabet_size
+            or not allowed[seq[..., :-1], seq[..., 1:]].all()):
+        raise ValueError("spliced point inadmissible")
+    first = np.full(column(0).shape, AUDIT_DEPTH, dtype=np.int8)
+    n = first.shape[-1]
+    for j in range(AUDIT_DEPTH - 1, -1, -1):  # a smaller j overwrites
+        first[z[..., j:j + n] != column(j)] = j
+    return np.where(first < AUDIT_DEPTH, 2.0 ** -first, 0.0)
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
+def test_splice_deviations_match_column_loop(shift):
+    x0, u = batch_inputs(shift, 40, 90, 17)
+    start = windows(x0)
+    rng = np.random.default_rng(5)
+    for delta in (0.5, 2.0 ** -3, 2.0 ** -7, 2.0 ** -20, 2.0 ** -60):
+        width = max(AUDIT_DEPTH, math.ceil(-math.log2(delta)) + 1)
+        heads = _shift_heads(shift, windows(x0, width), delta, u)
+        wins, z = _splice(shift, start, heads)
+        got = _splice_deviations(shift, wins, z)
+        assert got.tolist() == ref_splice_deviations(
+            shift, lambda j: wins[..., j], z).tolist()
+        # states that disagree with the splice at random depths
+        bent = wins.copy()
+        rows, cols = rng.integers(40, size=300), rng.integers(90, size=300)
+        bent[rows, cols, rng.integers(AUDIT_DEPTH, size=300)] += 1
+        assert _splice_deviations(shift, bent, z).tolist() == \
+            ref_splice_deviations(shift, lambda j: bent[..., j], z).tolist()
+        for chunk in (1, 7):  # a batch of trials is the sum of its parts
+            assert np.array_equal(got[:chunk], _splice_deviations(
+                shift, *_splice(shift, start[:chunk], heads[:chunk])))
+    z[3, 10:12] = -1
+    for check in (_splice_deviations,
+                  lambda sh, w, z: ref_splice_deviations(sh, lambda j: w[..., j], z)):
+        with pytest.raises(ValueError, match="inadmissible"):
+            check(shift, wins, z)
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
+def test_shift_starts_match_random_start(shift):
+    # the modulus draws its starts as one array; each row is the state that
+    # _random_start builds from the same generator
+    k = shift.alphabet_size
+    succ = [[b for b in range(k) if shift.allowed(a, b)] for a in range(k)]
+    seeds = [3 + 7919 * t for t in range(25)]
+    u = np.array([make_rng(s).random(START_LENGTH) for s in seeds])
+    for row, s, v in zip(_shift_starts(shift, u), seeds, u):
+        x = _random_start(shift, make_rng(s))
+        assert shift.admissible(x, depth=100)
+        head = [min(int(v[0] * k), k - 1)]  # one symbol at a time
+        for w in v[1:]:
+            choices = succ[head[-1]]
+            head.append(choices[min(int(w * len(choices)), len(choices) - 1)])
+        assert row.tolist() == list(x.head) == head
+    top = _shift_starts(shift, np.ones((1, START_LENGTH)))[0]
+    last = {a: max(b for b in range(shift.alphabet_size) if shift.allowed(a, b))
+            for a in range(shift.alphabet_size)}
+    assert top[0] == shift.alphabet_size - 1
+    assert all(b == last[a] for a, b in zip(top, top[1:]))
 
 
 @pytest.mark.parametrize("shift", [golden_mean_shift(), THREE])
 def test_successor_draw_admissible_and_uniform(shift):
     trials, n, m = 40, 500, 3
     x0, u = batch_inputs(shift, trials, n, 21)
-    heads = _shift_heads(shift, x0, 2.0 ** -m, u)
+    heads = _shift_heads(shift, windows(x0), 2.0 ** -m, u)
     allowed = np.array(shift.transition, dtype=bool)
     assert allowed[heads[..., :-1], heads[..., 1:]].all()
     # resampled positions m (the spine) and m + 1 .. m + 7 (the tail)
