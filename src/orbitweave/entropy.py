@@ -1,18 +1,18 @@
 """Counting-based entropy machinery.
 
 Separated/spanning counts are exact (branch-and-bound / exact set cover) on
-small instances with a flagged greedy fallback; the Katok count is exact on
-shifts over any alphabet, because a Bowen d_n-ball of radius 2^-q is precisely
-an (n+q)-cylinder, and a cylinder's mass is fixed by the value pi[first] and
-the number of transitions carrying each distinct value of P, so the masses
-come in classes counted by a dynamic program over those counts (budget: 2^22
-table entries, n + q <= 26); level-set counting enumerates admissible words
-whose Birkhoff average lies in the target window.
+small instances with a flagged greedy fallback.  Katok and level-set counts
+are exact on shifts over any alphabet and word length: one dynamic program
+counts admissible words by an integer weight summed along the word, and its
+TABLE_BUDGET entries are the only limit.  A Bowen d_n-ball of radius 2^-q is
+an (n+q)-cylinder, whose mass is fixed by pi[first] and the number of
+transitions per value of P; a level-set word weighs its Birkhoff sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 24  # instances up to this size get exact combinatorial answers
+TABLE_BUDGET = 2 ** 22  # entries of a walk-count table
 
 
 class InfeasibleCountError(ValueError):
@@ -57,8 +58,8 @@ class EntropyEstimate:
 @dataclass(frozen=True)
 class LevelSetQuery:
     observable: LocallyConstantObservable
-    lo: float
-    hi: float
+    lo: float | Fraction
+    hi: float | Fraction
     n: int
     closed: bool = False
 
@@ -68,11 +69,6 @@ class LevelSetQuery:
         vlo, vhi = self.observable.value_range
         if self.hi < vlo or self.lo > vhi:
             raise ValueError("interval outside the observable's value range")
-
-    def contains(self, x: float) -> bool:
-        if self.closed:
-            return self.lo <= x <= self.hi
-        return self.lo < x < self.hi
 
 
 @dataclass
@@ -216,49 +212,67 @@ def _epsilon_to_q(epsilon: float) -> int:
     return q
 
 
+def _over_common_denominator(values):
+    """({x: integer}, scale), x = integer / scale, each float read as its
+    shortest decimal (a config's 0.3 is 3/10): 0.64 + 0.16 = 1 - 0.2 holds."""
+    exact = {x: Fraction(str(x)) for x in values}
+    scale = math.lcm(*(r.denominator for r in exact.values()))
+    return {x: int(r * scale) for x, r in exact.items()}, scale
+
+
+def _walk_counts(L: int, start: dict, step: dict) -> dict[int, int]:
+    """{weight: count} of the L-words that start with an s-word keyed in
+    `start` and whose (s+1)-windows are all keyed in `step`; a word weighs
+    start[its first s symbols] plus step[w] per window w.  A state is one
+    int, weight * V + index of the last s symbols, so an extension adds a
+    delta fixed per edge (floor division and modulo split it for negative
+    weights too).  InfeasibleCountError past TABLE_BUDGET table entries."""
+    vertices = sorted({*start, *(w[:-1] for w in step), *(w[1:] for w in step)})
+    V, index = len(vertices), {u: i for i, u in enumerate(vertices)}
+    deltas: list[list[int]] = [[] for _ in vertices]
+    for w, inc in step.items():
+        deltas[index[w[:-1]]].append(inc * V + index[w[1:]] - index[w[:-1]])
+    states = {weight * V + index[u]: 1 for u, weight in start.items()}
+    for _ in range(L - len(next(iter(start), ()))):
+        nxt: dict[int, int] = defaultdict(int)
+        for key, cnt in states.items():
+            for delta in deltas[key % V]:
+                nxt[key + delta] += cnt
+            if len(nxt) > TABLE_BUDGET:
+                raise InfeasibleCountError(
+                    f"more than {TABLE_BUDGET} table entries for {L}-words")
+        states = nxt
+    counts: dict[int, int] = defaultdict(int)
+    for key, cnt in states.items():
+        counts[key // V] += cnt
+    return counts
+
+
 def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, L: int):
     """(mass, multiplicity) classes of all admissible L-cylinders, with the
     masses as exact integers over the returned unit.
 
     A cylinder's mass is pi[first] times P[a, b] per transition: it depends
     only on the value pi[first] and on how many transitions carry each
-    distinct value of P, and its extensions only on its last symbol.  So a
-    dynamic program over (pi value index, last symbol, counts per P value
-    packed in radix L) counts each class, polynomially in L on every alphabet;
-    InfeasibleCountError once its table passes 2^22 entries.
-    """
+    distinct value of P.  So the walk count weights a transition carrying
+    the g-th value of P by L^g and the first symbol by the index of its pi
+    value one radix-L digit higher: each weight is one class (polynomially
+    many in L on every alphabet) whose digits give its mass."""
     k = shift.alphabet_size
     if m.alphabet_size != k:
         raise ValueError("measure alphabet mismatch")
     P, pi = m.P.tolist(), m.pi.tolist()
-    allowed = [[b for b in range(k) if shift.allowed(a, b) and P[a][b] > 0]
-               for a in range(k)]
-    values = sorted({P[a][b] for a in range(k) for b in allowed[a]})
-    step = [[(b, L ** values.index(P[a][b])) for b in allowed[a]]
-            for a in range(k)]
+    edges = [(a, b) for a, b in shift.admissible_words(2) if P[a][b] > 0]
+    values = sorted({P[a][b] for a, b in edges})
     pis = sorted({p for p in pi if p > 0})
-    states = {(pis.index(pi[a]), a, 0): 1 for a in range(k) if pi[a] > 0}
-    for _ in range(L - 1):
-        nxt: dict[tuple, int] = {}
-        for (f, last, counts), mult in states.items():
-            for b, inc in step[last]:
-                key = (f, b, counts + inc)
-                nxt[key] = nxt.get(key, 0) + mult
-            if len(nxt) > 2 ** 22:
-                raise InfeasibleCountError(
-                    f"more than 2^22 mass classes of {L}-cylinders")
-        states = nxt
-    classes: dict[tuple, int] = {}
-    for (f, _last, counts), mult in states.items():
-        classes[f, counts] = classes.get((f, counts), 0) + mult
-    # each entry is read as the shortest decimal that gives back its float
-    # (a config's 0.3 is 3/10), so ties such as 0.64 + 0.16 = 1 - 0.2 hold
-    exact = {x: Fraction(str(x)) for x in values + pis}
-    scale = math.lcm(*(r.denominator for r in exact.values()))
-    num = {x: int(r * scale) for x, r in exact.items()}
-    return [(math.prod((num[v] ** (counts // L ** g % L)
-                        for g, v in enumerate(values)), start=num[pis[f]]),
-             mult) for (f, counts), mult in classes.items()], scale ** L
+    top = L ** len(values)
+    classes = _walk_counts(
+        L, {(a,): pis.index(pi[a]) * top for a in range(k) if pi[a] > 0},
+        {(a, b): L ** values.index(P[a][b]) for a, b in edges})
+    num, scale = _over_common_denominator(values + pis)
+    return [(math.prod((num[v] ** (w // L ** g % L)
+                        for g, v in enumerate(values)), start=num[pis[w // top]]),
+             mult) for w, mult in classes.items()], scale ** L
 
 
 def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
@@ -272,11 +286,7 @@ def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
     """
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
-    q = _epsilon_to_q(epsilon)
-    L = n + q
-    if L > 26:
-        raise InfeasibleCountError(f"n + q = {L} > 26")
-    classes, unit = _cylinder_mass_classes(shift, m, L)
+    classes, unit = _cylinder_mass_classes(shift, m, n + _epsilon_to_q(epsilon))
     # cum is an integer, so cum > target iff cum / unit > 1 - delta exactly
     target = math.floor((1 - Fraction(str(delta))) * unit)
     total = cum = 0
@@ -308,35 +318,25 @@ def katok_entropy(shift: ShiftSpace, m: MarkovMeasure, epsilon: float,
 
 def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
     """(1/n) log of the number of admissible n-words whose Birkhoff average of
-    the observable lies in the window; empty level sets come back tagged."""
-    phi, n, d = query.observable, query.n, query.observable.depth
-    if n + d > 26:
-        raise InfeasibleCountError(f"n + depth = {n + d} > 26")
-    k = shift.alphabet_size
-    table = phi.lookup()
-    suflen = max(d - 1, 1)
-    # DP over (suffix symbols, partial Birkhoff sum); word length n+d-1,
-    # a window's contribution is added when its last symbol is placed
-    states: dict[tuple, int] = {((), 0.0): 1}
-    L = n + d - 1
-    for p in range(L):
-        nxt: dict[tuple, int] = {}
-        for (suf, s), cnt in states.items():
-            for b in range(k):
-                if suf and not shift.allowed(suf[-1], b):
-                    continue
-                ext = suf + (b,)
-                s2 = round(s + table[ext[-d:]], 10) if p >= d - 1 else s
-                key = (ext[-suflen:], s2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    count = sum(cnt for (_suf, s), cnt in states.items() if query.contains(s / n))
-    eps_tag = 0.0
+    the observable lies in the window; empty level sets come back tagged.
+    An (n + d - 1)-word has n d-windows: with s = max(d - 1, 1) the walk adds
+    phi of each (s+1)-window's last d symbols, and of the first symbol when
+    d = 1, as integers over one denominator, so the window test is exact."""
+    table, n, d = query.observable.lookup(), query.n, query.observable.depth
+    num, scale = _over_common_denominator(table.values())
+    s = max(d - 1, 1)
+    sums = _walk_counts(
+        n + d - 1,
+        {w: num[table[w]] if d == 1 else 0 for w in shift.admissible_words(s)},
+        {w: num[table[w[-d:]]] for w in shift.admissible_words(s + 1)})
+    lo, hi = (Fraction(str(x)) * n * scale for x in (query.lo, query.hi))
+    count = sum(cnt for S, cnt in sums.items()
+                if (lo <= S <= hi if query.closed else lo < S < hi))
     if count == 0:
-        return EntropyEstimate(value=None, n_used=n, epsilon=eps_tag,
+        return EntropyEstimate(value=None, n_used=n, epsilon=0.0,
                                method="levelset_count", diagnostics=[],
                                empty=True)
     val = math.log(count) / n
-    return EntropyEstimate(value=val, n_used=n, epsilon=eps_tag,
+    return EntropyEstimate(value=val, n_used=n, epsilon=0.0,
                            method="levelset_count",
                            diagnostics=[(n, count, val)])

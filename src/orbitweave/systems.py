@@ -9,6 +9,7 @@ Interval states are plain floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -132,6 +133,11 @@ class ShiftSpace:
     def word_admissible(self, w) -> bool:
         return all(self.allowed(a, b) for a, b in zip(w, w[1:])) and all(
             0 <= a < self.alphabet_size for a in w)
+
+    def admissible_words(self, length: int) -> list[tuple[int, ...]]:
+        """Admissible words of the given length, in lexicographic order."""
+        words = itertools.product(range(self.alphabet_size), repeat=length)
+        return [w for w in words if self.word_admissible(w)]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ steps, and by a Gibbs measure mixed into the ball from below.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -57,13 +57,6 @@ class EmptyConstraintError(ValueError):
     """Constraint set misses the attainable range of the observable."""
 
 
-def _lift_words(shift: ShiftSpace, depth: int) -> list[tuple[int, ...]]:
-    """Admissible words of the given length, in lexicographic order."""
-    k = shift.alphabet_size
-    return [w for w in itertools.product(range(k), repeat=depth)
-            if shift.word_admissible(w)]
-
-
 @functools.lru_cache(maxsize=128)
 def _lift(shift: ShiftSpace, depth: int):
     """(words, edges, src, dst): the depth-d lift, once per (shift, depth).
@@ -71,9 +64,9 @@ def _lift(shift: ShiftSpace, depth: int):
     admissible max(d, 2)-word is an edge from its first to its last vertex
     word.  The index arrays are read-only."""
     side = max(depth - 1, 1)
-    words = tuple(_lift_words(shift, side))
+    words = tuple(shift.admissible_words(side))
     index = {w: i for i, w in enumerate(words)}
-    edges = tuple(_lift_words(shift, max(depth, 2)))
+    edges = tuple(shift.admissible_words(max(depth, 2)))
     src = np.array([index[w[:side]] for w in edges])
     dst = np.array([index[w[-side:]] for w in edges])
     adjacency = np.zeros((len(words), len(words)), dtype=bool)
@@ -301,16 +294,16 @@ def count_at(shift: ShiftSpace, phi: LocallyConstantObservable,
              alpha: float, n: int) -> EntropyEstimate:
     """Level-set counting rate at the achievable average nearest alpha.
 
-    Birkhoff averages over n-windows live on a 1/n-grid of the observable's
-    values; the window (nearest - 1/(2n), nearest + 1/(2n)) isolates exactly
-    that grid value, so the count is the clean combinatorial object whose
-    rate is compared against the variational value at the same point.
+    Birkhoff averages of an integer-valued observable live on a 1/n-grid;
+    the open window ((2j - 1) / 2n, (2j + 1) / 2n) with exact ends isolates
+    the value j/n nearest alpha: the clean combinatorial object whose rate
+    is compared against the variational value at the same point.
     """
     j = round(alpha * n)
-    center = j / n
-    query = LevelSetQuery(phi, center - 0.5 / n, center + 0.5 / n, n)
+    query = LevelSetQuery(phi, Fraction(2 * j - 1, 2 * n),
+                          Fraction(2 * j + 1, 2 * n), n)
     est = levelset_count(shift, query)
-    est.diagnostics.append(("nearest_average", center))
+    est.diagnostics.append(("nearest_average", j / n))
     return est
 
 

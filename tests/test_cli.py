@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitweave import entropy
 from orbitweave.cli import _run_length_encode, main
 
 
@@ -101,12 +102,17 @@ def test_katok_csv(tmp_path):
     assert abs(float(rows[-1]["rate"]) - math.log(2)) < 0.05
 
 
-def test_katok_infeasible_exits_2(tmp_path):
+def test_katok_infeasible_exits_2(tmp_path, capsys, monkeypatch):
+    # n = 8 fits a 64-entry table and n = 20 does not: the table budget is
+    # the only limit, and the rows already counted are not written
+    monkeypatch.setattr(entropy, "TABLE_BUDGET", 64)
     cfg = {"system": {"kind": "full_shift", "k": 2},
-           "measure": {"bernoulli": 0.5},
-           "q": 6, "delta": 0.1, "n_grid": [24]}
-    code, _ = run(tmp_path, "katok", cfg)
+           "measure": {"bernoulli": 0.7},
+           "q": 1, "delta": 0.1, "n_grid": [8, 20]}
+    code, out = run(tmp_path, "katok", cfg)
     assert code == 2
+    assert "more than 64 table entries" in capsys.readouterr().err
+    assert not (out / "katok.csv").exists()
 
 
 def test_katok_three_symbols_past_cylinder_enumeration(tmp_path):
@@ -290,6 +296,45 @@ def test_shadow_artifacts_byte_identical(tmp_path, name):
     code, out = run(tmp_path, "shadow", cfg, seed=seed)
     assert code == 0
     assert hashlib.sha256((out / "modulus.csv").read_bytes()).hexdigest() \
+        == digest
+
+
+FREQ = {"kind": "frequency", "symbol": 1}
+# sha256 of spectrum.csv and katok.csv for the benchmark's analysis configs
+# at their seeds (run seed 1), as the two separate counting DPs before the
+# shared walk count wrote them
+ANALYSIS_DIGESTS = {
+    "spectrum_full": (
+        "spectrum", {"system": FULL2, "observable": FREQ, "count_n": 24,
+                     "alpha_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                    0.9]}, 100,
+        "fa88e4e53065b8e1c4c7426be11842572c4c16112f7bfd82b783f8d76a12043d"),
+    "spectrum_golden": (
+        "spectrum", {"system": GOLDEN, "observable": FREQ, "count_n": 24,
+                     "alpha_grid": [0.05, 0.1, 0.2, 0.3, 0.4, 0.45]}, 101,
+        "fc0320f038fc85cc069019ea7d6badb2814662866609219febcbcf2488b19913"),
+    "katok_b07": (
+        "katok", {"system": FULL2, "measure": {"bernoulli": 0.7}, "q": 1,
+                  "n_grid": [8, 14, 20]}, 102,
+        "c8000e3e9b81aa1faf34e4121d2846b1d6102d1d28246c57604645efd5abb9a9"),
+    "katok_b05": (
+        "katok", {"system": FULL2, "measure": {"bernoulli": 0.5}, "q": 1,
+                  "n_grid": [20]}, 103,
+        "2b252f3430e6ec61561465d84f4a2014f379d76ad82f0392510312716fe76efb"),
+    "katok_k3": (
+        "katok", {"system": {"kind": "full_shift", "k": 3},
+                  "measure": {"bernoulli": [0.5, 0.3, 0.2]}, "q": 1,
+                  "n_grid": [8, 10, 12]}, 104,
+        "9e091184f6aed58ff7ab34cf03f590bef846a04a3a2b590112e53ec2c039ad3e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_DIGESTS))
+def test_analysis_artifacts_byte_identical(tmp_path, name):
+    command, cfg, seed, digest = ANALYSIS_DIGESTS[name]
+    code, out = run(tmp_path, command, cfg, seed=seed)
+    assert code == 0
+    assert hashlib.sha256((out / f"{command}.csv").read_bytes()).hexdigest() \
         == digest
 
 

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitweave import entropy
 from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
                                 _cylinder_mass_classes, katok_count,
                                 katok_entropy, levelset_count, max_separated,
                                 min_spanning)
-from orbitweave.measures import (MarkovMeasure, bernoulli,
-                                 frequency_observable)
-from orbitweave.systems import Word, dist_n, full_shift, golden_mean_shift
+from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
+                                 bernoulli, frequency_observable)
+from orbitweave.systems import (ShiftSpace, Word, dist_n, full_shift,
+                                golden_mean_shift)
+from orbitweave.variational import count_at
 
 
 def all_periodic(n):
@@ -316,12 +319,30 @@ def test_katok_entropy_diagnostics():
     assert abs(est.value - math.log(2)) < 0.06
 
 
-def test_katok_infeasible():
+def test_katok_infeasible(monkeypatch):
+    # the table budget is the only limit on the word length
     sh = full_shift(2)
+    monkeypatch.setattr(entropy, "TABLE_BUDGET", 64)
+    assert katok_count(sh, bernoulli(0.7), 8, 0.5, 0.1) == 256
     with pytest.raises(InfeasibleCountError):
-        katok_count(sh, bernoulli(0.5), 28, 0.25, 0.1)
+        katok_count(sh, bernoulli(0.7), 20, 0.5, 0.1)
+    phi = frequency_observable(1)
+    assert levelset_count(sh, LevelSetQuery(phi, 0.45, 0.55, 30)).value
+    with pytest.raises(InfeasibleCountError):
+        levelset_count(sh, LevelSetQuery(phi, 0.45, 0.55, 40))
     with pytest.raises(ValueError):
         katok_count(sh, bernoulli(0.5), 4, 0.3, 0.1)  # not a power of 2
+
+
+@pytest.mark.parametrize("probs, L", [(["0.3", "0.7"], 40),
+                                      (["0.5", "0.3", "0.2"], 30)])
+def test_katok_count_past_the_former_length_cap(probs, L):
+    # B(0.7) and B(0.5, 0.3, 0.2) beyond the former n + q <= 26
+    exact = [Fraction(p) for p in probs]
+    m = bernoulli([float(p) for p in exact])
+    for delta in ("0.1", "0.3"):
+        assert (katok_count(full_shift(len(exact)), m, L - 1, 0.5, float(delta))
+                == _bernoulli_reference(exact, L, Fraction(delta)))
 
 
 def test_levelset_count_binomial():
@@ -376,3 +397,124 @@ def test_levelset_total_over_all_windows(n, _q):
         q = LevelSetQuery(phi, (j - 0.5) / n, (j + 0.5) / n, n)
         total += levelset_count(sh, q).diagnostics[0][1]
     assert total == 2 ** n
+
+
+def _float_levelset_count(shift, query):
+    """The earlier level-set DP, kept as the oracle: one state per (suffix
+    symbols, partial Birkhoff sum rounded to 10 decimals), the window tested
+    on the float average."""
+    phi, n, d = query.observable, query.n, query.observable.depth
+    k = shift.alphabet_size
+    table = phi.lookup()
+    suflen = max(d - 1, 1)
+    # DP over (suffix symbols, partial Birkhoff sum); word length n+d-1,
+    # a window's contribution is added when its last symbol is placed
+    states: dict[tuple, int] = {((), 0.0): 1}
+    L = n + d - 1
+    for p in range(L):
+        nxt: dict[tuple, int] = {}
+        for (suf, s), cnt in states.items():
+            for b in range(k):
+                if suf and not shift.allowed(suf[-1], b):
+                    continue
+                ext = suf + (b,)
+                s2 = round(s + table[ext[-d:]], 10) if p >= d - 1 else s
+                key = (ext[-suflen:], s2)
+                nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    if query.closed:
+        return sum(cnt for (_suf, s), cnt in states.items()
+                   if query.lo <= s / n <= query.hi)
+    return sum(cnt for (_suf, s), cnt in states.items()
+               if query.lo < s / n < query.hi)
+
+
+def _levelset_total(shift, query):
+    """The word count behind levelset_count, 0 for a tagged empty set."""
+    est = levelset_count(shift, query)
+    return 0 if est.empty else est.diagnostics[0][1]
+
+
+def _table(depth, k, values):
+    """Observable of the given depth taking the values in turn over the
+    k-ary words in lexicographic order."""
+    words = itertools.product(range(k), repeat=depth)
+    return LocallyConstantObservable(depth, tuple(
+        (w, values[i % len(values)]) for i, w in enumerate(words)))
+
+
+DEAD_END = ShiftSpace(2, ((1, 1), (0, 0)))  # no symbol follows 1
+DEPTH2_VALUES = [0.3, 1.0, -0.5, 0.1, -0.25]
+DEPTH3_VALUES = [0.3, -0.7, 0.15, 1.0, -0.05, 0.6, 0.0, -0.35]
+LEVELSET_GRID = [
+    (sh, phi) for sh in (full_shift(2), full_shift(3), golden_mean_shift(),
+                         DEAD_END)
+    for phi in (frequency_observable(1, sh.alphabet_size),
+                _table(2, sh.alphabet_size, DEPTH2_VALUES),
+                _table(3, sh.alphabet_size, DEPTH3_VALUES))]
+
+
+@pytest.mark.parametrize("shift, phi", LEVELSET_GRID)
+def test_levelset_count_matches_float_oracle(shift, phi):
+    # every value has at most two decimals, so the averages lie on the
+    # 1/(100 n) grid and window ends at its midpoints are never attained,
+    # where rounding could tip the float oracle either way
+    rng = np.random.default_rng(shift.alphabet_size * 10 + phi.depth)
+    vlo, vhi = phi.value_range
+    for n in (1, 2, 5, 11, 24):
+        lo_i, hi_i = round(vlo * 100 * n), round(vhi * 100 * n)
+        windows = [(lo_i - 1, hi_i)]  # every average
+        for _ in range(3):
+            a, b = sorted(rng.integers(lo_i - 1, hi_i, size=2))
+            windows.append((a, max(b, a + 1)))
+        for i, (a, b) in enumerate(windows):
+            q = LevelSetQuery(phi, (a + 0.5) / (100 * n),
+                              (b + 0.5) / (100 * n), n, closed=bool(i % 2))
+            assert _levelset_total(shift, q) == _float_levelset_count(shift, q)
+
+
+def _enumerated_levelset_count(shift, phi, n, lo, hi, closed):
+    """Admissible (n + d - 1)-words with Birkhoff average in the window, by
+    listing every word, in exact rational arithmetic."""
+    d = phi.depth
+    value = {w: Fraction(str(v)) for w, v in phi.lookup().items()}
+    count = 0
+    for w in shift.admissible_words(n + d - 1):
+        avg = sum(value[w[i:i + d]] for i in range(n)) / n
+        count += (lo <= avg <= hi) if closed else (lo < avg < hi)
+    return count
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(),
+                                   DEAD_END])
+def test_levelset_window_ends_are_exact(shift):
+    # ends that are attained averages: closed windows count the words there,
+    # open ones do not, whatever the float rounding of the ends
+    phi = _table(2, 2, DEPTH2_VALUES)
+    for n, lo, hi in [(10, 0.3, 0.5), (11, Fraction(2, 11), Fraction(9, 22)),
+                      (12, -0.25, 0.1)]:
+        for closed in (False, True):
+            q = LevelSetQuery(phi, lo, hi, n, closed)
+            assert _levelset_total(shift, q) == _enumerated_levelset_count(
+                shift, phi, n, Fraction(str(lo)), Fraction(str(hi)), closed)
+
+
+def test_count_at_windows_have_rational_ends():
+    # the Birkhoff sums, multiples of 1/10, reach the open window's ends
+    # (2j -+ 1) / 2n, which float ends put on either side of them: 368
+    # words for 356 at j = 3, and the float-keyed DP gave 157 for 145 at j = 4
+    phi = _table(2, 2, DEPTH2_VALUES)
+    gm, n = golden_mean_shift(), 12
+    for j in (3, 4):
+        lo, hi = Fraction(2 * j - 1, 2 * n), Fraction(2 * j + 1, 2 * n)
+        assert count_at(gm, phi, j / n, n).diagnostics[0][1] == \
+            _enumerated_levelset_count(gm, phi, n, lo, hi, closed=False)
+
+
+def test_levelset_golden_mean_counts_past_the_former_length_cap():
+    # n-words with no 11 and j ones: C(n + 1 - j, j), at n = 1,000
+    gm, phi, n = golden_mean_shift(), frequency_observable(1), 1000
+    for j in (0, 1, 276, 500):
+        est = levelset_count(gm, LevelSetQuery(phi, (j - 0.5) / n,
+                                               (j + 0.5) / n, n))
+        assert est.diagnostics[0][1] == math.comb(n + 1 - j, j)
