@@ -150,20 +150,16 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
         return EXIT_CONFIG
     family = _family(config, system.alphabet_size)
     target = measure_from_json(config["target"], shift=system)
-    try:
-        schedule, _families, outcome = run_weave(
-            system, target, family,
-            k_max=int(config.get("k_max", 3)),
-            gamma=float(config.get("gamma", 0.25)),
-            block_length=int(config.get("block_length", 16)),
-            epsilon=float(config.get("epsilon", 0.25)),
-            budget=int(config.get("budget", 400)),
-            seed=seed,
-            min_total_length=int(config.get("min_total_length", 0)),
-            length_cap=int(config.get("length_cap", 10 ** 6)))
-    except OverflowError as exc:
-        print(f"schedule overflow: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
+    schedule, _families, outcome = run_weave(
+        system, target, family,
+        k_max=int(config.get("k_max", 3)),
+        gamma=float(config.get("gamma", 0.25)),
+        block_length=int(config.get("block_length", 16)),
+        epsilon=float(config.get("epsilon", 0.25)),
+        budget=int(config.get("budget", 400)),
+        seed=seed,
+        min_total_length=int(config.get("min_total_length", 0)),
+        length_cap=int(config.get("length_cap", 10 ** 6)))
     doc = {
         "k_max": schedule.k_max,
         "N": schedule.N, "X": schedule.X, "Y": schedule.Y, "T": schedule.T,

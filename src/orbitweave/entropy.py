@@ -44,8 +44,6 @@ class InfeasibleCountError(ValueError):
 @dataclass
 class EntropyEstimate:
     value: float | None
-    n_used: int
-    epsilon: float
     method: str
     diagnostics: list[tuple] = field(default_factory=list)
     empty: bool = False  # tagged empty level set, not a numeric sentinel
@@ -312,8 +310,8 @@ def katok_entropy(shift: ShiftSpace, m: MarkovMeasure, epsilon: float,
     for n in grid:
         cnt = katok_count(shift, m, n, epsilon, delta)
         diags.append((n, cnt, math.log(cnt) / n))
-    return EntropyEstimate(value=diags[-1][2], n_used=grid[-1], epsilon=epsilon,
-                           method="katok", diagnostics=diags)
+    return EntropyEstimate(value=diags[-1][2], method="katok",
+                           diagnostics=diags)
 
 
 def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
@@ -333,10 +331,8 @@ def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
     count = sum(cnt for S, cnt in sums.items()
                 if (lo <= S <= hi if query.closed else lo < S < hi))
     if count == 0:
-        return EntropyEstimate(value=None, n_used=n, epsilon=0.0,
-                               method="levelset_count", diagnostics=[],
-                               empty=True)
+        return EntropyEstimate(value=None, method="levelset_count",
+                               diagnostics=[], empty=True)
     val = math.log(count) / n
-    return EntropyEstimate(value=val, n_used=n, epsilon=0.0,
-                           method="levelset_count",
+    return EntropyEstimate(value=val, method="levelset_count",
                            diagnostics=[(n, count, val)])

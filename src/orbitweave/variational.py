@@ -28,7 +28,6 @@ from .systems import ShiftSpace, strongly_connected
 __all__ = [
     "SpectrumPoint",
     "SpectrumResult",
-    "pressure",
     "gibbs_kernel",
     "gibbs_data",
     "constrained_sup",
@@ -155,12 +154,6 @@ def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
     F = np.array([[value[w[-d:]]] for w in _lift(shift, d)[1]])
     g = _gibbs(shift, d, F, np.array([float(q)]))
     return g._replace(mean=float(g.mean[0]), var=float(g.var[0, 0]))
-
-
-def pressure(shift: ShiftSpace, phi: LocallyConstantObservable,
-             q: float) -> float:
-    """P(q) = log spectral radius of the exp(q phi)-weighted matrix."""
-    return gibbs_kernel(shift, phi, q).P
 
 
 def gibbs_data(shift: ShiftSpace, phi: LocallyConstantObservable, q: float):

@@ -8,9 +8,10 @@ are all reported rather than hidden.  Partition cells are depth-1 cylinders,
 so the pseudo-orbit jumps stay below 1/2 and the symbolic splice shadows them
 within 1/4.  On a shift the splice is the concatenation of the segment
 symbols (block prefixes and connector paths), so the woven orbit is one int8
-array and only the segment ends need checking: a family's blocks form one
-int8 matrix with a continuation table, so the splice writes each family's
-picks with one fancy index and checks every segment end in one comparison.
+array and only the segment ends need checking.  The schedule lays the point
+out once (`WeaveSchedule.layout`: every slot's and connector's start), the
+offsets M_{k,i,j,t}, the splice and the audits read that table, and the
+splice writes each family's picks with one fancy index.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,9 +180,22 @@ def connector(shift: ShiftSpace, from_cell: int, to_cell: int):
     raise ValueError("no admissible connector found")  # unreachable if irreducible
 
 
+class Layout(NamedTuple):
+    """Where the woven point's segments start (symbols from 0)."""
+
+    offsets: dict  # (k, j) -> the family's offset in a cycle of level k
+    keys: list[tuple]  # the (k, j, i, t) slots in the construction's order
+    slots: dict  # (k, j) -> (indices into keys, starts), both (T_k, reps)
+    bridges: dict  # (from cell, to cell) -> (s, connector starts)
+
+
 @dataclass
 class WeaveSchedule:
-    """Integer scaffolding of the weave, with all invariants certified."""
+    """Integer scaffolding of the weave, with all invariants certified.
+
+    `layout` places every segment: level k runs T_k cycles of Y_k symbols
+    from M_k, each family's blocks followed by a connector to the next
+    family's cell, then a connector into the next level's first cell."""
 
     k_max: int
     coefficients: list[list[Fraction]]         # a_{k,j}
@@ -213,13 +227,43 @@ class WeaveSchedule:
         return self.M(q) + (i - 1) * self.Y[q - 1]
 
     def M_ij(self, q: int, i: int, j: int) -> int:
-        return int(self.M_i(q, i) + sum(
-            self.N[q - 1] * self.block_lengths[q - 1][p - 1]
-            * self.C[q - 1][p - 1] + self.s(q, p, q, p + 1)
-            for p in range(1, j)))
+        return self.M_i(q, i) + self.layout.offsets[(q, j)]
 
     def M_ijt(self, q: int, i: int, j: int, t: int) -> int:
         return self.M_ij(q, i, j) + (t - 1) * self.block_lengths[q - 1][j - 1]
+
+    @functools.cached_property
+    def layout(self) -> Layout:
+        offsets, keys, slots, bridges, pos = {}, [], {}, {}, 0
+
+        def bridge(a, b, s, starts):  # files a connector, returns its length
+            bridges.setdefault((a, b), (s, []))[1].append(starts)
+            return s
+
+        for k, (cells, ns, T) in enumerate(
+                zip(self.cells, self.block_lengths, self.T), start=1):
+            reps = [self.repetitions(k, j) for j in range(1, len(ns) + 1)]
+            cycles = pos + self.Y[k - 1] * np.arange(T)  # their starts
+            firsts = len(keys) + sum(reps) * np.arange(T)  # their first slots
+            keys += [(k, j, i, t) for i in range(1, T + 1)
+                     for j, r in enumerate(reps, 1) for t in range(1, r + 1)]
+            at = 0
+            for j, (n, r) in enumerate(zip(ns, reps), start=1):
+                offsets[(k, j)] = at
+                slots[(k, j)] = (firsts[:, None] + np.arange(r),
+                                 cycles[:, None] + at + n * np.arange(r))
+                firsts, at = firsts + r, at + r * n
+                at += bridge(cells[j - 1], cells[j % len(ns)],
+                             self.s(k, j, k, j % len(ns) + 1), cycles + at)
+            pos += T * at  # then into the next level (level 1 after the top)
+            pos += bridge(cells[0], self.cells[k % self.k_max][0],
+                          self._next_level_connector(k), [pos])
+            if at != self.Y[k - 1] or pos != self.offsets_M[k]:
+                raise AssertionError(f"level {k} ends at {pos}, scheduled "
+                                     f"{self.offsets_M[k]}")
+        return Layout(offsets, keys, slots,
+                      {pair: (s, np.concatenate(starts))
+                       for pair, (s, starts) in bridges.items()})
 
     @property
     def total_length(self) -> int:
@@ -227,7 +271,7 @@ class WeaveSchedule:
 
     def repetitions(self, k: int, j: int) -> int:
         r = self.N[k - 1] * self.C[k - 1][j - 1]
-        assert r.denominator == 1
+        assert r.denominator == 1, "N_k C_{k,j} not integral"
         return int(r)
 
     def certify(self):
@@ -235,9 +279,7 @@ class WeaveSchedule:
         for k in range(1, self.k_max + 1):
             sk = len(self.coefficients[k - 1])
             assert sum(self.coefficients[k - 1]) == 1
-            for j in range(1, sk + 1):
-                c = self.N[k - 1] * self.C[k - 1][j - 1]
-                assert c.denominator == 1 and c > 0, "N_k C_{k,j} not integral"
+            assert all(self.repetitions(k, j) > 0 for j in range(1, sk + 1))
             bound = k * self._connector_sum(k)
             assert self.N[k - 1] >= bound, "connector-budget bound fails"
             assert self.X[k - 1] == sum(self.s(k, j, k, j % sk + 1)
@@ -255,12 +297,7 @@ class WeaveSchedule:
                                  for r in range(k))
             rhs2 = self.Y[k] * self.T[k]
             assert lhs2 <= rhs2, "second cycle-count inequality fails"
-        # offsets: recurrences tie out with the totals
-        m = 0
-        for q in range(1, self.k_max + 1):
-            assert self.offsets_M[q - 1] == m
-            m += self.T[q - 1] * self.Y[q - 1] + self._next_level_connector(q)
-        assert self.offsets_M[self.k_max] == m
+        self.layout  # its cycles and levels tie out with Y_k and offsets_M
         self.certified = True
         return self
 
@@ -331,27 +368,19 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
             t = max(t, math.ceil(k * prior / sched.Y[k - 1]))
             T.append(t)
             if k < km:  # feasibility of the first inequality at this level
-                need = (k + 1) * sched.Y[k]
-                have = sum(sched.Y[r] * T[r] for r in range(k))
-                if have < need:
-                    bump = math.ceil((need - sum(sched.Y[r] * T[r]
-                                                 for r in range(k - 1)))
-                                     / sched.Y[k - 1])
-                    T[-1] = max(T[-1], bump)
-        if min_total_length:
-            # inflating the final level keeps every inequality valid
-            body = sum(sched.Y[r] * T[r] + sched._next_level_connector(r + 1)
-                       for r in range(km - 1))
-            tail_conn = sched._next_level_connector(km)
-            need = min_total_length - body - tail_conn
-            if need > 0:
-                T[-1] = max(T[-1], math.ceil(need / sched.Y[km - 1]))
-        sched.T = T
-        sched.offsets_M = [0]
-        for q in range(1, km + 1):
-            sched.offsets_M.append(sched.offsets_M[-1] + sched.T[q - 1]
-                                   * sched.Y[q - 1]
-                                   + sched._next_level_connector(q))
+                need = (k + 1) * sched.Y[k] - sum(sched.Y[r] * T[r]
+                                                  for r in range(k - 1))
+                T[-1] = max(T[-1], math.ceil(need / sched.Y[k - 1]))
+        # inflating the final level to min_total_length keeps every
+        # inequality valid
+        need = min_total_length - sum(
+            sched.Y[r] * T[r] + sched._next_level_connector(r + 1)
+            for r in range(km - 1)) - sched._next_level_connector(km)
+        T[-1] = max(T[-1], math.ceil(need / sched.Y[km - 1]))
+        sched.T, sched.offsets_M = T, [0]
+        for q in range(km):
+            sched.offsets_M.append(sched.offsets_M[-1] + T[q] * sched.Y[q]
+                                   + sched._next_level_connector(q + 1))
         return sched
 
     sched = make(k_max)
@@ -377,68 +406,42 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     each state is the shift of the previous one, so the 1/2-pseudo-orbit
     check and the shadow deviations only involve segment ends, and the
     shadowing point is the concatenated segment symbols followed by the last
-    state.  The point is one preallocated int8 array: each family's picks
-    are written with one fancy index at their schedule offsets, connector
-    paths come from a per-cell-pair table.  Past its end, a segment's last
+    state.  The point is one preallocated int8 array written at the starts
+    of the schedule's layout: each family's picks with one fancy index, each
+    cell pair's connector path with another.  Past its end, a segment's last
     state holds its family's continuation row (for a connector, the cycle
     through its target); all are checked to AUDIT_DEPTH at once.
 
     families maps (k, j) to a BlockFamily; picks (slot -> block index) fixes
-    block choices per (k, j, i, t) slot, with seeded random defaults drawn
-    one slot at a time in the construction's order.
+    block choices per (k, j, i, t) slot.  The other slots (and negative
+    picks) are drawn by one seeded rng.integers(bounds) call in slot order,
+    the same stream as one call per slot.
     Returns (symbols, max shadow deviation, picks used), where symbols holds
     the point's first total_length + AUDIT_DEPTH + p symbols, p the period
     of its cycle.
     """
-    rng = make_rng(seed)
-    depth = AUDIT_DEPTH - 1
-    chosen: dict = {}
+    layout, depth = schedule.layout, AUDIT_DEPTH - 1
+    bounds = np.empty(len(layout.keys), dtype=np.int64)
+    for (k, j), (index, _starts) in layout.slots.items():
+        if families[(k, j)].n != schedule.block_lengths[k - 1][j - 1]:
+            raise ValueError("schedule/family block length mismatch")
+        bounds[index] = len(families[(k, j)].blocks)
+    picks = picks or {}
+    got = np.array([picks.get(key, -1) for key in layout.keys], dtype=np.int64)
+    draw = got < 0
+    got[draw] = make_rng(seed).integers(bounds[draw])
     segments = []  # (starts, symbols, continuations): one row per segment
-
-    @functools.cache
-    def bridge(from_cell, to_cell):  # path and its continuation, as rows
-        cyc = np.array(canonical_cycle(shift, to_cell), dtype=np.int8)
-        return (np.array([connector(shift, from_cell, to_cell)[1]], np.int8),
-                np.resize(cyc, (1, depth)))
-
-    pos = 0
-    for k in range(1, schedule.k_max + 1):
-        cells, T = schedule.cells[k - 1], schedule.T[k - 1]
-        level = []  # (j, family, repetitions, picks in (i, t) order)
-        for j in range(1, len(cells) + 1):
-            fam: BlockFamily = families[(k, j)]
-            if fam.n != schedule.block_lengths[k - 1][j - 1]:
-                raise ValueError("schedule/family block length mismatch")
-            level.append((j, fam, schedule.repetitions(k, j), []))
-        for i in range(1, T + 1):
-            for j, fam, reps, got in level:
-                for t in range(1, reps + 1):
-                    slot = (k, j, i, t)
-                    chosen[slot] = (picks[slot] if picks and slot in picks
-                                    else int(rng.integers(len(fam.blocks))))
-                    got.append(chosen[slot])
-        # T cycles of: each family's blocks, then a connector to the next cell
-        bridges = [bridge(c, cells[(j + 1) % len(cells)])
-                   for j, c in enumerate(cells)]
-        cycle = sum(reps * fam.n + path.shape[1]
-                    for (_j, fam, reps, _g), (path, _r) in zip(level, bridges))
-        at = pos + cycle * np.arange(T)
-        for (_j, fam, reps, got), (path, row) in zip(level, bridges):
-            starts = (at[:, None] + fam.n * np.arange(reps)).ravel()
-            segments.append((starts, fam.blocks[got, :fam.n],
-                             fam.continuation[got]))
-            at = at + reps * fam.n
-            segments.append((at, path, row))
-            at = at + path.shape[1]
-        pos += T * cycle
-        # trailing connector into the next level's first cell (wraps at the top)
-        path, row = bridge(cells[0], schedule.cells[k][0]
-                           if k < schedule.k_max else schedule.cells[0][0])
-        segments.append((np.array([pos]), path, row))
-        pos += path.shape[1]
+    for key, (index, starts) in layout.slots.items():
+        fam, idx = families[key], got[index].ravel()
+        segments.append((starts.ravel(), fam.blocks[idx, :fam.n],
+                         fam.continuation[idx]))
+    for (a, b), (s, starts) in layout.bridges.items():
+        path = np.array([connector(shift, a, b)[1]], dtype=np.int8)
+        if path.shape[1] != s:
+            raise AssertionError(f"connector {a}->{b} is not {s} symbols long")
+        cyc = np.array(canonical_cycle(shift, b), dtype=np.int8)
+        segments.append((starts, path, np.resize(cyc, (1, depth))))
     L = schedule.total_length
-    if pos != L:
-        raise AssertionError(f"length {pos} != scheduled {L}")
     cyc = np.array(canonical_cycle(shift, schedule.cells[0][0]), dtype=np.int8)
     z = np.empty(L + AUDIT_DEPTH + len(cyc), dtype=np.int8)
     for starts, symbols, _cont in segments:
@@ -460,7 +463,7 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     hit = miss.any(axis=1)
     deviation = (2.0 ** -(1 + int(miss.argmax(axis=1)[hit].min()))
                  if hit.any() else 0.0)
-    return z, deviation, chosen
+    return z, deviation, dict(zip(layout.keys, got.tolist()))
 
 
 @dataclass
@@ -482,12 +485,12 @@ def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
     z, deviation, used = concatenate(shift, schedule, families, seed=seed,
                                      picks=picks)
     L = schedule.total_length
-    grid = sorted({schedule.M_i(k, i)
-                   for k in range(1, schedule.k_max + 1)
-                   for i in range(1, schedule.T[k - 1] + 1)} | {L})
-    grid = [n for n in grid if n >= 1]
+    grid = np.unique(np.concatenate(
+        [schedule.M(k) + schedule.Y[k - 1] * np.arange(schedule.T[k - 1])
+         for k in range(1, schedule.k_max + 1)] + [[L]]))
+    grid = grid[grid >= 1]
     D = _cylinder_distances(z[:L + family.max_depth], grid, target, family)
-    convergence = [(n, float(d)) for n, d in zip(grid, D)]
+    convergence = list(zip(grid.tolist(), D.tolist()))
     return WeaveOutcome(
         point=word_state(shift, z[:L + 1].tolist()), symbols=z, total_length=L,
         convergence=convergence, per_block_deviation=deviation,
@@ -502,22 +505,16 @@ def run_weave(shift: ShiftSpace, target, family: TestFunctionFamily,
     """Full pipeline: decompose the target per level, select block families,
     build the certified schedule, concatenate, shadow, and audit convergence.
     Returns (schedule, families, outcome)."""
-    decomposition = []
-    families: dict = {}
-    block_lengths = []
-    cells = []
+    decomposition, families, block_lengths, cells = [], {}, [], []
     for k in range(1, k_max + 1):
         comps = convex_decompose(target, k, family)
+        fams = [select_blocks(shift, m, block_length, epsilon, k, gamma,
+                              budget, seed + 1000 * k + j, family=family)
+                for j, (_a, m) in enumerate(comps, start=1)]
         decomposition.append(comps)
-        row_n, row_c = [], []
-        for j, (_a, m) in enumerate(comps, start=1):
-            fam = select_blocks(shift, m, block_length, epsilon, k, gamma,
-                                budget, seed + 1000 * k + j, family=family)
-            families[(k, j)] = fam
-            row_n.append(fam.n)
-            row_c.append(fam.cell)
-        block_lengths.append(row_n)
-        cells.append(row_c)
+        families.update({(k, j): f for j, f in enumerate(fams, start=1)})
+        block_lengths.append([f.n for f in fams])
+        cells.append([f.cell for f in fams])
     schedule = build_schedule(
         decomposition, block_lengths, cells,
         lambda a, b: connector(shift, a, b), gamma, k_max, epsilon,

@@ -19,7 +19,7 @@ from orbitweave.measures import (AtomicMeasure, LocallyConstantObservable,
 from orbitweave.shadowing import (make_rng, perturbed_orbit, shadow_interval,
                                   shadow_shift, validate_pseudo, _random_start)
 from orbitweave.systems import (TentMap, Word, full_shift, golden_mean_shift)
-from orbitweave.variational import (constrained_sup, count_at, pressure,
+from orbitweave.variational import (constrained_sup, count_at, gibbs_kernel,
                                     shrink_experiment)
 from orbitweave.weaving import run_weave, separation_audit, weave_point
 
@@ -190,7 +190,7 @@ def _ball_dual(nu, delta):
         phi = LocallyConstantObservable(depth, tuple(
             (w, sum(ci for ci, f in zip(c, cyls) if w[:f.depth] == f.word))
             for w in words))
-        return (pressure(FULL, phi, 1.0)
+        return (gibbs_kernel(FULL, phi, 1.0).P
                 - sum(ci * m for ci, m in zip(c, nu_mass))
                 + delta * max(abs(ci) * 2.0 ** (i + 1)
                               for i, ci in enumerate(c, start=1)))

@@ -270,6 +270,19 @@ def test_weave_artifacts_byte_identical(tmp_path, name):
         == digests
 
 
+def test_weave_over_cap_exits_3_without_artifact(tmp_path, capsys):
+    # even one level is longer than length_cap: the OverflowError maps to
+    # exit 3 through the EXIT_CODES table, before any artifact is written
+    cfg = {"system": FULL2, "target": {"bernoulli": 0.7}, "k_max": 1,
+           "length_cap": 20}
+    code, out = run(tmp_path, "weave", cfg)
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("truncation: even a single level needs")
+    assert "Traceback" not in err
+
+
 def _modulus(system, epsilon, trials, length):
     return {"system": system, "mode": "modulus", "epsilon": epsilon,
             "trials": trials, "length": length}

@@ -13,7 +13,7 @@ from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
 from orbitweave.systems import ShiftSpace, full_shift, golden_mean_shift
 from orbitweave.variational import (EmptyConstraintError, ReducibleLiftError,
                                     constrained_sup, count_at, gibbs_data,
-                                    gibbs_kernel, pressure, shrink_experiment,
+                                    gibbs_kernel, shrink_experiment,
                                     spectrum)
 
 FULL = full_shift(2)
@@ -28,21 +28,23 @@ def binary_entropy(p):
 
 
 def test_pressure_unweighted_is_topological_entropy():
-    assert pressure(FULL, PHI, 0.0) == pytest.approx(math.log(2), abs=1e-11)
+    assert gibbs_kernel(FULL, PHI, 0.0).P == pytest.approx(math.log(2),
+                                                          abs=1e-11)
     gm = golden_mean_shift()
     golden = (1 + math.sqrt(5)) / 2
-    assert pressure(gm, PHI, 0.0) == pytest.approx(math.log(golden), abs=1e-10)
+    assert gibbs_kernel(gm, PHI, 0.0).P == pytest.approx(math.log(golden),
+                                                        abs=1e-10)
 
 
 @given(st.floats(-8, 8))
 @settings(max_examples=60, deadline=None)
 def test_pressure_closed_form_full_shift(q):
-    assert pressure(FULL, PHI, q) == pytest.approx(math.log(1 + math.exp(q)),
-                                                   abs=1e-10)
+    assert gibbs_kernel(FULL, PHI, q).P == pytest.approx(
+        math.log(1 + math.exp(q)), abs=1e-10)
 
 
 def test_pressure_large_negative_q():
-    assert pressure(FULL, PHI, -40.0) == pytest.approx(0.0, abs=1e-12)
+    assert gibbs_kernel(FULL, PHI, -40.0).P == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- oracle
@@ -143,20 +145,20 @@ def test_kernel_derivatives_match_differences(name):
 def test_reducible_lift_rejected():
     reducible = ShiftSpace(2, ((1, 1), (0, 1)))
     with pytest.raises(ReducibleLiftError):
-        pressure(reducible, PHI, 0.0)
+        gibbs_kernel(reducible, PHI, 0.0)
     # depth 2 on three symbols, 2 -> {0, 1} only: no edge returns to 2
     tail = ShiftSpace(3, ((1, 1, 0), (1, 1, 0), (1, 1, 0)))
     phi2 = LocallyConstantObservable(2, tuple(
         (w, float(w[0] == w[1]))
         for w in itertools.product(range(3), repeat=2)))
     with pytest.raises(ReducibleLiftError):
-        pressure(tail, phi2, 0.0)
+        gibbs_kernel(tail, phi2, 0.0)
 
 
 def test_weights_past_float_range():
     # only the spread of q phi matters: exp(q phi - max q phi) is in (0, 1]
     high = LocallyConstantObservable(1, (((0,), 100.0), ((1,), 101.0)))
-    assert pressure(FULL, high, 50.0) == pytest.approx(
+    assert gibbs_kernel(FULL, high, 50.0).P == pytest.approx(
         5050.0 + math.log1p(math.exp(-50.0)), rel=1e-15)
     wide = LocallyConstantObservable(1, (((0,), 0.0), ((1,), 20.0)))
     with pytest.raises(ValueError, match="float range"):

@@ -215,6 +215,66 @@ def test_offsets_recurrences():
     assert sched.M_ijt(1, 2, 1, 4) == sched.M_ij(1, 2, 1) + 3 * 12
 
 
+@pytest.mark.parametrize("bounds", [
+    [1], [1, 1, 1], [2, 1, 7, 3, 1, 100, 5],
+    [2 ** 32, 5, 2 ** 40 + 3, 1, 2 ** 62, 2 ** 32 - 1], []])
+def test_batched_draws_repeat_per_slot_draws(bounds):
+    # concatenate draws every missing slot with one rng.integers(bounds)
+    # call; the woven points need it to repeat the per-slot stream
+    batch, single = make_rng(9), make_rng(9)
+    got = batch.integers(np.array(bounds, dtype=np.int64))
+    assert got.tolist() == [int(single.integers(b)) for b in bounds]
+    np.testing.assert_equal(batch.bit_generator.state,
+                            single.bit_generator.state)
+
+
+def _paper_offset(schedule, k, i, j, t):
+    """M_{k,i,j,t} = M_i + sum_{p<j} (N n_p C_p + s) + (t - 1) n_j, summed
+    in Fractions as the construction writes it."""
+    N, n, C = schedule.N[k - 1], schedule.block_lengths[k - 1], \
+        schedule.C[k - 1]
+    return schedule.M_i(k, i) + sum(
+        (N * n[p - 1] * C[p - 1] + schedule.s(k, p, k, p + 1)
+         for p in range(1, j)), Fraction(0)) + (t - 1) * n[j - 1]
+
+
+@pytest.mark.parametrize("case", ["full", "golden", "mixture", "truncated"])
+def test_layout_tiles_the_point_at_the_paper_offsets(case):
+    from orbitweave.measures import MarkovMeasure
+    shift = golden_mean_shift() if case == "golden" else FULL
+    target = {"full": bernoulli(0.7), "truncated": bernoulli(0.7),
+              "golden": MarkovMeasure(GOLDEN_CHAIN, shift=shift),
+              "mixture": MixtureMeasure(((Fraction(1, 3), bernoulli(0.25)),
+                                         (Fraction(2, 3), bernoulli(0.8))))}
+    schedule, _families, _outcome = run_weave(
+        shift, target[case], FAMILY, k_max=4 if case == "truncated" else 2,
+        gamma=0.3, block_length=10, budget=100, seed=1,
+        min_total_length=3000, length_cap=3500)
+    assert schedule.truncated == (case == "truncated")
+    layout, L = schedule.layout, schedule.total_length
+    cover = np.zeros(L, dtype=np.int64)
+    for (k, j), (index, starts) in layout.slots.items():
+        n, reps = schedule.block_lengths[k - 1][j - 1], \
+            schedule.repetitions(k, j)
+        assert index.shape == starts.shape == (schedule.T[k - 1], reps)
+        for x, start in zip(index.ravel().tolist(), starts.ravel().tolist()):
+            (k2, j2, i, t) = layout.keys[x]
+            assert (k2, j2) == (k, j)
+            assert start == _paper_offset(schedule, k, i, j, t) \
+                == schedule.M_ijt(k, i, j, t)
+        np.add.at(cover, (starts[..., None] + np.arange(n)).ravel(), 1)
+    for (a, b), (s, starts) in layout.bridges.items():
+        assert s == connector(shift, a, b)[0]
+        np.add.at(cover, (starts[:, None] + np.arange(s)).ravel(), 1)
+    # every position of [0, L) in exactly one segment
+    assert (cover == 1).all()
+    # the slots in the construction's order (k, i, j, t), each once
+    assert layout.keys == sorted(layout.keys, key=lambda s: (s[0], s[2],
+                                                            s[1], s[3]))
+    assert sum(index.size for index, _ in layout.slots.values()) \
+        == len(set(layout.keys)) == len(layout.keys)
+
+
 def test_concatenate_length_and_block_windows():
     m = bernoulli(0.5)
     fam = select_blocks(FULL, m, 12, 0.5, 1, 0.25, budget=200, seed=3,
@@ -296,6 +356,9 @@ def _assert_weave_matches_oracle(shift, target, seed):
     picks = dict(outcome.picks)
     picks[slot] = (picks[slot] + 1) % len(families[slot[:2]].blocks)
     _assert_splice_matches_oracle(shift, schedule, families, seed, picks)
+    # every other slot given: the rest are drawn in slot order
+    _assert_splice_matches_oracle(shift, schedule, families, seed,
+                                  dict(list(outcome.picks.items())[::2]))
     return schedule
 
 
