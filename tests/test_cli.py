@@ -312,6 +312,31 @@ def test_shadow_artifacts_byte_identical(tmp_path, name):
         == digest
 
 
+THREE = {"kind": "sft", "transition": [[0, 0, 1], [1, 1, 0], [1, 1, 1]]}
+# sha256 of single-mode shadow.json at delta 2^-8, length 200 and seed 1:
+# the random start, its canonical-cycle state, the perturbed orbit and the
+# splice all show here
+SINGLE_SHADOW_DIGESTS = {
+    "full": (FULL2,
+             "e53cd1ada102d49d8537a4b3b5a0fab61d4b5cd4b0d6a7746fcfe32152ada1d1"),
+    "golden": (GOLDEN,
+               "0e296c08ad1b805fc4c9196feef431c12be2f36978a471f2bb33441cc58393ee"),
+    "three": (THREE,
+              "93010ae21e98bf112904bd4f6a1c96fdca227f600ae00cefb72362bc0af405e1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_SHADOW_DIGESTS))
+def test_single_shadow_artifact_byte_identical(tmp_path, name):
+    system, digest = SINGLE_SHADOW_DIGESTS[name]
+    cfg = {"system": system, "mode": "single", "delta": 2.0 ** -8,
+           "length": 200}
+    code, out = run(tmp_path, "shadow", cfg)
+    assert code == 0
+    assert hashlib.sha256((out / "shadow.json").read_bytes()).hexdigest() \
+        == digest
+
+
 FREQ = {"kind": "frequency", "symbol": 1}
 # sha256 of spectrum.csv and katok.csv for the benchmark's analysis configs
 # at their seeds (run seed 1), as the two separate counting DPs before the
