@@ -6,14 +6,16 @@ within 2^-(m+1).  On interval maps the values a shadow can take at time t
 form one interval (the maps are continuous), tracked forward over the linear
 pieces; the shadow is rebuilt backward from it, with no cap on the work.
 
-`shadowing_modulus` runs each delta row as one batch over all trials; the
-single-trial functions are batches of one.  Shift symbols, of random starts
-and perturbations alike, are succ[floor(u * len(succ))] for uniforms u.
+`shadowing_modulus` runs each delta row as one batch over all trials.
+`perturbed_orbit` and `shadow_interval` are batches of one of its kernels;
+`shadow_shift` shares only the deviation kernel, on windows read from the
+states' Words, and `validate_pseudo` checks one state at a time.  Shift
+symbols, of random starts and perturbations alike, are
+succ[floor(u * len(succ))] for uniforms u.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -27,12 +29,14 @@ from .systems import (EndpointFixedMap, ShiftSpace, State, System, TentMap,
 
 __all__ = ["PseudoOrbit", "ShadowResult", "PseudoOrbitViolation",
            "validate_pseudo", "perturbed_orbit", "shadow_shift",
-           "shadow_interval", "shadowing_modulus", "canonical_cycle",
-           "make_rng"]
+           "shadow_interval", "shadowing_modulus", "steering_word",
+           "canonical_cycle", "continue_words", "make_rng"]
 
 AUDIT_DEPTH = 64  # coordinate depth to which shadow deviations are measured
 START_LENGTH = 32  # drawn symbols of a random shift start
 SWEEP = 14  # most rows of the modulus's halving sweep
+SUCCESS_TARGET = 0.95  # share of shadowed trials that makes a delta good
+REFINE_ROUNDS = 4  # bisection rounds after the sweep
 SPLICE_CHUNK = 1 << 18  # symbols compared per chunk of splice trials
 
 
@@ -81,26 +85,30 @@ def validate_pseudo(system: System, states: Sequence[State],
 
 
 @functools.cache
+def steering_word(shift: ShiftSpace, a: int, b: int) -> tuple[int, ...]:
+    """Lexicographically least of the shortest admissible words
+    v_0 .. v_{s-1} with v_0 = a, s >= 1 and v_{s-1} -> b allowed, the word
+    steering a into b (cached).  Each breadth-first frontier lists the least
+    word to every newly reached symbol, in lexicographic order."""
+    frontier, seen = [(a,)], {a}
+    while frontier:
+        for word in frontier:
+            if shift.allowed(word[-1], b):
+                return word
+        nxt = []
+        for word in frontier:
+            for c in range(shift.alphabet_size):
+                if shift.allowed(word[-1], c) and c not in seen:
+                    seen.add(c)
+                    nxt.append(word + (c,))
+        frontier = nxt
+    raise ValueError(f"no admissible word steers {a} into {b}")
+
+
 def canonical_cycle(shift: ShiftSpace, last: int) -> tuple[int, ...]:
-    """Lexicographically-least shortest admissible cycle through `last`,
-    used to extend finite words to admissible infinite states (cached per
-    shift and symbol)."""
-    if shift.allowed(last, last):
-        return (last,)
-    # BFS for the shortest path last -> ... -> last with >= 1 edge
-    prev, queue = {}, collections.deque([last])
-    while queue:
-        u = queue.popleft()
-        if u != last and shift.allowed(u, last):
-            path = [u]
-            while prev[path[-1]] != last:
-                path.append(prev[path[-1]])
-            return (last,) + tuple(reversed(path))
-        for b in range(shift.alphabet_size):
-            if shift.allowed(u, b) and b not in prev:
-                prev[b] = u
-                queue.append(b)
-    raise ValueError(f"symbol {last} lies on no admissible cycle")
+    """Lexicographically-least shortest admissible cycle through `last` (the
+    word steering it back into itself), the continuation of finite words."""
+    return steering_word(shift, last, last)
 
 
 def word_state(shift: ShiftSpace, symbols: Sequence[int]) -> Word:
@@ -111,6 +119,20 @@ def word_state(shift: ShiftSpace, symbols: Sequence[int]) -> Word:
     symbols = tuple(symbols)
     cyc = canonical_cycle(shift, symbols[-1])
     return Word(symbols, cyc[1:] + cyc[:1])
+
+
+def continue_words(shift: ShiftSpace, words: np.ndarray,
+                   width: int) -> np.ndarray:
+    """int8 (..., width): the first symbols of word_state(shift, w) for each
+    word w along the last axis of words (..., len), that is the word, then
+    the canonical cycle through its last symbol from the symbol after it."""
+    last = words[..., -1]
+    tail = np.zeros((shift.alphabet_size, max(0, width - words.shape[-1])),
+                    dtype=np.int8)
+    for a in np.flatnonzero(np.bincount(np.ravel(last))).tolist():
+        cyc = canonical_cycle(shift, a)
+        tail[a] = np.resize(cyc[1:] + cyc[:1], tail.shape[1])
+    return np.concatenate([words[..., :width], tail[last]], axis=-1)
 
 
 def perturbed_orbit(system: System, x0: State, n: int, delta: float,
@@ -127,9 +149,8 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
     if isinstance(system, ShiftSpace):
         start = np.array([x0.prefix(_resolution(delta) + 1)], dtype=np.int8)
         heads = _shift_heads(system, start, delta, u)[0].tolist()
-        cycles = {a: word_state(system, [a]).cycle for a in {h[-1] for h in heads}}
-        return PseudoOrbit((x0,) + tuple(Word(tuple(h), cycles[h[-1]])
-                                         for h in heads), delta)
+        return PseudoOrbit((x0,) + tuple(word_state(system, h) for h in heads),
+                           delta)
     xs = _interval_orbits(system, np.array([float(x0)]), delta, u)
     return PseudoOrbit(tuple(xs[:, 0].tolist()), delta)
 
@@ -175,28 +196,16 @@ def _shift_heads(shift: ShiftSpace, start: np.ndarray, delta: float,
     return heads
 
 
-def _cycle_rows(shift: ShiftSpace, last: np.ndarray, width: int) -> np.ndarray:
-    """(alphabet, width) int8 table: for each symbol a in `last`, row a is
-    the canonical cycle through a repeated from the symbol after a, the
-    continuation of any word ending in a; rows of absent symbols are 0."""
-    rows = np.zeros((shift.alphabet_size, width), dtype=np.int8)
-    for a in np.flatnonzero(np.bincount(np.ravel(last))).tolist():
-        cyc = canonical_cycle(shift, a)
-        rows[a] = np.resize(cyc[1:] + cyc[:1], width)
-    return rows
-
-
 def _splice(shift: ShiftSpace, start: np.ndarray, heads: np.ndarray):
     """(windows, z) for _splice_deviations: the first AUDIT_DEPTH symbols of
     states 0..n-1 (the start window, then each head continued by the
     canonical cycle through its last symbol) and the spliced point."""
-    last = heads[..., -1]
-    cont = _cycle_rows(shift, last, AUDIT_DEPTH + shift.alphabet_size)
     windows = np.empty((len(heads), heads.shape[1] + 1, AUDIT_DEPTH), np.int8)
     windows[:, 0] = start[:, :AUDIT_DEPTH]
-    windows[:, 1:] = np.concatenate([heads, cont[last]], -1)[..., :AUDIT_DEPTH]
-    return windows, np.concatenate([start[:, :1], heads[:, :-1, 0],
-                                    heads[:, -1], cont[last[:, -1]]], axis=1)
+    windows[:, 1:] = continue_words(shift, heads, AUDIT_DEPTH)
+    tail = continue_words(shift, heads[:, -1],  # one period past the windows
+                          heads.shape[-1] + AUDIT_DEPTH + shift.alphabet_size)
+    return windows, np.concatenate([start[:, :1], heads[:, :-1, 0], tail], 1)
 
 
 def _admissible(shift: ShiftSpace, seq: np.ndarray) -> bool:
@@ -310,8 +319,7 @@ def shadow_interval(map_: TentMap | EndpointFixedMap, po: PseudoOrbit,
 
 
 def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
-                      seed: int, success_target: float = 0.95,
-                      refine_rounds: int = 4):
+                      seed: int):
     """Empirical delta(epsilon): sweep delta downward by halving, then bisect
     around the success threshold; returns (delta_hat, table of
     (delta, successes, trials)).  Starts and perturbation uniforms are drawn
@@ -325,9 +333,8 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     if isinstance(system, ShiftSpace):
         words = _shift_starts(system, np.array([r.random(START_LENGTH) for r in rngs]))
         # continued as far as the heads of the sweep's smallest delta reach
-        width = max(AUDIT_DEPTH, _resolution(epsilon / 2 ** (SWEEP - 1)) + 1)
-        start = np.hstack([words, _cycle_rows(system, words[:, -1], width)[
-            words[:, -1]]])
+        start = continue_words(system, words, max(
+            AUDIT_DEPTH, _resolution(epsilon / 2 ** (SWEEP - 1)) + 1))
         step = max(1, SPLICE_CHUNK // (length * AUDIT_DEPTH))
     else:
         x0 = np.array([_random_start(system, r) for r in rngs])
@@ -342,23 +349,23 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
         return int(np.count_nonzero(_interval_shadow(system, xs, epsilon)[0]))
 
     delta, bad, table = epsilon, None, []  # coarse sweep, then bisection
+
+    def good(d: float) -> bool:  # runs and records one row
+        table.append((d, run(d), trials))
+        return table[-1][1] / trials >= SUCCESS_TARGET
+
     for _ in range(SWEEP):
-        table.append((delta, run(delta), trials))
-        if table[-1][1] / trials >= success_target:
+        if good(delta):
             break
         bad, delta = delta, delta / 2
     else:
         return 0.0, table
-    lo, hi = delta, bad
-    for _ in range(refine_rounds if bad is not None else 0):
+    lo, hi = delta, bad  # lo: the largest good delta so far
+    for _ in range(REFINE_ROUNDS if bad is not None else 0):
         mid = 0.5 * (lo + hi)
-        table.append((mid, run(mid), trials))
-        if table[-1][1] / trials >= success_target:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if good(mid) else (lo, mid)
     table.sort(key=lambda r: -r[0])
-    return max(d for d, ok, tr in table if ok / tr >= success_target), table
+    return lo, table
 
 
 def _shift_starts(shift: ShiftSpace, u: np.ndarray) -> np.ndarray:

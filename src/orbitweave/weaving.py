@@ -20,13 +20,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from .measures import MarkovMeasure, TestFunctionFamily, convex_decompose
 from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, _admissible,
-                        _cycle_rows, canonical_cycle, make_rng, word_state)
+                        canonical_cycle, continue_words, make_rng,
+                        steering_word)
 from .systems import ShiftSpace, Word
 
 __all__ = [
@@ -78,10 +79,8 @@ class BlockFamily:
     def __post_init__(self):
         if not len(self.blocks):
             raise ValueError("empty block family")
-        depth, last = AUDIT_DEPTH - 1, self.blocks[:, -1]
-        self.continuation = np.concatenate(
-            [self.blocks[:, self.n:self.n + depth],
-             _cycle_rows(self.shift, last, depth)[last]], axis=1)[:, :depth]
+        self.continuation = continue_words(
+            self.shift, self.blocks, self.n + AUDIT_DEPTH - 1)[:, self.n:]
 
 
 def _cylinder_distances(symbols, ms, measure,
@@ -157,27 +156,12 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
 
 
 def connector(shift: ShiftSpace, from_cell: int, to_cell: int):
-    """Shortest admissible steering word from one depth-1 cell into another:
-    returns (s, path) where path has s symbols starting in from_cell and the
-    step after the path lands in to_cell.  Lexicographically least among the
-    shortest; same-cell connectors still take at least one step."""
+    """(s, path): the steering word from one depth-1 cell into another on an
+    irreducible shift, s = len(path) >= 1 even from a cell into itself."""
     if not shift.is_irreducible():
         raise ValueError("connector needs an irreducible transition matrix")
-    k = shift.alphabet_size
-    # BFS on path length s >= 1: path v_0 .. v_{s-1}, v_0 = from_cell,
-    # admissible internally and v_{s-1} -> to_cell allowed
-    frontier = {from_cell: (from_cell,)}
-    for s in range(1, k * k + 2):
-        for v, path in sorted(frontier.items(), key=lambda kv: kv[1]):
-            if shift.allowed(v, to_cell):
-                return s, path
-        nxt = {}
-        for v, path in sorted(frontier.items(), key=lambda kv: kv[1]):
-            for b in range(k):
-                if shift.allowed(v, b) and b not in nxt:
-                    nxt[b] = path + (b,)
-        frontier = nxt
-    raise ValueError("no admissible connector found")  # unreachable if irreducible
+    path = steering_word(shift, from_cell, to_cell)
+    return len(path), path
 
 
 class Layout(NamedTuple):
@@ -206,18 +190,20 @@ class WeaveSchedule:
     X: list[int]
     Y: list[int]
     T: list[int]
-    s_table: dict
+    connectors: dict  # (from cell, to cell) -> connector word
     epsilon: float
-    delta_prime: float = DELTA_PRIME
-    diam_xi: float = DELTA_PRIME
-    splice_guarantee: float = DELTA_PRIME / 2
+    delta_prime: ClassVar[float] = DELTA_PRIME
+    diam_xi: ClassVar[float] = DELTA_PRIME
+    splice_guarantee: ClassVar[float] = DELTA_PRIME / 2
     truncated: bool = False
     truncation_level: int | None = None
     certified: bool = False
     offsets_M: list[int] = field(default_factory=list)
 
     def s(self, k1, j1, k2, j2) -> int:
-        return self.s_table[(k1, j1, k2, j2)]
+        """s from cell (k1, j1) into (k2, j2); level k_max + 1 is level 1."""
+        to = self.cells[(k2 - 1) % self.k_max][j2 - 1]
+        return len(self.connectors[(self.cells[k1 - 1][j1 - 1], to)])
 
     # ---- offsets; indices are 1-based like the construction ----
     def M(self, q: int) -> int:
@@ -303,9 +289,8 @@ class WeaveSchedule:
 
     def _connector_sum(self, k: int) -> int:
         """Sum of s over all pairs of (level, j) cells up to level k + 1."""
-        top = min(k + 1, self.k_max)
-        return sum(s for (r1, _j1, r2, _j2), s in self.s_table.items()
-                   if r1 <= top and r2 <= top)
+        cells = [c for level in self.cells[:k + 1] for c in level]
+        return sum(len(self.connectors[(a, b)]) for a in cells for b in cells)
 
     def _next_level_connector(self, r: int) -> int:
         return self.s(r, 1, r + 1, 1)  # at r = k_max, the wrap to level 1
@@ -333,11 +318,10 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
     for level in coeffs:
         if sum(level) != 1 or any(a <= 0 for a in level):
             raise ValueError("coefficients must be positive rationals summing to 1")
-    # connector table over all pairs of (level, j) cells
-    cell_of = {(k, j): cells[k - 1][j - 1] for k in range(1, k_max + 1)
-               for j in range(1, len(coeffs[k - 1]) + 1)}
-    s_table = {a + b: connector_fn(cell_of[a], cell_of[b])[0]
-               for a in cell_of for b in cell_of}
+    # connector words between all pairs of cells
+    used = {c for level in cells[:k_max] for c in level}
+    connectors = {(a, b): tuple(connector_fn(a, b)[1]) for a in used
+                  for b in used}
 
     def make(km):
         C = [[a / n for a, n in zip(coeffs[k], block_lengths[k])]
@@ -346,10 +330,7 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
             k_max=km, coefficients=coeffs[:km],
             block_lengths=[list(b) for b in block_lengths[:km]],
             cells=[list(c) for c in cells[:km]], C=C,
-            N=[], X=[], Y=[], T=[], s_table=dict(s_table), epsilon=epsilon)
-        # the trailing connector after the last level wraps to the first cell
-        sched.s_table[(km, 1, km + 1, 1)], _ = connector_fn(cells[km - 1][0],
-                                                           cells[0][0])
+            N=[], X=[], Y=[], T=[], connectors=connectors, epsilon=epsilon)
         for k in range(1, km + 1):
             sk = len(coeffs[k - 1])
             lcm = math.lcm(*(c.denominator for c in C[k - 1]))
@@ -408,17 +389,18 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     shadowing point is the concatenated segment symbols followed by the last
     state.  The point is one preallocated int8 array written at the starts
     of the schedule's layout: each family's picks with one fancy index, each
-    cell pair's connector path with another.  Past its end, a segment's last
-    state holds its family's continuation row (for a connector, the cycle
-    through its target); all are checked to AUDIT_DEPTH at once.
+    cell pair's connector word (from `schedule.connectors`, at the starts
+    in `layout.bridges`) with another.  Past its end, a segment's last state
+    holds its family's continuation row (for a connector, the cycle through
+    its target); all are checked to AUDIT_DEPTH at once.
 
     families maps (k, j) to a BlockFamily; picks (slot -> block index) fixes
     block choices per (k, j, i, t) slot.  The other slots (and negative
     picks) are drawn by one seeded rng.integers(bounds) call in slot order,
     the same stream as one call per slot.
-    Returns (symbols, max shadow deviation, picks used), where symbols holds
-    the point's first total_length + AUDIT_DEPTH + p symbols, p the period
-    of its cycle.
+    Returns (symbols, max shadow deviation, choice): symbols holds the
+    point's first total_length + AUDIT_DEPTH + p symbols, p the period of
+    its cycle, and choice the block index of every slot in layout.keys order.
     """
     layout, depth = schedule.layout, AUDIT_DEPTH - 1
     bounds = np.empty(len(layout.keys), dtype=np.int64)
@@ -435,18 +417,15 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
         fam, idx = families[key], got[index].ravel()
         segments.append((starts.ravel(), fam.blocks[idx, :fam.n],
                          fam.continuation[idx]))
-    for (a, b), (s, starts) in layout.bridges.items():
-        path = np.array([connector(shift, a, b)[1]], dtype=np.int8)
-        if path.shape[1] != s:
-            raise AssertionError(f"connector {a}->{b} is not {s} symbols long")
-        cyc = np.array(canonical_cycle(shift, b), dtype=np.int8)
-        segments.append((starts, path, np.resize(cyc, (1, depth))))
-    L = schedule.total_length
-    cyc = np.array(canonical_cycle(shift, schedule.cells[0][0]), dtype=np.int8)
-    z = np.empty(L + AUDIT_DEPTH + len(cyc), dtype=np.int8)
+    for (a, b), (_s, starts) in layout.bridges.items():
+        word = np.array([schedule.connectors[(a, b)]], dtype=np.int8)
+        segments.append((starts, word, continue_words(
+            shift, np.array([[b]], np.int8), depth)))
+    L, last = schedule.total_length, schedule.cells[0][0]  # the last target
+    z = np.empty(L + AUDIT_DEPTH + len(canonical_cycle(shift, last)), np.int8)
     for starts, symbols, _cont in segments:
         z[starts[:, None] + np.arange(symbols.shape[1])] = symbols
-    z[L:] = np.resize(cyc, len(z) - L)  # the last state, from its target on
+    z[L:] = continue_words(shift, np.array([last], np.int8), len(z) - L)
     ends = np.concatenate([starts + symbols.shape[1]
                            for starts, symbols, _cont in segments])
     cont = np.concatenate([np.broadcast_to(c, (len(starts), depth))
@@ -463,18 +442,32 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     hit = miss.any(axis=1)
     deviation = (2.0 ** -(1 + int(miss.argmax(axis=1)[hit].min()))
                  if hit.any() else 0.0)
-    return z, deviation, dict(zip(layout.keys, got.tolist()))
+    return z, deviation, got
 
 
 @dataclass
 class WeaveOutcome:
-    point: Word
-    symbols: np.ndarray  # the point's first symbols (see concatenate)
+    """A woven point and its audits, kept as arrays: the point's first
+    symbols (see concatenate) and each slot's block index, in the order of
+    `keys` (layout.keys).  `point` and `picks` are views built on first use."""
+
+    symbols: np.ndarray
     total_length: int
     convergence: list[tuple[int, float]]
     per_block_deviation: float
     final_distance: float
-    picks: dict
+    choice: np.ndarray
+    keys: list[tuple]
+
+    @functools.cached_property
+    def point(self) -> Word:  # period len(z) - L - AUDIT_DEPTH from L + 1 on
+        z, L = self.symbols, self.total_length
+        return Word(tuple(z[:L + 1].tolist()),
+                    tuple(z[L + 1:len(z) - AUDIT_DEPTH + 1].tolist()))
+
+    @functools.cached_property
+    def picks(self) -> dict:
+        return dict(zip(self.keys, self.choice.tolist()))
 
 
 def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
@@ -482,8 +475,8 @@ def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
                 picks: dict | None = None) -> WeaveOutcome:
     """Splice the woven point and audit the empirical distances to the
     target along the offset grid and at the full length."""
-    z, deviation, used = concatenate(shift, schedule, families, seed=seed,
-                                     picks=picks)
+    z, deviation, choice = concatenate(shift, schedule, families, seed=seed,
+                                       picks=picks)
     L = schedule.total_length
     grid = np.unique(np.concatenate(
         [schedule.M(k) + schedule.Y[k - 1] * np.arange(schedule.T[k - 1])
@@ -492,9 +485,9 @@ def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
     D = _cylinder_distances(z[:L + family.max_depth], grid, target, family)
     convergence = list(zip(grid.tolist(), D.tolist()))
     return WeaveOutcome(
-        point=word_state(shift, z[:L + 1].tolist()), symbols=z, total_length=L,
-        convergence=convergence, per_block_deviation=deviation,
-        final_distance=convergence[-1][1], picks=used)
+        symbols=z, total_length=L, convergence=convergence,
+        per_block_deviation=deviation, final_distance=convergence[-1][1],
+        choice=choice, keys=schedule.layout.keys)
 
 
 def run_weave(shift: ShiftSpace, target, family: TestFunctionFamily,
@@ -527,11 +520,10 @@ def separation_audit(shift: ShiftSpace, schedule: WeaveSchedule,
                      outcome_a: WeaveOutcome, outcome_b: WeaveOutcome) -> bool:
     """Check the woven points of two outcomes differing in exactly one block
     slot are (n(m,j), epsilon/2)-separated at that slot's offset."""
-    diff = [slot for slot in outcome_a.picks
-            if outcome_a.picks[slot] != outcome_b.picks.get(slot)]
+    diff = np.flatnonzero(outcome_a.choice != outcome_b.choice)
     if len(diff) != 1:
         raise ValueError(f"outcomes differ in {len(diff)} slots, need exactly 1")
-    (m, j, i, t) = diff[0]
+    (m, j, i, t) = schedule.layout.keys[diff[0]]
     off = schedule.M_ijt(m, i, j, t)
     n_mj = schedule.block_lengths[m - 1][j - 1]
     if off + n_mj > outcome_a.total_length:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
                                   _interval_shadow, _random_start,
                                   _shift_heads, _shift_starts, _splice,
                                   _splice_deviations, _uniforms,
-                                  canonical_cycle, make_rng, perturbed_orbit,
-                                  shadow_interval, shadow_shift,
-                                  shadowing_modulus, validate_pseudo,
-                                  word_state)
+                                  canonical_cycle, continue_words, make_rng,
+                                  perturbed_orbit, shadow_interval,
+                                  shadow_shift, shadowing_modulus,
+                                  steering_word, validate_pseudo, word_state)
 from orbitweave.systems import (EndpointFixedMap, ShiftSpace, TentMap, Word,
                                 apply_map, dist, full_shift, golden_mean_shift,
                                 orbit)
@@ -609,6 +610,63 @@ def test_splice_deviations_match_column_loop(shift):
                   lambda sh, w, z: ref_splice_deviations(sh, lambda j: w[..., j], z)):
         with pytest.raises(ValueError, match="inadmissible"):
             check(shift, wins, z)
+
+
+def ref_steering_word(shift, a, b):
+    """Brute force: the shortest words (a, ...) of length <= k first, each
+    length in lexicographic order; the first admissible one whose last
+    symbol may step into b, or None."""
+    k = shift.alphabet_size
+    for rest in itertools.chain.from_iterable(
+            itertools.product(range(k), repeat=s) for s in range(k)):
+        word = (a,) + rest
+        if shift.word_admissible(word) and shift.allowed(word[-1], b):
+            return word
+    return None
+
+
+def test_steering_word_matches_brute_force():
+    from orbitweave.weaving import connector
+    rng = np.random.default_rng(12)
+    matrices = [rng.random((k, k)) < rng.uniform(0.2, 0.6)
+                for k in rng.integers(2, 6, size=200)]
+    cycle = np.roll(np.eye(5, dtype=bool), 1, axis=1)  # i -> i + 1 mod 5
+    chord = cycle.copy()
+    chord[3, 1] = True
+    irreducible, longest = 0, 0
+    for allowed in matrices + [cycle, chord]:
+        k = len(allowed)
+        shift = ShiftSpace(k, tuple(map(tuple, allowed.astype(int).tolist())))
+        for a, b in itertools.product(range(k), repeat=2):
+            ref = ref_steering_word(shift, a, b)
+            if ref is None:
+                with pytest.raises(ValueError, match="no admissible word"):
+                    steering_word(shift, a, b)
+            else:
+                assert steering_word(shift, a, b) == ref
+                longest = max(longest, len(ref))
+            if shift.is_irreducible():
+                assert connector(shift, a, b) == (len(ref), ref)
+        if shift.is_irreducible():
+            irreducible += 1
+            for a in range(k):
+                assert canonical_cycle(shift, a) == connector(shift, a, a)[1]
+    assert irreducible >= 40 and longest == 5
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
+def test_continue_words_matches_word_state(shift):
+    words = _shift_starts(shift, np.random.default_rng(4).random((30, 6)))
+    assert set(words[:, -1].tolist()) == set(range(shift.alphabet_size))
+    for width in (1, 5, 6, 7, 70):  # below, at and past the word length
+        got = continue_words(shift, words, width)
+        assert got.dtype == np.int8 and got.shape == (30, width)
+        for row, word in zip(got.tolist(), words.tolist()):
+            assert tuple(row) == word_state(shift, word).prefix(width)
+        # leading axes are batch axes
+        assert np.array_equal(
+            continue_words(shift, words.reshape(5, 6, 6), width),
+            got.reshape(5, 6, width))
 
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])

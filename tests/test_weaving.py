@@ -9,7 +9,7 @@ from orbitweave.measures import (MixtureMeasure, TestFunctionFamily, bernoulli,
 from orbitweave.shadowing import (AUDIT_DEPTH, PseudoOrbitViolation,
                                   make_rng, shadow_shift, validate_pseudo,
                                   word_state)
-from orbitweave.systems import Word, full_shift, golden_mean_shift
+from orbitweave.systems import full_shift, golden_mean_shift
 from orbitweave.weaving import (BlockFamily, BlockSearchError, WeaveOutcome,
                                 _cylinder_distances, build_schedule,
                                 concatenate, connector, run_weave,
@@ -283,13 +283,13 @@ def test_concatenate_length_and_block_windows():
     sched = build_schedule(decomposition, [[fam.n]], [[fam.cell]],
                            lambda a, b: connector(FULL, a, b),
                            gamma=0.25, k_max=1, epsilon=0.25)
-    z, _deviation, picks = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
+    z, _deviation, choice = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
     # the spliced symbols, then the last state (its target cell, then its
     # cycle, of period 1 on the full shift) to AUDIT_DEPTH + 1 coordinates
     assert len(z) == sched.total_length + AUDIT_DEPTH + 1
     assert set(z[sched.total_length:].tolist()) == {sched.cells[0][0]}
     # every block window holds the picked block's prefix verbatim
-    for (k, j, i, t), idx in picks.items():
+    for (k, j, i, t), idx in zip(sched.layout.keys, choice.tolist()):
         off = sched.M_ijt(k, i, j, t)
         n = sched.block_lengths[k - 1][j - 1]
         assert np.array_equal(z[off:off + n], fam.blocks[idx, :n])
@@ -329,11 +329,11 @@ def _per_position_states(shift, schedule, families, picks, seed=0):
 
 
 def _assert_splice_matches_oracle(shift, schedule, families, seed, picks):
-    z, deviation, used = concatenate(shift, schedule, families, seed=seed,
-                                     picks=picks)
+    z, deviation, choice = concatenate(shift, schedule, families, seed=seed,
+                                       picks=picks)
     states, ref_picks = _per_position_states(shift, schedule, families,
                                              picks or {}, seed)
-    assert used == ref_picks
+    assert dict(zip(schedule.layout.keys, choice.tolist())) == ref_picks
     assert len(states) == schedule.total_length
     ref = shadow_shift(shift, validate_pseudo(shift, states, 0.5))
     assert np.array_equal(z, ref.point.prefix(len(z)))
@@ -419,6 +419,26 @@ def test_splice_of_a_periodic_point_has_no_deviation():
     assert ref.point.prefix(6) == (1, 0, 1, 0, 1, 0)
 
 
+def test_outcome_views_match_word_state():
+    # cell 1 of the golden mean: the last state's cycle (1, 0) has period 2
+    gm = golden_mean_shift()
+    fam = BlockFamily(measure=bernoulli(0.5), shift=gm, n=4, cell=1,
+                      blocks=np.array([[1, 0, 1, 0, 1, 0, 1],
+                                       [1, 0, 0, 0, 1, 0, 0]], dtype=np.int8),
+                      acceptance_rate=1.0)
+    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[1]],
+                           lambda a, b: connector(gm, a, b), gamma=0.25,
+                           k_max=1, epsilon=0.25, min_total_length=40)
+    outcome = weave_point(gm, sched, {(1, 1): fam}, bernoulli(0.5), FAMILY,
+                          seed=3)
+    L = sched.total_length
+    assert outcome.point == word_state(gm, outcome.symbols[:L + 1].tolist())
+    assert outcome.point.cycle == (0, 1)
+    assert outcome.picks == dict(zip(sched.layout.keys,
+                                     outcome.choice.tolist()))
+    assert set(outcome.picks.values()) == {0, 1}
+
+
 def test_weave_point_bernoulli_half():
     schedule, families, outcome = run_weave(
         FULL, bernoulli(0.5), FAMILY, k_max=2, gamma=0.25, block_length=12,
@@ -468,17 +488,37 @@ def test_separation_audit_difference_past_the_block(past, separated):
     slot = (1, 1, 2, 1)  # (k, j, i, t)
     off, L = sched.M_ijt(1, 2, 1, 1), sched.total_length
 
+    keys = sched.layout.keys
+
     def outcome(symbols, pick):
+        choice = np.zeros(len(keys), dtype=np.int64)
+        choice[keys.index(slot)] = pick
         return WeaveOutcome(
-            point=Word(tuple(symbols[:L + 1].tolist()), (0,)),
             symbols=symbols, total_length=L, convergence=[],
-            per_block_deviation=0.0, final_distance=0.0, picks={slot: pick})
+            per_block_deviation=0.0, final_distance=0.0, choice=choice,
+            keys=keys)
 
     za = np.zeros(L + AUDIT_DEPTH, dtype=np.int8)
     zb = za.copy()
     zb[off + 16 + past] = 1
     assert separation_audit(FULL, sched, outcome(za, 0),
                             outcome(zb, 1)) is separated
+
+
+def test_separation_audit_needs_exactly_one_differing_slot():
+    sched = _single_level_schedule(n=16, min_total=100)
+    keys, L = sched.layout.keys, sched.total_length
+    z = np.zeros(L + AUDIT_DEPTH, dtype=np.int8)
+
+    def outcome(choice):
+        return WeaveOutcome(symbols=z, total_length=L, convergence=[],
+                            per_block_deviation=0.0, final_distance=0.0,
+                            choice=np.array(choice), keys=keys)
+
+    base = [0] * len(keys)
+    for other in (base, [1, 1] + base[2:]):
+        with pytest.raises(ValueError, match="need exactly 1"):
+            separation_audit(FULL, sched, outcome(base), outcome(other))
 
 
 def test_empty_block_family_rejected():
