@@ -256,8 +256,9 @@ def _interval_orbits(map_: TentMap | EndpointFixedMap, x0: np.ndarray,
 def _interval_shadow(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
                      epsilon: float):
     """shadow_interval on every column of xs (n, trials): (ok, s).  s[t]
-    = (lo, -hi) of the interval S_t = f(S_{t-1}) ∩ [x_t - eps, x_t + eps]
-    (S_0: the window ∩ domain), hi negated so that one maximum clips both
+    = (lo, -hi) of the interval S_t = f(S_{t-1}) ∩ [x_t - r, x_t + r], r =
+    eps (1 - 1e-12) (S_0: the window ∩ domain), so that a shadow rebuilt on
+    a window's edge stays below eps; hi negated so that one maximum clips both
     ends.  f is continuous, so S_t is one interval, its ends the min and max
     over the pieces of m * clip(S_{t-1}, piece) + c; once empty (lo > hi) it
     stays empty, and s of such a trial ends as a point.  The shadow, written
@@ -272,8 +273,8 @@ def _interval_shadow(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
     # y[b, a] = slope * q[b] + shift: f at the clipped end b, negated if a
     slope, shift = np.array([[m, -m], [-m, m]]), np.array([[c, -c], [c, -c]])
     (q, y), (x, d, r) = np.empty((2,) + slope.shape), np.empty((3,) + m.shape)
-    s = xs[:, None] * [[1.0], [-1.0]]  # the windows (x - eps, -(x + eps))
-    s -= epsilon
+    s = xs[:, None] * [[1.0], [-1.0]]  # the windows (x - r, -(x + r))
+    s -= epsilon * (1 - 1e-12)
     np.maximum(s[0], [[map_.domain[0]], [-map_.domain[1]]], out=s[0])
     with np.errstate(invalid="ignore"):  # 0 * inf: flat piece, empty S
         for t in range(1, n):

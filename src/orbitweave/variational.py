@@ -320,7 +320,11 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     P(y) - y.b + delta t.  Newton steps on the barrier tau (P(y) - y.b +
     delta t) - sum_i log(t -+ y_i), with the kernel's covariance as the
     Hessian of P and each step stopped short of the boundary, follow the
-    central path as tau grows tenfold until the bracket is GAP_TOL wide.
+    central path as tau grows a hundredfold per round until the bracket is
+    GAP_TOL wide.  The first delta starts at y = 0, t = 1, tau = 2n / delta.
+    Each later one starts at the previous centre y, with t = max(1.5 max
+    |y_i|, 1e-3) strictly feasible and tau = 1e4 2n / delta, as the centres
+    of nearby balls lie close.
     Lower: mu_y mixed with nu at s = min(1, delta / D(mu_y, nu)) lies in the
     ball, as D(s mu + (1 - s) nu, nu) = s D(mu, nu), and entropy is affine.
     A ball's upper bound holds for every smaller ball and its lower bound
@@ -341,10 +345,10 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     # z = (y, t); the slacks A z = (t - y, t + y) stay positive
     A = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
     lowers, upper, uppers = [], math.inf, []
+    z, tau0 = np.append(np.zeros(n), 1.0), 2 * n  # t = 1 central at y = 0
+    g = _gibbs(shift, depth, F, z[:n])
     for delta in grid:
-        z, tau = np.append(np.zeros(n), 1.0), 2 * n / delta  # t = 1 central
-        lower = h_nu
-        g = _gibbs(shift, depth, F, z[:n])
+        tau, lower = tau0 / delta, h_nu
         while upper - lower > GAP_TOL and tau < 1e16:  # tau P keeps digits
             for _ in range(50):  # Newton steps to the centre at this tau
                 inv = 1 / (A @ z)
@@ -362,7 +366,9 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
             h = markov_entropy(MarkovMeasure(g.Q, g.pi))
             lower = max(lower, s * h + (1 - s) * h_nu)
             upper = min(upper, g.P - z[:n] @ b + delta * z[n])
-            tau *= 10
+            tau *= 100
+        # the next ball starts from this centre, with t strictly feasible
+        z[n], tau0 = max(1.5 * np.abs(z[:n]).max(), 1e-3), 1e4 * 2 * n
         lowers.append(lower)
         uppers.append(upper)
     lowers = np.maximum.accumulate(lowers[::-1])[::-1].tolist()

@@ -387,6 +387,74 @@ def test_shrink_bracket_property(golden, p, deltas):
                for a, b in zip(rows, rows[1:]))
 
 
+def _reference_shrink(shift, nu, family, grid):
+    """The oracle barrier on the plain schedule: tau grows tenfold, and each
+    delta starts cold at y = 0, t = 1, tau = 2n / delta."""
+    depth = family.max_depth
+    weight = 2.0 ** -np.arange(2, family.N + 2)
+    F = weight * np.array([[w[-depth:][:f.depth] == f.word
+                            for f in family.functions]
+                           for w in variational._lift(shift, depth)[1]])
+    b = weight * np.array([nu.cylinder_mass(f.word)
+                           for f in family.functions])
+    n, h_nu = len(b), markov_entropy(nu)
+    A = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
+    rows, upper = [], math.inf
+    for delta in grid:
+        z, tau = np.append(np.zeros(n), 1.0), 2 * n / delta
+        lower = h_nu
+        g = variational._gibbs(shift, depth, F, z[:n])
+        while upper - lower > variational.GAP_TOL and tau < 1e16:
+            for _ in range(50):
+                inv = 1 / (A @ z)
+                grad = tau * np.append(g.mean - b, delta) - A.T @ inv
+                H = A.T @ (A * inv[:, None] ** 2)
+                H[:n, :n] += tau * g.var
+                step = -np.linalg.solve(H, grad)
+                if -grad @ step <= 1e-4:
+                    break
+                rate = np.max(-(A @ step) * inv)
+                z = z + (min(1.0, 0.99 / rate) if rate > 0 else 1.0) * step
+                g = variational._gibbs(shift, depth, F, z[:n])
+            D = np.abs(g.mean - b).sum()
+            s = min(1.0, delta / D) if D > 0 else 1.0
+            h = markov_entropy(MarkovMeasure(g.Q, g.pi))
+            lower = max(lower, s * h + (1 - s) * h_nu)
+            upper = min(upper, g.P - z[:n] @ b + delta * z[n])
+            tau *= 10
+        rows.append((lower, upper))
+    lowers = np.maximum.accumulate([r[0] for r in rows][::-1])[::-1]
+    return [(lo, up) for lo, (_, up) in zip(lowers, rows)]
+
+
+# the bench's shrink op: full 2-shift, B(0.8), 16 cylinders
+BENCH_SHRINK = (FULL, bernoulli(0.8), 16, [0.2, 0.1, 0.05, 0.02], math.log(2))
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_CASES) + ["bench"])
+def test_shrink_matches_reference_barrier(name):
+    shift, nu, n, grid, _ = SHRINK_CASES.get(name, BENCH_SHRINK)
+    family = TestFunctionFamily("cylinder", n, shift.alphabet_size)
+    rows = shrink_experiment(shift, nu, family, grid)
+    for r, (lower, upper) in zip(rows, _reference_shrink(shift, nu, family,
+                                                         grid)):
+        assert r.lower == pytest.approx(lower, abs=1e-10)
+        assert r.upper == pytest.approx(upper, abs=1e-10)
+
+
+def test_shrink_kernel_calls(monkeypatch):
+    calls = []
+    kernel = variational._gibbs
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(variational, "_gibbs", counted)
+    shift, nu, _, grid, _ = BENCH_SHRINK
+    shrink_experiment(shift, nu, FAMILY, grid)
+    assert len(calls) <= 160  # tenfold and cold per delta: 373
+
+
 def test_shrink_rejects_nu_off_the_shift():
     with pytest.raises(ValueError, match="forbidden by the SFT"):
         shrink_experiment(GOLDEN, bernoulli(0.5), FAMILY, [0.1])
