@@ -1,12 +1,14 @@
 """Counting-based entropy machinery.
 
-Separated/spanning counts are exact (branch-and-bound / exact set cover) on
-small instances with a flagged greedy fallback.  Katok and level-set counts
-are exact on shifts over any alphabet and word length: one dynamic program
-counts admissible words by an integer weight summed along the word, and its
-TABLE_BUDGET entries are the only limit.  A Bowen d_n-ball of radius 2^-q is
-an (n+q)-cylinder, whose mass is fixed by pi[first] and the number of
-transitions per value of P; a level-set word weighs its Birkhoff sum.
+Separated and spanning counts are defined on shifts only, where they are
+exact at any size: d_n is an ultrametric there, its strict epsilon-balls are
+the classes of a shared prefix, and both counts are the number of classes
+among the given points.  Katok and level-set counts are exact on shifts over
+any alphabet and word length: one dynamic program counts admissible words by
+an integer weight summed along the word, and its TABLE_BUDGET entries are the
+only limit.  A Bowen d_n-ball of radius 2^-q is an (n+q)-cylinder, whose mass
+is fixed by pi[first] and the number of transitions per value of P; a
+level-set word weighs its Birkhoff sum.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .measures import LocallyConstantObservable, MarkovMeasure
-from .systems import ShiftSpace, State, System, dist_n
+from .systems import ShiftSpace, State, System, _require_shift_state
 
 __all__ = [
     "EntropyEstimate",
@@ -33,7 +35,6 @@ __all__ = [
     "InfeasibleCountError",
 ]
 
-EXACT_LIMIT = 24  # instances up to this size get exact combinatorial answers
 TABLE_BUDGET = 2 ** 22  # entries of a walk-count table
 
 
@@ -73,134 +74,61 @@ class LevelSetQuery:
 class SeparationResult:
     count: int
     witnesses: list
-    exact: bool
 
 
 @dataclass
 class SpanningResult:
     count: int
     centers: list
-    exact: bool
+
+
+def _bowen_classes(system: System, points: Sequence[State], n: int,
+                   epsilon: float) -> list:
+    """First point of each class of "d_n < epsilon", in input order.
+
+    On a shift d_n is a max of ultrametrics, hence an ultrametric, so
+    "d_n < epsilon" is an equivalence relation.  Points first differing at
+    index m >= n - 1 are 2^-(m - n + 1) apart, so for epsilon <= 1 a class
+    is a shared L-prefix, L = n - 1 + M with M the least integer >= 1 such
+    that 2^-M < epsilon.  As d_n <= 1, epsilon > 1 gives one class (L = 0).
+    """
+    if not isinstance(system, ShiftSpace):
+        raise ValueError("separated and spanning counts need a shift")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    L = 0
+    if epsilon <= 1:
+        M = 1
+        while 2.0 ** -M >= epsilon:
+            M += 1
+        L = n - 1 + M
+    firsts: dict[tuple[int, ...], State] = {}
+    for x in points:
+        _require_shift_state(system, x)
+        firsts.setdefault(x.prefix(L), x)
+    return list(firsts.values())
 
 
 def max_separated(system: System, candidates: Sequence[State], n: int,
                   epsilon: float) -> SeparationResult:
-    """Largest subset with pairwise d_n >= epsilon.
-
-    Exact (branch-and-bound maximum independent set on the conflict graph)
-    for at most EXACT_LIMIT candidates, greedy lower bound with exact=False
-    beyond that.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """Largest subset with pairwise d_n >= epsilon, exact at any size: a
+    separated set holds at most one point per d_n-class, and one point from
+    each class is separated."""
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    m = len(candidates)
-    conflict = [0] * m  # bitmask adjacency: d_n < epsilon
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist_n(system, candidates[i], candidates[j], n) < epsilon:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    if m <= EXACT_LIMIT:
-        best = _max_independent_set(conflict, m)
-        chosen = [candidates[i] for i in range(m) if best >> i & 1]
-        return SeparationResult(len(chosen), chosen, exact=True)
-    chosen_idx: list[int] = []
-    banned = 0
-    for i in range(m):
-        if not (banned >> i & 1):
-            chosen_idx.append(i)
-            banned |= conflict[i]
-    return SeparationResult(len(chosen_idx), [candidates[i] for i in chosen_idx],
-                            exact=False)
-
-
-def _max_independent_set(adj: list[int], m: int) -> int:
-    full = (1 << m) - 1
-    best_mask = 0
-
-    def popcount(x):
-        return bin(x).count("1")
-
-    def rec(avail: int, cur: int):
-        nonlocal best_mask
-        if popcount(cur) + popcount(avail) <= popcount(best_mask):
-            return
-        if avail == 0:
-            if popcount(cur) > popcount(best_mask):
-                best_mask = cur
-            return
-        # branch on the available vertex of highest degree within avail
-        pivot = max((i for i in range(m) if avail >> i & 1),
-                    key=lambda i: popcount(adj[i] & avail))
-        # either exclude pivot ...
-        rec(avail & ~(1 << pivot), cur)
-        # ... or include it
-        rec(avail & ~(1 << pivot) & ~adj[pivot], cur | (1 << pivot))
-
-    rec(full, 0)
-    return best_mask
+    chosen = _bowen_classes(system, candidates, n, epsilon)
+    return SeparationResult(len(chosen), chosen)
 
 
 def min_spanning(system: System, targets: Sequence[State], n: int,
                  epsilon: float) -> SpanningResult:
-    """Fewest centers among the targets whose strict Bowen balls cover them.
-
-    Exact set cover for at most EXACT_LIMIT targets, greedy otherwise.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    m = len(targets)
-    if m == 0:
-        return SpanningResult(0, [], exact=True)
-    covers = [0] * m  # covers[c] = bitmask of targets with d_n(t, c) < epsilon
-    for c in range(m):
-        for t in range(m):
-            if dist_n(system, targets[t], targets[c], n) < epsilon:
-                covers[c] |= 1 << t
-    full = (1 << m) - 1
-    if m <= EXACT_LIMIT:
-        chosen = _exact_set_cover(covers, full, m)
-        return SpanningResult(len(chosen), [targets[c] for c in chosen], exact=True)
-    chosen = _greedy_cover(covers, full, m)
-    return SpanningResult(len(chosen), [targets[c] for c in chosen],
-                          exact=False)
-
-
-def _greedy_cover(covers: list[int], full: int, m: int) -> list[int]:
-    """Repeatedly the set that covers the most targets still uncovered."""
-    chosen, covered = [], 0
-    while covered != full:
-        c = max(range(m), key=lambda i: bin(covers[i] & ~covered).count("1"))
-        chosen.append(c)
-        covered |= covers[c]
-    return chosen
-
-
-def _exact_set_cover(covers: list[int], full: int, m: int) -> list[int]:
-    best: list[int] | None = None
-
-    def rec(covered: int, chosen: list[int]):
-        nonlocal best
-        if covered == full:
-            if best is None or len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if best is not None and len(chosen) + 1 >= len(best):
-            return  # at least one more set is needed
-        # branch on the uncovered target with the fewest covering sets
-        uncovered = [t for t in range(m) if not (covered >> t & 1)]
-        t = min(uncovered, key=lambda t: sum(1 for c in covers if c >> t & 1))
-        for c in range(m):
-            if covers[c] >> t & 1:
-                chosen.append(c)
-                rec(covered | covers[c], chosen)
-                chosen.pop()
-
-    best = _greedy_cover(covers, full, m)  # seeds the bound
-    rec(0, [])
-    return best
+    """Fewest centers among the targets whose strict Bowen balls cover them,
+    exact at any size: a ball is one d_n-class, so every class needs its own
+    center and one center per class covers all."""
+    chosen = _bowen_classes(system, targets, n, epsilon)
+    return SpanningResult(len(chosen), chosen)
 
 
 def _epsilon_to_q(epsilon: float) -> int:

@@ -110,10 +110,6 @@ class ShiftSpace:
         if any(v not in (0, 1) for r in t for v in r):
             raise ValueError("transition entries must be 0/1")
 
-    @property
-    def is_full(self) -> bool:
-        return all(v == 1 for r in self.transition for v in r)
-
     def allowed(self, a: int, b: int) -> bool:
         return self.transition[a][b] == 1
 

@@ -16,7 +16,8 @@ from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
                                 min_spanning)
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
                                  bernoulli, frequency_observable)
-from orbitweave.systems import (ShiftSpace, Word, dist_n, full_shift,
+from orbitweave.systems import (EndpointFixedMap, KindMismatchError,
+                                ShiftSpace, TentMap, Word, dist_n, full_shift,
                                 golden_mean_shift)
 from orbitweave.variational import count_at
 
@@ -29,7 +30,6 @@ def test_max_separated_exact_small():
     sh = full_shift(2)
     pts = all_periodic(3)  # 8 points
     res = max_separated(sh, pts, 3, 1.0)
-    assert res.exact
     # d_3 = 1 iff the first 3 symbols differ somewhere, so all 8 qualify
     assert res.count == 8
 
@@ -54,18 +54,78 @@ def test_min_spanning_exact_small():
     sh = full_shift(2)
     pts = all_periodic(2)
     res = min_spanning(sh, pts, 2, 0.5)
-    assert res.exact
     # a strict (2, 1/2)-ball is a 3-cylinder; 4 points with distinct 2-prefixes
     # and periodic continuations need 4 centers
     assert res.count == 4
 
 
-def test_greedy_fallback_flagged():
+def test_separated_and_spanning_exact_on_32_points():
     sh = full_shift(2)
-    pts = all_periodic(5)  # 32 > exact limit
-    res = max_separated(sh, pts, 5, 1.0)
-    assert not res.exact
-    assert res.count >= 1
+    pts = all_periodic(5)  # distinct 5-prefixes: 32 classes at n = 5, eps = 1
+    assert max_separated(sh, pts, 5, 1.0).count == 32
+    assert min_spanning(sh, pts, 5, 1.0).count == 32
+
+
+def _random_points(sh, rng, count):
+    """Admissible eventually periodic points, heads <= 4 and cycles <= 4."""
+    pts = []
+    while len(pts) < count:
+        x = Word(tuple(rng.integers(sh.alphabet_size,
+                                    size=rng.integers(5)).tolist()),
+                 tuple(rng.integers(sh.alphabet_size,
+                                    size=rng.integers(1, 5)).tolist()))
+        if sh.admissible(x):
+            pts.append(x)
+    return pts
+
+
+@pytest.mark.parametrize("sh", [full_shift(2), full_shift(3),
+                                golden_mean_shift()])
+def test_counts_match_subset_enumeration(sh):
+    rng = np.random.default_rng(7)
+    for eps in (2.0, 1.5, 1.0, 0.7, 0.5, 0.3, 0.25, 0.1, 0.05, 2.0 ** -5):
+        for _ in range(6):
+            pts = _random_points(sh, rng, int(rng.integers(1, 11)))
+            n = int(rng.integers(1, 6))
+            close = [[dist_n(sh, x, y, n) < eps for y in pts] for x in pts]
+            idx = range(len(pts))
+            most = max(len(sub) for r in idx for sub in
+                       itertools.combinations(idx, r + 1)
+                       if not any(close[i][j] for i, j in
+                                  itertools.combinations(sub, 2)))
+            fewest = min(len(sub) for r in idx for sub in
+                         itertools.combinations(idx, r + 1)
+                         if all(any(close[t][c] for c in sub) for t in idx))
+            sep = max_separated(sh, pts, n, eps)
+            span = min_spanning(sh, pts, n, eps)
+            assert (sep.count, span.count) == (most, fewest)
+            assert len(sep.witnesses) == most and len(span.centers) == fewest
+            assert all(w in pts for w in sep.witnesses + span.centers)
+            assert all(dist_n(sh, x, y, n) >= eps for x, y in
+                       itertools.combinations(sep.witnesses, 2))
+            assert all(any(dist_n(sh, t, c, n) < eps for c in span.centers)
+                       for t in pts)
+
+
+def test_separated_and_spanning_input_checks():
+    sh, pts = full_shift(2), all_periodic(2)
+    for count in (max_separated, min_spanning):
+        with pytest.raises(ValueError, match="need a shift"):
+            count(TentMap(2.0), [0.25, 0.5], 2, 0.5)
+        with pytest.raises(ValueError, match="need a shift"):
+            count(EndpointFixedMap((0.0, 0.5, 1.0), (0.0, 0.9, 1.0)),
+                  [0.25], 2, 0.5)
+        with pytest.raises(KindMismatchError):
+            count(sh, pts + [0.5], 2, 0.5)
+        for eps in (0.0, -0.5):
+            with pytest.raises(ValueError, match="epsilon"):
+                count(sh, pts, 2, eps)
+        with pytest.raises(ValueError, match="n must be"):
+            count(sh, pts[:1], 0, 0.5)
+    with pytest.raises(ValueError, match="nonempty"):
+        max_separated(sh, [], 2, 0.5)
+    empty = min_spanning(sh, [], 2, 0.5)
+    assert (empty.count, empty.centers) == (0, [])
 
 
 def test_separated_spanning_sandwich_small():

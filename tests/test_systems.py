@@ -91,8 +91,6 @@ def test_golden_mean_admissibility():
     assert gm.word_admissible((0, 1, 0, 0, 1))
     assert not gm.word_admissible((0, 1, 1))
     assert gm.is_irreducible()
-    assert not gm.is_full
-    assert full_shift(3).is_full
 
 
 def test_reducible_matrix_detected():
