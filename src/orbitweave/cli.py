@@ -138,9 +138,10 @@ def cmd_spectrum(config: dict, seed: int, out: str) -> int:
 def _run_length_encode(symbols: np.ndarray) -> str:
     """Space-separated `AxN` tokens, one per run of N copies of symbol A."""
     starts = np.flatnonzero(np.diff(symbols, prepend=-1))
-    counts = np.diff(starts, append=len(symbols))
-    return " ".join([f"{a}x{n}" for a, n in zip(symbols[starts].tolist(),
-                                                 counts.tolist())])
+    keys, at = np.unique(np.diff(starts, append=len(symbols)) * 128
+                         + symbols[starts], return_inverse=True)  # N * 128 + A
+    return " ".join(np.array([f"{p % 128}x{p // 128}" for p in keys.tolist()],
+                             object)[at].tolist())
 
 
 def cmd_weave(config: dict, seed: int, out: str) -> int:

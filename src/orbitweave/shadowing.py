@@ -209,9 +209,11 @@ def _splice(shift: ShiftSpace, start: np.ndarray, heads: np.ndarray):
 
 
 def _admissible(shift: ShiftSpace, seq: np.ndarray) -> bool:
-    """Every symbol and every transition along the last axis allowed."""
-    return bool(seq.min() >= 0 and seq.max() < shift.alphabet_size and np.all(
-        np.array(shift.transition, dtype=bool)[seq[..., :-1], seq[..., 1:]]))
+    """Every symbol and every transition along the last axis allowed; a -> b
+    is entry a * k + b of the flat table (k * k overflows int8 from k = 12)."""
+    k, allowed = shift.alphabet_size, np.array(shift.transition, bool).ravel()
+    return bool(seq.min() >= 0 and seq.max() < k and (allowed.all() or np.all(
+        allowed[seq[..., :-1].astype(np.intp) * k + seq[..., 1:]])))
 
 
 def _splice_deviations(shift: ShiftSpace, windows: np.ndarray,

@@ -6,16 +6,15 @@ The infinite nested construction is truncated at a finite level; the
 truncation level, the orbit-length cap, and the achieved empirical distance
 are all reported rather than hidden.  Partition cells are depth-1 cylinders,
 so the pseudo-orbit jumps stay below 1/2 and the symbolic splice shadows them
-within 1/4.  On a shift the splice is the concatenation of the segment
-symbols (block prefixes and connector paths), so the woven orbit is one int8
-array and only the segment ends need checking.  The schedule lays the point
-out once (`WeaveSchedule.layout`: every slot's and connector's start), the
-offsets M_{k,i,j,t}, the splice and the audits read that table, and the
-splice writes each family's picks with one fancy index.
+within 1/4.  On a shift the woven orbit is one int8 array: the schedule lays
+it out once (`WeaveSchedule.layout`), the splice writes each family's picks
+with one fancy index and checks the segment ends up to the first mismatching
+column, and one bincount counts every cylinder at every grid point.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -90,27 +89,42 @@ def _cylinder_distances(symbols, ms, measure,
     via exact cylinder frequencies: the m-window frequency of a cylinder
     counts its occurrences starting at positions 0..m-1.  Leading axes of
     `symbols` are batch axes: a (B, L) matrix gives a (B, len(ms)) array,
-    each row equal to the call on that row alone."""
+    each row equal to the call on that row alone.  One bincount and one
+    cumsum count each position's leaf (the longest listed prefix of its
+    depth-max_depth word) per (row, segment), the segments ending at the
+    sorted ms; a cylinder's hits sum the run of sorted leaves below it."""
     sym = np.asarray(symbols, dtype=np.int8)
     ms = np.asarray(ms, dtype=np.int64)
+    k, depth, L = family.alphabet_size, family.max_depth, sym.shape[-1]
     top = int(ms.max())
-    if top + family.max_depth - 1 > sym.shape[-1]:
-        raise ValueError("word too short for this window")
-    total = np.zeros(sym.shape[:-1] + ms.shape)
+    if top + depth - 1 > L or sym.size and not 0 <= sym.min() <= sym.max() < k:
+        raise ValueError("word too short, or a symbol outside the alphabet")
+    listed = {phi.word for phi in family.functions}
+    leaf = [next((w[:d] for d in range(depth, 0, -1) if w[:d] in listed), ())
+            for w in np.ndindex((k,) * depth)]
+    leaves = sorted(set(leaf))
+    bounds, where = np.unique(ms, return_inverse=True)
+    B, S = math.prod(sym.shape[:-1]), len(bounds)
+    code = np.zeros((B, top), dtype=np.min_scalar_type(-k ** depth))
+    for d in range(depth):  # base-k code of the deepest word at each position
+        code = code * k + sym.reshape(B, L)[:, d:d + top]
+    bins = np.take([bisect.bisect_left(leaves, u) * B * S for u in leaf], code)
+    bins += np.arange(B)[:, None] * S + np.repeat(
+        np.arange(S), np.diff(bounds, prepend=0))  # (leaf, row, segment)
+    runs = np.bincount(bins.ravel(), minlength=len(leaves) * B * S)
+    flat = np.cumsum(runs, out=runs).reshape(len(leaves) * B, S)
+    flat[1:] -= flat[:-1, -1:]  # each (leaf, row) run counts from 0
+    runs, total = runs.reshape(len(leaves), B, S), np.zeros((B, S))
     for i, phi in enumerate(family.functions, start=1):
-        hit = np.ones(sym.shape[:-1] + (top,), dtype=bool)
-        for off, s in enumerate(phi.word):
-            hit &= sym[..., off:off + top] == s
-        hits = np.cumsum(hit, axis=-1)[..., ms - 1]
-        total += np.abs(hits / ms - measure.cylinder_mass(phi.word)) \
-            / 2.0 ** (i + 1)
-    return total
+        lo, hi = (bisect.bisect_left(leaves, phi.word + e) for e in ((), (k,)))
+        total += np.abs(runs[lo:hi].sum(axis=0) / bounds
+                        - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
+    return total[:, where].reshape(sym.shape[:-1] + ms.shape)
 
 
 def word_empirical_distance(word: Sequence[int], m: int,
                             measure, family: TestFunctionFamily) -> float:
-    """Weak* distance between the m-window empirical measure of a finite word
-    and a Markov/mixture measure, via exact cylinder frequencies."""
+    """`_cylinder_distances` of one finite word at one window length m."""
     return float(_cylinder_distances(word, [m], measure, family)[0])
 
 
@@ -387,12 +401,11 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     each state is the shift of the previous one, so the 1/2-pseudo-orbit
     check and the shadow deviations only involve segment ends, and the
     shadowing point is the concatenated segment symbols followed by the last
-    state.  The point is one preallocated int8 array written at the starts
-    of the schedule's layout: each family's picks with one fancy index, each
-    cell pair's connector word (from `schedule.connectors`, at the starts
-    in `layout.bridges`) with another.  Past its end, a segment's last state
-    holds its family's continuation row (for a connector, the cycle through
-    its target); all are checked to AUDIT_DEPTH at once.
+    state.  The point is one preallocated int8 array written at the layout's
+    starts, one fancy index per family and per connector word.  Past its
+    end, a segment's last state holds its family's continuation row (for a
+    connector, the cycle through its target); the ends are checked column
+    by column, up to the first column where any of them differs.
 
     families maps (k, j) to a BlockFamily; picks (slot -> block index) fixes
     block choices per (k, j, i, t) slot.  The other slots (and negative
@@ -410,38 +423,37 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
         bounds[index] = len(families[(k, j)].blocks)
     picks = picks or {}
     got = np.array([picks.get(key, -1) for key in layout.keys], dtype=np.int64)
-    draw = got < 0
-    got[draw] = make_rng(seed).integers(bounds[draw])
-    segments = []  # (starts, symbols, continuations): one row per segment
+    if (draw := got < 0).any():
+        got[draw] = make_rng(seed).integers(bounds[draw])
+    segments = []  # (starts, symbols, continuations, each one's row)
     for key, (index, starts) in layout.slots.items():
         fam, idx = families[key], got[index].ravel()
         segments.append((starts.ravel(), fam.blocks[idx, :fam.n],
-                         fam.continuation[idx]))
+                         fam.continuation, idx))
     for (a, b), (_s, starts) in layout.bridges.items():
         word = np.array([schedule.connectors[(a, b)]], dtype=np.int8)
         segments.append((starts, word, continue_words(
-            shift, np.array([[b]], np.int8), depth)))
+            shift, np.array([[b]], np.int8), depth), np.zeros_like(starts)))
     L, last = schedule.total_length, schedule.cells[0][0]  # the last target
     z = np.empty(L + AUDIT_DEPTH + len(canonical_cycle(shift, last)), np.int8)
-    for starts, symbols, _cont in segments:
+    for starts, symbols, *_ in segments:
         z[starts[:, None] + np.arange(symbols.shape[1])] = symbols
     z[L:] = continue_words(shift, np.array([last], np.int8), len(z) - L)
-    ends = np.concatenate([starts + symbols.shape[1]
-                           for starts, symbols, _cont in segments])
-    cont = np.concatenate([np.broadcast_to(c, (len(starts), depth))
-                           for starts, _symbols, c in segments])
-    # e = first mismatch between a segment's continuation and the point:
-    # the jump at the segment end is 2^-e (e = 0 breaks the 1/2-pseudo-orbit)
-    # and the segment's last state is 2^-(1+e) from the shifted point
-    miss = cont != z[ends[:, None] + np.arange(depth)]
-    bad = ends[miss[:, 0]]
-    if bad.size:
-        raise PseudoOrbitViolation(int(bad.min()) - 1, 1.0)
+    ends = np.concatenate([s + word.shape[1] for s, word, *_ in segments])
+    # e = the first column where some segment's continuation and the point
+    # differ: the jump at that segment's end is 2^-e (e = 0 breaks the
+    # 1/2-pseudo-orbit) and its last state is 2^-(1+e) from the shifted point
+    deviation = 0.0
+    for e in range(depth):
+        miss = np.concatenate([c[rows, e] for *_, c, rows in segments]) \
+            != z[ends + e]
+        if miss.any():
+            if e == 0:
+                raise PseudoOrbitViolation(int(ends[miss].min()) - 1, 1.0)
+            deviation = 2.0 ** -(1 + e)
+            break
     if not _admissible(shift, z):
         raise ValueError("spliced point inadmissible")
-    hit = miss.any(axis=1)
-    deviation = (2.0 ** -(1 + int(miss.argmax(axis=1)[hit].min()))
-                 if hit.any() else 0.0)
     return z, deviation, got
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
-                                  PseudoOrbitViolation, _interval_orbits,
+                                  PseudoOrbitViolation, _admissible,
+                                  _interval_orbits,
                                   _interval_shadow, _random_start,
                                   _shift_heads, _shift_starts, _splice,
                                   _splice_deviations, _uniforms,
@@ -567,6 +568,28 @@ def test_inadmissible_splice_raises_on_both_paths():
         _splice_deviations(gm, windows(states)[None], z[None])
     with pytest.raises(ValueError, match="inadmissible"):
         ref_splice_deviations(gm, lambda j: windows(states)[None, :, j], z[None])
+
+
+@pytest.mark.parametrize("forbidden", [(11, 11), (2, 7)])
+def test_admissible_on_twelve_symbols(forbidden):
+    # 11 * 12 + 11 = 143 wraps to -113 in int8, which reads (2, 7): each
+    # shift forbids one of the two transitions and allows the other
+    t = [[int((a, b) != forbidden) for b in range(12)] for a in range(12)]
+    shift = ShiftSpace(12, tuple(map(tuple, t)))
+    assert _admissible(shift, np.array([3, 11, 11], np.int8)) is \
+        (forbidden != (11, 11))
+    assert _admissible(shift, np.array([2, 7, 0], np.int8)) is \
+        (forbidden != (2, 7))
+    assert not _admissible(shift, np.array([0, 12], np.int8))
+    assert not _admissible(shift, np.array([-1, 0], np.int8))
+    rng = np.random.default_rng(12)
+    seqs = rng.integers(0, 12, (400, 6)).astype(np.int8)
+    seqs[::7, 2:4] = forbidden
+    for seq in seqs:
+        assert _admissible(shift, seq) == shift.word_admissible(seq.tolist())
+    assert _admissible(shift, seqs) == all(map(shift.word_admissible,
+                                               seqs.tolist()))
+    assert _admissible(shift, seqs[1:7])
 
 
 THREE = ShiftSpace(3, ((0, 0, 1), (1, 1, 0), (1, 1, 1)))  # 1, 2, 3 successors

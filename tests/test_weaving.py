@@ -96,6 +96,60 @@ def test_cylinder_distances_batch_matches_rows(k):
                                                        family))
 
 
+def _reference_cylinder_distances(symbols, ms, measure, family):
+    """The former kernel, the oracle of the bincount one: a bool hit array
+    and a cumsum over every position per cylinder."""
+    sym = np.asarray(symbols, dtype=np.int8)
+    ms = np.asarray(ms, dtype=np.int64)
+    top = int(ms.max())
+    total = np.zeros(sym.shape[:-1] + ms.shape)
+    for i, phi in enumerate(family.functions, start=1):
+        hit = np.ones(sym.shape[:-1] + (top,), dtype=bool)
+        for off, s in enumerate(phi.word):
+            hit &= sym[..., off:off + top] == s
+        hits = np.cumsum(hit, axis=-1)[..., ms - 1]
+        total += np.abs(hits / ms - measure.cylinder_mass(phi.word)) \
+            / 2.0 ** (i + 1)
+    return total
+
+
+def _kernel_case(k, N):
+    from orbitweave.measures import MarkovMeasure
+    measure = (bernoulli([0.5, 0.3, 0.2]) if k == 3
+               else MarkovMeasure(GOLDEN_CHAIN))
+    return TestFunctionFamily("cylinder", N, k), measure, make_rng(10 * k + N)
+
+
+# N = 5 and 16 leave the deepest level partial on both alphabets
+@pytest.mark.parametrize("N", [5, 16])
+@pytest.mark.parametrize("k", [2, 3])
+def test_cylinder_distances_match_reference_on_50k_words(k, N):
+    family, measure, rng = _kernel_case(k, N)
+    w = measure.sample_words(1, 50_000, rng)[0]
+    top = 50_000 - family.max_depth + 1
+    grid = np.unique(rng.integers(1, top, 300)).tolist() + [top]  # sparse
+    for ms in (grid, grid[::-1], grid[:40] * 2, [top], [1]):
+        assert np.array_equal(
+            _cylinder_distances(w, ms, measure, family),
+            _reference_cylinder_distances(w, ms, measure, family))
+
+
+@pytest.mark.parametrize("N", [5, 16])
+@pytest.mark.parametrize("k", [2, 3])
+def test_cylinder_distances_match_reference_on_batches(k, N):
+    family, measure, rng = _kernel_case(k, N)
+    W = measure.sample_words(60, 30, rng)
+    ms = np.arange(1, 30 - family.max_depth + 2)
+    for shape in ((30,), (60, 30), (3, 20, 30), (0, 30), (2, 0, 30)):
+        sym = W[:math.prod(shape[:-1])].reshape(shape)
+        got = _cylinder_distances(sym, ms[::3], measure, family)
+        assert got.shape == shape[:-1] + (len(ms[::3]),)
+        assert np.array_equal(got, _reference_cylinder_distances(
+            sym, ms[::3], measure, family))
+    with pytest.raises(ValueError, match="alphabet"):
+        _cylinder_distances(np.full(30, k), ms, measure, family)
+
+
 def _loop_select_blocks(measure, n, epsilon, k, gamma, budget, seed, family):
     """Reference selection: the per-word return test and
     word_empirical_distance on each row of the same sampled matrix."""
@@ -417,6 +471,30 @@ def test_splice_of_a_periodic_point_has_no_deviation():
     ref, _ = _assert_splice_matches_oracle(gm, sched, {(1, 1): fam}, 0, None)
     assert ref.max_deviation == 0.0
     assert ref.point.prefix(6) == (1, 0, 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("column", [0, 1, 5, 62])
+def test_splice_deviation_is_the_first_mismatching_column(column):
+    # the periodic splice above, with its one block's continuation edited:
+    # at `column` and at the last column, the first mismatch of every block
+    # end is `column` (the connectors still match to AUDIT_DEPTH)
+    gm = golden_mean_shift()
+    fam = BlockFamily(measure=bernoulli(0.5), shift=gm, n=4, cell=1,
+                      blocks=np.array([[1, 0, 1, 0, 1, 0, 1]], dtype=np.int8),
+                      acceptance_rate=1.0)
+    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[1]],
+                           lambda a, b: connector(gm, a, b), gamma=0.25,
+                           k_max=1, epsilon=0.25, min_total_length=40)
+    assert fam.continuation.shape == (1, AUDIT_DEPTH - 1)
+    fam.continuation[0, [column, -1]] ^= 1
+    if column == 0:  # a jump of 1 at the first block's end
+        with pytest.raises(PseudoOrbitViolation) as got:
+            concatenate(gm, sched, {(1, 1): fam})
+        assert got.value.index == sched.M_ijt(1, 1, 1, 1) + 3
+        assert got.value.gap == 1.0
+    else:
+        _z, deviation, _choice = concatenate(gm, sched, {(1, 1): fam})
+        assert deviation == 2.0 ** -(1 + column)
 
 
 def test_outcome_views_match_word_state():
