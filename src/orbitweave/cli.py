@@ -192,6 +192,10 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
 def cmd_shadow(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     mode = config.get("mode", "single")
+    if mode not in ("single", "modulus"):
+        print(f"shadow mode must be single or modulus, got {mode!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     epsilon = float(config.get("epsilon", 1e-3))
     length = int(config.get("length", 100))
     if mode == "modulus":

@@ -6,7 +6,11 @@ within 2^-(m+1).  On interval maps the values a shadow can take at time t
 form one interval (the maps are continuous), tracked forward over the linear
 pieces; the shadow is rebuilt backward from it, with no cap on the work.
 
-`shadowing_modulus` runs each delta row as one batch over all trials.
+`shadowing_modulus` runs each delta row as one batch over all trials.  On
+interval maps it counts from the forward pass alone: a rebuilt shadow stays
+in the tracked intervals, so a trial whose intervals stay nonempty and lie
+within epsilon of the pseudo-orbit is shadowed (Hammel, Yorke and Grebogi's
+certify-rather-than-build), and only the other live trials are rebuilt.
 `perturbed_orbit` and `shadow_interval` are batches of one of its kernels;
 `shadow_shift` shares only the deviation kernel, on windows read from the
 states' Words, and `validate_pseudo` checks one state at a time.  Shift
@@ -255,40 +259,61 @@ def _interval_orbits(map_: TentMap | EndpointFixedMap, x0: np.ndarray,
     return xs
 
 
-def _interval_shadow(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
-                     epsilon: float):
-    """shadow_interval on every column of xs (n, trials): (ok, s).  s[t]
-    = (lo, -hi) of the interval S_t = f(S_{t-1}) ∩ [x_t - r, x_t + r], r =
-    eps (1 - 1e-12) (S_0: the window ∩ domain), so that a shadow rebuilt on
-    a window's edge stays below eps; hi negated so that one maximum clips both
-    ends.  f is continuous, so S_t is one interval, its ends the min and max
-    over the pieces of m * clip(S_{t-1}, piece) + c; once empty (lo > hi) it
-    stays empty, and s of such a trial ends as a point.  The shadow, written
-    over xs (meaningful where ok), starts at the midpoint of S_n and steps
-    back to the preimage of least residual |m x - (y - c)|, x clipped to
-    piece ∩ S_{t-1}.  A trial fails when some S_t empties or the shadow
-    reaches epsilon (boundary-equal fails)."""
-    n, trials = xs.shape
+def _pieces(map_: TentMap | EndpointFixedMap, trials: int):
+    """(m, c, bound) per piece (rows) and trial (columns): slopes, intercepts
+    and the piece ends (lo, -hi), so that max(bound, (lo, -hi)) clips a
+    window (lo, -hi) to each piece as (xlo, -xhi)."""
     plo, phi_, m, c = (np.broadcast_to(v[:, None], (len(v), trials)).copy()
                        for v in np.array(map_.pieces()).T)
-    bound = np.stack([plo, -phi_])  # max(bound, (lo, -hi)) = (xlo, -xhi)
+    return m, c, np.stack([plo, -phi_])
+
+
+def _interval_track(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
+                    epsilon: float) -> np.ndarray:
+    """The forward half of _interval_shadow on every column of xs (n,
+    trials): s (n, 2, trials), s[t] = (lo, -hi) of the interval S_t =
+    f(S_{t-1}) ∩ [x_t - r, x_t + r], r = eps (1 - 1e-12) (S_0: the window ∩
+    domain), so that a shadow rebuilt on a window's edge stays below eps; hi
+    negated so that one maximum clips both ends.  f is continuous, so S_t is
+    one interval, its ends the min and max over the pieces of
+    m * clip(S_{t-1}, piece) + c; once empty (lo > hi) it stays empty, and
+    from the step after that both entries are +inf."""
+    m, c, bound = _pieces(map_, xs.shape[1])
     # y[b, a] = slope * q[b] + shift: f at the clipped end b, negated if a
     slope, shift = np.array([[m, -m], [-m, m]]), np.array([[c, -c], [c, -c]])
-    (q, y), (x, d, r) = np.empty((2,) + slope.shape), np.empty((3,) + m.shape)
+    q, y = np.empty((2,) + slope.shape)
+    d = np.empty(m.shape)
     s = xs[:, None] * [[1.0], [-1.0]]  # the windows (x - r, -(x + r))
     s -= epsilon * (1 - 1e-12)
     np.maximum(s[0], [[map_.domain[0]], [-map_.domain[1]]], out=s[0])
     with np.errstate(invalid="ignore"):  # 0 * inf: flat piece, empty S
-        for t in range(1, n):
+        for t in range(1, len(xs)):
             np.maximum(bound[:, None], s[t - 1, :, None, None], out=q)
             np.add(np.multiply(slope, q, out=y), shift, out=y)
             image = np.minimum(y[0], y[1], out=y[0])  # (lo, -hi) per piece
             miss = np.add(q[0, 0], q[1, 0], out=d) > 0.0  # xlo > xhi
             np.copyto(image, np.inf, where=miss)  # the piece misses S_{t-1}
             np.maximum(s[t], np.minimum.reduce(image, axis=1), out=s[t])
+    return s
+
+
+def _interval_shadow(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
+                     epsilon: float):
+    """shadow_interval on every column of xs (n, trials): (ok, s), s the
+    windows of _interval_track (those of a trial whose S_t empties end as a
+    point).  The shadow, written over xs (meaningful where ok), starts at
+    the midpoint of S_n and steps back to the preimage of least residual
+    |m x - (y - c)|, x clipped to piece ∩ S_{t-1}, so it stays in every S_t.
+    A trial fails when some S_t empties or the shadow reaches epsilon
+    (boundary-equal fails).  The only backward rebuild: shadowing_modulus
+    counts from _interval_track and calls this on uncertified trials."""
+    n, trials = xs.shape
+    s = _interval_track(map_, xs, epsilon)
+    m, c, bound = _pieces(map_, trials)
+    q, (x, d, r) = np.empty((2,) + m.shape), np.empty((3,) + m.shape)
     alive = s[-1, 0] <= -s[-1, 1]
     s[..., ~alive] = [[map_.domain[0]], [-map_.domain[0]]]  # finite rebuilds
-    safe, q, cols = np.where(m == 0, np.inf, m), q[0], np.arange(trials)
+    safe, cols = np.where(m == 0, np.inf, m), np.arange(trials)
     y = 0.5 * (s[-1, 0] - s[-1, 1])
     deviation, xs[-1] = np.abs(y - xs[-1]), y
     for t in range(n - 1, 0, -1):
@@ -326,11 +351,21 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     """Empirical delta(epsilon): sweep delta downward by halving, then bisect
     around the success threshold; returns (delta_hat, table of
     (delta, successes, trials)).  Starts and perturbation uniforms are drawn
-    once per call, and each row runs all trials as one batch."""
+    once per call, and each row runs all trials as one batch.  An interval
+    row runs _interval_track and counts a trial as shadowed when S_n is
+    nonempty and the certificate max_t max(x_t - lo_t, hi_t - x_t) is below
+    epsilon: the rebuild keeps y_t in S_t, and rounded subtraction is
+    monotone, so fl|y_t - x_t| is at most the certificate.  The live trials
+    it leaves open (only once eps * 1e-12 falls below rounding) go through
+    _interval_shadow, so every count is that of a rebuild of every trial.
+    On a shift epsilon must be < 1: the first row's delta is epsilon, and a
+    shift kick needs delta < 1."""
     if not (math.isfinite(epsilon) and epsilon > 0 and trials >= 1
             and length >= 2):
         raise ValueError(f"need finite epsilon > 0, trials >= 1, length >= 2; "
                          f"got {epsilon}, {trials}, {length}")
+    if isinstance(system, ShiftSpace) and epsilon >= 1:
+        raise ValueError(f"epsilon must be < 1 on a shift; got {epsilon}")
     rngs = (make_rng(seed + 7919 * t) for t in range(trials))  # one pass
     u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
     if isinstance(system, ShiftSpace):
@@ -349,7 +384,17 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
                 system, *_splice(system, start[a:a + step], heads[a:a + step])
             ).max(axis=-1) < epsilon)) for a in range(0, trials, step))
         xs = _interval_orbits(system, x0, delta, u)
-        return int(np.count_nonzero(_interval_shadow(system, xs, epsilon)[0]))
+        s = _interval_track(system, xs, epsilon)
+        alive = s[-1, 0] <= -s[-1, 1]
+        np.subtract(s[:, 0], xs, out=s[:, 0])  # lo - x
+        np.add(s[:, 1], xs, out=s[:, 1])  # x - hi
+        reach = np.negative(s, out=s).max(axis=(0, 1))  # the certificate
+        certified = alive & (reach < epsilon)
+        ok, rest = np.count_nonzero(certified), alive & ~certified
+        if rest.any():  # rebuilt to be counted
+            ok += np.count_nonzero(_interval_shadow(system, xs[:, rest],
+                                                    epsilon)[0])
+        return int(ok)
 
     delta, bad, table = epsilon, None, []  # coarse sweep, then bisection
 

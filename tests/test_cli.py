@@ -200,6 +200,8 @@ def test_shadow_modulus_table(tmp_path):
     ({"kind": "tent", "s": 2.0}, {"epsilon": math.inf}),
     ({"kind": "tent", "s": 2.0}, {"trials": 0}),
     ({"kind": "full_shift", "k": 2}, {"length": 1}),
+    ({"kind": "full_shift", "k": 2}, {"epsilon": 1.0}),
+    ({"kind": "full_shift", "k": 2}, {"epsilon": 2.0}),
 ])
 def test_shadow_modulus_bad_input_exits_2_without_artifact(tmp_path, capsys,
                                                            system, bad):
@@ -209,6 +211,24 @@ def test_shadow_modulus_bad_input_exits_2_without_artifact(tmp_path, capsys,
     assert code == 2
     assert not (out / "modulus.csv").exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"system": {"kind": "tent", "s": 2.0}, "mode": "bogus"},
+     "shadow mode must be single or modulus, got 'bogus'"),
+    ({"system": {"kind": "full_shift", "k": 2}, "mode": "Modulus"},
+     "shadow mode must be single or modulus, got 'Modulus'"),
+    ({"system": {"kind": "full_shift", "k": 2}, "mode": "modulus",
+      "epsilon": 1.0}, "epsilon must be < 1 on a shift; got 1.0"),
+], ids=["bogus_mode", "capitalised_mode", "shift_epsilon_1"])
+def test_shadow_bad_config_is_one_line_without_artifact(tmp_path, capsys,
+                                                        cfg, message):
+    # "mode" names one of two modes, and the message names the config's key
+    code, out = run(tmp_path, "shadow", cfg)
+    assert code == 2
+    assert not out.exists() or not os.listdir(out)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_weave_and_truncation(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
                                   PseudoOrbitViolation, _admissible,
-                                  _interval_orbits,
-                                  _interval_shadow, _random_start,
+                                  _interval_orbits, _interval_shadow,
+                                  _interval_track, _random_start,
                                   _shift_heads, _shift_starts, _splice,
                                   _splice_deviations, _uniforms,
                                   canonical_cycle, continue_words, make_rng,
@@ -166,6 +166,7 @@ class OverCap(Exception):
 
 PLMAP = EndpointFixedMap((0.0, 0.25, 0.5, 1.0), (0.0, 0.9, 0.6, 1.0))
 INTERVAL_MAPS = [TentMap(2.0), TentMap(1.2), PLMAP]
+FLAT = EndpointFixedMap((0.0, 0.3, 0.6, 1.0), (0.0, 0.8, 0.8, 1.0))
 
 
 def ref_value(map_, x):
@@ -494,14 +495,13 @@ def test_contracting_piece_witnesses_hold():
 
 def test_flat_piece_shadows_without_warnings():
     # a constant piece has no preimage formula: its candidate is the clip
-    flat = EndpointFixedMap((0.0, 0.3, 0.6, 1.0), (0.0, 0.8, 0.8, 1.0))
-    x0, u = batch_inputs(flat, 20, 40, 4)
+    x0, u = batch_inputs(FLAT, 20, 40, 4)
     for delta in (1e-2, 1e-4):
-        xs = _interval_orbits(flat, np.array(x0), delta, u)
+        xs = _interval_orbits(FLAT, np.array(x0), delta, u)
         xs = np.hstack([xs, np.array([[0.1, 0.9] + [0.5] * 38]).T])
-        ok, ys, s = shadow_batch(flat, xs, 1e-2)
+        ok, ys, s = shadow_batch(FLAT, xs, 1e-2)
         assert ok[:-1].any() and not ok[-1]
-        assert_matches_union(flat, xs, 1e-2, ok, ys, s)
+        assert_matches_union(FLAT, xs, 1e-2, ok, ys, s)
 
 
 @pytest.mark.parametrize("system,epsilon,trials,length,seed", [
@@ -521,6 +521,75 @@ def test_shadowing_modulus_matches_reference(system, epsilon, trials, length,
                                      delta)
     good = [d for d, ok, tr in table if ok / tr >= 0.95]
     assert delta_hat == (max(good) if good else 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("map_", INTERVAL_MAPS)
+def test_modulus_certificate_matches_rebuild(monkeypatch, map_, epsilon):
+    # the modulus counts certified trials from the forward pass and rebuilds
+    # only alive, uncertified ones: every row equals the full kernel's count,
+    # and the rebuild runs only where the margin eps * 1e-12 falls below
+    # rounding (eps <= 1e-5 here)
+    import orbitweave.shadowing as sh_mod
+    rebuilt = []
+
+    def counting(map_, xs, epsilon):
+        rebuilt.append(xs.shape[1])
+        return _interval_shadow(map_, xs, epsilon)
+    monkeypatch.setattr(sh_mod, "_interval_shadow", counting)
+    trials, length = 40, 150
+    for seed in range(3):
+        rebuilt.clear()
+        _, table = shadowing_modulus(map_, epsilon, trials, length, seed)
+        x0, u = batch_inputs(map_, trials, length, seed)
+        for delta, successes, _ in table:
+            xs = _interval_orbits(map_, np.array(x0), delta, u)
+            ok = shadow_batch(map_, xs, epsilon)[0]
+            assert successes == np.count_nonzero(ok), (seed, delta)
+        assert (sum(rebuilt) > 0) == (epsilon <= 1e-5), (seed, rebuilt)
+
+
+@pytest.mark.parametrize("map_", INTERVAL_MAPS)
+def test_certificate_bounds_rebuilt_deviation(map_):
+    # the rebuild keeps y_t in S_t = [lo_t, hi_t], so fl|y_t - x_t| is at
+    # most the step's certificate max(fl(x_t - lo_t), fl(hi_t - x_t)), with
+    # no rounding slack, also where the margin is below rounding
+    x0, u = batch_inputs(map_, 40, 150, 2)
+    for epsilon in (0.3, 1e-2, 1e-5, 1e-9, 2.0 ** -20):
+        checked = 0
+        for delta in (epsilon, epsilon / 4, epsilon / 64):
+            xs = _interval_orbits(map_, np.array(x0), delta, u)
+            s = _interval_track(map_, xs, epsilon)
+            alive = s[-1, 0] <= -s[-1, 1]
+            ys = shadow_batch(map_, xs, epsilon)[1]
+            x, (lo, neg_hi) = xs[:, alive], s[:, :, alive].transpose(1, 0, 2)
+            bound = np.maximum(x - lo, -neg_hi - x)
+            assert (np.abs(ys[:, alive] - x) <= bound).all(), (epsilon, delta)
+            checked += np.count_nonzero(alive)
+        assert checked >= 40, epsilon
+
+
+@pytest.mark.parametrize("epsilon,shadowed", [
+    (1e-2, [True, True, False, False]),
+    (2.0 ** -20, [False, True, False, False])])
+def test_modulus_fails_witness_on_window_edge(monkeypatch, epsilon, shadowed):
+    # FLAT's flat piece pins trial 0's witness to the low end of S_0; at
+    # eps = 2^-20 that is x_0 - eps exactly, so its deviation and its
+    # certificate both read eps: it is rebuilt and fails.  Trials 2 and 3
+    # die at t = 1 (the image passes above, then below the window) inside
+    # windows that the certificate alone passes at eps = 1e-2; at t = 2
+    # their S_t is (inf, -inf), with 0 * inf on the flat piece
+    import orbitweave.shadowing as sh_mod
+    xs = np.array([[0.45, 0.7, 0.45, 0.1],
+                   [0.8, 0.85, 0.78, 0.9],
+                   [0.9, 0.925, 0.5, 0.5]])
+    monkeypatch.setattr(sh_mod, "_interval_orbits", lambda *args: xs.copy())
+    _, table = shadowing_modulus(FLAT, epsilon, 4, len(xs), 0)
+    ok, ys, _ = shadow_batch(FLAT, xs, epsilon)
+    assert ok.tolist() == shadowed
+    assert {successes for _, successes, _ in table} == {sum(shadowed)}
+    if epsilon == 2.0 ** -20:
+        assert ys[0, 0] == xs[0, 0] - epsilon
 
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift()])
