@@ -151,16 +151,13 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
         return EXIT_CONFIG
     family = _family(config, system.alphabet_size)
     target = measure_from_json(config["target"], shift=system)
-    schedule, _families, outcome = run_weave(
-        system, target, family,
-        k_max=int(config.get("k_max", 3)),
-        gamma=float(config.get("gamma", 0.25)),
-        block_length=int(config.get("block_length", 16)),
-        epsilon=float(config.get("epsilon", 0.25)),
-        budget=int(config.get("budget", 400)),
-        seed=seed,
-        min_total_length=int(config.get("min_total_length", 0)),
-        length_cap=int(config.get("length_cap", 10 ** 6)))
+    # the keys the config names, cast; run_weave's defaults fill the rest
+    options = {key: cast(config[key]) for key, cast in (
+        ("k_max", int), ("gamma", float), ("block_length", int),
+        ("epsilon", float), ("budget", int), ("min_total_length", int),
+        ("length_cap", int)) if key in config}
+    schedule, _families, outcome = run_weave(system, target, family,
+                                             seed=seed, **options)
     doc = {
         "k_max": schedule.k_max,
         "N": schedule.N, "X": schedule.X, "Y": schedule.Y, "T": schedule.T,

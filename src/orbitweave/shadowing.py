@@ -10,7 +10,8 @@ pieces; the shadow is rebuilt backward from it, with no cap on the work.
 interval maps it counts from the forward pass alone: a rebuilt shadow stays
 in the tracked intervals, so a trial whose intervals stay nonempty and lie
 within epsilon of the pseudo-orbit is shadowed (Hammel, Yorke and Grebogi's
-certify-rather-than-build), and only the other live trials are rebuilt.
+certify-rather-than-build); the window margin makes that hold for every
+live trial, so none is rebuilt.
 `perturbed_orbit` and `shadow_interval` are batches of one of its kernels;
 `shadow_shift` shares only the deviation kernel, on windows read from the
 states' Words, and `validate_pseudo` checks one state at a time.  Shift
@@ -42,6 +43,11 @@ SWEEP = 14  # most rows of the modulus's halving sweep
 SUCCESS_TARGET = 0.95  # share of shadowed trials that makes a delta good
 REFINE_ROUNDS = 4  # bisection rounds after the sweep
 SPLICE_CHUNK = 1 << 18  # symbols compared per chunk of splice trials
+# Interval windows have radius eps - MARGIN: on [0, 2], a rounded sum or
+# difference of values below 4 errs by at most 2^-52, a quarter of MARGIN, so
+# for every eps > MARGIN the certificate ends fl(x_t - lo_t), fl(hi_t - x_t)
+# of a live trial stay below eps (past eps = 2 a window holds the domain)
+MARGIN = 2.0 ** -50
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -272,19 +278,22 @@ def _interval_track(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
                     epsilon: float) -> np.ndarray:
     """The forward half of _interval_shadow on every column of xs (n,
     trials): s (n, 2, trials), s[t] = (lo, -hi) of the interval S_t =
-    f(S_{t-1}) ∩ [x_t - r, x_t + r], r = eps (1 - 1e-12) (S_0: the window ∩
+    f(S_{t-1}) ∩ [x_t - r, x_t + r], r = eps - MARGIN (S_0: the window ∩
     domain), so that a shadow rebuilt on a window's edge stays below eps; hi
     negated so that one maximum clips both ends.  f is continuous, so S_t is
     one interval, its ends the min and max over the pieces of
     m * clip(S_{t-1}, piece) + c; once empty (lo > hi) it stays empty, and
     from the step after that both entries are +inf."""
+    if not epsilon > MARGIN:  # else the radius is not positive
+        raise ValueError(f"epsilon must be > 2^-50 on an interval map; "
+                         f"got {epsilon}")
     m, c, bound = _pieces(map_, xs.shape[1])
     # y[b, a] = slope * q[b] + shift: f at the clipped end b, negated if a
     slope, shift = np.array([[m, -m], [-m, m]]), np.array([[c, -c], [c, -c]])
     q, y = np.empty((2,) + slope.shape)
     d = np.empty(m.shape)
     s = xs[:, None] * [[1.0], [-1.0]]  # the windows (x - r, -(x + r))
-    s -= epsilon * (1 - 1e-12)
+    s -= epsilon - MARGIN
     np.maximum(s[0], [[map_.domain[0]], [-map_.domain[1]]], out=s[0])
     with np.errstate(invalid="ignore"):  # 0 * inf: flat piece, empty S
         for t in range(1, len(xs)):
@@ -305,8 +314,8 @@ def _interval_shadow(map_: TentMap | EndpointFixedMap, xs: np.ndarray,
     the midpoint of S_n and steps back to the preimage of least residual
     |m x - (y - c)|, x clipped to piece ∩ S_{t-1}, so it stays in every S_t.
     A trial fails when some S_t empties or the shadow reaches epsilon
-    (boundary-equal fails).  The only backward rebuild: shadowing_modulus
-    counts from _interval_track and calls this on uncertified trials."""
+    (boundary-equal fails).  The only backward rebuild, for shadow_interval;
+    shadowing_modulus counts from _interval_track alone."""
     n, trials = xs.shape
     s = _interval_track(map_, xs, epsilon)
     m, c, bound = _pieces(map_, trials)
@@ -335,9 +344,8 @@ def shadow_interval(map_: TentMap | EndpointFixedMap, po: PseudoOrbit,
     so far}, which keeps every number O(1) on expanding maps, then rebuilds
     the shadow backward, contracting where the map expands.  None when the
     interval empties or the shadow reaches epsilon (strict failure at the
-    boundary per the shadowing definition).  A batch of one."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    boundary per the shadowing definition).  A batch of one; epsilon must
+    be > MARGIN."""
     ys = np.array(po.states, dtype=float)[:, None]
     if not _interval_shadow(map_, ys, epsilon)[0][0]:
         return None
@@ -355,11 +363,11 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     row runs _interval_track and counts a trial as shadowed when S_n is
     nonempty and the certificate max_t max(x_t - lo_t, hi_t - x_t) is below
     epsilon: the rebuild keeps y_t in S_t, and rounded subtraction is
-    monotone, so fl|y_t - x_t| is at most the certificate.  The live trials
-    it leaves open (only once eps * 1e-12 falls below rounding) go through
-    _interval_shadow, so every count is that of a rebuild of every trial.
-    On a shift epsilon must be < 1: the first row's delta is epsilon, and a
-    shift kick needs delta < 1."""
+    monotone, so fl|y_t - x_t| is at most the certificate.  MARGIN keeps the
+    certificate of every live trial below epsilon, so every count is that of
+    a rebuild of every trial, and none is rebuilt.  On a shift epsilon must
+    be < 1: the first row's delta is epsilon, and a shift kick needs
+    delta < 1; on an interval map it must be > MARGIN."""
     if not (math.isfinite(epsilon) and epsilon > 0 and trials >= 1
             and length >= 2):
         raise ValueError(f"need finite epsilon > 0, trials >= 1, length >= 2; "
@@ -389,12 +397,7 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
         np.subtract(s[:, 0], xs, out=s[:, 0])  # lo - x
         np.add(s[:, 1], xs, out=s[:, 1])  # x - hi
         reach = np.negative(s, out=s).max(axis=(0, 1))  # the certificate
-        certified = alive & (reach < epsilon)
-        ok, rest = np.count_nonzero(certified), alive & ~certified
-        if rest.any():  # rebuilt to be counted
-            ok += np.count_nonzero(_interval_shadow(system, xs[:, rest],
-                                                    epsilon)[0])
-        return int(ok)
+        return int(np.count_nonzero(alive & (reach < epsilon)))
 
     delta, bad, table = epsilon, None, []  # coarse sweep, then bisection
 

@@ -310,15 +310,15 @@ class WeaveSchedule:
         return self.s(r, 1, r + 1, 1)  # at r = k_max, the wrap to level 1
 
 
-def build_schedule(decomposition, block_lengths, cells, connector_fn,
-                   gamma: float, k_max: int, epsilon: float,
+def build_schedule(shift: ShiftSpace, decomposition, block_lengths, cells,
+                   k_max: int, epsilon: float,
                    length_cap: int = DEFAULT_LENGTH_CAP,
                    min_total_length: int = 0) -> WeaveSchedule:
     """Construct the schedule integers for the truncated weave.
 
     decomposition: per level k, list of (rational coefficient, measure).
-    block_lengths / cells: per level, the n(k,j) and partition cell per entry.
-    connector_fn(cell_from, cell_to) -> (s, path).
+    block_lengths / cells: per level, the n(k,j) and partition cell per entry;
+    the shift's `connector` joins every pair of used cells.
 
     N_k is the least integer making every N_k C_{k,j} integral subject to the
     connector-budget bound; T_k is the least strictly increasing sequence
@@ -334,7 +334,7 @@ def build_schedule(decomposition, block_lengths, cells, connector_fn,
             raise ValueError("coefficients must be positive rationals summing to 1")
     # connector words between all pairs of cells
     used = {c for level in cells[:k_max] for c in level}
-    connectors = {(a, b): tuple(connector_fn(a, b)[1]) for a in used
+    connectors = {(a, b): tuple(connector(shift, a, b)[1]) for a in used
                   for b in used}
 
     def make(km):
@@ -521,8 +521,7 @@ def run_weave(shift: ShiftSpace, target, family: TestFunctionFamily,
         block_lengths.append([f.n for f in fams])
         cells.append([f.cell for f in fams])
     schedule = build_schedule(
-        decomposition, block_lengths, cells,
-        lambda a, b: connector(shift, a, b), gamma, k_max, epsilon,
+        shift, decomposition, block_lengths, cells, k_max, epsilon,
         length_cap=length_cap, min_total_length=min_total_length)
     outcome = weave_point(shift, schedule, families, target, family, seed=seed)
     return schedule, families, outcome

@@ -220,7 +220,14 @@ def test_shadow_modulus_bad_input_exits_2_without_artifact(tmp_path, capsys,
      "shadow mode must be single or modulus, got 'Modulus'"),
     ({"system": {"kind": "full_shift", "k": 2}, "mode": "modulus",
       "epsilon": 1.0}, "epsilon must be < 1 on a shift; got 1.0"),
-], ids=["bogus_mode", "capitalised_mode", "shift_epsilon_1"])
+    ({"system": {"kind": "tent", "s": 2.0}, "mode": "modulus",
+      "epsilon": 2.0 ** -50},
+     "epsilon must be > 2^-50 on an interval map; got 8.881784197001252e-16"),
+    ({"system": {"kind": "tent", "s": 1.2}, "mode": "single",
+      "epsilon": 1e-16},
+     "epsilon must be > 2^-50 on an interval map; got 1e-16"),
+], ids=["bogus_mode", "capitalised_mode", "shift_epsilon_1",
+        "interval_modulus_epsilon_floor", "interval_single_epsilon_floor"])
 def test_shadow_bad_config_is_one_line_without_artifact(tmp_path, capsys,
                                                         cfg, message):
     # "mode" names one of two modes, and the message names the config's key
@@ -288,6 +295,21 @@ def test_weave_artifacts_byte_identical(tmp_path, name):
     assert [hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in ("woven.txt", "schedule.json", "convergence.csv")] \
         == digests
+
+
+@pytest.mark.parametrize("bad", [
+    {"k_max": None}, {"gamma": [0.25]}, {"block_length": "16 symbols"},
+    {"epsilon": {}}, {"budget": "many"}, {"min_total_length": None},
+    {"length_cap": "big"}])
+def test_weave_option_of_wrong_type_exits_2_without_artifact(tmp_path, capsys,
+                                                             bad):
+    # every option the CLI forwards to run_weave is read and cast
+    cfg = {"system": FULL2, "target": {"bernoulli": 0.7}} | bad
+    code, out = run(tmp_path, "weave", cfg)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config/precondition error") and "Traceback" not in err
 
 
 def test_weave_over_cap_exits_3_without_artifact(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
@@ -245,8 +245,8 @@ def ref_union_interval(map_, states, epsilon):
     """ref_shadow_interval's branchwise images with no cap, overlapping
     intervals merged at each step: the unions S_0, S_1, ... as lists of
     (lo, hi), up to and including the first empty one.  The windows have
-    the kernel's radius epsilon (1 - 1e-12), inside the strict bound."""
-    radius = epsilon * (1 - 1e-12)
+    the kernel's radius epsilon - 2^-50, inside the strict bound."""
+    radius = epsilon - 2.0 ** -50
     lo0 = max(map_.domain[0], states[0] - radius)
     hi0 = min(map_.domain[1], states[0] + radius)
     unions = [[(lo0, hi0)] if lo0 <= hi0 else []]
@@ -478,19 +478,21 @@ def test_union_oracle_where_branch_histories_explode():
 def test_contracting_piece_witnesses_hold():
     # PLMAP's slope-0.8 piece expands backward; every witness the kernel
     # accepts is a true shadow, and it finds one in each trial where the
-    # true orbit of x0 is one
-    epsilon, length, trials = 1e-2, 300, 100
-    for seed in range(3):
-        x0, u = batch_inputs(PLMAP, trials, length, seed)
-        exact = _interval_orbits(PLMAP, np.array(x0), 0.0, u)
-        for delta in (epsilon, epsilon / 8):
-            xs = _interval_orbits(PLMAP, np.array(x0), delta, u)
-            true = np.abs(exact - xs).max(axis=0) < epsilon
-            ok, ys, _ = shadow_batch(PLMAP, xs, epsilon)
-            for t in np.flatnonzero(ok):
-                assert_shadows(PLMAP, ys[:, t].tolist(), xs[:, t].tolist(),
-                               epsilon)
-            assert np.count_nonzero(ok) >= np.count_nonzero(true), (seed, delta)
+    # true orbit of x0 is one, also at eps = 1e-6, where a window margin
+    # proportional to eps would fall below rounding
+    for epsilon, length, trials in ((1e-2, 300, 100), (1e-6, 200, 60)):
+        for seed in range(3):
+            x0, u = batch_inputs(PLMAP, trials, length, seed)
+            exact = _interval_orbits(PLMAP, np.array(x0), 0.0, u)
+            for delta in (epsilon, epsilon / 2, epsilon / 8):
+                xs = _interval_orbits(PLMAP, np.array(x0), delta, u)
+                true = np.abs(exact - xs).max(axis=0) < epsilon
+                ok, ys, _ = shadow_batch(PLMAP, xs, epsilon)
+                for t in np.flatnonzero(ok):
+                    assert_shadows(PLMAP, ys[:, t].tolist(),
+                                   xs[:, t].tolist(), epsilon)
+                assert np.count_nonzero(ok) >= np.count_nonzero(true), (
+                    epsilon, seed, delta)
 
 
 def test_flat_piece_shadows_without_warnings():
@@ -523,13 +525,12 @@ def test_shadowing_modulus_matches_reference(system, epsilon, trials, length,
     assert delta_hat == (max(good) if good else 0.0)
 
 
-@pytest.mark.parametrize("epsilon", [0.3, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("epsilon", [3.0, 2.0, 1.0, 0.3, 1e-2, 1e-3, 1e-5,
+                                     1e-7, 1e-9, 1e-12, 1e-14])
 @pytest.mark.parametrize("map_", INTERVAL_MAPS)
 def test_modulus_certificate_matches_rebuild(monkeypatch, map_, epsilon):
-    # the modulus counts certified trials from the forward pass and rebuilds
-    # only alive, uncertified ones: every row equals the full kernel's count,
-    # and the rebuild runs only where the margin eps * 1e-12 falls below
-    # rounding (eps <= 1e-5 here)
+    # the modulus counts from the forward pass alone: every row equals the
+    # full kernel's count, and the rebuild never runs
     import orbitweave.shadowing as sh_mod
     rebuilt = []
 
@@ -546,14 +547,35 @@ def test_modulus_certificate_matches_rebuild(monkeypatch, map_, epsilon):
             xs = _interval_orbits(map_, np.array(x0), delta, u)
             ok = shadow_batch(map_, xs, epsilon)[0]
             assert successes == np.count_nonzero(ok), (seed, delta)
-        assert (sum(rebuilt) > 0) == (epsilon <= 1e-5), (seed, rebuilt)
+        assert rebuilt == [], seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_=st.sampled_from(INTERVAL_MAPS),
+       exponent=st.floats(min_value=-1.6, max_value=49.9),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+@example(map_=TentMap(2.0), exponent=-math.log2(1e-5), seed=0)
+@example(map_=PLMAP, exponent=-math.log2(1e-9), seed=1)
+@example(map_=TentMap(1.2), exponent=49.9, seed=2)
+def test_certificate_of_live_trials_below_epsilon(map_, exponent, seed):
+    # the 2^-50 margin outweighs the rounding of every window end, so every
+    # trial whose S_t stay nonempty has max(fl(x_t - lo_t), fl(hi_t - x_t))
+    # below eps, for every eps > 2^-50
+    epsilon = 2.0 ** -exponent
+    x0, u = batch_inputs(map_, 20, 100, seed)
+    for delta in (epsilon, epsilon / 8):
+        xs = _interval_orbits(map_, np.array(x0), delta, u)
+        s = _interval_track(map_, xs, epsilon)
+        alive = s[-1, 0] <= -s[-1, 1]
+        x, (lo, neg_hi) = xs[:, alive], s[:, :, alive].transpose(1, 0, 2)
+        assert (np.maximum(x - lo, -neg_hi - x) < epsilon).all(), delta
 
 
 @pytest.mark.parametrize("map_", INTERVAL_MAPS)
 def test_certificate_bounds_rebuilt_deviation(map_):
     # the rebuild keeps y_t in S_t = [lo_t, hi_t], so fl|y_t - x_t| is at
     # most the step's certificate max(fl(x_t - lo_t), fl(hi_t - x_t)), with
-    # no rounding slack, also where the margin is below rounding
+    # no rounding slack
     x0, u = batch_inputs(map_, 40, 150, 2)
     for epsilon in (0.3, 1e-2, 1e-5, 1e-9, 2.0 ** -20):
         checked = 0
@@ -571,11 +593,11 @@ def test_certificate_bounds_rebuilt_deviation(map_):
 
 @pytest.mark.parametrize("epsilon,shadowed", [
     (1e-2, [True, True, False, False]),
-    (2.0 ** -20, [False, True, False, False])])
+    (2.0 ** -20, [True, True, False, False])])
 def test_modulus_fails_witness_on_window_edge(monkeypatch, epsilon, shadowed):
     # FLAT's flat piece pins trial 0's witness to the low end of S_0; at
-    # eps = 2^-20 that is x_0 - eps exactly, so its deviation and its
-    # certificate both read eps: it is rebuilt and fails.  Trials 2 and 3
+    # eps = 2^-20 that is x_0 - (eps - 2^-50) exactly, inside the strict
+    # bound, so the certificate counts it as the rebuild does.  Trials 2 and 3
     # die at t = 1 (the image passes above, then below the window) inside
     # windows that the certificate alone passes at eps = 1e-2; at t = 2
     # their S_t is (inf, -inf), with 0 * inf on the flat piece
@@ -589,7 +611,7 @@ def test_modulus_fails_witness_on_window_edge(monkeypatch, epsilon, shadowed):
     assert ok.tolist() == shadowed
     assert {successes for _, successes, _ in table} == {sum(shadowed)}
     if epsilon == 2.0 ** -20:
-        assert ys[0, 0] == xs[0, 0] - epsilon
+        assert ys[0, 0] == xs[0, 0] - (epsilon - 2.0 ** -50)
 
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift()])
@@ -843,8 +865,17 @@ def test_broken_kernel_input_raises(monkeypatch, system):
 
 @pytest.mark.parametrize("kwargs", [
     dict(epsilon=0.0), dict(epsilon=-1e-3), dict(epsilon=math.inf),
-    dict(epsilon=math.nan), dict(trials=0), dict(length=1)])
+    dict(epsilon=math.nan), dict(trials=0), dict(length=1),
+    dict(epsilon=2.0 ** -50), dict(epsilon=1e-16)])
 def test_shadowing_modulus_rejects_bad_inputs(kwargs):
     args = dict(epsilon=1e-3, trials=5, length=20, seed=1) | kwargs
     with pytest.raises(ValueError):
         shadowing_modulus(TentMap(2.0), **args)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, 2.0 ** -50, 1e-16, math.nan])
+def test_shadow_interval_rejects_epsilon_floor(epsilon):
+    # the window radius eps - 2^-50 must be positive
+    po = perturbed_orbit(TentMap(2.0), 0.37, 10, 0.0, seed=0)
+    with pytest.raises(ValueError, match="epsilon must be > 2"):
+        shadow_interval(TentMap(2.0), po, epsilon)

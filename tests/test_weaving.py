@@ -215,10 +215,8 @@ def test_select_blocks_budget_exhaustion():
 def _single_level_schedule(n=16, min_total=0):
     m = bernoulli(0.5)
     decomposition = [[(Fraction(1), m)]]
-    return build_schedule(decomposition, [[n]], [[0]],
-                          lambda a, b: connector(FULL, a, b),
-                          gamma=0.25, k_max=1, epsilon=0.25,
-                          min_total_length=min_total)
+    return build_schedule(FULL, decomposition, [[n]], [[0]], k_max=1,
+                          epsilon=0.25, min_total_length=min_total)
 
 
 def test_build_schedule_single_level():
@@ -233,9 +231,8 @@ def test_build_schedule_single_level():
 def test_build_schedule_two_measures():
     decomposition = [[(Fraction(1, 2), bernoulli(0.3)),
                       (Fraction(1, 2), bernoulli(0.7))]]
-    sched = build_schedule(decomposition, [[16, 16]], [[0, 1]],
-                           lambda a, b: connector(FULL, a, b),
-                           gamma=0.25, k_max=1, epsilon=0.25)
+    sched = build_schedule(FULL, decomposition, [[16, 16]], [[0, 1]],
+                           k_max=1, epsilon=0.25)
     assert sched.certified
     assert all((sched.N[0] * c).denominator == 1 for c in sched.C[0])
     assert sched.X[0] == 2  # two within-level connectors of length 1
@@ -249,9 +246,8 @@ def test_build_schedule_min_total_length():
 def test_build_schedule_length_cap_truncates():
     m = bernoulli(0.5)
     decomposition = [[(Fraction(1), m)] for _ in range(4)]
-    sched = build_schedule(decomposition, [[16]] * 4, [[0]] * 4,
-                           lambda a, b: connector(FULL, a, b),
-                           gamma=0.25, k_max=4, epsilon=0.25, length_cap=600)
+    sched = build_schedule(FULL, decomposition, [[16]] * 4, [[0]] * 4,
+                           k_max=4, epsilon=0.25, length_cap=600)
     assert sched.truncated
     assert sched.truncation_level == sched.k_max < 4
     assert sched.total_length <= 600
@@ -260,9 +256,8 @@ def test_build_schedule_length_cap_truncates():
 def test_offsets_recurrences():
     decomposition = [[(Fraction(1), bernoulli(0.5))],
                      [(Fraction(1), bernoulli(0.5))]]
-    sched = build_schedule(decomposition, [[12], [12]], [[0], [0]],
-                           lambda a, b: connector(FULL, a, b),
-                           gamma=0.25, k_max=2, epsilon=0.25)
+    sched = build_schedule(FULL, decomposition, [[12], [12]], [[0], [0]],
+                           k_max=2, epsilon=0.25)
     assert sched.M(1) == 0
     assert sched.M(2) == sched.T[0] * sched.Y[0] + sched.s(1, 1, 2, 1)
     assert sched.M_i(1, 3) == 2 * sched.Y[0]
@@ -334,9 +329,8 @@ def test_concatenate_length_and_block_windows():
     fam = select_blocks(FULL, m, 12, 0.5, 1, 0.25, budget=200, seed=3,
                         family=FAMILY)
     decomposition = [[(Fraction(1), m)]]
-    sched = build_schedule(decomposition, [[fam.n]], [[fam.cell]],
-                           lambda a, b: connector(FULL, a, b),
-                           gamma=0.25, k_max=1, epsilon=0.25)
+    sched = build_schedule(FULL, decomposition, [[fam.n]], [[fam.cell]],
+                           k_max=1, epsilon=0.25)
     z, _deviation, choice = concatenate(FULL, sched, {(1, 1): fam}, seed=5)
     # the spliced symbols, then the last state (its target cell, then its
     # cycle, of period 1 on the full shift) to AUDIT_DEPTH + 1 coordinates
@@ -443,9 +437,8 @@ def test_splice_violation_matches_per_position_oracle():
     fam = BlockFamily(measure=bernoulli(0.5), shift=FULL, n=4, cell=0,
                       blocks=np.array([good, bad], dtype=np.int8),
                       acceptance_rate=1.0)
-    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[0]],
-                           lambda a, b: connector(FULL, a, b), gamma=0.25,
-                           k_max=1, epsilon=0.25, min_total_length=40)
+    sched = build_schedule(FULL, [[(Fraction(1), bernoulli(0.5))]], [[4]],
+                           [[0]], k_max=1, epsilon=0.25, min_total_length=40)
     picks = {(1, 1, i, 1): 0 for i in range(1, sched.T[0] + 1)}
     picks[(1, 1, 3, 1)] = picks[(1, 1, 5, 1)] = 1  # the first one is raised
     with pytest.raises(PseudoOrbitViolation) as got:
@@ -465,9 +458,8 @@ def test_splice_of_a_periodic_point_has_no_deviation():
     fam = BlockFamily(measure=bernoulli(0.5), shift=gm, n=4, cell=1,
                       blocks=np.array([[1, 0, 1, 0, 1, 0, 1]], dtype=np.int8),
                       acceptance_rate=1.0)
-    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[1]],
-                           lambda a, b: connector(gm, a, b), gamma=0.25,
-                           k_max=1, epsilon=0.25, min_total_length=40)
+    sched = build_schedule(gm, [[(Fraction(1), bernoulli(0.5))]], [[4]],
+                           [[1]], k_max=1, epsilon=0.25, min_total_length=40)
     ref, _ = _assert_splice_matches_oracle(gm, sched, {(1, 1): fam}, 0, None)
     assert ref.max_deviation == 0.0
     assert ref.point.prefix(6) == (1, 0, 1, 0, 1, 0)
@@ -482,9 +474,8 @@ def test_splice_deviation_is_the_first_mismatching_column(column):
     fam = BlockFamily(measure=bernoulli(0.5), shift=gm, n=4, cell=1,
                       blocks=np.array([[1, 0, 1, 0, 1, 0, 1]], dtype=np.int8),
                       acceptance_rate=1.0)
-    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[1]],
-                           lambda a, b: connector(gm, a, b), gamma=0.25,
-                           k_max=1, epsilon=0.25, min_total_length=40)
+    sched = build_schedule(gm, [[(Fraction(1), bernoulli(0.5))]], [[4]],
+                           [[1]], k_max=1, epsilon=0.25, min_total_length=40)
     assert fam.continuation.shape == (1, AUDIT_DEPTH - 1)
     fam.continuation[0, [column, -1]] ^= 1
     if column == 0:  # a jump of 1 at the first block's end
@@ -504,9 +495,8 @@ def test_outcome_views_match_word_state():
                       blocks=np.array([[1, 0, 1, 0, 1, 0, 1],
                                        [1, 0, 0, 0, 1, 0, 0]], dtype=np.int8),
                       acceptance_rate=1.0)
-    sched = build_schedule([[(Fraction(1), bernoulli(0.5))]], [[4]], [[1]],
-                           lambda a, b: connector(gm, a, b), gamma=0.25,
-                           k_max=1, epsilon=0.25, min_total_length=40)
+    sched = build_schedule(gm, [[(Fraction(1), bernoulli(0.5))]], [[4]],
+                           [[1]], k_max=1, epsilon=0.25, min_total_length=40)
     outcome = weave_point(gm, sched, {(1, 1): fam}, bernoulli(0.5), FAMILY,
                           seed=3)
     L = sched.total_length
