@@ -82,10 +82,14 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, comment: str, columns: list[str], rows):
-    lines = [f"# {comment}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """Every row as one line, cells formatted as `_fmt` does (floats %.12g,
+    None blank, the rest by str) by a single % over all cells at once."""
+    cells = ["" if v is None else v for row in rows for v in row]
+    spec = ["%.12g" if isinstance(v, float) else "%s" for v in cells]
+    width = len(columns)
+    body = "".join(",".join(spec[i:i + width]) + "\n"
+                   for i in range(0, len(spec), width)) % tuple(cells)
+    _write_atomic(path, f"# {comment}\n{','.join(columns)}\n{body}")
 
 
 def _header(config, seed, extra: str = "") -> str:

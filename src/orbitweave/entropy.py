@@ -242,19 +242,29 @@ def katok_entropy(shift: ShiftSpace, m: MarkovMeasure, epsilon: float,
                            diagnostics=diags)
 
 
-def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
-    """(1/n) log of the number of admissible n-words whose Birkhoff average of
-    the observable lies in the window; empty level sets come back tagged.
-    An (n + d - 1)-word has n d-windows: with s = max(d - 1, 1) the walk adds
-    phi of each (s+1)-window's last d symbols, and of the first symbol when
-    d = 1, as integers over one denominator, so the window test is exact."""
-    table, n, d = query.observable.lookup(), query.n, query.observable.depth
+def _birkhoff_sums(shift: ShiftSpace, phi: LocallyConstantObservable,
+                   n: int) -> tuple[dict[int, int], int]:
+    """({S: count}, D): the admissible (n + d - 1)-words, which have n
+    d-windows, by Birkhoff sum S / D, D the common decimal denominator of
+    phi's values.  With s = max(d - 1, 1) the walk adds phi of each
+    (s+1)-window's last d symbols, and of the first symbol when d = 1."""
+    table, d = phi.lookup(), phi.depth
     num, scale = _over_common_denominator(table.values())
     s = max(d - 1, 1)
     sums = _walk_counts(
         n + d - 1,
         {w: num[table[w]] if d == 1 else 0 for w in shift.admissible_words(s)},
         {w: num[table[w[-d:]]] for w in shift.admissible_words(s + 1)})
+    return sums, scale
+
+
+def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
+    """(1/n) log of the number of admissible n-words whose Birkhoff average of
+    the observable lies in the window; empty level sets come back tagged.
+    The sums are integers over one denominator, so the window test is
+    exact."""
+    n = query.n
+    sums, scale = _birkhoff_sums(shift, query.observable, n)
     lo, hi = (Fraction(str(x)) * n * scale for x in (query.lo, query.hi))
     count = sum(cnt for S, cnt in sums.items()
                 if (lo <= S <= hi if query.closed else lo < S < hi))

@@ -3,11 +3,14 @@
 The kernel weights the lift (the admissible words) by exp(F c), F a feature
 matrix, and returns P(c), the Gibbs-Markov chain, and the Gibbs mean and
 covariance of the features (gradient and Hessian of P) from certified
-Perron eigenpairs.  sup{h_mu : integral of phi equals alpha} is
-inf_q P(q) - q alpha, by Newton steps on P'(q) = alpha in a bisection
-bracket, exact for locally constant phi.  sup{h_mu : D(mu, nu) <= delta} is
-bracketed by weak duality from above, minimised by log-barrier Newton
-steps, and by a Gibbs measure mixed into the ball from below.
+Perron eigenpairs, for a whole stack of coefficient rows c at once; each
+item comes out as it would alone.  sup{h_mu : integral of phi equals
+alpha} is inf_q P(q) - q alpha, by Newton steps on P'(q) = alpha in a
+bisection bracket, exact for locally constant phi; the searches of many
+alphas run in lockstep rounds, one stacked kernel call per round.
+sup{h_mu : D(mu, nu) <= delta} is bracketed by weak duality from above,
+minimised by log-barrier Newton steps, and by a Gibbs measure mixed into
+the ball from below.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import EntropyEstimate, LevelSetQuery, levelset_count
+from .entropy import EntropyEstimate, _birkhoff_sums
 from .measures import (LocallyConstantObservable, MarkovMeasure,
                        TestFunctionFamily, markov_entropy)
 from .systems import ShiftSpace, strongly_connected
@@ -58,10 +60,11 @@ class EmptyConstraintError(ValueError):
 
 @functools.lru_cache(maxsize=128)
 def _lift(shift: ShiftSpace, depth: int):
-    """(words, edges, src, dst): the depth-d lift, once per (shift, depth).
-    The vertices are the admissible (d-1)-words (1-words when d = 1); each
-    admissible max(d, 2)-word is an edge from its first to its last vertex
-    word.  The index arrays are read-only."""
+    """(words, edges, src, dst, cells): the depth-d lift, once per (shift,
+    depth).  The vertices are the admissible (d-1)-words (1-words when d =
+    1); each admissible max(d, 2)-word is an edge from its first to its last
+    vertex word, and cells = src m + dst is its entry of a flattened m x m
+    matrix.  The index arrays are read-only."""
     side = max(depth - 1, 1)
     words = tuple(shift.admissible_words(side))
     index = {w: i for i, w in enumerate(words)}
@@ -72,88 +75,146 @@ def _lift(shift: ShiftSpace, depth: int):
     adjacency[src, dst] = True
     if not strongly_connected(adjacency):
         raise ReducibleLiftError("weighted transition matrix is reducible")
-    src.flags.writeable = dst.flags.writeable = False
-    return words, edges, src, dst
+    cells = src * len(words) + dst
+    src.flags.writeable = dst.flags.writeable = cells.flags.writeable = False
+    return words, edges, src, dst, cells
 
 
-def _perron_vector(M: np.ndarray, lam: float):
-    """(v, root): positive Perron vector of the irreducible M by inverse
-    iteration from ones, shifted just above the estimate lam, where
-    (mu I - M)^-1 is a positive matrix.  Certified once the Collatz-Wielandt
+def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
+    """(v, root): positive Perron vectors of the irreducible stack M (K x m x
+    m) by inverse iteration from ones, each with the shift shifted = mu I
+    just above its root, where (mu I - M)^-1 is a positive matrix.  An item
+    is certified, and frozen, at its first iterate whose Collatz-Wielandt
     bounds min and max of (M v) / v, which bracket the root, pinch to
-    POWER_TOL relative spread.  A positive iterate that is not certified yet
-    moves the iteration to D^-1 M D, D = diag(v), whose Perron vector is near
-    ones: where v spans many decades, the ratios at its tiny entries keep
-    their precision only there."""
-    scale = v = np.ones(len(M))
+    POWER_TOL relative spread.  A positive iterate moves its item to D^-1 M
+    D, D = diag(v), whose Perron vector is near ones: where v spans many
+    decades, the ratios at its tiny entries keep their precision only there.
+    Every step acts on each item alone, so stacking changes no bit; masks
+    come in only where items part ways."""
+    A, live = shifted - M, None  # live: the items not frozen, once some are
+    scale = v = np.ones(M.shape[:2])
     for _ in range(50):  # each step damps the rest of the spectrum ~1e10-fold
-        v = np.linalg.solve(lam * (1.0 + 1e-10) * np.eye(len(M)) - M, v)
-        v = v / v.sum()
+        v = np.linalg.solve(A, v[..., None])[..., 0]
+        v = v / v.sum(axis=1, keepdims=True)
         if v.min() > 0:
-            ratios = (M @ v) / v
-            lo, hi = float(ratios.min()), float(ratios.max())
-            if hi - lo <= POWER_TOL * hi:
+            pos, u = True, v
+        else:
+            pos = v.min(axis=1) > 0
+            u = np.where(pos[:, None], v, 1.0)
+        ratios = np.sort((M @ u[..., None])[..., 0] / u, axis=1)
+        lo, hi = ratios[:, 0], ratios[:, -1]
+        done = pos & (hi - lo <= POWER_TOL * hi)
+        if live is None:
+            if done.all():
                 return scale * v, 0.5 * (lo + hi)
-            scale, M = scale * v, M * v / v[:, None]
-            v = np.ones(len(M))
+            if done.any():
+                vec, root, live = scale * v, 0.5 * (lo + hi), ~done
+        else:
+            fresh = live & done
+            vec[fresh] = (scale * v)[fresh]
+            root[fresh] = (0.5 * (lo + hi))[fresh]
+            live &= ~done
+            if not live.any():
+                return vec, root
+        # frozen items move too: their later iterates are never read
+        if pos is True:
+            scale, M = scale * v, M * v[:, None, :] / v[:, :, None]
+            v = np.ones_like(v)
+        else:
+            scale = np.where(pos[:, None], scale * u, scale)
+            M = np.where(pos[:, None, None], M * u[:, None, :] / u[:, :, None],
+                         M)
+            v = np.where(pos[:, None], 1.0, v)
+        A = shifted - M
     raise ArithmeticError("Perron vector failed its Collatz-Wielandt bound")
 
 
 class Gibbs(NamedTuple):
-    """Gibbs data at one coefficient vector c: pressure P(c), the chain (Q,
+    """Gibbs data at a coefficient vector c: pressure P(c), the chain (Q,
     pi) on the lift's vertices, and the Gibbs mean and asymptotic covariance
-    of the features, the gradient and Hessian of P."""
-    P: float
+    of the features, the gradient and Hessian of P.  The kernel returns a
+    stack of them, one item per row of c, each field with a leading axis."""
+    P: np.ndarray
     Q: np.ndarray
     pi: np.ndarray
     mean: np.ndarray
     var: np.ndarray
 
 
+def _item(g: Gibbs, i: int) -> Gibbs:
+    """Item i of a stack."""
+    return Gibbs(g.P[i], g.Q[i], g.pi[i], g.mean[i], g.var[i])
+
+
 def _gibbs(shift: ShiftSpace, depth: int, F: np.ndarray,
            c: np.ndarray) -> Gibbs:
     """Pressure and Gibbs data of the edge potential F c on the depth lift,
-    F an (edges x N) feature matrix.  The weights exp(F c - max F c) lie in
-    [e^-700, 1], so no |c| overflows; a wider spread is refused, and the
-    maximum comes back in P.  The chain is Q_ij = M_ij r_j / (lam r_i) with
-    stationary vector l r / <l, r>.  The covariance is E[Z Z^T] under the
-    edge masses, Z = C + g(target) - g(source) for the centred features C
-    and the solution g of the Poisson equation (I - Q + 1 pi) g = h, with h
-    the conditional mean of C."""
-    words, _, src, dst = _lift(shift, depth)
-    m = len(words)
-    x = F @ c
-    top = float(x.max())
-    if top - float(x.min()) > 700:  # weights below e^-700 would drop off M
-        raise ValueError(f"exp(F c) spans past the float range at c={c}")
-    M = np.zeros((m, m))
-    M[src, dst] = np.exp(x - top)
-    estimate = float(np.linalg.eigvals(M).real.max())
-    r, lam = _perron_vector(M, estimate)
-    l, _ = _perron_vector(M.T, estimate)
-    Q = M * r[None, :] / (lam * r[:, None])
-    Q = Q / Q.sum(axis=1, keepdims=True)  # absorb 1e-12 certificate residue
-    pi = l * r / (l @ r)
+    F an (edges x N) feature matrix, for each row of the (B x N) stack c.
+    The weights exp(F c - max F c) lie in [e^-700, 1], so no |c| overflows;
+    a wider spread is refused, and the maximum comes back in P.  The chain
+    is Q_ij = M_ij r_j / (lam r_i) with stationary vector l r / <l, r>, the
+    right and left Perron vectors of every item solved as one stack.  The
+    covariance is E[Z Z^T] under the edge masses, Z = C + g(target) -
+    g(source) for the centred features C and the solution g of the Poisson
+    equation (I - Q + 1 pi) g = h, with h the conditional mean of C.  Every
+    product acts on each item alone, so an item's bits do not depend on the
+    rest of the stack."""
+    words, _, src, dst, cells = _lift(shift, depth)
+    B, m = len(c), len(words)
+    x = (F @ c[:, :, None])[..., 0]
+    top = x.max(axis=1)
+    x = x - top[:, None]
+    if x.min() < -700:  # weights below e^-700 would drop off M
+        raise ValueError("exp(F c) spans past the float range at "
+                         f"c={c[(x.min(axis=1) < -700).argmax()]}")
+    M = np.zeros((B, m * m))
+    M[:, cells] = np.exp(x)
+    M = M.reshape(B, m, m)
+    eye = np.eye(m)
+    shifted = np.linalg.eigvals(M).real.max(axis=1)[:, None, None] * (
+        1.0 + 1e-10) * eye
+    vec, root = _perron_vectors(np.concatenate((M, M.transpose(0, 2, 1))),
+                                np.concatenate((shifted, shifted)))
+    r, l, lam = vec[:B], vec[B:], root[:B]
+    Q = M * r[:, None, :] / (lam[:, None, None] * r[:, :, None])
+    Q = Q / Q.sum(axis=2, keepdims=True)  # absorb 1e-12 certificate residue
+    pi = l * r / (l[:, None, :] @ r[:, :, None])[:, 0]
     Q.flags.writeable = pi.flags.writeable = False  # shared by the range cache
-    step = Q[src, dst]
-    mass = pi[src] * step
-    mean = mass @ F
-    C = F - mean
-    h = np.zeros((m, F.shape[1]))
-    np.add.at(h, src, step[:, None] * C)
-    g = np.linalg.solve(np.eye(m) - Q + pi[None, :], h)
-    Z = C + g[dst] - g[src]
-    return Gibbs(math.log(lam) + top, Q, pi, mean, Z.T @ (mass[:, None] * Z))
+    step = Q.reshape(B, m * m).take(cells, axis=1)
+    mass = pi.take(src, axis=1) * step
+    mean = (mass[:, None, :] @ F)[:, 0]
+    C = F - mean[:, None, :]
+    h = np.zeros((m, B, F.shape[1]))
+    np.add.at(h, src, (step[:, :, None] * C).transpose(1, 0, 2))
+    g = np.linalg.solve(eye - Q + pi[:, None, :], h.transpose(1, 0, 2))
+    Z = C + g.take(dst, axis=1) - g.take(src, axis=1)
+    P = np.array([math.log(x) for x in lam.tolist()]) + top
+    return Gibbs(P, Q, pi, mean, Z.transpose(0, 2, 1) @ (mass[:, :, None] * Z))
+
+
+@functools.lru_cache(maxsize=128)
+def _phi_column(shift: ShiftSpace, phi: LocallyConstantObservable):
+    """The one-column features, phi on the last d symbols of each edge word,
+    once per (shift, phi); read-only."""
+    d, value = phi.depth, phi.lookup()
+    F = np.array([[value[w[-d:]]] for w in _lift(shift, d)[1]])
+    F.flags.writeable = False
+    return F
+
+
+def _phi_gibbs(shift: ShiftSpace, phi: LocallyConstantObservable,
+               qs: np.ndarray) -> Gibbs:
+    """The one-column kernel at every q of the 1-D array qs, c = (q,); mean
+    and var come back as the arrays P'(q) and P''(q)."""
+    g = _gibbs(shift, phi.depth, _phi_column(shift, phi), qs[:, None])
+    return g._replace(mean=g.mean[:, 0], var=g.var[:, 0, 0])
 
 
 def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
                  q: float) -> Gibbs:
-    """The one-column kernel: phi on the last d symbols of each edge word,
-    c = (q,); mean and var come back as the floats P'(q) and P''(q)."""
-    d, value = phi.depth, phi.lookup()
-    F = np.array([[value[w[-d:]]] for w in _lift(shift, d)[1]])
-    g = _gibbs(shift, d, F, np.array([float(q)]))
-    return g._replace(mean=float(g.mean[0]), var=float(g.var[0, 0]))
+    """The one-column kernel at one q; P, mean and var come back as the
+    floats P(q), P'(q) and P''(q)."""
+    return _item(_phi_gibbs(shift, phi, np.array([float(q)])), 0)
 
 
 def gibbs_data(shift: ShiftSpace, phi: LocallyConstantObservable, q: float):
@@ -185,7 +246,8 @@ def _edge_gibbs(shift: ShiftSpace, phi: LocallyConstantObservable,
                 q_cap: float) -> tuple[Gibbs, Gibbs]:
     """Kernel at -q_cap and q_cap: the ends of the attainable range of the
     integral and the one-sided limits there, once per (shift, phi)."""
-    return gibbs_kernel(shift, phi, -q_cap), gibbs_kernel(shift, phi, q_cap)
+    g = _phi_gibbs(shift, phi, np.array([-q_cap, q_cap]))
+    return _item(g, 0), _item(g, 1)
 
 
 def _point(alpha: float, q: float, g: Gibbs,
@@ -197,42 +259,69 @@ def _point(alpha: float, q: float, g: Gibbs,
                          endpoint_limit=endpoint)
 
 
+def _constrained_sups(shift: ShiftSpace, phi: LocallyConstantObservable,
+                      alphas, q_cap: float = Q_CAP) -> list[SpectrumPoint]:
+    """H(alpha) = inf_q (P(q) - q alpha) with the maximizing Gibbs-Markov
+    measure, for every alpha of the list in lockstep rounds.  P' (the Gibbs
+    integral of phi) increases in q, so the infimum solves P'(q) = alpha.
+    Each alpha runs its own Newton search from q = 0 with slope P'', inside
+    a bracket on [-q_cap, q_cap] that every evaluation shrinks, bisecting
+    when a step would leave it, until |P'(q) - alpha| <= NEWTON_TOL.  A round
+    evaluates the distinct q of the live searches in one stacked kernel
+    call, and the kernel computes each item as it would alone, so every
+    point is the one its search finds by itself.  Each evaluation rests on
+    Collatz-Wielandt certified eigenpairs.  Alpha at or beyond the
+    attainable edge comes back as a one-sided limit or tagged empty."""
+    low, high = _edge_gibbs(shift, phi, q_cap)
+    if high.mean - low.mean < 1e-13:  # constant invariant integral
+        hits = [abs(a - low.mean) <= 1e-9 for a in alphas]
+        g = gibbs_kernel(shift, phi, 0.0) if any(hits) else None
+        return [_point(a, 0.0, g) if hit else
+                SpectrumPoint(a, None, None, empty=True)
+                for a, hit in zip(alphas, hits)]
+    points, live = {}, {}  # live: index -> [lo_q, hi_q, q]
+    for i, a in enumerate(alphas):
+        if a < low.mean - 1e-9 or a > high.mean + 1e-9:
+            points[i] = SpectrumPoint(a, None, None, empty=True)
+        elif a <= low.mean:
+            points[i] = _point(a, -q_cap, low, endpoint=True)
+        elif a >= high.mean:
+            points[i] = _point(a, q_cap, high, endpoint=True)
+        else:
+            live[i] = [-q_cap, q_cap, 0.0]
+    last = {}
+    for _ in range(200):
+        if not live:
+            break
+        qs = sorted({q for _, _, q in live.values()})
+        g = _phi_gibbs(shift, phi, np.array(qs))
+        column = {q: j for j, q in enumerate(qs)}
+        for i, (lo_q, hi_q, q) in list(live.items()):
+            last[i] = _item(g, column[q])
+            miss = last[i].mean - alphas[i]
+            if abs(miss) > NEWTON_TOL:
+                if miss < 0:
+                    lo_q = q
+                else:
+                    hi_q = q
+                if hi_q - lo_q >= 1e-13:
+                    var = last[i].var
+                    newton = q - miss / var if var > 0 else lo_q
+                    live[i] = [lo_q, hi_q, newton if lo_q < newton < hi_q
+                               else 0.5 * (lo_q + hi_q)]
+                    continue
+            del live[i]
+            points[i] = _point(alphas[i], q, last[i])
+    for i, (_, _, q) in live.items():  # out of rounds: q is a step ahead
+        points[i] = _point(alphas[i], q, last[i])
+    return [points[i] for i in range(len(alphas))]
+
+
 def constrained_sup(shift: ShiftSpace, phi: LocallyConstantObservable,
                     alpha: float, q_cap: float = Q_CAP) -> SpectrumPoint:
     """H(alpha) = inf_q (P(q) - q alpha) with the maximizing Gibbs-Markov
-    measure.  P' (the Gibbs integral of phi) increases in q, so the infimum
-    solves P'(q) = alpha: Newton steps from q = 0 with slope P'', inside a
-    bracket on [-q_cap, q_cap] that every evaluation shrinks, bisecting when a
-    step would leave it, until |P'(q) - alpha| <= NEWTON_TOL.  Each evaluation
-    rests on Collatz-Wielandt certified eigenpairs.  Alpha at or beyond the
-    attainable edge comes back as a one-sided limit or tagged empty.
-    """
-    low, high = _edge_gibbs(shift, phi, q_cap)
-    if high.mean - low.mean < 1e-13:  # constant invariant integral
-        if abs(alpha - low.mean) <= 1e-9:
-            return _point(alpha, 0.0, gibbs_kernel(shift, phi, 0.0))
-        return SpectrumPoint(alpha, None, None, empty=True)
-    if alpha < low.mean - 1e-9 or alpha > high.mean + 1e-9:
-        return SpectrumPoint(alpha, None, None, empty=True)
-    if alpha <= low.mean:
-        return _point(alpha, -q_cap, low, endpoint=True)
-    if alpha >= high.mean:
-        return _point(alpha, q_cap, high, endpoint=True)
-    lo_q, hi_q, q = -q_cap, q_cap, 0.0
-    for _ in range(200):
-        g = gibbs_kernel(shift, phi, q)
-        miss = g.mean - alpha
-        if abs(miss) <= NEWTON_TOL:
-            break
-        if miss < 0:
-            lo_q = q
-        else:
-            hi_q = q
-        if hi_q - lo_q < 1e-13:
-            break
-        newton = q - miss / g.var if g.var > 0 else lo_q
-        q = newton if lo_q < newton < hi_q else 0.5 * (lo_q + hi_q)
-    return _point(alpha, q, g)
+    measure: the lockstep search of `_constrained_sups` on one alpha."""
+    return _constrained_sups(shift, phi, [alpha], q_cap)[0]
 
 
 @dataclass
@@ -250,31 +339,26 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
     plus the supremum over the interval.  Open endpoints contribute their
     one-sided limits (H is continuous) rather than direct evaluations; the
     sup over the interior equals the sup over the closure for convex sets.
+    The grid and both endpoints share one lockstep Newton search, one
+    stacked kernel call per round, and the counts of every grid alpha come
+    from one walk of the Birkhoff sums.
     """
     if not (lo < hi):
         raise ValueError("malformed constraint interval")
     inside = (lambda a: lo <= a <= hi) if closed else (lambda a: lo < a < hi)
-    points = []
-    for a in alpha_grid:
-        if not inside(a):
-            continue
-        pt = constrained_sup(shift, phi, a)
-        if pt.empty:
-            continue
-        if count_n is not None:
-            est = count_at(shift, phi, a, count_n)
+    *points, low_end, high_end = _constrained_sups(
+        shift, phi, [a for a in alpha_grid if inside(a)] + [lo, hi])
+    points = [pt for pt in points if not pt.empty]
+    if count_n is not None:
+        counts = _level_counts(shift, phi, [p.alpha for p in points], count_n)
+        for pt, est in zip(points, counts):
             pt.h_count = est.value
             pt.n_count = count_n
-        points.append(pt)
-    candidates = list(points)
-    endpoint_pts = []
-    for a in (lo, hi):
-        pt = constrained_sup(shift, phi, a)
-        if not pt.empty:
-            if not closed:
-                pt.endpoint_limit = True
-            endpoint_pts.append(pt)
-            candidates.append(pt)
+    endpoint_pts = [pt for pt in (low_end, high_end) if not pt.empty]
+    if not closed:
+        for pt in endpoint_pts:
+            pt.endpoint_limit = True
+    candidates = points + endpoint_pts
     if not candidates:
         raise EmptyConstraintError(
             "constraint interval misses the attainable range")
@@ -283,21 +367,39 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
                           endpoint_points=endpoint_pts)
 
 
+def _level_counts(shift: ShiftSpace, phi: LocallyConstantObservable,
+                  alphas, n: int) -> list[EntropyEstimate]:
+    """count_at for every alpha of the list, read from one walk."""
+    sums, scale = _birkhoff_sums(shift, phi, n)
+    estimates = []
+    for alpha in alphas:
+        S = round(alpha * n * scale)
+        count = sums.get(S, 0)
+        nearest = ("nearest_average", S / (n * scale))
+        if count == 0:
+            estimates.append(EntropyEstimate(None, "levelset_count",
+                                             [nearest], empty=True))
+        else:
+            val = math.log(count) / n
+            estimates.append(EntropyEstimate(val, "levelset_count",
+                                             [(n, count, val), nearest]))
+    return estimates
+
+
 def count_at(shift: ShiftSpace, phi: LocallyConstantObservable,
              alpha: float, n: int) -> EntropyEstimate:
     """Level-set counting rate at the achievable average nearest alpha.
 
-    Birkhoff averages of an integer-valued observable live on a 1/n-grid;
-    the open window ((2j - 1) / 2n, (2j + 1) / 2n) with exact ends isolates
-    the value j/n nearest alpha: the clean combinatorial object whose rate
-    is compared against the variational value at the same point.
+    A Birkhoff sum of the n d-windows of a word is an integer S over D, the
+    common decimal denominator of phi's values, so the averages lie on the
+    1/(nD) grid.  The count takes the words with S = round(alpha n D) only,
+    the open window ((2S - 1) / 2nD, (2S + 1) / 2nD), which isolates one
+    attainable average: the clean combinatorial object whose rate is
+    compared against the variational value at the same point.  An average
+    no word attains comes back tagged empty.  The reader of one walk that
+    `spectrum` shares among its whole grid, on one alpha.
     """
-    j = round(alpha * n)
-    query = LevelSetQuery(phi, Fraction(2 * j - 1, 2 * n),
-                          Fraction(2 * j + 1, 2 * n), n)
-    est = levelset_count(shift, query)
-    est.diagnostics.append(("nearest_average", j / n))
-    return est
+    return _level_counts(shift, phi, [alpha], n)[0]
 
 
 class ShrinkRow(NamedTuple):
@@ -346,21 +448,21 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     A = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
     lowers, upper, uppers = [], math.inf, []
     z, tau0 = np.append(np.zeros(n), 1.0), 2 * n  # t = 1 central at y = 0
-    g = _gibbs(shift, depth, F, z[:n])
+    g = _item(_gibbs(shift, depth, F, z[None, :n]), 0)
     for delta in grid:
         tau, lower = tau0 / delta, h_nu
         while upper - lower > GAP_TOL and tau < 1e16:  # tau P keeps digits
             for _ in range(50):  # Newton steps to the centre at this tau
                 inv = 1 / (A @ z)
-                grad = tau * np.append(g.mean - b, delta) - A.T @ inv
+                grad = tau * np.concatenate((g.mean - b, (delta,))) - A.T @ inv
                 H = A.T @ (A * inv[:, None] ** 2)
                 H[:n, :n] += tau * g.var
                 step = -np.linalg.solve(H, grad)
                 if -grad @ step <= 1e-4:  # squared Newton decrement
                     break
-                rate = np.max(-(A @ step) * inv)  # 1 / step to the boundary
+                rate = (-(A @ step) * inv).max()  # 1 / step to the boundary
                 z = z + (min(1.0, 0.99 / rate) if rate > 0 else 1.0) * step
-                g = _gibbs(shift, depth, F, z[:n])
+                g = _item(_gibbs(shift, depth, F, z[None, :n]), 0)
             D = np.abs(g.mean - b).sum()
             s = min(1.0, delta / D) if D > 0 else 1.0
             h = markov_entropy(MarkovMeasure(g.Q, g.pi))

@@ -560,14 +560,16 @@ def test_levelset_window_ends_are_exact(shift):
 
 
 def test_count_at_windows_have_rational_ends():
-    # the Birkhoff sums, multiples of 1/10, reach the open window's ends
-    # (2j -+ 1) / 2n, which float ends put on either side of them: 368
-    # words for 356 at j = 3, and the float-keyed DP gave 157 for 145 at j = 4
+    # the Birkhoff sums are multiples of 1/D, D = 10, so the averages lie on
+    # the 1/(nD) grid and count_at takes the open window (2S -+ 1) / 2nD
+    # around S = round(alpha n D): 2 words at j = 3 and 56 at j = 4, where
+    # the former 1/n window held 356 and 145 words of several averages
     phi = _table(2, 2, DEPTH2_VALUES)
-    gm, n = golden_mean_shift(), 12
-    for j in (3, 4):
-        lo, hi = Fraction(2 * j - 1, 2 * n), Fraction(2 * j + 1, 2 * n)
-        assert count_at(gm, phi, j / n, n).diagnostics[0][1] == \
+    gm, n, D = golden_mean_shift(), 12, 10
+    for j, words in ((3, 2), (4, 56)):
+        S = round(j / n * n * D)
+        lo, hi = Fraction(2 * S - 1, 2 * n * D), Fraction(2 * S + 1, 2 * n * D)
+        assert count_at(gm, phi, j / n, n).diagnostics[0][1] == words == \
             _enumerated_levelset_count(gm, phi, n, lo, hi, closed=False)
 
 

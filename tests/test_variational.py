@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitweave import variational
+from orbitweave.entropy import LevelSetQuery, levelset_count
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
                                  TestFunctionFamily, bernoulli,
                                  frequency_observable, markov_entropy)
@@ -221,21 +223,31 @@ RUN3 = LocallyConstantObservable(3, tuple(
     (w, float(w == (1, 1, 1))) for w in itertools.product(range(2), repeat=3)))
 
 
+def _kernel_spy(monkeypatch):
+    """Record (q, P'(q), P''(q)) of every one-column kernel item, and one
+    entry per stacked call."""
+    steps, calls = [], []
+    kernel = variational._gibbs
+
+    def spy(shift, depth, F, c):
+        g = kernel(shift, depth, F, c)
+        calls.append(len(c))
+        steps.extend(zip(c[:, 0].tolist(), g.mean[:, 0].tolist(),
+                         g.var[:, 0, 0].tolist()))
+        return g
+    monkeypatch.setattr(variational, "_gibbs", spy)
+    return steps, calls
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
 def test_constrained_sup_bisection_safeguard(monkeypatch, alpha):
     # frequency of 111 on the full shift: from q = 0 a Newton step leaves the
     # bracket, so the search must bisect and still land on P'(q) = alpha
     variational._edge_gibbs(FULL, RUN3, variational.Q_CAP)
-    steps = []
-    kernel = variational.gibbs_kernel
-
-    def spy(shift, phi, q):
-        steps.append((q, kernel(shift, phi, q)))
-        return steps[-1][1]
-    monkeypatch.setattr(variational, "gibbs_kernel", spy)
+    steps, _ = _kernel_spy(monkeypatch)
     pt = constrained_sup(FULL, RUN3, alpha)
-    assert any(q1 != q0 - (g0.mean - alpha) / g0.var
-               for (q0, g0), (q1, _) in zip(steps, steps[1:]))
+    assert any(q1 != q0 - (mean - alpha) / var
+               for (q0, mean, var), (q1, _, _) in zip(steps, steps[1:]))
     P, _, _, integral = _reference_gibbs(FULL, RUN3, pt.q_star)
     assert integral == pytest.approx(alpha, abs=1e-10)
     assert pt.h_var == pytest.approx(P - pt.q_star * alpha, abs=1e-10)
@@ -245,13 +257,7 @@ def test_constrained_sup_bisection_safeguard(monkeypatch, alpha):
     (FULL, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
     (GOLDEN, [0.05, 0.1, 0.2, 0.3, 0.4, 0.45])])
 def test_constrained_sup_kernel_calls(monkeypatch, shift, grid):
-    calls = []
-    kernel = variational.gibbs_kernel
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-    monkeypatch.setattr(variational, "gibbs_kernel", counted)
+    _, calls = _kernel_spy(monkeypatch)
     for alpha in grid:
         variational._edge_gibbs.cache_clear()  # count the range too
         calls.clear()
@@ -403,7 +409,8 @@ def _reference_shrink(shift, nu, family, grid):
     for delta in grid:
         z, tau = np.append(np.zeros(n), 1.0), 2 * n / delta
         lower = h_nu
-        g = variational._gibbs(shift, depth, F, z[:n])
+        g = variational._item(
+            variational._gibbs(shift, depth, F, z[None, :n]), 0)
         while upper - lower > variational.GAP_TOL and tau < 1e16:
             for _ in range(50):
                 inv = 1 / (A @ z)
@@ -415,7 +422,8 @@ def _reference_shrink(shift, nu, family, grid):
                     break
                 rate = np.max(-(A @ step) * inv)
                 z = z + (min(1.0, 0.99 / rate) if rate > 0 else 1.0) * step
-                g = variational._gibbs(shift, depth, F, z[:n])
+                g = variational._item(
+                    variational._gibbs(shift, depth, F, z[None, :n]), 0)
             D = np.abs(g.mean - b).sum()
             s = min(1.0, delta / D) if D > 0 else 1.0
             h = markov_entropy(MarkovMeasure(g.Q, g.pi))
@@ -475,3 +483,212 @@ def test_perron_vector_over_many_decades(q):
     lam = max(np.linalg.eigvals(M).real)
     assert gibbs_kernel(FULL, WIDE, q).P == pytest.approx(math.log(lam),
                                                           rel=1e-12)
+
+
+# --------------------------------------------------------- stacked kernel
+# The kernel computes every item of a (B, N) stack as it would alone, so a
+# stack must equal its single items bit for bit, the q = +-Q_CAP ends too.
+
+TABLE = LocallyConstantObservable(2, (((0, 0), 0.3), ((0, 1), 1.0),
+                                      ((1, 0), -0.5), ((1, 1), 0.1)))
+COEFFICIENT = st.one_of(st.sampled_from([-variational.Q_CAP,
+                                         variational.Q_CAP]),
+                        st.floats(-variational.Q_CAP, variational.Q_CAP))
+
+
+def _cylinder_features(shift, N):
+    """(depth, F): the shrink's weighted cylinder features on the lift to
+    the deepest of the first N cylinders."""
+    family = TestFunctionFamily("cylinder", N, shift.alphabet_size)
+    depth = family.max_depth
+    weight = 2.0 ** -np.arange(2, N + 2)
+    return depth, weight * np.array([[w[-depth:][:f.depth] == f.word
+                                      for f in family.functions]
+                                     for w in variational._lift(shift,
+                                                                depth)[1]])
+
+
+STACK_SHIFTS = {"full2": FULL, "full3": full_shift(3), "golden": GOLDEN}
+
+
+@given(st.sampled_from(sorted(STACK_SHIFTS)), st.integers(1, 5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_stack_equals_single_items(name, B, data):
+    shift, N = STACK_SHIFTS[name], 16
+    depth, F = _cylinder_features(shift, N)
+    c = np.array(data.draw(st.lists(
+        st.lists(COEFFICIENT, min_size=N, max_size=N), min_size=B,
+        max_size=B)))
+    stack = variational._gibbs(shift, depth, F, c)
+    for i in range(B):
+        one = variational._gibbs(shift, depth, F, c[i:i + 1])
+        for field in variational.Gibbs._fields:
+            assert np.array_equal(getattr(stack, field)[i],
+                                  getattr(one, field)[0]), (i, field)
+
+
+COLUMN_CASES = {"golden_table": (GOLDEN, TABLE), "full_table": (FULL, TABLE),
+                "full2": (FULL, PHI), "full3": (full_shift(3),
+                                                frequency_observable(2, 3)),
+                "full_wide": (FULL, WIDE)}
+
+
+@given(st.sampled_from(sorted(COLUMN_CASES)),
+       st.lists(COEFFICIENT, min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_column_stack_equals_gibbs_kernel(name, qs):
+    # the wide observable takes items through the rebalanced Perron problem
+    # and freezes them in different rounds
+    shift, phi = COLUMN_CASES[name]
+    stack = variational._phi_gibbs(shift, phi, np.array(qs))
+    for i, q in enumerate(qs):
+        one = gibbs_kernel(shift, phi, q)
+        assert stack.P[i] == one.P and stack.mean[i] == one.mean
+        assert stack.var[i] == one.var
+        assert np.array_equal(stack.Q[i], one.Q)
+        assert np.array_equal(stack.pi[i], one.pi)
+
+
+# ---------------------------------------------------------- lockstep oracle
+# The per-alpha Newton loop, one kernel call per step, that the lockstep
+# rounds replaced; every point of `spectrum` must equal its own.
+
+def _reference_constrained_sup(shift, phi, alpha, q_cap=variational.Q_CAP):
+    low, high = variational._edge_gibbs(shift, phi, q_cap)
+    if high.mean - low.mean < 1e-13:
+        if abs(alpha - low.mean) <= 1e-9:
+            return variational._point(alpha, 0.0,
+                                      gibbs_kernel(shift, phi, 0.0))
+        return variational.SpectrumPoint(alpha, None, None, empty=True)
+    if alpha < low.mean - 1e-9 or alpha > high.mean + 1e-9:
+        return variational.SpectrumPoint(alpha, None, None, empty=True)
+    if alpha <= low.mean:
+        return variational._point(alpha, -q_cap, low, endpoint=True)
+    if alpha >= high.mean:
+        return variational._point(alpha, q_cap, high, endpoint=True)
+    lo_q, hi_q, q = -q_cap, q_cap, 0.0
+    for _ in range(200):
+        g = gibbs_kernel(shift, phi, q)
+        miss = g.mean - alpha
+        if abs(miss) <= variational.NEWTON_TOL:
+            break
+        if miss < 0:
+            lo_q = q
+        else:
+            hi_q = q
+        if hi_q - lo_q < 1e-13:
+            break
+        newton = q - miss / g.var if g.var > 0 else lo_q
+        q = newton if lo_q < newton < hi_q else 0.5 * (lo_q + hi_q)
+    return variational._point(alpha, q, g)
+
+
+def _assert_same_point(got, want):
+    for name in ("alpha", "h_var", "q_star", "duality_gap",
+                 "maximizer_integral", "empty", "endpoint_limit"):
+        assert getattr(got, name) == getattr(want, name), (got.alpha, name)
+    if want.maximizer is None:
+        assert got.maximizer is None
+    else:
+        assert np.array_equal(got.maximizer.P, want.maximizer.P)
+        assert np.array_equal(got.maximizer.pi, want.maximizer.pi)
+
+
+NEAR_EDGE = [1e-3, 1e-6, 0.4999]
+ORACLE_CASES = {
+    "bench_full": (FULL, PHI, 0.0, 1.0,
+                   [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] + NEAR_EDGE),
+    "bench_golden": (GOLDEN, PHI, 0.0, 1.0,
+                     [0.05, 0.1, 0.2, 0.3, 0.4, 0.45] + NEAR_EDGE),
+    "golden_table": (GOLDEN, TABLE, 0.25, 0.3,
+                     [0.25, 0.2501, 0.26, 0.28, 0.2995, 0.3]),
+    "bisection": (FULL, RUN3, 0.0, 1.0, [0.5, 0.9, 0.99]),
+    "constant": (FULL, LocallyConstantObservable(1, (((0,), 0.5),
+                                                     ((1,), 0.5))),
+                 0.0, 1.0, [0.25, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_lockstep_spectrum_matches_per_alpha_oracle(name):
+    shift, phi, lo, hi, grid = ORACLE_CASES[name]
+    res = spectrum(shift, phi, lo, hi, True, grid)
+    want = [p for p in (_reference_constrained_sup(shift, phi, a)
+                        for a in grid) if not p.empty]
+    ends = [p for p in (_reference_constrained_sup(shift, phi, a)
+                        for a in (lo, hi)) if not p.empty]
+    assert len(res.points) == len(want) and len(res.endpoint_points) == \
+        len(ends)
+    for got, ref in zip(res.points + res.endpoint_points, want + ends):
+        _assert_same_point(got, ref)
+    for alpha in grid:
+        _assert_same_point(constrained_sup(shift, phi, alpha),
+                           _reference_constrained_sup(shift, phi, alpha))
+
+
+def test_spectrum_kernel_calls(monkeypatch):
+    # the bench's spectrum_full op: one stacked call per Newton round, the
+    # range included (one call per alpha and step made 47)
+    variational._edge_gibbs.cache_clear()
+    _, calls = _kernel_spy(monkeypatch)
+    spectrum(FULL, PHI, 0.0, 1.0, True, [i / 10 for i in range(1, 10)],
+             count_n=24)
+    assert len(calls) <= 10, calls
+
+
+# ------------------------------------------------------------ count column
+
+@pytest.mark.parametrize("shift, phi, grid, n", [
+    (FULL, PHI, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], 24),
+    (GOLDEN, PHI, [0.05, 0.1, 0.2, 0.3, 0.4, 0.45], 24),
+    (GOLDEN, TABLE, [0.26, 0.27, 0.28, 0.29], 22),
+    (GOLDEN, TABLE, [0.26, 0.27, 0.28, 0.29], 3)])
+def test_spectrum_counts_match_levelset_count(shift, phi, grid, n):
+    # one walk serves the grid; each alpha reads the one average S / (n D)
+    # nearest it, the open window (2S -+ 1) / 2nD of levelset_count
+    D = math.lcm(*(Fraction(str(v)).denominator
+                   for v in phi.lookup().values()))
+    res = spectrum(shift, phi, *phi.value_range, True, grid, count_n=n)
+    assert [p.alpha for p in res.points] == grid
+    for pt in res.points:
+        S = round(pt.alpha * n * D)
+        est = levelset_count(shift, LevelSetQuery(
+            phi, Fraction(2 * S - 1, 2 * n * D),
+            Fraction(2 * S + 1, 2 * n * D), n))
+        assert pt.n_count == n and pt.h_count == est.value
+        assert pt.h_count == count_at(shift, phi, pt.alpha, n).value
+
+
+def test_count_window_isolates_one_average():
+    # averages of the table lie on the 1/(10 n) grid; the former 1/n window
+    # held several of them and gave 0.481666 at both alphas
+    res = spectrum(GOLDEN, TABLE, -0.5, 1.0, True, [0.26, 0.28], count_n=22)
+    low, high = res.points
+    assert low.h_count == math.log(1230) / 22      # S = 57
+    assert high.h_count == math.log(3740) / 22     # S = 62
+    assert low.h_var == pytest.approx(0.381909, abs=1e-6)
+    assert high.h_var == pytest.approx(0.449868, abs=1e-6)
+    assert low.h_count < low.h_var and high.h_count < high.h_var
+
+
+def test_perron_stack_survives_a_nonpositive_iterate(monkeypatch):
+    # an item whose iterate is not positive skips that round's certificate
+    # and rebalance, and the others keep every bit
+    qs = np.array([0.5, 3.0])
+    clean = variational._phi_gibbs(FULL, WIDE, qs)
+    solve, flipped = np.linalg.solve, []
+
+    def flip(A, b):
+        x = solve(A, b)
+        if not flipped and len(A) == 2 * len(qs):  # the first Perron round
+            flipped.append(True)
+            x[0, x[0, :, 0].argmin(), 0] *= -1
+        return x
+    monkeypatch.setattr(np.linalg, "solve", flip)
+    dirty = variational._phi_gibbs(FULL, WIDE, qs)
+    assert flipped
+    for field in variational.Gibbs._fields:
+        assert np.array_equal(getattr(dirty, field)[1],
+                              getattr(clean, field)[1]), field
+    assert dirty.P[0] == pytest.approx(clean.P[0], rel=1e-12)
+    assert np.abs(dirty.pi[0] - clean.pi[0]).max() <= 1e-10
