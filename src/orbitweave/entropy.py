@@ -32,6 +32,7 @@ __all__ = [
     "katok_count",
     "katok_entropy",
     "levelset_count",
+    "levelset_counts_at",
     "InfeasibleCountError",
 ]
 
@@ -266,11 +267,34 @@ def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
     n = query.n
     sums, scale = _birkhoff_sums(shift, query.observable, n)
     lo, hi = (Fraction(str(x)) * n * scale for x in (query.lo, query.hi))
-    count = sum(cnt for S, cnt in sums.items()
-                if (lo <= S <= hi if query.closed else lo < S < hi))
+    return _levelset_rate(n, sum(
+        cnt for S, cnt in sums.items()
+        if (lo <= S <= hi if query.closed else lo < S < hi)))
+
+
+def levelset_counts_at(shift: ShiftSpace, phi: LocallyConstantObservable,
+                       alphas: Sequence[float],
+                       n: int) -> list[EntropyEstimate]:
+    """The level-set rate at the attainable average nearest each alpha, every
+    alpha read from one walk.  The sums are integers S over D, so the
+    averages lie on the 1/(nD) grid; alpha takes the words with
+    S = round(alpha n D) only, the open window ((2S - 1) / 2nD,
+    (2S + 1) / 2nD) of `levelset_count`, which isolates one attainable
+    average.  An average no word attains comes back tagged empty."""
+    sums, scale = _birkhoff_sums(shift, phi, n)
+    estimates = []
+    for alpha in alphas:
+        S = round(alpha * n * scale)
+        estimates.append(_levelset_rate(
+            n, sums.get(S, 0), [("nearest_average", S / (n * scale))]))
+    return estimates
+
+
+def _levelset_rate(n: int, count: int, extra=()) -> EntropyEstimate:
+    """(1/n) log count as a level-set estimate, tagged empty at count 0."""
     if count == 0:
         return EntropyEstimate(value=None, method="levelset_count",
-                               diagnostics=[], empty=True)
+                               diagnostics=list(extra), empty=True)
     val = math.log(count) / n
     return EntropyEstimate(value=val, method="levelset_count",
-                           diagnostics=[(n, count, val)])
+                           diagnostics=[(n, count, val), *extra])

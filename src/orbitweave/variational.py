@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import EntropyEstimate, _birkhoff_sums
+from .entropy import EntropyEstimate, levelset_counts_at
 from .measures import (LocallyConstantObservable, MarkovMeasure,
                        TestFunctionFamily, markov_entropy)
 from .systems import ShiftSpace, strongly_connected
@@ -349,8 +349,9 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
     *points, low_end, high_end = _constrained_sups(
         shift, phi, [a for a in alpha_grid if inside(a)] + [lo, hi])
     points = [pt for pt in points if not pt.empty]
-    if count_n is not None:
-        counts = _level_counts(shift, phi, [p.alpha for p in points], count_n)
+    if count_n is not None and points:
+        counts = levelset_counts_at(shift, phi, [p.alpha for p in points],
+                                    count_n)
         for pt, est in zip(points, counts):
             pt.h_count = est.value
             pt.n_count = count_n
@@ -367,25 +368,6 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
                           endpoint_points=endpoint_pts)
 
 
-def _level_counts(shift: ShiftSpace, phi: LocallyConstantObservable,
-                  alphas, n: int) -> list[EntropyEstimate]:
-    """count_at for every alpha of the list, read from one walk."""
-    sums, scale = _birkhoff_sums(shift, phi, n)
-    estimates = []
-    for alpha in alphas:
-        S = round(alpha * n * scale)
-        count = sums.get(S, 0)
-        nearest = ("nearest_average", S / (n * scale))
-        if count == 0:
-            estimates.append(EntropyEstimate(None, "levelset_count",
-                                             [nearest], empty=True))
-        else:
-            val = math.log(count) / n
-            estimates.append(EntropyEstimate(val, "levelset_count",
-                                             [(n, count, val), nearest]))
-    return estimates
-
-
 def count_at(shift: ShiftSpace, phi: LocallyConstantObservable,
              alpha: float, n: int) -> EntropyEstimate:
     """Level-set counting rate at the achievable average nearest alpha.
@@ -393,13 +375,13 @@ def count_at(shift: ShiftSpace, phi: LocallyConstantObservable,
     A Birkhoff sum of the n d-windows of a word is an integer S over D, the
     common decimal denominator of phi's values, so the averages lie on the
     1/(nD) grid.  The count takes the words with S = round(alpha n D) only,
-    the open window ((2S - 1) / 2nD, (2S + 1) / 2nD), which isolates one
-    attainable average: the clean combinatorial object whose rate is
-    compared against the variational value at the same point.  An average
-    no word attains comes back tagged empty.  The reader of one walk that
-    `spectrum` shares among its whole grid, on one alpha.
+    the window of width 1/(nD) around one attainable average: the clean
+    combinatorial object whose rate is compared against the variational
+    value at the same point.  An average no word attains comes back tagged
+    empty.  The one-alpha reader of `entropy.levelset_counts_at`, whose one
+    walk `spectrum` shares among its whole grid.
     """
-    return _level_counts(shift, phi, [alpha], n)[0]
+    return levelset_counts_at(shift, phi, [alpha], n)[0]
 
 
 class ShrinkRow(NamedTuple):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitweave import variational
-from orbitweave.entropy import LevelSetQuery, levelset_count
+from orbitweave import entropy, variational
+from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
+                                levelset_count)
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
                                  TestFunctionFamily, bernoulli,
                                  frequency_observable, markov_entropy)
@@ -262,7 +263,9 @@ def test_constrained_sup_kernel_calls(monkeypatch, shift, grid):
         variational._edge_gibbs.cache_clear()  # count the range too
         calls.clear()
         constrained_sup(shift, PHI, alpha)
-        assert len(calls) <= 10, (alpha, len(calls))
+        # every q evaluated, the range's two included, as one call each made
+        assert sum(calls) <= 10, (alpha, calls)
+        assert len(calls) <= 9, (alpha, calls)
 
 
 def test_constrained_sup_golden_mean_range():
@@ -657,6 +660,19 @@ def test_spectrum_counts_match_levelset_count(shift, phi, grid, n):
             Fraction(2 * S + 1, 2 * n * D), n))
         assert pt.n_count == n and pt.h_count == est.value
         assert pt.h_count == count_at(shift, phi, pt.alpha, n).value
+
+
+@pytest.mark.parametrize("shift, lo, hi, grid", [
+    (FULL, 0.3, 0.4, [0.1, 0.2, 0.9]),       # no grid alpha inside
+    (GOLDEN, 0.2, 0.9, [0.6, 0.7, 0.8])])    # every inside alpha empty
+def test_spectrum_walks_only_for_surviving_points(monkeypatch, shift, lo, hi,
+                                                  grid):
+    # a count_n past the table budget costs nothing when no point is left
+    monkeypatch.setattr(entropy, "TABLE_BUDGET", 64)
+    res = spectrum(shift, PHI, lo, hi, True, grid, count_n=80)
+    assert res.points == [] and res.endpoint_points
+    with pytest.raises(InfeasibleCountError):
+        spectrum(shift, PHI, lo, hi, True, grid + [0.35], count_n=80)
 
 
 def test_count_window_isolates_one_average():
