@@ -31,6 +31,7 @@ __all__ = [
     "empirical",
     "weak_star_distance",
     "markov_entropy",
+    "chain_entropy",
     "integrate",
     "convex_decompose",
     "DecompositionError",
@@ -308,10 +309,15 @@ def markov_entropy(m) -> float:
     """Entropy in nats: -sum pi_i P_ij log P_ij, affine on mixtures."""
     if isinstance(m, MixtureMeasure):
         return sum(float(a) * markov_entropy(c) for a, c in m.components)
-    P, pi = m.P, m.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return float(-(pi[:, None] * P * logs).sum())
+    return float(chain_entropy(m.P, m.pi))
+
+
+def chain_entropy(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """-sum pi_i P_ij log P_ij of every chain of a stack P (..., k, k), pi
+    (..., k); each sum runs over its own chain alone."""
+    logs = np.log(np.where(P > 0, P, 1.0))  # log 1 = 0 where P_ij = 0
+    terms = pi[..., :, None] * P * logs
+    return -terms.reshape(*terms.shape[:-2], P.shape[-1] ** 2).sum(axis=-1)
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ bisection bracket, exact for locally constant phi; the searches of many
 alphas run in lockstep rounds, one stacked kernel call per round.
 sup{h_mu : D(mu, nu) <= delta} is bracketed by weak duality from above,
 minimised by log-barrier Newton steps, and by a Gibbs measure mixed into
-the ball from below.
+the ball from below; the barrier searches of every delta of a grid run in
+lockstep rounds as well, one stacked kernel call per round.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .entropy import EntropyEstimate, levelset_counts_at
 from .measures import (LocallyConstantObservable, MarkovMeasure,
-                       TestFunctionFamily, markov_entropy)
+                       TestFunctionFamily, chain_entropy, markov_entropy)
 from .systems import ShiftSpace, strongly_connected
 
 __all__ = [
@@ -80,6 +81,17 @@ def _lift(shift: ShiftSpace, depth: int):
     return words, edges, src, dst, cells
 
 
+class _Underflow(ArithmeticError):
+    """Item args[0] of a Perron stack has an entry past the float range."""
+
+
+def _positive(vec: np.ndarray) -> np.ndarray:
+    """vec, or _Underflow naming its first item with an entry gone to 0."""
+    if not vec.all():
+        raise _Underflow(int((vec == 0).any(axis=1).argmax()))
+    return vec
+
+
 def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
     """(v, root): positive Perron vectors of the irreducible stack M (K x m x
     m) by inverse iteration from ones, each with the shift shifted = mu I
@@ -90,7 +102,9 @@ def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
     D, D = diag(v), whose Perron vector is near ones: where v spans many
     decades, the ratios at its tiny entries keep their precision only there.
     Every step acts on each item alone, so stacking changes no bit; masks
-    come in only where items part ways."""
+    come in only where items part ways.  Where the vector spans past the
+    float range, an entry of its scale underflows to 0, and the item raises
+    _Underflow instead of coming back with that 0."""
     A, live = shifted - M, None  # live: the items not frozen, once some are
     scale = v = np.ones(M.shape[:2])
     for _ in range(50):  # each step damps the rest of the spectrum ~1e10-fold
@@ -106,7 +120,7 @@ def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
         done = pos & (hi - lo <= POWER_TOL * hi)
         if live is None:
             if done.all():
-                return scale * v, 0.5 * (lo + hi)
+                return _positive(scale * v), 0.5 * (lo + hi)
             if done.any():
                 vec, root, live = scale * v, 0.5 * (lo + hi), ~done
         else:
@@ -115,7 +129,7 @@ def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
             root[fresh] = (0.5 * (lo + hi))[fresh]
             live &= ~done
             if not live.any():
-                return vec, root
+                return _positive(vec), root
         # frozen items move too: their later iterates are never read
         if pos is True:
             scale, M = scale * v, M * v[:, None, :] / v[:, :, None]
@@ -126,6 +140,9 @@ def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
                          M)
             v = np.where(pos[:, None], 1.0, v)
         A = shifted - M
+    stuck = ~scale.all(axis=1) & (True if live is None else live)
+    if stuck.any():
+        raise _Underflow(int(stuck.argmax()))
     raise ArithmeticError("Perron vector failed its Collatz-Wielandt bound")
 
 
@@ -146,35 +163,42 @@ def _item(g: Gibbs, i: int) -> Gibbs:
     return Gibbs(g.P[i], g.Q[i], g.pi[i], g.mean[i], g.var[i])
 
 
+def _range_error(row: np.ndarray) -> ValueError:
+    return ValueError(f"exp(F c) spans past the float range at c={row}")
+
+
 def _gibbs(shift: ShiftSpace, depth: int, F: np.ndarray,
            c: np.ndarray) -> Gibbs:
     """Pressure and Gibbs data of the edge potential F c on the depth lift,
     F an (edges x N) feature matrix, for each row of the (B x N) stack c.
     The weights exp(F c - max F c) lie in [e^-700, 1], so no |c| overflows;
-    a wider spread is refused, and the maximum comes back in P.  The chain
-    is Q_ij = M_ij r_j / (lam r_i) with stationary vector l r / <l, r>, the
-    right and left Perron vectors of every item solved as one stack.  The
-    covariance is E[Z Z^T] under the edge masses, Z = C + g(target) -
-    g(source) for the centred features C and the solution g of the Poisson
-    equation (I - Q + 1 pi) g = h, with h the conditional mean of C.  Every
-    product acts on each item alone, so an item's bits do not depend on the
-    rest of the stack."""
+    a wider spread is refused, and the maximum comes back in P.  So is a c
+    whose Perron vector spans past the float range, which would leave 0 / 0
+    in Q.  The chain is Q_ij = M_ij r_j / (lam r_i) with stationary vector
+    l r / <l, r>, the right and left Perron vectors of every item solved as
+    one stack.  The covariance is E[Z Z^T] under the edge masses, Z = C +
+    g(target) - g(source) for the centred features C and the solution g of
+    the Poisson equation (I - Q + 1 pi) g = h, with h the conditional mean
+    of C.  Every product acts on each item alone, so an item's bits do not
+    depend on the rest of the stack."""
     words, _, src, dst, cells = _lift(shift, depth)
     B, m = len(c), len(words)
     x = (F @ c[:, :, None])[..., 0]
     top = x.max(axis=1)
     x = x - top[:, None]
     if x.min() < -700:  # weights below e^-700 would drop off M
-        raise ValueError("exp(F c) spans past the float range at "
-                         f"c={c[(x.min(axis=1) < -700).argmax()]}")
+        raise _range_error(c[(x.min(axis=1) < -700).argmax()])
     M = np.zeros((B, m * m))
     M[:, cells] = np.exp(x)
     M = M.reshape(B, m, m)
     eye = np.eye(m)
     shifted = np.linalg.eigvals(M).real.max(axis=1)[:, None, None] * (
         1.0 + 1e-10) * eye
-    vec, root = _perron_vectors(np.concatenate((M, M.transpose(0, 2, 1))),
-                                np.concatenate((shifted, shifted)))
+    try:
+        vec, root = _perron_vectors(np.concatenate((M, M.transpose(0, 2, 1))),
+                                    np.concatenate((shifted, shifted)))
+    except _Underflow as exc:  # a right or left vector of item args[0] mod B
+        raise _range_error(c[exc.args[0] % B]) from None
     r, l, lam = vec[:B], vec[B:], root[:B]
     Q = M * r[:, None, :] / (lam[:, None, None] * r[:, :, None])
     Q = Q / Q.sum(axis=2, keepdims=True)  # absorb 1e-12 certificate residue
@@ -391,11 +415,41 @@ class ShrinkRow(NamedTuple):
     upper: float
 
 
+def _barrier_steps(A, z, tau, delta, mean, var, b):
+    """(step, squared decrement, 1 / step to the boundary) of each row of a
+    stack: the Newton step on tau (P(y) - y.b + delta t) - sum_i log(t -+
+    y_i) at z = (y, t), with P's gradient mean and Hessian var, and the
+    slacks A z = (t - y, t + y).  Every product is a stacked matmul on one
+    row alone, so a row's bits do not depend on the rest of the stack."""
+    n = len(b)
+    inv = 1 / (A @ z[:, :, None])[..., 0]
+    grad = tau[:, None] * np.concatenate((mean - b, delta[:, None]), axis=1) \
+        - (A.T @ inv[:, :, None])[..., 0]
+    H = A.T @ (A * inv[:, :, None] ** 2)
+    H[:, :n, :n] += tau[:, None, None] * var
+    step = -np.linalg.solve(H, grad[:, :, None])[..., 0]
+    rate = (-(A @ step[:, :, None])[..., 0] * inv).max(axis=1)
+    return step, -(grad[:, None, :] @ step[:, :, None])[:, 0, 0], rate
+
+
+def _check_grid(grid: list) -> None:
+    """A shrink grid is nonempty, finite, positive and strictly decreasing."""
+    if not grid:
+        raise ValueError("delta_grid is empty")
+    for i, d in enumerate(grid):
+        if not 0 < d < math.inf:
+            raise ValueError(f"delta {d} is not a finite positive radius")
+        if i and d >= grid[i - 1]:
+            raise ValueError(f"delta_grid must be strictly decreasing: {d} "
+                             f"follows {grid[i - 1]}")
+
+
 def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
                       family: TestFunctionFamily,
                       delta_grid) -> list[ShrinkRow]:
     """Certified brackets of sup{h_mu : D(mu, nu) <= delta} over invariant
-    mu on the shift, one per delta of a strictly decreasing grid.
+    mu on the shift, one per delta of a nonempty, finite, positive and
+    strictly decreasing grid (else ValueError, before any work).
 
     The cylinders C_i, weighted 2^-(i+1), are the features F of the lift to
     the deepest one (only admissible words), so D(mu, nu) = |mu(F) - b|_1
@@ -405,18 +459,21 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     delta t) - sum_i log(t -+ y_i), with the kernel's covariance as the
     Hessian of P and each step stopped short of the boundary, follow the
     central path as tau grows a hundredfold per round until the bracket is
-    GAP_TOL wide.  The first delta starts at y = 0, t = 1, tau = 2n / delta.
-    Each later one starts at the previous centre y, with t = max(1.5 max
-    |y_i|, 1e-3) strictly feasible and tau = 1e4 2n / delta, as the centres
-    of nearby balls lie close.
+    GAP_TOL wide.  Each delta starts at y = 0, t = 1, tau = 2n / delta.
     Lower: mu_y mixed with nu at s = min(1, delta / D(mu_y, nu)) lies in the
     ball, as D(s mu + (1 - s) nu, nu) = s D(mu, nu), and entropy is affine.
-    A ball's upper bound holds for every smaller ball and its lower bound
-    for every larger one, so both columns are monotone.
+
+    The deltas run side by side in lockstep rounds.  A round carries every
+    live delta to its next kernel evaluation: a delta whose centring closes
+    takes its bracket, grows tau and, if still open, takes its next step in
+    the same round.  Then one stacked kernel call serves every delta that
+    stepped.  The Newton algebra and the kernel act on each delta alone, so
+    each one's iterates are bit for bit those of its search by itself.  A
+    ball's upper bound holds for every smaller ball and its lower bound for
+    every larger one, so both columns are monotone envelopes.
     """
     grid = list(delta_grid)
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta_grid must be strictly decreasing")
+    _check_grid(grid)
     MarkovMeasure(nu.P, nu.pi, shift=shift)  # raises if nu leaves the shift
     depth = family.max_depth
     weight = 2.0 ** -np.arange(2, family.N + 2)
@@ -426,34 +483,51 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     b = weight * np.array([nu.cylinder_mass(f.word)
                            for f in family.functions])
     n, h_nu = len(b), markov_entropy(nu)
-    # z = (y, t); the slacks A z = (t - y, t + y) stay positive
+    delta = np.array(grid, dtype=float)
+    K = len(delta)
     A = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
-    lowers, upper, uppers = [], math.inf, []
-    z, tau0 = np.append(np.zeros(n), 1.0), 2 * n  # t = 1 central at y = 0
-    g = _item(_gibbs(shift, depth, F, z[None, :n]), 0)
-    for delta in grid:
-        tau, lower = tau0 / delta, h_nu
-        while upper - lower > GAP_TOL and tau < 1e16:  # tau P keeps digits
-            for _ in range(50):  # Newton steps to the centre at this tau
-                inv = 1 / (A @ z)
-                grad = tau * np.concatenate((g.mean - b, (delta,))) - A.T @ inv
-                H = A.T @ (A * inv[:, None] ** 2)
-                H[:n, :n] += tau * g.var
-                step = -np.linalg.solve(H, grad)
-                if -grad @ step <= 1e-4:  # squared Newton decrement
-                    break
-                rate = (-(A @ step) * inv).max()  # 1 / step to the boundary
-                z = z + (min(1.0, 0.99 / rate) if rate > 0 else 1.0) * step
-                g = _item(_gibbs(shift, depth, F, z[None, :n]), 0)
-            D = np.abs(g.mean - b).sum()
-            s = min(1.0, delta / D) if D > 0 else 1.0
-            h = markov_entropy(MarkovMeasure(g.Q, g.pi))
-            lower = max(lower, s * h + (1 - s) * h_nu)
-            upper = min(upper, g.P - z[:n] @ b + delta * z[n])
-            tau *= 100
-        # the next ball starts from this centre, with t strictly feasible
-        z[n], tau0 = max(1.5 * np.abs(z[:n]).max(), 1e-3), 1e4 * 2 * n
-        lowers.append(lower)
-        uppers.append(upper)
-    lowers = np.maximum.accumulate(lowers[::-1])[::-1].tolist()
+    z = np.zeros((K, n + 1))  # z = (y, t); the slacks (t - y, t + y) stay > 0
+    z[:, n] = 1.0             # t = 1 central at y = 0
+    tau = 2 * n / delta
+    lower, upper = np.full(K, h_nu), np.full(K, math.inf)
+    taken = np.zeros(K, dtype=int)  # kernel calls in the current centring
+    # every delta starts at y = 0: one evaluation serves them all
+    g = Gibbs(*(np.repeat(f, K, axis=0)
+                for f in _gibbs(shift, depth, F, z[:1, :n])))
+    live = tau < 1e16  # tau P keeps digits
+    while live.any():
+        moved, centring = np.zeros(K, dtype=bool), np.flatnonzero(live)
+        while len(centring):  # Newton steps until each delta needs the kernel
+            i = centring[taken[centring] < 50]  # 50 calls close a centring
+            c = centring[taken[centring] >= 50]
+            if len(i):
+                step, decrement, rate = _barrier_steps(
+                    A, z[i], tau[i], delta[i], g.mean[i], g.var[i], b)
+                go = decrement > 1e-4  # else centred at this tau
+                # min(1, 0.99 / rate), and 1 where rate <= 0
+                z[i[go]] += (0.99 / np.maximum(rate[go], 0.99))[:, None] \
+                    * step[go]
+                taken[i[go]] += 1
+                moved[i[go]] = True
+                c = np.concatenate((c, i[~go]))
+            if not len(c):
+                break
+            # c is centred: its bracket, then a hundredfold tau
+            D = np.abs(g.mean[c] - b).sum(axis=1)
+            s = delta[c] / np.maximum(D, delta[c])  # min(1, delta / D)
+            h = chain_entropy(g.Q[c], g.pi[c])
+            lower[c] = np.maximum(lower[c], s * h + (1 - s) * h_nu)
+            dual = g.P[c] - (z[c, None, :n] @ b[:, None])[:, 0, 0] \
+                + delta[c] * z[c, n]
+            upper[c] = np.minimum(upper[c], dual)
+            tau[c] *= 100
+            taken[c] = 0
+            live[c] = (upper[c] - lower[c] > GAP_TOL) & (tau[c] < 1e16)
+            centring = c[live[c]]
+        if moved.any():
+            i = np.flatnonzero(moved)
+            for field, value in zip(g, _gibbs(shift, depth, F, z[i, :n])):
+                field[i] = value
+    lowers = np.maximum.accumulate(lower[::-1])[::-1].tolist()
+    uppers = np.minimum.accumulate(upper).tolist()
     return [ShrinkRow(*row) for row in zip(grid, lowers, uppers)]

@@ -67,19 +67,36 @@ def test_spectrum_bad_grid_exits_2_without_csv(tmp_path):
     assert not (out / "spectrum.csv").exists()
 
 
-def test_spectrum_perron_vector_over_many_decades(tmp_path):
-    # the range search probes q = +-50, where this observable's Perron
-    # vector runs from about 1e-17 to 1
+def _wide_spectrum(scale=1):
+    """Spectrum config of a depth-4 table whose Perron vectors span many
+    decades, its values multiplied by scale."""
     values = [-0.316422, -0.316414, -0.314453, -0.314453, -0.282227,
               -0.282227, -0.280762, -0.280762, 0.109131, 0.109131, 0.109497,
               0.109497, 0.132874, 0.132874, 0.132843, 0.132843]
-    table = [[list(w), v] for w, v in
+    table = [[list(w), scale * v] for w, v in
              zip(itertools.product(range(2), repeat=4), values)]
-    cfg = {"system": {"kind": "full_shift", "k": 2},
-           "observable": {"depth": 4, "table": table}, "alpha_grid": [0.0]}
-    code, out = run(tmp_path, "spectrum", cfg)
+    return {"system": {"kind": "full_shift", "k": 2},
+            "observable": {"depth": 4, "table": table}, "alpha_grid": [0.0]}
+
+
+def test_spectrum_perron_vector_over_many_decades(tmp_path):
+    # the range search probes q = +-50, where this observable's Perron
+    # vector runs from about 1e-17 to 1
+    code, out = run(tmp_path, "spectrum", _wide_spectrum())
     assert code == 0
     assert (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("scale", [12, 16, 18])
+def test_spectrum_perron_vector_past_the_float_range_exits_2(tmp_path, capsys,
+                                                             scale):
+    # at q = +-50 the scaled table's Perron vector spans past 1e-308; the
+    # range ends came back NaN (12-16) or stalled the certificate (18)
+    code, out = run(tmp_path, "spectrum", _wide_spectrum(scale))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "spans past the float range" in err
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -149,6 +166,20 @@ def test_shrink_measure_on_fewer_symbols_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config/precondition error: 2-symbol measure on a 3-symbol" in err
+    assert not (out / "shrink.csv").exists()
+
+
+@pytest.mark.parametrize("grid, named", [
+    ([], "delta_grid is empty"), ([0.0], "delta 0.0 is not"),
+    ([0.1, 0.0], "delta 0.0 is not"), ([-0.1], "delta -0.1 is not")])
+def test_shrink_bad_grid_exits_2_without_csv(tmp_path, capsys, grid, named):
+    cfg = {"system": {"kind": "full_shift", "k": 2},
+           "nu": {"bernoulli": 0.8}, "delta_grid": grid}
+    code, out = run(tmp_path, "shrink", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config/precondition error: ") and named in err
     assert not (out / "shrink.csv").exists()
 
 

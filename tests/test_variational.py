@@ -346,6 +346,19 @@ def test_shrink_requires_decreasing_grid():
         shrink_experiment(FULL, bernoulli(0.5), FAMILY, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("grid, named", [
+    ([], "empty"), ([0.0], "delta 0.0 "), ([0.1, 0.0], "delta 0.0 "),
+    ([-0.1], "delta -0.1 "), ([math.nan], "delta nan "),
+    ([math.inf, 0.1], "delta inf "), ([0.1, 0.1], "0.1 follows 0.1"),
+    ([0.2, 0.05, 0.1], "0.1 follows 0.05")])
+def test_shrink_rejects_bad_grid_before_any_work(monkeypatch, grid, named):
+    def kernel(*args):
+        raise AssertionError("the kernel ran on a bad grid")
+    monkeypatch.setattr(variational, "_gibbs", kernel)
+    with pytest.raises(ValueError, match=named):
+        shrink_experiment(FULL, bernoulli(0.5), FAMILY, grid)
+
+
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 SHRINK_CASES = {
     "golden": (GOLDEN, MarkovMeasure([[0.9, 0.1], [1.0, 0.0]]), 16,
@@ -454,16 +467,61 @@ def test_shrink_matches_reference_barrier(name):
 
 
 def test_shrink_kernel_calls(monkeypatch):
+    # one stacked call per lockstep round: 54 calls carrying 202 items, the
+    # shared start at y = 0 included (alone, the deltas take 48, 54, 51
+    # and 52; one delta after another, warm started, took 150 calls)
     calls = []
     kernel = variational._gibbs
 
     def counted(*args):
-        calls.append(args)
+        calls.append(len(args[3]))
         return kernel(*args)
     monkeypatch.setattr(variational, "_gibbs", counted)
     shift, nu, _, grid, _ = BENCH_SHRINK
     shrink_experiment(shift, nu, FAMILY, grid)
     assert len(calls) <= 160  # tenfold and cold per delta: 373
+    assert len(calls) <= 60, calls
+    # every live delta steps in every round, so the rounds are the longest
+    # search alone
+    lockstep, solo = len(calls), []
+    for d in grid:
+        calls.clear()
+        shrink_experiment(shift, nu, FAMILY, [d])
+        solo.append(len(calls))
+    assert lockstep == max(solo), (lockstep, solo)
+
+
+def _solo_envelopes(shift, nu, family, grid):
+    """The rows of each delta's shrink alone, made monotone: the running
+    max of lower from the smallest ball, the running min of upper from the
+    largest."""
+    solo = [shrink_experiment(shift, nu, family, [d])[0] for d in grid]
+    lowers = np.maximum.accumulate([r.lower for r in solo][::-1])[::-1]
+    uppers = np.minimum.accumulate([r.upper for r in solo])
+    return [variational.ShrinkRow(d, lo, up)
+            for d, lo, up in zip(grid, lowers.tolist(), uppers.tolist())]
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_CASES) + ["bench"])
+def test_lockstep_shrink_equals_solo_envelopes(name):
+    # the deltas share each round's kernel call, and each keeps its bits
+    shift, nu, n, grid, _ = SHRINK_CASES.get(name, BENCH_SHRINK)
+    family = TestFunctionFamily("cylinder", n, shift.alphabet_size)
+    assert shrink_experiment(shift, nu, family, grid) == \
+        _solo_envelopes(shift, nu, family, grid)
+
+
+@given(st.booleans(), st.floats(0.02, 0.98),
+       st.lists(st.floats(1e-3, 0.5), min_size=2, max_size=5, unique=True))
+@settings(max_examples=10, deadline=None)
+def test_lockstep_shrink_equals_solo_envelopes_on_any_grid(golden, p, deltas):
+    if golden:
+        shift, nu = GOLDEN, MarkovMeasure([[1 - p, p], [1, 0]])
+    else:
+        shift, nu = FULL, bernoulli(p)
+    grid = sorted(deltas, reverse=True)
+    assert shrink_experiment(shift, nu, FAMILY, grid) == \
+        _solo_envelopes(shift, nu, FAMILY, grid)
 
 
 def test_shrink_rejects_nu_off_the_shift():
@@ -486,6 +544,18 @@ def test_perron_vector_over_many_decades(q):
     lam = max(np.linalg.eigvals(M).real)
     assert gibbs_kernel(FULL, WIDE, q).P == pytest.approx(math.log(lam),
                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [-800.0, 800.0, 1200.0])
+def test_perron_vector_past_the_float_range_is_refused(q):
+    # the Perron vector spans past 1e-308 here: an entry of its scale goes
+    # to 0, which left 0 / 0 in Q at +-800 and stalled the Collatz-Wielandt
+    # certificate at 1200
+    with pytest.raises(ValueError, match=r"float range at c=\[%d\.\]" % q):
+        gibbs_kernel(FULL, WIDE, q)
+    # in a stack, the message names the item past the range
+    with pytest.raises(ValueError, match=r"float range at c=\[%d\.\]" % q):
+        variational._phi_gibbs(FULL, WIDE, np.array([30.0, q]))
 
 
 # --------------------------------------------------------- stacked kernel
