@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import EntropyEstimate, levelset_counts_at
+from .entropy import levelset_counts_at
 from .measures import (LocallyConstantObservable, MarkovMeasure,
                        TestFunctionFamily, chain_entropy, markov_entropy)
 from .systems import ShiftSpace, strongly_connected
@@ -35,7 +35,6 @@ __all__ = [
     "gibbs_data",
     "constrained_sup",
     "spectrum",
-    "count_at",
     "shrink_experiment",
     "ShrinkRow",
     "ReducibleLiftError",
@@ -243,8 +242,7 @@ def gibbs_kernel(shift: ShiftSpace, phi: LocallyConstantObservable,
 
 def gibbs_data(shift: ShiftSpace, phi: LocallyConstantObservable, q: float):
     """Gibbs-Markov chain at parameter q: (measure on lifted words, words,
-    integral of phi, P(q)).  The chain is the entropy maximizer of
-    h + q int(phi).
+    integral of phi, P(q)).  The chain maximizes h + q int(phi).
     """
     g = gibbs_kernel(shift, phi, q)
     words = list(_lift(shift, phi.depth)[0])
@@ -255,64 +253,54 @@ def gibbs_data(shift: ShiftSpace, phi: LocallyConstantObservable, q: float):
 class SpectrumPoint:
     alpha: float
     h_var: float | None
-    maximizer: MarkovMeasure | None
     h_count: float | None = None
     n_count: int = 0
-    q_star: float | None = None
-    duality_gap: float | None = None
-    maximizer_integral: float | None = None
     empty: bool = False            # constraint set misses the attainable range
-    endpoint_limit: bool = False   # alpha at the edge: value is a one-sided limit
 
 
 @functools.lru_cache(maxsize=128)
-def _edge_gibbs(shift: ShiftSpace, phi: LocallyConstantObservable,
-                q_cap: float) -> tuple[Gibbs, Gibbs]:
-    """Kernel at -q_cap and q_cap: the ends of the attainable range of the
+def _edge_gibbs(shift: ShiftSpace,
+                phi: LocallyConstantObservable) -> tuple[Gibbs, Gibbs]:
+    """Kernel at -Q_CAP and Q_CAP: the ends of the attainable range of the
     integral and the one-sided limits there, once per (shift, phi)."""
-    g = _phi_gibbs(shift, phi, np.array([-q_cap, q_cap]))
+    g = _phi_gibbs(shift, phi, np.array([-Q_CAP, Q_CAP]))
     return _item(g, 0), _item(g, 1)
 
 
-def _point(alpha: float, q: float, g: Gibbs,
-           endpoint: bool = False) -> SpectrumPoint:
-    chain = MarkovMeasure(g.Q, g.pi)
-    gap = markov_entropy(chain) + q * g.mean - g.P
-    return SpectrumPoint(alpha, max(g.P - q * alpha, 0.0), chain, q_star=q,
-                         duality_gap=gap, maximizer_integral=g.mean,
-                         endpoint_limit=endpoint)
+def _point(alpha: float, q: float, g: Gibbs) -> SpectrumPoint:
+    return SpectrumPoint(alpha, max(g.P - q * alpha, 0.0))
 
 
 def _constrained_sups(shift: ShiftSpace, phi: LocallyConstantObservable,
-                      alphas, q_cap: float = Q_CAP) -> list[SpectrumPoint]:
-    """H(alpha) = inf_q (P(q) - q alpha) with the maximizing Gibbs-Markov
-    measure, for every alpha of the list in lockstep rounds.  P' (the Gibbs
-    integral of phi) increases in q, so the infimum solves P'(q) = alpha.
-    Each alpha runs its own Newton search from q = 0 with slope P'', inside
-    a bracket on [-q_cap, q_cap] that every evaluation shrinks, bisecting
-    when a step would leave it, until |P'(q) - alpha| <= NEWTON_TOL.  A round
-    evaluates the distinct q of the live searches in one stacked kernel
-    call, and the kernel computes each item as it would alone, so every
-    point is the one its search finds by itself.  Each evaluation rests on
-    Collatz-Wielandt certified eigenpairs.  Alpha at or beyond the
-    attainable edge comes back as a one-sided limit or tagged empty."""
-    low, high = _edge_gibbs(shift, phi, q_cap)
+                      alphas) -> list[SpectrumPoint]:
+    """H(alpha) = inf_q (P(q) - q alpha) for every alpha of the list in
+    lockstep rounds.  P' (the Gibbs integral of phi) increases in q, so the
+    infimum solves P'(q) = alpha.  Each alpha runs its own Newton search
+    from q = 0 with slope P'', inside a bracket on [-Q_CAP, Q_CAP] that every
+    evaluation shrinks, bisecting when a step would leave it, until
+    |P'(q) - alpha| <= NEWTON_TOL.  A round evaluates the distinct q of the
+    live searches in one stacked kernel call, and the kernel computes each
+    item as it would alone, so every point is the one its search finds by
+    itself.  Each evaluation rests on Collatz-Wielandt certified
+    eigenpairs.  Alpha at or beyond the attainable edge comes back as a
+    one-sided limit or tagged empty."""
+    low, high = _edge_gibbs(shift, phi)
     if high.mean - low.mean < 1e-13:  # constant invariant integral
         hits = [abs(a - low.mean) <= 1e-9 for a in alphas]
         g = gibbs_kernel(shift, phi, 0.0) if any(hits) else None
         return [_point(a, 0.0, g) if hit else
-                SpectrumPoint(a, None, None, empty=True)
+                SpectrumPoint(a, None, empty=True)
                 for a, hit in zip(alphas, hits)]
     points, live = {}, {}  # live: index -> [lo_q, hi_q, q]
     for i, a in enumerate(alphas):
         if a < low.mean - 1e-9 or a > high.mean + 1e-9:
-            points[i] = SpectrumPoint(a, None, None, empty=True)
+            points[i] = SpectrumPoint(a, None, empty=True)
         elif a <= low.mean:
-            points[i] = _point(a, -q_cap, low, endpoint=True)
+            points[i] = _point(a, -Q_CAP, low)
         elif a >= high.mean:
-            points[i] = _point(a, q_cap, high, endpoint=True)
+            points[i] = _point(a, Q_CAP, high)
         else:
-            live[i] = [-q_cap, q_cap, 0.0]
+            live[i] = [-Q_CAP, Q_CAP, 0.0]
     last = {}
     for _ in range(200):
         if not live:
@@ -342,10 +330,10 @@ def _constrained_sups(shift: ShiftSpace, phi: LocallyConstantObservable,
 
 
 def constrained_sup(shift: ShiftSpace, phi: LocallyConstantObservable,
-                    alpha: float, q_cap: float = Q_CAP) -> SpectrumPoint:
-    """H(alpha) = inf_q (P(q) - q alpha) with the maximizing Gibbs-Markov
-    measure: the lockstep search of `_constrained_sups` on one alpha."""
-    return _constrained_sups(shift, phi, [alpha], q_cap)[0]
+                    alpha: float) -> SpectrumPoint:
+    """H(alpha) = inf_q (P(q) - q alpha): the lockstep search of
+    `_constrained_sups` on one alpha."""
+    return _constrained_sups(shift, phi, [alpha])[0]
 
 
 @dataclass
@@ -353,19 +341,18 @@ class SpectrumResult:
     points: list[SpectrumPoint]
     sup_value: float
     sup_alpha: float
-    endpoint_points: list[SpectrumPoint] = field(default_factory=list)
 
 
 def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
              lo: float, hi: float, closed: bool,
              alpha_grid, count_n: int | None = None) -> SpectrumResult:
     """Per-alpha values over the grid restricted to the constraint interval,
-    plus the supremum over the interval.  Open endpoints contribute their
-    one-sided limits (H is continuous) rather than direct evaluations; the
-    sup over the interior equals the sup over the closure for convex sets.
-    The grid and both endpoints share one lockstep Newton search, one
-    stacked kernel call per round, and the counts of every grid alpha come
-    from one walk of the Birkhoff sums.
+    plus the largest value among those grid points and the interval's two
+    ends.  That is not the supremum over the interval, which can lie between
+    grid points.  Open ends contribute their one-sided limits (H is
+    continuous) rather than direct evaluations.  The grid and both ends
+    share one lockstep Newton search, one stacked kernel call per round, and
+    the counts of every grid alpha come from one walk of the Birkhoff sums.
     """
     if not (lo < hi):
         raise ValueError("malformed constraint interval")
@@ -379,33 +366,12 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
         for pt, est in zip(points, counts):
             pt.h_count = est.value
             pt.n_count = count_n
-    endpoint_pts = [pt for pt in (low_end, high_end) if not pt.empty]
-    if not closed:
-        for pt in endpoint_pts:
-            pt.endpoint_limit = True
-    candidates = points + endpoint_pts
+    candidates = points + [pt for pt in (low_end, high_end) if not pt.empty]
     if not candidates:
         raise EmptyConstraintError(
             "constraint interval misses the attainable range")
     best = max(candidates, key=lambda p: p.h_var)
-    return SpectrumResult(points, best.h_var, best.alpha,
-                          endpoint_points=endpoint_pts)
-
-
-def count_at(shift: ShiftSpace, phi: LocallyConstantObservable,
-             alpha: float, n: int) -> EntropyEstimate:
-    """Level-set counting rate at the achievable average nearest alpha.
-
-    A Birkhoff sum of the n d-windows of a word is an integer S over D, the
-    common decimal denominator of phi's values, so the averages lie on the
-    1/(nD) grid.  The count takes the words with S = round(alpha n D) only,
-    the window of width 1/(nD) around one attainable average: the clean
-    combinatorial object whose rate is compared against the variational
-    value at the same point.  An average no word attains comes back tagged
-    empty.  The one-alpha reader of `entropy.levelset_counts_at`, whose one
-    walk `spectrum` shares among its whole grid.
-    """
-    return levelset_counts_at(shift, phi, [alpha], n)[0]
+    return SpectrumResult(points, best.h_var, best.alpha)
 
 
 class ShrinkRow(NamedTuple):
@@ -432,13 +398,18 @@ def _barrier_steps(A, z, tau, delta, mean, var, b):
     return step, -(grad[:, None, :] @ step[:, :, None])[:, 0, 0], rate
 
 
-def _check_grid(grid: list) -> None:
-    """A shrink grid is nonempty, finite, positive and strictly decreasing."""
+def _check_grid(grid: list, n: int) -> None:
+    """A shrink grid is nonempty, finite, strictly decreasing and above the
+    floor 2n 1e-16 of n cylinders, where the first barrier weight 2n / delta
+    would already reach 1e16 and no centring would run."""
     if not grid:
         raise ValueError("delta_grid is empty")
     for i, d in enumerate(grid):
         if not 0 < d < math.inf:
             raise ValueError(f"delta {d} is not a finite positive radius")
+        if 2 * n / d >= 1e16:
+            raise ValueError(f"delta {d} is at or below the floor 2n 1e-16 = "
+                             f"{2 * n * 1e-16:.3g} of {n} cylinders")
         if i and d >= grid[i - 1]:
             raise ValueError(f"delta_grid must be strictly decreasing: {d} "
                              f"follows {grid[i - 1]}")
@@ -448,8 +419,8 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
                       family: TestFunctionFamily,
                       delta_grid) -> list[ShrinkRow]:
     """Certified brackets of sup{h_mu : D(mu, nu) <= delta} over invariant
-    mu on the shift, one per delta of a nonempty, finite, positive and
-    strictly decreasing grid (else ValueError, before any work).
+    mu on the shift, one per delta of a nonempty, finite and strictly
+    decreasing grid above 2n 1e-16 (else ValueError, before any work).
 
     The cylinders C_i, weighted 2^-(i+1), are the features F of the lift to
     the deepest one (only admissible words), so D(mu, nu) = |mu(F) - b|_1
@@ -473,7 +444,7 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     every larger one, so both columns are monotone envelopes.
     """
     grid = list(delta_grid)
-    _check_grid(grid)
+    _check_grid(grid, family.N)
     MarkovMeasure(nu.P, nu.pi, shift=shift)  # raises if nu leaves the shift
     depth = family.max_depth
     weight = 2.0 ** -np.arange(2, family.N + 2)

@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from orbitweave.entropy import katok_count, katok_entropy, max_separated, min_spanning
+from orbitweave.entropy import (katok_count, katok_entropy, levelset_counts_at,
+                                max_separated, min_spanning)
 from orbitweave.measures import (AtomicMeasure, LocallyConstantObservable,
                                  TestFunctionFamily, bernoulli,
                                  frequency_observable, integrate,
@@ -19,7 +20,7 @@ from orbitweave.measures import (AtomicMeasure, LocallyConstantObservable,
 from orbitweave.shadowing import (make_rng, perturbed_orbit, shadow_interval,
                                   shadow_shift, validate_pseudo, _random_start)
 from orbitweave.systems import (TentMap, Word, full_shift, golden_mean_shift)
-from orbitweave.variational import (constrained_sup, count_at, gibbs_kernel,
+from orbitweave.variational import (constrained_sup, gibbs_kernel,
                                     shrink_experiment)
 from orbitweave.weaving import run_weave, separation_audit, weave_point
 
@@ -59,7 +60,7 @@ def test_criterion_2_counting_agreement():
         gaps = []
         for n in (12, 16, 20, 24):
             j = round(alpha * n)
-            rate = count_at(FULL, PHI, alpha, n).value
+            rate = levelset_counts_at(FULL, PHI, [alpha], n)[0].value
             gaps.append(abs(rate - constrained_sup(FULL, PHI, j / n).h_var))
         worst24 = max(worst24, gaps[-1])
         monotone = monotone and all(a > b for a, b in zip(gaps, gaps[1:]))

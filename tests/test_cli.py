@@ -171,7 +171,8 @@ def test_shrink_measure_on_fewer_symbols_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("grid, named", [
     ([], "delta_grid is empty"), ([0.0], "delta 0.0 is not"),
-    ([0.1, 0.0], "delta 0.0 is not"), ([-0.1], "delta -0.1 is not")])
+    ([0.1, 0.0], "delta 0.0 is not"), ([-0.1], "delta -0.1 is not"),
+    ([1e-15], "delta 1e-15 is at or below the floor 2n 1e-16 = 3.2e-15"), ([0.1, 1e-15], "delta 1e-15 is at or below the floor 2n 1e-16 = 3.2e-15")])
 def test_shrink_bad_grid_exits_2_without_csv(tmp_path, capsys, grid, named):
     cfg = {"system": {"kind": "full_shift", "k": 2},
            "nu": {"bernoulli": 0.8}, "delta_grid": grid}

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from orbitweave import entropy
 from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
                                 _cylinder_mass_classes, katok_count,
-                                katok_entropy, levelset_count, max_separated,
+                                katok_entropy, levelset_count,
+                                levelset_counts_at, max_separated,
                                 min_spanning)
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
                                  bernoulli, frequency_observable)
 from orbitweave.systems import (EndpointFixedMap, KindMismatchError,
                                 ShiftSpace, TentMap, Word, dist_n, full_shift,
                                 golden_mean_shift)
-from orbitweave.variational import count_at
 
 
 def all_periodic(n):
@@ -561,7 +561,7 @@ def test_levelset_window_ends_are_exact(shift):
 
 def test_count_at_windows_have_rational_ends():
     # the Birkhoff sums are multiples of 1/D, D = 10, so the averages lie on
-    # the 1/(nD) grid and count_at takes the open window (2S -+ 1) / 2nD
+    # the 1/(nD) grid and the count takes the open window (2S -+ 1) / 2nD
     # around S = round(alpha n D): 2 words at j = 3 and 56 at j = 4, where
     # the former 1/n window held 356 and 145 words of several averages
     phi = _table(2, 2, DEPTH2_VALUES)
@@ -569,7 +569,8 @@ def test_count_at_windows_have_rational_ends():
     for j, words in ((3, 2), (4, 56)):
         S = round(j / n * n * D)
         lo, hi = Fraction(2 * S - 1, 2 * n * D), Fraction(2 * S + 1, 2 * n * D)
-        assert count_at(gm, phi, j / n, n).diagnostics[0][1] == words == \
+        [est] = levelset_counts_at(gm, phi, [j / n], n)
+        assert est.diagnostics[0][1] == words == \
             _enumerated_levelset_count(gm, phi, n, lo, hi, closed=False)
 
 

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from orbitweave import entropy, variational
 from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
-                                levelset_count)
+                                levelset_count, levelset_counts_at)
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
-                                 TestFunctionFamily, bernoulli,
+                                 TestFunctionFamily, bernoulli, chain_entropy,
                                  frequency_observable, markov_entropy)
 from orbitweave.systems import ShiftSpace, full_shift, golden_mean_shift
 from orbitweave.variational import (EmptyConstraintError, ReducibleLiftError,
-                                    constrained_sup, count_at, gibbs_data,
-                                    gibbs_kernel, shrink_experiment,
-                                    spectrum)
+                                    constrained_sup, gibbs_data, gibbs_kernel,
+                                    shrink_experiment, spectrum)
 
 FULL = full_shift(2)
 PHI = frequency_observable(1)
@@ -176,54 +175,6 @@ def test_gibbs_measure_is_bernoulli_on_full_shift():
     assert chain.P[0][1] == pytest.approx(chain.P[1][1], abs=1e-9)
 
 
-def test_constrained_sup_binary_entropy():
-    for alpha in (0.1, 0.25, 0.5, 0.62, 0.9):
-        pt = constrained_sup(FULL, PHI, alpha)
-        assert pt.h_var == pytest.approx(binary_entropy(alpha), abs=1e-9)
-        assert pt.maximizer_integral == pytest.approx(alpha, abs=1e-8)
-        assert abs(pt.duality_gap) <= 1e-8
-        assert 0.0 <= pt.h_var <= math.log(2)
-
-
-def test_constrained_sup_symmetric_maximum():
-    pt = constrained_sup(FULL, PHI, 0.5)
-    assert pt.h_var == pytest.approx(math.log(2), abs=1e-10)
-    assert pt.maximizer.P[0][1] == pytest.approx(0.5, abs=1e-8)
-
-
-def test_constrained_sup_endpoint_limits():
-    pt = constrained_sup(FULL, PHI, 0.0)
-    assert pt.endpoint_limit
-    assert pt.h_var == pytest.approx(0.0, abs=1e-9)
-    pt1 = constrained_sup(FULL, PHI, 1.0)
-    assert pt1.h_var == pytest.approx(0.0, abs=1e-9)
-
-
-def test_constrained_sup_empty_constraint():
-    pt = constrained_sup(FULL, PHI, 1.5)
-    assert pt.empty
-    assert pt.h_var is None
-
-
-@pytest.mark.parametrize("shift, alpha", [(FULL, 0.001), (FULL, 0.999),
-                                          (GOLDEN, 0.4999)])
-def test_constrained_sup_near_edge(shift, alpha):
-    # P'' -> 0 toward the attainable edge: Newton from q = 0 crawls there, and
-    # stops only once |P'(q) - alpha| <= 1e-13
-    pt = constrained_sup(shift, PHI, alpha)
-    if shift is FULL:
-        oracle = binary_entropy(alpha)
-    else:
-        oracle = (1 - alpha) * binary_entropy(alpha / (1 - alpha))
-    assert not pt.endpoint_limit
-    assert pt.h_var == pytest.approx(oracle, abs=1e-9)
-    assert pt.maximizer_integral == pytest.approx(alpha, abs=1e-12)
-
-
-RUN3 = LocallyConstantObservable(3, tuple(
-    (w, float(w == (1, 1, 1))) for w in itertools.product(range(2), repeat=3)))
-
-
 def _kernel_spy(monkeypatch):
     """Record (q, P'(q), P''(q)) of every one-column kernel item, and one
     entry per stacked call."""
@@ -240,18 +191,79 @@ def _kernel_spy(monkeypatch):
     return steps, calls
 
 
+def _landed_search(monkeypatch, shift, phi, alpha):
+    """(point, steps) of constrained_sup at alpha, the range cached first so
+    that the spy sees the search alone.  Its last item has P'(q) within
+    NEWTON_TOL of alpha, and h_var is P(q) - q alpha by the oracle."""
+    variational._edge_gibbs(shift, phi)
+    with monkeypatch.context() as patch:
+        steps, _ = _kernel_spy(patch)
+        pt = constrained_sup(shift, phi, alpha)
+    q, mean, _ = steps[-1]
+    assert abs(mean - alpha) <= variational.NEWTON_TOL
+    P, _, _, integral = _reference_gibbs(shift, phi, q)
+    assert integral == pytest.approx(alpha, abs=1e-10)
+    assert pt.h_var == pytest.approx(P - q * alpha, abs=1e-10)
+    return pt, steps
+
+
+def test_constrained_sup_binary_entropy(monkeypatch):
+    for alpha in (0.1, 0.25, 0.5, 0.62, 0.9):
+        pt, _ = _landed_search(monkeypatch, FULL, PHI, alpha)
+        assert pt.h_var == pytest.approx(binary_entropy(alpha), abs=1e-9)
+        assert 0.0 <= pt.h_var <= math.log(2)
+
+
+def test_constrained_sup_symmetric_maximum():
+    pt = constrained_sup(FULL, PHI, 0.5)
+    assert pt.h_var == pytest.approx(math.log(2), abs=1e-10)
+    # the maximizer at alpha = P'(0) is the chain at q = 0
+    assert gibbs_kernel(FULL, PHI, 0.0).Q[0][1] == pytest.approx(0.5,
+                                                                  abs=1e-8)
+
+
+def test_constrained_sup_endpoint_limits(monkeypatch):
+    # an end of the range is the one-sided limit the range probe computed:
+    # no search runs for it
+    variational._edge_gibbs(FULL, PHI)
+    _, calls = _kernel_spy(monkeypatch)
+    pt = constrained_sup(FULL, PHI, 0.0)
+    assert calls == []
+    assert pt.h_var == pytest.approx(0.0, abs=1e-9)
+    pt1 = constrained_sup(FULL, PHI, 1.0)
+    assert pt1.h_var == pytest.approx(0.0, abs=1e-9)
+
+
+def test_constrained_sup_empty_constraint():
+    pt = constrained_sup(FULL, PHI, 1.5)
+    assert pt.empty
+    assert pt.h_var is None
+
+
+@pytest.mark.parametrize("shift, alpha", [(FULL, 0.001), (FULL, 0.999),
+                                          (GOLDEN, 0.4999)])
+def test_constrained_sup_near_edge(monkeypatch, shift, alpha):
+    # P'' -> 0 toward the attainable edge: Newton from q = 0 crawls there, and
+    # stops only once |P'(q) - alpha| <= 1e-13
+    pt, _ = _landed_search(monkeypatch, shift, PHI, alpha)
+    if shift is FULL:
+        oracle = binary_entropy(alpha)
+    else:
+        oracle = (1 - alpha) * binary_entropy(alpha / (1 - alpha))
+    assert pt.h_var == pytest.approx(oracle, abs=1e-9)
+
+
+RUN3 = LocallyConstantObservable(3, tuple(
+    (w, float(w == (1, 1, 1))) for w in itertools.product(range(2), repeat=3)))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
 def test_constrained_sup_bisection_safeguard(monkeypatch, alpha):
     # frequency of 111 on the full shift: from q = 0 a Newton step leaves the
     # bracket, so the search must bisect and still land on P'(q) = alpha
-    variational._edge_gibbs(FULL, RUN3, variational.Q_CAP)
-    steps, _ = _kernel_spy(monkeypatch)
-    pt = constrained_sup(FULL, RUN3, alpha)
+    _, steps = _landed_search(monkeypatch, FULL, RUN3, alpha)
     assert any(q1 != q0 - (mean - alpha) / var
                for (q0, mean, var), (q1, _, _) in zip(steps, steps[1:]))
-    P, _, _, integral = _reference_gibbs(FULL, RUN3, pt.q_star)
-    assert integral == pytest.approx(alpha, abs=1e-10)
-    assert pt.h_var == pytest.approx(P - pt.q_star * alpha, abs=1e-10)
 
 
 @pytest.mark.parametrize("shift, grid", [
@@ -266,6 +278,19 @@ def test_constrained_sup_kernel_calls(monkeypatch, shift, grid):
         # every q evaluated, the range's two included, as one call each made
         assert sum(calls) <= 10, (alpha, calls)
         assert len(calls) <= 9, (alpha, calls)
+
+
+def test_range_follows_q_cap_after_cache_clear(monkeypatch):
+    # the range is cached on (shift, phi) alone, so a patched Q_CAP counts
+    # only after cache_clear; at 400 the range's upper end comes close
+    # enough to the table's edge 0.3 for alpha = 0.2995 (at 50 it is empty)
+    monkeypatch.setattr(variational, "Q_CAP", 400.0)
+    variational._edge_gibbs.cache_clear()
+    try:
+        pt = constrained_sup(GOLDEN, TABLE, 0.2995)
+    finally:
+        variational._edge_gibbs.cache_clear()
+    assert pt.h_var == pytest.approx(0.031454, abs=1e-6)
 
 
 def test_constrained_sup_golden_mean_range():
@@ -288,7 +313,7 @@ def test_spectrum_open_interval_sup():
     oracle = binary_entropy(0.35)  # one-sided limit at the nearer endpoint
     assert res.sup_value == pytest.approx(oracle, abs=1e-9)
     assert all(0.25 < p.alpha < 0.35 for p in res.points)
-    assert any(p.endpoint_limit for p in res.endpoint_points)
+    assert res.sup_alpha == 0.35  # the open end, not a grid point
 
 
 def test_spectrum_closed_vs_interior():
@@ -318,7 +343,7 @@ def test_spectrum_attaches_counts():
 
 
 def test_count_at_binomial():
-    est = count_at(FULL, PHI, 0.26, 12)  # nearest achievable is 3/12
+    [est] = levelset_counts_at(FULL, PHI, [0.26], 12)  # nearest is 3/12
     assert est.diagnostics[0][1] == math.comb(12, 3)
 
 
@@ -350,13 +375,22 @@ def test_shrink_requires_decreasing_grid():
     ([], "empty"), ([0.0], "delta 0.0 "), ([0.1, 0.0], "delta 0.0 "),
     ([-0.1], "delta -0.1 "), ([math.nan], "delta nan "),
     ([math.inf, 0.1], "delta inf "), ([0.1, 0.1], "0.1 follows 0.1"),
-    ([0.2, 0.05, 0.1], "0.1 follows 0.05")])
+    ([0.2, 0.05, 0.1], "0.1 follows 0.05"),
+    ([1e-15], "delta 1e-15 is at or below the floor 2n 1e-16 = 3.2e-15"), ([0.1, 1e-15], "delta 1e-15 is at or below the floor 2n 1e-16 = 3.2e-15")])
 def test_shrink_rejects_bad_grid_before_any_work(monkeypatch, grid, named):
     def kernel(*args):
         raise AssertionError("the kernel ran on a bad grid")
     monkeypatch.setattr(variational, "_gibbs", kernel)
     with pytest.raises(ValueError, match=named):
         shrink_experiment(FULL, bernoulli(0.5), FAMILY, grid)
+
+
+def test_shrink_centres_just_above_the_floor():
+    # 2n / delta < 1e16: one centring runs, and the bracket is finite but
+    # wider than GAP_TOL (8.5e-6 at 4e-15)
+    rows = shrink_experiment(FULL, bernoulli(0.8), FAMILY, [0.1, 4e-15])
+    assert rows[-1].upper < math.inf
+    assert 0 < rows[-1].upper - rows[-1].lower <= 1e-5
 
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -606,6 +640,17 @@ COLUMN_CASES = {"golden_table": (GOLDEN, TABLE), "full_table": (FULL, TABLE),
                 "full_wide": (FULL, WIDE)}
 
 
+@given(st.sampled_from(sorted(COLUMN_CASES)), COEFFICIENT)
+@settings(max_examples=60, deadline=None)
+def test_gibbs_chain_attains_the_pressure(name, q):
+    # the Gibbs chain is an equilibrium state: h(mu_q) + q P'(q) = P(q)
+    # (Walters ch. 9); worst on a 201-point q grid: 2.4e-13 (full_wide)
+    shift, phi = COLUMN_CASES[name]
+    g = gibbs_kernel(shift, phi, q)
+    gap = float(chain_entropy(g.Q, g.pi)) + q * g.mean - g.P
+    assert abs(gap) <= 1e-10 * max(1.0, abs(g.P))
+
+
 @given(st.sampled_from(sorted(COLUMN_CASES)),
        st.lists(COEFFICIENT, min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
@@ -626,19 +671,20 @@ def test_column_stack_equals_gibbs_kernel(name, qs):
 # The per-alpha Newton loop, one kernel call per step, that the lockstep
 # rounds replaced; every point of `spectrum` must equal its own.
 
-def _reference_constrained_sup(shift, phi, alpha, q_cap=variational.Q_CAP):
-    low, high = variational._edge_gibbs(shift, phi, q_cap)
+def _reference_constrained_sup(shift, phi, alpha):
+    low, high = variational._edge_gibbs(shift, phi)
+    q_cap = variational.Q_CAP
     if high.mean - low.mean < 1e-13:
         if abs(alpha - low.mean) <= 1e-9:
             return variational._point(alpha, 0.0,
                                       gibbs_kernel(shift, phi, 0.0))
-        return variational.SpectrumPoint(alpha, None, None, empty=True)
+        return variational.SpectrumPoint(alpha, None, empty=True)
     if alpha < low.mean - 1e-9 or alpha > high.mean + 1e-9:
-        return variational.SpectrumPoint(alpha, None, None, empty=True)
+        return variational.SpectrumPoint(alpha, None, empty=True)
     if alpha <= low.mean:
-        return variational._point(alpha, -q_cap, low, endpoint=True)
+        return variational._point(alpha, -q_cap, low)
     if alpha >= high.mean:
-        return variational._point(alpha, q_cap, high, endpoint=True)
+        return variational._point(alpha, q_cap, high)
     lo_q, hi_q, q = -q_cap, q_cap, 0.0
     for _ in range(200):
         g = gibbs_kernel(shift, phi, q)
@@ -657,14 +703,8 @@ def _reference_constrained_sup(shift, phi, alpha, q_cap=variational.Q_CAP):
 
 
 def _assert_same_point(got, want):
-    for name in ("alpha", "h_var", "q_star", "duality_gap",
-                 "maximizer_integral", "empty", "endpoint_limit"):
+    for name in ("alpha", "h_var", "empty"):
         assert getattr(got, name) == getattr(want, name), (got.alpha, name)
-    if want.maximizer is None:
-        assert got.maximizer is None
-    else:
-        assert np.array_equal(got.maximizer.P, want.maximizer.P)
-        assert np.array_equal(got.maximizer.pi, want.maximizer.pi)
 
 
 NEAR_EDGE = [1e-3, 1e-6, 0.4999]
@@ -690,10 +730,12 @@ def test_lockstep_spectrum_matches_per_alpha_oracle(name):
                         for a in grid) if not p.empty]
     ends = [p for p in (_reference_constrained_sup(shift, phi, a)
                         for a in (lo, hi)) if not p.empty]
-    assert len(res.points) == len(want) and len(res.endpoint_points) == \
-        len(ends)
-    for got, ref in zip(res.points + res.endpoint_points, want + ends):
+    assert len(res.points) == len(want)
+    for got, ref in zip(res.points, want):
         _assert_same_point(got, ref)
+    # the ends take part in the sup with their own bits
+    best = max(want + ends, key=lambda p: p.h_var)
+    assert (res.sup_value, res.sup_alpha) == (best.h_var, best.alpha)
     for alpha in grid:
         _assert_same_point(constrained_sup(shift, phi, alpha),
                            _reference_constrained_sup(shift, phi, alpha))
@@ -729,7 +771,8 @@ def test_spectrum_counts_match_levelset_count(shift, phi, grid, n):
             phi, Fraction(2 * S - 1, 2 * n * D),
             Fraction(2 * S + 1, 2 * n * D), n))
         assert pt.n_count == n and pt.h_count == est.value
-        assert pt.h_count == count_at(shift, phi, pt.alpha, n).value
+        [one] = levelset_counts_at(shift, phi, [pt.alpha], n)
+        assert pt.h_count == one.value
 
 
 @pytest.mark.parametrize("shift, lo, hi, grid", [
@@ -740,7 +783,7 @@ def test_spectrum_walks_only_for_surviving_points(monkeypatch, shift, lo, hi,
     # a count_n past the table budget costs nothing when no point is left
     monkeypatch.setattr(entropy, "TABLE_BUDGET", 64)
     res = spectrum(shift, PHI, lo, hi, True, grid, count_n=80)
-    assert res.points == [] and res.endpoint_points
+    assert res.points == [] and res.sup_alpha in (lo, hi)
     with pytest.raises(InfeasibleCountError):
         spectrum(shift, PHI, lo, hi, True, grid + [0.35], count_n=80)
 
