@@ -9,9 +9,9 @@ alpha} is inf_q P(q) - q alpha, by Newton steps on P'(q) = alpha in a
 bisection bracket, exact for locally constant phi; the searches of many
 alphas run in lockstep rounds, one stacked kernel call per round.
 sup{h_mu : D(mu, nu) <= delta} is bracketed by weak duality from above,
-minimised by log-barrier Newton steps, and by a Gibbs measure mixed into
-the ball from below; the barrier searches of every delta of a grid run in
-lockstep rounds as well, one stacked kernel call per round.
+minimised by Mehrotra predictor-corrector steps, and by a Gibbs measure
+mixed into the ball from below; the searches of every delta of a grid run
+in lockstep rounds as well, one stacked kernel call per round.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 Q_CAP = 50.0
 POWER_TOL = 1e-12      # relative Collatz-Wielandt spread of a Perron vector
 NEWTON_TOL = 1e-13     # |P'(q) - alpha| at which the Newton search stops
-GAP_TOL = 1e-11        # upper - lower at which the shrink barrier stops
+GAP_TOL = 1e-11        # upper - lower at which a shrink search stops
 
 
 class ReducibleLiftError(ValueError):
@@ -163,6 +163,7 @@ def _item(g: Gibbs, i: int) -> Gibbs:
 
 
 def _range_error(row: np.ndarray) -> ValueError:
+    row = np.array2string(row, max_line_width=math.inf)  # one stderr line
     return ValueError(f"exp(F c) spans past the float range at c={row}")
 
 
@@ -381,27 +382,41 @@ class ShrinkRow(NamedTuple):
     upper: float
 
 
-def _barrier_steps(A, z, tau, delta, mean, var, b):
-    """(step, squared decrement, 1 / step to the boundary) of each row of a
-    stack: the Newton step on tau (P(y) - y.b + delta t) - sum_i log(t -+
-    y_i) at z = (y, t), with P's gradient mean and Hessian var, and the
-    slacks A z = (t - y, t + y).  Every product is a stacked matmul on one
-    row alone, so a row's bits do not depend on the rest of the stack."""
+def _mehrotra(A, z, lam, delta, mean, var, b):
+    """(z, lam) after one Mehrotra predictor-corrector step of each row of a
+    stack on min P(y) - y.b + delta t subject to the slacks s = A z = (t - y,
+    t + y) >= 0 with duals lam, where P has gradient mean and Hessian var.
+    The affine and the corrector step solve with one matrix H + A^T diag(lam
+    / s) A; each stops 0.99 of the way to the boundary, z and lam apart.
+    Every product is a stacked matmul on one row alone, so a row's bits do
+    not depend on the rest of the stack."""
     n = len(b)
-    inv = 1 / (A @ z[:, :, None])[..., 0]
-    grad = tau[:, None] * np.concatenate((mean - b, delta[:, None]), axis=1) \
-        - (A.T @ inv[:, :, None])[..., 0]
-    H = A.T @ (A * inv[:, :, None] ** 2)
-    H[:, :n, :n] += tau[:, None, None] * var
-    step = -np.linalg.solve(H, grad[:, :, None])[..., 0]
-    rate = (-(A @ step[:, :, None])[..., 0] * inv).max(axis=1)
-    return step, -(grad[:, None, :] @ step[:, :, None])[:, 0, 0], rate
+    s = (A @ z[:, :, None])[..., 0]
+    grad = np.concatenate((mean - b, delta[:, None]), axis=1)
+    H = A.T @ (A * (lam / s)[:, :, None])
+    H[:, :n, :n] += var
+
+    def step(rc):  # the Newton step that drives each s lam to s lam - rc
+        rhs = (A.T @ (lam - rc / s)[:, :, None])[..., 0] - grad
+        dz = np.linalg.solve(H, rhs[:, :, None])[..., 0]
+        ds = (A @ dz[:, :, None])[..., 0]
+        return dz, ds, -(rc + lam * ds) / s
+
+    def reach(v, dv, frac):  # min(1, frac times the step to v = 0)
+        return frac / np.maximum((-dv / v).max(axis=1), frac)[:, None]
+
+    mu = (s * lam).sum(axis=1) / (2 * n)
+    dz, ds, dlam = step(s * lam)  # affine: s lam -> 0
+    aff = (s + reach(s, ds, 1.0) * ds) * (lam + reach(lam, dlam, 1.0) * dlam)
+    sigma_mu = (aff.sum(axis=1) / (2 * n) / mu) ** 3 * mu
+    dz, ds, dlam = step(s * lam + ds * dlam - sigma_mu[:, None])
+    return z + reach(s, ds, 0.99) * dz, lam + reach(lam, dlam, 0.99) * dlam
 
 
 def _check_grid(grid: list, n: int) -> None:
     """A shrink grid is nonempty, finite, strictly decreasing and above the
-    floor 2n 1e-16 of n cylinders, where the first barrier weight 2n / delta
-    would already reach 1e16 and no centring would run."""
+    floor 2n 1e-16 of n cylinders, where the 2n duals, which sum to delta,
+    average below 1e-16, the rounding of the Gibbs means they balance."""
     if not grid:
         raise ValueError("delta_grid is empty")
     for i, d in enumerate(grid):
@@ -426,22 +441,21 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     the deepest one (only admissible words), so D(mu, nu) = |mu(F) - b|_1
     with b = nu(F).  Upper: h(mu) <= P(y) - y.mu(F), and |y.(mu(F) - b)| <=
     t delta in the ball when all |y_i| <= t, so such (y, t) bound the sup by
-    P(y) - y.b + delta t.  Newton steps on the barrier tau (P(y) - y.b +
-    delta t) - sum_i log(t -+ y_i), with the kernel's covariance as the
-    Hessian of P and each step stopped short of the boundary, follow the
-    central path as tau grows a hundredfold per round until the bracket is
-    GAP_TOL wide.  Each delta starts at y = 0, t = 1, tau = 2n / delta.
-    Lower: mu_y mixed with nu at s = min(1, delta / D(mu_y, nu)) lies in the
-    ball, as D(s mu + (1 - s) nu, nu) = s D(mu, nu), and entropy is affine.
+    P(y) - y.b + delta t, at every iterate with t = |y|_inf.  Mehrotra
+    predictor-corrector steps, with the kernel's covariance as the Hessian
+    of P, minimise it from y = 0, t = 1 and duals 1 until the bracket is
+    GAP_TOL wide, or for 50 steps.  Lower: mu_y mixed with nu at s = min(1,
+    delta / D(mu_y, nu)) lies in the ball, as D(s mu + (1 - s) nu, nu) = s
+    D(mu, nu), and entropy is affine.  Both bounds are rounded outward by a
+    relative 2^-50, so they keep their order where they meet.
 
-    The deltas run side by side in lockstep rounds.  A round carries every
-    live delta to its next kernel evaluation: a delta whose centring closes
-    takes its bracket, grows tau and, if still open, takes its next step in
-    the same round.  Then one stacked kernel call serves every delta that
-    stepped.  The Newton algebra and the kernel act on each delta alone, so
-    each one's iterates are bit for bit those of its search by itself.  A
-    ball's upper bound holds for every smaller ball and its lower bound for
-    every larger one, so both columns are monotone envelopes.
+    The deltas run side by side in lockstep rounds: each round, every open
+    delta takes its bracket and its step, and one stacked kernel call
+    serves them all.  The step algebra and the kernel act on each delta
+    alone, so each one's iterates are bit for bit those of its search by
+    itself.  A ball's upper bound holds for every smaller ball and its
+    lower bound for every larger one, so both columns are monotone
+    envelopes.
     """
     grid = list(delta_grid)
     _check_grid(grid, family.N)
@@ -457,48 +471,31 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     delta = np.array(grid, dtype=float)
     K = len(delta)
     A = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
-    z = np.zeros((K, n + 1))  # z = (y, t); the slacks (t - y, t + y) stay > 0
-    z[:, n] = 1.0             # t = 1 central at y = 0
-    tau = 2 * n / delta
+    z = np.zeros((K, n + 1))  # z = (y, t); the slacks A z stay > 0
+    z[:, n] = 1.0
+    lam = np.ones((K, 2 * n))
     lower, upper = np.full(K, h_nu), np.full(K, math.inf)
-    taken = np.zeros(K, dtype=int)  # kernel calls in the current centring
     # every delta starts at y = 0: one evaluation serves them all
     g = Gibbs(*(np.repeat(f, K, axis=0)
                 for f in _gibbs(shift, depth, F, z[:1, :n])))
-    live = tau < 1e16  # tau P keeps digits
-    while live.any():
-        moved, centring = np.zeros(K, dtype=bool), np.flatnonzero(live)
-        while len(centring):  # Newton steps until each delta needs the kernel
-            i = centring[taken[centring] < 50]  # 50 calls close a centring
-            c = centring[taken[centring] >= 50]
-            if len(i):
-                step, decrement, rate = _barrier_steps(
-                    A, z[i], tau[i], delta[i], g.mean[i], g.var[i], b)
-                go = decrement > 1e-4  # else centred at this tau
-                # min(1, 0.99 / rate), and 1 where rate <= 0
-                z[i[go]] += (0.99 / np.maximum(rate[go], 0.99))[:, None] \
-                    * step[go]
-                taken[i[go]] += 1
-                moved[i[go]] = True
-                c = np.concatenate((c, i[~go]))
-            if not len(c):
-                break
-            # c is centred: its bracket, then a hundredfold tau
-            D = np.abs(g.mean[c] - b).sum(axis=1)
-            s = delta[c] / np.maximum(D, delta[c])  # min(1, delta / D)
-            h = chain_entropy(g.Q[c], g.pi[c])
-            lower[c] = np.maximum(lower[c], s * h + (1 - s) * h_nu)
-            dual = g.P[c] - (z[c, None, :n] @ b[:, None])[:, 0, 0] \
-                + delta[c] * z[c, n]
-            upper[c] = np.minimum(upper[c], dual)
-            tau[c] *= 100
-            taken[c] = 0
-            live[c] = (upper[c] - lower[c] > GAP_TOL) & (tau[c] < 1e16)
-            centring = c[live[c]]
-        if moved.any():
-            i = np.flatnonzero(moved)
-            for field, value in zip(g, _gibbs(shift, depth, F, z[i, :n])):
-                field[i] = value
+    live = np.ones(K, dtype=bool)
+    for steps in range(51):
+        i = np.flatnonzero(live)
+        D = np.abs(g.mean[i] - b).sum(axis=1)
+        s = delta[i] / np.maximum(D, delta[i])  # min(1, delta / D)
+        h = s * chain_entropy(g.Q[i], g.pi[i]) + (1 - s) * h_nu
+        lower[i] = np.maximum(lower[i], h - np.abs(h) * 2.0 ** -50)
+        dual = g.P[i] - (z[i, None, :n] @ b[:, None])[:, 0, 0] \
+            + delta[i] * np.abs(z[i, :n]).max(axis=1)
+        upper[i] = np.minimum(upper[i], dual + np.abs(dual) * 2.0 ** -50)
+        live[i] = upper[i] - lower[i] > GAP_TOL
+        i = np.flatnonzero(live)
+        if steps == 50 or not len(i):
+            break
+        z[i], lam[i] = _mehrotra(A, z[i], lam[i], delta[i], g.mean[i],
+                                 g.var[i], b)
+        for field, value in zip(g, _gibbs(shift, depth, F, z[i, :n])):
+            field[i] = value
     lowers = np.maximum.accumulate(lower[::-1])[::-1].tolist()
     uppers = np.minimum.accumulate(upper).tolist()
     return [ShrinkRow(*row) for row in zip(grid, lowers, uppers)]

@@ -504,6 +504,16 @@ def test_shrink_csv(tmp_path):
     assert float(comment.split("max_gap=")[1].split()[0]) <= 1e-9
 
 
+def test_shrink_tiny_delta_closes(tmp_path, capsys):
+    # the barrier ran past the kernel's weight spread here and exited 2
+    cfg = {"system": {"kind": "full_shift", "k": 2},
+           "nu": {"bernoulli": 0.8}, "delta_grid": [1e-11]}
+    code, out = run(tmp_path, "shrink", cfg)
+    assert code == 0, capsys.readouterr().err
+    comment = (out / "shrink.csv").read_text().splitlines()[0]
+    assert float(comment.split("max_gap=")[1].split()[0]) <= 1e-11
+
+
 def test_shrink_respects_sft(tmp_path):
     # on the golden-mean shift no invariant measure has entropy above
     # log of the golden ratio, however large the ball

@@ -386,11 +386,21 @@ def test_shrink_rejects_bad_grid_before_any_work(monkeypatch, grid, named):
 
 
 def test_shrink_centres_just_above_the_floor():
-    # 2n / delta < 1e16: one centring runs, and the bracket is finite but
-    # wider than GAP_TOL (8.5e-6 at 4e-15)
+    # 2n / delta < 1e16: the duals of the 2n slacks still average above
+    # 1e-16, and the bracket closes as it does far from the floor (1.3e-12
+    # at 4e-15)
     rows = shrink_experiment(FULL, bernoulli(0.8), FAMILY, [0.1, 4e-15])
     assert rows[-1].upper < math.inf
-    assert 0 < rows[-1].upper - rows[-1].lower <= 1e-5
+    assert 0 < rows[-1].upper - rows[-1].lower <= variational.GAP_TOL
+
+
+def test_shrink_closes_tiny_deltas():
+    # the barrier ran y past the kernel's weight spread at 1e-11 (exit 2);
+    # every delta here closes (1.3e-13, 8.6e-12, 3.7e-12 and 1.5e-12)
+    rows = shrink_experiment(FULL, bernoulli(0.8), FAMILY,
+                             [0.1, 3e-11, 1e-11, 1e-12])
+    for r in rows:
+        assert 0 <= r.upper - r.lower <= variational.GAP_TOL, r
 
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -501,9 +511,10 @@ def test_shrink_matches_reference_barrier(name):
 
 
 def test_shrink_kernel_calls(monkeypatch):
-    # one stacked call per lockstep round: 54 calls carrying 202 items, the
-    # shared start at y = 0 included (alone, the deltas take 48, 54, 51
-    # and 52; one delta after another, warm started, took 150 calls)
+    # one stacked call per lockstep round: 12 calls carrying 33 items, the
+    # shared start at y = 0 included (alone, the deltas take 1, 12, 11 and
+    # 12; the log-barrier took 54 calls carrying 202 items in lockstep, and
+    # 150 one delta after another)
     calls = []
     kernel = variational._gibbs
 
@@ -513,8 +524,7 @@ def test_shrink_kernel_calls(monkeypatch):
     monkeypatch.setattr(variational, "_gibbs", counted)
     shift, nu, _, grid, _ = BENCH_SHRINK
     shrink_experiment(shift, nu, FAMILY, grid)
-    assert len(calls) <= 160  # tenfold and cold per delta: 373
-    assert len(calls) <= 60, calls
+    assert len(calls) <= 16, calls  # tenfold and cold per delta: 373
     # every live delta steps in every round, so the rounds are the longest
     # search alone
     lockstep, solo = len(calls), []
@@ -523,6 +533,8 @@ def test_shrink_kernel_calls(monkeypatch):
         shrink_experiment(shift, nu, FAMILY, [d])
         solo.append(len(calls))
     assert lockstep == max(solo), (lockstep, solo)
+    # the ball at 0.2 holds B(1/2): the shared evaluation at y = 0 closes it
+    assert solo[0] == 1, solo
 
 
 def _solo_envelopes(shift, nu, family, grid):
@@ -590,6 +602,17 @@ def test_perron_vector_past_the_float_range_is_refused(q):
     # in a stack, the message names the item past the range
     with pytest.raises(ValueError, match=r"float range at c=\[%d\.\]" % q):
         variational._phi_gibbs(FULL, WIDE, np.array([30.0, q]))
+
+
+def test_range_error_is_one_line():
+    # numpy wraps a 16-entry row over several lines unless told otherwise
+    depth, F = _cylinder_features(FULL, 16)
+    c = np.linspace(-4000.0, -20000.0, 16)[None, :]
+    x = F @ c[0]
+    assert x.max() - x.min() > 700
+    with pytest.raises(ValueError, match="spans past the float range") as exc:
+        variational._gibbs(FULL, depth, F, c)
+    assert "\n" not in str(exc.value)
 
 
 # --------------------------------------------------------- stacked kernel
