@@ -8,8 +8,11 @@ Exit codes: 0 success; 1 an honest quantitative miss (a weave whose final
 empirical distance exceeds its `bound`); 2 config or precondition error;
 3 schedule truncation or overflow; 4 resource cap (a block search that
 exhausted its budget: a cap on the work, not evidence that no block
-exists); 5 internal invariant violation or any other unexpected error.
-No failure prints a traceback.
+exists); 5 internal invariant violation or any other unexpected error.  Each
+config or precondition failure prints one stderr line starting
+`config/precondition error: `; an argparse usage error keeps argparse's own
+message.  `count_n`, when given, is an integer >= 1, and every `n_grid`
+entry is >= 1.  No failure prints a traceback.
 """
 
 from __future__ import annotations
@@ -55,14 +58,6 @@ EXIT_CODES = [
 ]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return "%.12g" % x
-    return str(x)
-
-
 def _config_hash(config: dict, seed: int) -> str:
     blob = json.dumps(config, sort_keys=True) + f"|seed={seed}"
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -82,8 +77,8 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, comment: str, columns: list[str], rows):
-    """Every row as one line, cells formatted as `_fmt` does (floats %.12g,
-    None blank, the rest by str) by a single % over all cells at once."""
+    """Every row as one line, floats as %.12g, None blank and the rest by
+    str, by a single % over all cells at once."""
     cells = ["" if v is None else v for row in rows for v in row]
     spec = ["%.12g" if isinstance(v, float) else "%s" for v in cells]
     width = len(columns)
@@ -92,10 +87,10 @@ def _write_csv(path: str, comment: str, columns: list[str], rows):
     _write_atomic(path, f"# {comment}\n{','.join(columns)}\n{body}")
 
 
-def _header(config, seed, extra: str = "") -> str:
-    h = _config_hash(config, seed)
-    base = f"hash={h} orbitweave={__version__}"
-    return f"{base} {extra}".strip()
+def _header(config, seed, **extra) -> str:
+    cells = [f"hash={_config_hash(config, seed)}", f"orbitweave={__version__}"]
+    cells += [f"{key}=%.12g" % value for key, value in extra.items()]
+    return " ".join(cells)
 
 
 def _observable(doc: dict, alphabet: int) -> LocallyConstantObservable:
@@ -113,25 +108,21 @@ def _family(config, alphabet: int) -> TestFunctionFamily:
 def cmd_spectrum(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     if not isinstance(system, ShiftSpace):
-        print("spectrum requires a shift system", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("spectrum requires a shift system")
     phi = _observable(config["observable"], system.alphabet_size)
     grid = [float(a) for a in config["alpha_grid"]]
     vlo, vhi = phi.value_range
-    if any(a < vlo or a > vhi for a in grid):
-        print("alpha grid leaves the observable's value range", file=sys.stderr)
-        return EXIT_CONFIG
+    if not all(vlo <= a <= vhi for a in grid):  # a NaN alpha fails too
+        raise ValueError("alpha grid leaves the observable's value range")
     cons = config.get("constraint", {})
     lo = float(cons.get("lo", vlo))
     hi = float(cons.get("hi", vhi))
     closed = bool(cons.get("closed", True))
-    count_n = config.get("count_n")
     result = spectrum(system, phi, lo, hi, closed, grid,
-                      count_n=int(count_n) if count_n else None)
+                      count_n=config.get("count_n"))
     rows = []
     for pt in result.points:
-        gap = (pt.h_count - pt.h_var
-               if pt.h_count is not None and pt.h_var is not None else None)
+        gap = pt.h_count - pt.h_var if pt.h_count is not None else None
         rows.append((pt.alpha, pt.h_var, pt.h_count, pt.n_count or "", gap, ""))
     rows.append((result.sup_alpha, result.sup_value, None, "", None, "sup"))
     _write_csv(os.path.join(out, "spectrum.csv"), _header(config, seed),
@@ -151,8 +142,7 @@ def _run_length_encode(symbols: np.ndarray) -> str:
 def cmd_weave(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     if not isinstance(system, ShiftSpace):
-        print("weave requires a shift system", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("weave requires a shift system")
     family = _family(config, system.alphabet_size)
     target = measure_from_json(config["target"], shift=system)
     # the keys the config names, cast; run_weave's defaults fill the rest
@@ -162,20 +152,10 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
         ("length_cap", int)) if key in config}
     schedule, _families, outcome = run_weave(system, target, family,
                                              seed=seed, **options)
-    doc = {
-        "k_max": schedule.k_max,
-        "N": schedule.N, "X": schedule.X, "Y": schedule.Y, "T": schedule.T,
-        "block_lengths": schedule.block_lengths,
-        "cells": schedule.cells,
-        "offsets_M": schedule.offsets_M,
-        "total_length": schedule.total_length,
-        "epsilon": schedule.epsilon,
-        "delta_prime": schedule.delta_prime,
-        "diam_xi": schedule.diam_xi,
-        "splice_guarantee": schedule.splice_guarantee,
-        "truncated": schedule.truncated,
-        "truncation_level": schedule.truncation_level,
-    }
+    doc = {key: getattr(schedule, key) for key in (
+        "k_max", "N", "X", "Y", "T", "block_lengths", "cells", "offsets_M",
+        "total_length", "epsilon", "delta_prime", "diam_xi",
+        "splice_guarantee", "truncated", "truncation_level")}
     _write_atomic(os.path.join(out, "schedule.json"),
                   json.dumps(doc, indent=2) + "\n")
     _write_atomic(os.path.join(out, "woven.txt"), _run_length_encode(
@@ -194,9 +174,8 @@ def cmd_shadow(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     mode = config.get("mode", "single")
     if mode not in ("single", "modulus"):
-        print(f"shadow mode must be single or modulus, got {mode!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(
+            f"shadow mode must be single or modulus, got {mode!r}")
     epsilon = float(config.get("epsilon", 1e-3))
     length = int(config.get("length", 100))
     if mode == "modulus":
@@ -204,7 +183,7 @@ def cmd_shadow(config: dict, seed: int, out: str) -> int:
         delta_hat, table = shadowing_modulus(system, epsilon, trials, length,
                                              seed)
         _write_csv(os.path.join(out, "modulus.csv"),
-                   _header(config, seed, extra=f"delta_hat={_fmt(delta_hat)}"),
+                   _header(config, seed, delta_hat=delta_hat),
                    ["delta", "successes", "trials"], table)
         return EXIT_OK
     delta = float(config.get("delta", 2.0 ** -8))
@@ -230,19 +209,16 @@ def cmd_shadow(config: dict, seed: int, out: str) -> int:
 def cmd_katok(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     if not isinstance(system, ShiftSpace):
-        print("katok requires a shift system", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("katok requires a shift system")
     m = measure_from_json(config["measure"], shift=system)
     if not isinstance(m, MarkovMeasure):
-        print("katok requires a Markov measure", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("katok requires a Markov measure")
     q = int(config["q"])
     delta = float(config.get("delta", 0.1))
     n_grid = [int(n) for n in config["n_grid"]]
     est = katok_entropy(system, m, 2.0 ** (-q), delta, n_grid)
-    ref = markov_entropy(m)
     _write_csv(os.path.join(out, "katok.csv"),
-               _header(config, seed, extra=f"markov_entropy={_fmt(ref)}"),
+               _header(config, seed, markov_entropy=markov_entropy(m)),
                ["n", "count", "rate"], est.diagnostics)
     return EXIT_OK
 
@@ -250,20 +226,17 @@ def cmd_katok(config: dict, seed: int, out: str) -> int:
 def cmd_shrink(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     if not isinstance(system, ShiftSpace):
-        print("shrink requires a shift system", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("shrink requires a shift system")
     nu = measure_from_json(config["nu"], shift=system)
     if not isinstance(nu, MarkovMeasure):
-        print("shrink requires a Markov measure nu", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("shrink requires a Markov measure nu")
     family = _family(config, system.alphabet_size)
     grid = [float(d) for d in config["delta_grid"]]
     rows = shrink_experiment(system, nu, family, grid)
     gap = max(r.upper - r.lower for r in rows)
     # sup_hat is the certified lower bound; budget_used is kept blank
     _write_csv(os.path.join(out, "shrink.csv"),
-               _header(config, seed, extra=f"h_nu={_fmt(markov_entropy(nu))} "
-                                           f"max_gap={_fmt(gap)}"),
+               _header(config, seed, h_nu=markov_entropy(nu), max_gap=gap),
                ["delta", "sup_hat", "budget_used"],
                [(r.delta, r.lower, None) for r in rows])
     return EXIT_OK
@@ -278,20 +251,22 @@ COMMANDS = {
 }
 
 
+PARSER = argparse.ArgumentParser(
+    prog="orbitweave",
+    description="entropy, shadowing, and orbit-weaving experiments")
+PARSER.add_argument("--config", required=True, help="JSON config path")
+PARSER.add_argument("--seed", type=int, default=0, help="64-bit seed")
+PARSER.add_argument("--out", required=True, help="output directory")
+PARSER.add_argument("--command", required=True, choices=sorted(COMMANDS))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="orbitweave",
-        description="entropy, shadowing, and orbit-weaving experiments")
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit seed")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--command", required=True, choices=sorted(COMMANDS))
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         with open(args.config) as f:
             config = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config/precondition error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](config, args.seed, args.out)

@@ -233,8 +233,9 @@ def katok_entropy(shift: ShiftSpace, m: MarkovMeasure, epsilon: float,
     """Rates (1/n) log katok_count over the grid; the value is the final rate
     (no extrapolation of the liminf), the full sequence stays in diagnostics."""
     grid = list(n_grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n_grid must be nonempty and increasing")
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"n_grid must be nonempty, increasing and >= 1; "
+                         f"got {grid}")
     diags = []
     for n in grid:
         cnt = katok_count(shift, m, n, epsilon, delta)

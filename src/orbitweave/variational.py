@@ -357,6 +357,9 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
     """
     if not (lo < hi):
         raise ValueError("malformed constraint interval")
+    if count_n is not None and (isinstance(count_n, bool)
+                                or not isinstance(count_n, int) or count_n < 1):
+        raise ValueError(f"count_n must be an integer >= 1; got {count_n!r}")
     inside = (lambda a: lo <= a <= hi) if closed else (lambda a: lo < a < hi)
     *points, low_end, high_end = _constrained_sups(
         shift, phi, [a for a in alpha_grid if inside(a)] + [lo, hi])

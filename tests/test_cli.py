@@ -3,14 +3,17 @@ import itertools
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitweave import entropy
+from orbitweave import __version__, entropy
 from orbitweave.cli import _run_length_encode, main
+from orbitweave.measures import bernoulli, markov_entropy
+from orbitweave.variational import GAP_TOL
 
 
 def run(tmp_path, command, config, seed=1, outdir="out"):
@@ -448,6 +451,90 @@ def test_analysis_artifacts_byte_identical(tmp_path, name):
     assert code == 0
     assert hashlib.sha256((out / f"{command}.csv").read_bytes()).hexdigest() \
         == digest
+
+
+TENT = {"kind": "tent", "s": 2.0}
+# name -> (command, config (None: no file; str: the file's text), message):
+# every config or precondition failure takes the one EXIT_CODES channel
+CONFIG_FAILURES = {
+    "spectrum_tent": ("spectrum", {**SPECTRUM_CFG, "system": TENT},
+                      "spectrum requires a shift system"),
+    "alpha_range": ("spectrum", {**SPECTRUM_CFG, "alpha_grid": [0.5, 1.5]},
+                    "alpha grid leaves the observable's value range"),
+    "alpha_nan": ("spectrum", {**SPECTRUM_CFG, "alpha_grid": [0.5, math.nan]},
+                  "alpha grid leaves the observable's value range"),
+    "count_n_negative": ("spectrum", {**SPECTRUM_CFG, "count_n": -3},
+                         "count_n must be an integer >= 1; got -3"),
+    "count_n_zero": ("spectrum", {**SPECTRUM_CFG, "count_n": 0},
+                     "count_n must be an integer >= 1; got 0"),
+    "count_n_float": ("spectrum", {**SPECTRUM_CFG, "count_n": 2.7},
+                      "count_n must be an integer >= 1; got 2.7"),
+    "count_n_bool": ("spectrum", {**SPECTRUM_CFG, "count_n": True},
+                     "count_n must be an integer >= 1; got True"),
+    "weave_tent": ("weave", {"system": TENT, "target": {"bernoulli": 0.7}},
+                   "weave requires a shift system"),
+    "shadow_mode": ("shadow", {"system": TENT, "mode": "bogus"},
+                    "shadow mode must be single or modulus, got 'bogus'"),
+    "katok_tent": ("katok", {"system": TENT, "measure": {"bernoulli": 0.5},
+                             "q": 1, "n_grid": [8]},
+                   "katok requires a shift system"),
+    "katok_mixture": ("katok", {"system": FULL2, "measure": MIXTURE, "q": 1,
+                                "n_grid": [8]},
+                      "katok requires a Markov measure"),
+    "katok_n_zero": ("katok", {"system": FULL2, "measure": {"bernoulli": 0.5},
+                               "q": 1, "n_grid": [0, 4]},
+                     "n_grid must be nonempty, increasing and >= 1"),
+    "katok_n_negative": ("katok", {"system": FULL2, "q": 1, "n_grid": [-2],
+                                   "measure": {"bernoulli": 0.5}},
+                         "n_grid must be nonempty, increasing and >= 1"),
+    "shrink_tent": ("shrink", {"system": TENT, "nu": {"bernoulli": 0.8},
+                               "delta_grid": [0.1]},
+                    "shrink requires a shift system"),
+    "shrink_mixture": ("shrink", {"system": FULL2, "nu": MIXTURE,
+                                  "delta_grid": [0.1]},
+                       "shrink requires a Markov measure nu"),
+    "missing_file": ("katok", None, "No such file or directory"),
+    "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_FAILURES))
+def test_config_failure_is_one_line_on_exit_2(tmp_path, capsys, name):
+    command, cfg, message = CONFIG_FAILURES[name]
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    if cfg is not None:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    code = main(["--config", str(path), "--seed", "1", "--out", str(out),
+                 "--command", command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config/precondition error: ") and message in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_spectrum_null_count_n_leaves_count_columns_blank(tmp_path):
+    code, out = run(tmp_path, "spectrum", {**SPECTRUM_CFG, "count_n": None})
+    assert code == 0
+    _, rows = read_rows(out / "spectrum.csv")
+    assert all(r["h_count"] == r["n_count"] == r["gap"] == "" for r in rows)
+
+
+def test_shrink_header_form(tmp_path):
+    # no digest pins shrink.csv: max_gap's digits are rounding noise across
+    # BLAS builds, so the comment line's form is checked instead
+    cfg = {"system": FULL2, "nu": {"bernoulli": 0.8},
+           "delta_grid": [0.2, 0.1, 0.05, 0.02]}
+    code, out = run(tmp_path, "shrink", cfg)
+    assert code == 0
+    comment = (out / "shrink.csv").read_text().splitlines()[0]
+    match = re.fullmatch(r"# hash=[0-9a-f]{12} orbitweave=(\S+) "
+                         r"h_nu=(\S+) max_gap=(\S+)", comment)
+    assert match and match[1] == __version__
+    h_nu, gap = match[2], match[3]
+    assert h_nu == "%.12g" % float(h_nu) and gap == "%.12g" % float(gap)
+    assert abs(float(h_nu) - markov_entropy(bernoulli(0.8))) <= 1e-12
+    assert float(gap) <= GAP_TOL
 
 
 @pytest.mark.parametrize("system", [FULL2, GOLDEN])

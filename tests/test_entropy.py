@@ -379,6 +379,13 @@ def test_katok_entropy_diagnostics():
     assert abs(est.value - math.log(2)) < 0.06
 
 
+@pytest.mark.parametrize("grid", [[0, 4], [-2], [], [8, 8]])
+def test_katok_entropy_refuses_bad_grid(grid):
+    # n = 0 divided by zero and n = -2 gave the row (-2, 1, -0.0)
+    with pytest.raises(ValueError, match="n_grid must be nonempty, increasing"):
+        katok_entropy(full_shift(2), bernoulli(0.5), 0.5, 0.1, grid)
+
+
 def test_katok_infeasible(monkeypatch):
     # the table budget is the only limit on the word length
     sh = full_shift(2)

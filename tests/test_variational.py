@@ -342,6 +342,13 @@ def test_spectrum_attaches_counts():
     assert pt.h_count == pytest.approx(math.log(math.comb(12, 6)) / 12)
 
 
+@pytest.mark.parametrize("count_n", [0, -3, 2.7, 24.0, "24", True])
+def test_spectrum_refuses_count_n_not_a_positive_integer(count_n):
+    # 0 divided by zero; -3 and 2.7 gave rows with a meaningless count
+    with pytest.raises(ValueError, match="count_n must be an integer >= 1"):
+        spectrum(FULL, PHI, 0.0, 1.0, True, [0.5], count_n=count_n)
+
+
 def test_count_at_binomial():
     [est] = levelset_counts_at(FULL, PHI, [0.26], 12)  # nearest is 3/12
     assert est.diagnostics[0][1] == math.comb(12, 3)
