@@ -11,8 +11,9 @@ exhausted its budget: a cap on the work, not evidence that no block
 exists); 5 internal invariant violation or any other unexpected error.  Each
 config or precondition failure prints one stderr line starting
 `config/precondition error: `; an argparse usage error keeps argparse's own
-message.  `count_n`, when given, is an integer >= 1, and every `n_grid`
-entry is >= 1.  No failure prints a traceback.
+message.  `count_n`, when given, is an integer >= 1, every `n_grid` entry
+an integer >= 1 and `q` an integer in [0, 1074].  No failure prints a
+traceback.
 """
 
 from __future__ import annotations
@@ -213,10 +214,11 @@ def cmd_katok(config: dict, seed: int, out: str) -> int:
     m = measure_from_json(config["measure"], shift=system)
     if not isinstance(m, MarkovMeasure):
         raise ValueError("katok requires a Markov measure")
-    q = int(config["q"])
+    q = config["q"]  # epsilon = 2^-q; 2^-1074 is the least positive float
+    if type(q) is not int or not 0 <= q <= 1074:
+        raise ValueError(f"q must be an integer in [0, 1074]; got {q!r}")
     delta = float(config.get("delta", 0.1))
-    n_grid = [int(n) for n in config["n_grid"]]
-    est = katok_entropy(system, m, 2.0 ** (-q), delta, n_grid)
+    est = katok_entropy(system, m, 2.0 ** (-q), delta, config["n_grid"])
     _write_csv(os.path.join(out, "katok.csv"),
                _header(config, seed, markov_entropy=markov_entropy(m)),
                ["n", "count", "rate"], est.diagnostics)

@@ -4,17 +4,17 @@ Separated and spanning counts are defined on shifts only, where they are
 exact at any size: d_n is an ultrametric there, its strict epsilon-balls are
 the classes of a shared prefix, and both counts are the number of classes
 among the given points.  Katok and level-set counts are exact on shifts over
-any alphabet and word length: one dynamic program counts admissible words by
-an integer weight summed along the word, and its TABLE_BUDGET entries are the
-only limit.  A Bowen d_n-ball of radius 2^-q is an (n+q)-cylinder, whose mass
-is fixed by pi[first] and the number of transitions per value of P; a
-level-set word weighs its Birkhoff sum.
+any alphabet and word length: one walk counts admissible words of every
+requested length by an integer weight summed along the word, and its
+TABLE_BUDGET entries are the only limit.  A Bowen d_n-ball of radius 2^-q is
+an (n+q)-cylinder, whose mass is fixed by pi[first] and the number of
+transitions per value of P; a level-set word weighs its Birkhoff sum.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,19 +22,10 @@ from typing import Sequence
 from .measures import LocallyConstantObservable, MarkovMeasure
 from .systems import ShiftSpace, State, System, _require_shift_state
 
-__all__ = [
-    "EntropyEstimate",
-    "LevelSetQuery",
-    "SeparationResult",
-    "SpanningResult",
-    "max_separated",
-    "min_spanning",
-    "katok_count",
-    "katok_entropy",
-    "levelset_count",
-    "levelset_counts_at",
-    "InfeasibleCountError",
-]
+__all__ = ["EntropyEstimate", "LevelSetQuery", "SeparationResult",
+           "SpanningResult", "max_separated", "min_spanning", "katok_count",
+           "katok_entropy", "levelset_count", "levelset_counts_at",
+           "InfeasibleCountError"]
 
 TABLE_BUDGET = 2 ** 22  # entries of a walk-count table
 
@@ -99,12 +90,10 @@ def _bowen_classes(system: System, points: Sequence[State], n: int,
         raise ValueError("epsilon must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    L = 0
-    if epsilon <= 1:
-        M = 1
-        while 2.0 ** -M >= epsilon:
-            M += 1
-        L = n - 1 + M
+    M = 1
+    while 2.0 ** -M >= epsilon:
+        M += 1
+    L = n - 1 + M if epsilon <= 1 else 0
     firsts: dict[tuple[int, ...], State] = {}
     for x in points:
         _require_shift_state(system, x)
@@ -147,44 +136,46 @@ def _over_common_denominator(values):
     return {x: int(r * scale) for x, r in exact.items()}, scale
 
 
-def _walk_counts(L: int, start: dict, step: dict) -> dict[int, int]:
-    """{weight: count} of the L-words that start with an s-word keyed in
-    `start` and whose (s+1)-windows are all keyed in `step`; a word weighs
-    start[its first s symbols] plus step[w] per window w.  A state is one
-    int, weight * V + index of the last s symbols, so an extension adds a
-    delta fixed per edge (floor division and modulo split it for negative
-    weights too).  InfeasibleCountError past TABLE_BUDGET table entries."""
-    vertices = sorted({*start, *(w[:-1] for w in step), *(w[1:] for w in step)})
-    V, index = len(vertices), {u: i for i, u in enumerate(vertices)}
-    deltas: list[list[int]] = [[] for _ in vertices]
+def _walk_counts(Ls: list[int], start: dict, step: dict) -> list[dict]:
+    """{weight: count} per length L of the increasing Ls, of the L-words that
+    start with an s-word keyed in `start` and whose (s+1)-windows are all
+    keyed in `step`; a word weighs start[its first s symbols] plus step[w]
+    per window w.  One walk to max(Ls) extends a {weight: count} table per
+    vertex (the last s symbols) along each edge by the edge's weight;
+    InfeasibleCountError past TABLE_BUDGET entries over all tables."""
+    edges = defaultdict(list)
     for w, inc in step.items():
-        deltas[index[w[:-1]]].append(inc * V + index[w[1:]] - index[w[:-1]])
-    states = {weight * V + index[u]: 1 for u, weight in start.items()}
-    for _ in range(L - len(next(iter(start), ()))):
-        nxt: dict[int, int] = defaultdict(int)
-        for key, cnt in states.items():
-            for delta in deltas[key % V]:
-                nxt[key + delta] += cnt
-            if len(nxt) > TABLE_BUDGET:
-                raise InfeasibleCountError(
-                    f"more than {TABLE_BUDGET} table entries for {L}-words")
-        states = nxt
-    counts: dict[int, int] = defaultdict(int)
-    for key, cnt in states.items():
-        counts[key // V] += cnt
-    return counts
+        edges[w[:-1]].append((w[1:], inc))
+    s = len(next(iter(start), ()))
+    tables, snapshots = {u: {weight: 1} for u, weight in start.items()}, []
+    for length in range(s, Ls[-1] + 1):
+        if length > s:
+            nxt, size = {}, 0  # the size only grows: one check per edge
+            for u, table in tables.items():
+                for v, inc in edges[u]:
+                    row = nxt.setdefault(v, {})
+                    size -= len(row)
+                    for w, c in table.items():
+                        row[w + inc] = row.get(w + inc, 0) + c
+                    if (size := size + len(row)) > TABLE_BUDGET:
+                        raise InfeasibleCountError(
+                            f"more than {TABLE_BUDGET} table entries for "
+                            f"{Ls[-1]}-words")
+            tables = nxt
+        if length in Ls:
+            snapshots.append(sum(map(Counter, tables.values()), Counter()))
+    return snapshots
 
 
-def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, L: int):
-    """(mass, multiplicity) classes of all admissible L-cylinders, with the
-    masses as exact integers over the returned unit.
-
-    A cylinder's mass is pi[first] times P[a, b] per transition: it depends
-    only on the value pi[first] and on how many transitions carry each
-    distinct value of P.  So the walk count weights a transition carrying
-    the g-th value of P by L^g and the first symbol by the index of its pi
-    value one radix-L digit higher: each weight is one class (polynomially
-    many in L on every alphabet) whose digits give its mass."""
+def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, Ls: list):
+    """[(classes, unit)] per length L of the increasing Ls: the (mass,
+    multiplicity) classes of all admissible L-cylinders, masses as integers
+    over the unit.  A mass is pi[first] times P[a, b] per transition, fixed
+    by pi[first] and how many transitions carry each distinct value of P.
+    So one walk to R = max(Ls) weights a transition carrying the g-th value
+    by R^g and the first symbol by the index of its pi value one radix-R
+    digit higher: an L-word has at most L - 1 < R transitions per value, so
+    each weight is one class whose digits give its mass."""
     k = shift.alphabet_size
     if m.alphabet_size != k:
         raise ValueError("measure alphabet mismatch")
@@ -192,14 +183,40 @@ def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, L: int):
     edges = [(a, b) for a, b in shift.admissible_words(2) if P[a][b] > 0]
     values = sorted({P[a][b] for a, b in edges})
     pis = sorted({p for p in pi if p > 0})
-    top = L ** len(values)
-    classes = _walk_counts(
-        L, {(a,): pis.index(pi[a]) * top for a in range(k) if pi[a] > 0},
-        {(a, b): L ** values.index(P[a][b]) for a, b in edges})
+    R, top = Ls[-1], Ls[-1] ** len(values)
+    walks = _walk_counts(
+        Ls, {(a,): pis.index(pi[a]) * top for a in range(k) if pi[a] > 0},
+        {(a, b): R ** values.index(P[a][b]) for a, b in edges})
     num, scale = _over_common_denominator(values + pis)
-    return [(math.prod((num[v] ** (w // L ** g % L)
-                        for g, v in enumerate(values)), start=num[pis[w // top]]),
-             mult) for w, mult in classes.items()], scale ** L
+    return [([(math.prod((num[v] ** (w // R ** g % R)
+                          for g, v in enumerate(values)),
+                         start=num[pis[w // top]]), mult)
+              for w, mult in classes.items()], scale ** L)
+            for L, classes in zip(Ls, walks)]
+
+
+def _katok_counts(shift: ShiftSpace, m: MarkovMeasure, ns: Sequence[int],
+                  epsilon: float, delta: float) -> list[int]:
+    """katok_count at each n of the increasing ns, from one walk."""
+    if not (0 < delta < 1):
+        raise ValueError("delta must be in (0, 1)")
+    q = _epsilon_to_q(epsilon)
+    if not (ns[0] >= 0 and ns[0] + q >= 1):
+        raise ValueError(f"n must be >= 0 and n + q >= 1; got {ns[0]}, q={q}")
+    counts = []
+    for classes, unit in _cylinder_mass_classes(shift, m, [n + q for n in ns]):
+        # cum is an integer, so cum > target iff cum / unit > 1 - delta
+        target = math.floor((1 - Fraction(str(delta))) * unit)
+        total = cum = 0
+        for mass, cnt in sorted(classes, reverse=True):
+            if cum > target:
+                break
+            take = min((target - cum) // mass + 1, cnt)
+            total, cum = total + take, cum + take * mass
+        if cum <= target:
+            raise ArithmeticError("cylinder masses failed to reach 1 - delta")
+        counts.append(total)
+    return counts
 
 
 def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
@@ -211,35 +228,20 @@ def katok_count(shift: ShiftSpace, m: MarkovMeasure, n: int, epsilon: float,
     whose cumulative mass exceeds 1 - delta; in exact rational arithmetic on
     the decimals of pi, P and delta.
     """
-    if not (0 < delta < 1):
-        raise ValueError("delta must be in (0, 1)")
-    classes, unit = _cylinder_mass_classes(shift, m, n + _epsilon_to_q(epsilon))
-    # cum is an integer, so cum > target iff cum / unit > 1 - delta exactly
-    target = math.floor((1 - Fraction(str(delta))) * unit)
-    total = cum = 0
-    for mass, cnt in sorted(classes, reverse=True):
-        if cum > target:
-            break
-        take = min((target - cum) // mass + 1, cnt)
-        total += take
-        cum += take * mass
-    if cum <= target:
-        raise ArithmeticError("cylinder masses failed to reach 1 - delta")
-    return total
+    return _katok_counts(shift, m, [n], epsilon, delta)[0]
 
 
 def katok_entropy(shift: ShiftSpace, m: MarkovMeasure, epsilon: float,
                   delta: float, n_grid: Sequence[int]) -> EntropyEstimate:
-    """Rates (1/n) log katok_count over the grid; the value is the final rate
-    (no extrapolation of the liminf), the full sequence stays in diagnostics."""
+    """Rates (1/n) log katok_count over the grid, all from one walk; the value
+    is the final rate (no extrapolation of the liminf), all are diagnostics."""
     grid = list(n_grid)
-    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"n_grid must be nonempty, increasing and >= 1; "
-                         f"got {grid}")
-    diags = []
-    for n in grid:
-        cnt = katok_count(shift, m, n, epsilon, delta)
-        diags.append((n, cnt, math.log(cnt) / n))
+    if not (grid and all(type(n) is int for n in grid)
+            and grid == sorted(set(grid)) and grid[0] >= 1):
+        raise ValueError(f"n_grid must be nonempty, increasing and >= 1, "
+                         f"each an integer; got {grid}")
+    diags = [(n, cnt, math.log(cnt) / n) for n, cnt in
+             zip(grid, _katok_counts(shift, m, grid, epsilon, delta))]
     return EntropyEstimate(value=diags[-1][2], method="katok",
                            diagnostics=diags)
 
@@ -250,11 +252,13 @@ def _birkhoff_sums(shift: ShiftSpace, phi: LocallyConstantObservable,
     d-windows, by Birkhoff sum S / D, D the common decimal denominator of
     phi's values.  With s = max(d - 1, 1) the walk adds phi of each
     (s+1)-window's last d symbols, and of the first symbol when d = 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1; got {n!r}")
     table, d = phi.lookup(), phi.depth
     num, scale = _over_common_denominator(table.values())
     s = max(d - 1, 1)
-    sums = _walk_counts(
-        n + d - 1,
+    [sums] = _walk_counts(
+        [n + d - 1],
         {w: num[table[w]] if d == 1 else 0 for w in shift.admissible_words(s)},
         {w: num[table[w[-d:]]] for w in shift.admissible_words(s + 1)})
     return sums, scale
@@ -262,9 +266,8 @@ def _birkhoff_sums(shift: ShiftSpace, phi: LocallyConstantObservable,
 
 def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
     """(1/n) log of the number of admissible n-words whose Birkhoff average of
-    the observable lies in the window; empty level sets come back tagged.
-    The sums are integers over one denominator, so the window test is
-    exact."""
+    the observable lies in the window, tested exactly on integer sums over
+    one denominator; empty level sets come back tagged."""
     n = query.n
     sums, scale = _birkhoff_sums(shift, query.observable, n)
     lo, hi = (Fraction(str(x)) * n * scale for x in (query.lo, query.hi))
@@ -283,12 +286,9 @@ def levelset_counts_at(shift: ShiftSpace, phi: LocallyConstantObservable,
     (2S + 1) / 2nD) of `levelset_count`, which isolates one attainable
     average.  An average no word attains comes back tagged empty."""
     sums, scale = _birkhoff_sums(shift, phi, n)
-    estimates = []
-    for alpha in alphas:
-        S = round(alpha * n * scale)
-        estimates.append(_levelset_rate(
-            n, sums.get(S, 0), [("nearest_average", S / (n * scale))]))
-    return estimates
+    return [_levelset_rate(n, sums.get(S, 0),
+                           [("nearest_average", S / (n * scale))])
+            for S in (round(alpha * n * scale) for alpha in alphas)]
 
 
 def _levelset_rate(n: int, count: int, extra=()) -> EntropyEstimate:

@@ -148,8 +148,8 @@ class TentMap:
 
     domain = (0.0, 2.0)
 
-    def value(self, x):  # elementwise; the kink goes left, values coincide
-        return np.where(x <= 1.0, self.slope * x, self.slope * (2.0 - x))
+    def value(self, x):  # elementwise; 2 - x >= x exactly where x <= 1
+        return self.slope * np.minimum(x, 2.0 - x)
 
     def pieces(self):
         """Linear pieces as (xlo, xhi, slope, intercept)."""

@@ -487,6 +487,18 @@ CONFIG_FAILURES = {
     "katok_n_negative": ("katok", {"system": FULL2, "q": 1, "n_grid": [-2],
                                    "measure": {"bernoulli": 0.5}},
                          "n_grid must be nonempty, increasing and >= 1"),
+    "katok_n_float": ("katok", {"system": FULL2, "q": 1, "n_grid": [8.7],
+                                "measure": {"bernoulli": 0.7}},
+                      "n_grid must be nonempty, increasing and >= 1, each an "
+                      "integer; got [8.7]"),
+    **{f"katok_q_{name}": ("katok", {"system": FULL2, "q": q, "n_grid": [8],
+                                     "measure": {"bernoulli": 0.7}},
+                           f"q must be an integer in [0, 1074]; got {q!r}")
+       # -1100 overflowed to exit 3, 2000 hit a math domain error, -1 read
+       # as a bad epsilon, and 1.5 and "1" were cut to 1 by int()
+       for name, q in (("overflow", -1100), ("underflow", 2000),
+                       ("negative", -1), ("float", 1.5), ("string", "1"),
+                       ("bool", True))},
     "shrink_tent": ("shrink", {"system": TENT, "nu": {"bernoulli": 0.8},
                                "delta_grid": [0.1]},
                     "shrink requires a shift system"),

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from orbitweave import entropy
 from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
-                                _cylinder_mass_classes, katok_count,
+                                _birkhoff_sums, _cylinder_mass_classes,
+                                _walk_counts, katok_count,
                                 katok_entropy, levelset_count,
                                 levelset_counts_at, max_separated,
                                 min_spanning)
@@ -270,7 +272,7 @@ def _enumerated_count(shift, m, L, delta):
 def test_mass_classes_match_edge_tuple_oracle(shift, m, top):
     k = shift.alphabet_size
     for L in sorted({1, 2, 3, top // 2, top}):
-        new, unit = _cylinder_mass_classes(shift, m, L)
+        new, unit = _cylinder_mass_classes(shift, m, [L])[0]
         old = _edge_tuple_mass_classes(shift, m, L)
         assert len(new) <= len(old)
         got = _mass_levels([(mass / unit, mult) for mass, mult in new])
@@ -304,7 +306,7 @@ def test_tied_transition_values_merge_classes():
     # how many of its steps stay put; the edge-tuple key keeps every sorted
     # transition multiset apart
     sh, L = full_shift(3), 8
-    new, _unit = _cylinder_mass_classes(sh, TIED, L)
+    new, _unit = _cylinder_mass_classes(sh, TIED, [L])[0]
     assert len(new) == L  # 0 to 7 steps that stay put, one pi value
     assert len(_edge_tuple_mass_classes(sh, TIED, L)) > 100
     for delta in (0.1, 0.3):
@@ -379,9 +381,11 @@ def test_katok_entropy_diagnostics():
     assert abs(est.value - math.log(2)) < 0.06
 
 
-@pytest.mark.parametrize("grid", [[0, 4], [-2], [], [8, 8]])
+@pytest.mark.parametrize("grid", [[0, 4], [-2], [], [8, 8], [4, 8.7], [8.0],
+                                  [True]])
 def test_katok_entropy_refuses_bad_grid(grid):
-    # n = 0 divided by zero and n = -2 gave the row (-2, 1, -0.0)
+    # n = 0 divided by zero and n = -2 gave the row (-2, 1, -0.0); an entry
+    # that is not an int is refused rather than cut
     with pytest.raises(ValueError, match="n_grid must be nonempty, increasing"):
         katok_entropy(full_shift(2), bernoulli(0.5), 0.5, 0.1, grid)
 
@@ -588,3 +592,166 @@ def test_levelset_golden_mean_counts_past_the_former_length_cap():
         est = levelset_count(gm, LevelSetQuery(phi, (j - 0.5) / n,
                                                (j + 0.5) / n, n))
         assert est.diagnostics[0][1] == math.comb(n + 1 - j, j)
+
+
+def _packed_walk_counts(L, start, step):
+    """The earlier walk, kept as the reference: one walk per length, each
+    state one int, weight * V + index of the last s symbols, so an extension
+    adds a delta fixed per edge and floor division and modulo split a key.
+    InfeasibleCountError past entropy.TABLE_BUDGET entries, checked after
+    each state's extensions."""
+    vertices = sorted({*start, *(w[:-1] for w in step), *(w[1:] for w in step)})
+    V, index = len(vertices), {u: i for i, u in enumerate(vertices)}
+    deltas = [[] for _ in vertices]
+    for w, inc in step.items():
+        deltas[index[w[:-1]]].append(inc * V + index[w[1:]] - index[w[:-1]])
+    states = {weight * V + index[u]: 1 for u, weight in start.items()}
+    for _ in range(L - len(next(iter(start), ()))):
+        nxt = defaultdict(int)
+        for key, cnt in states.items():
+            for delta in deltas[key % V]:
+                nxt[key + delta] += cnt
+            if len(nxt) > entropy.TABLE_BUDGET:
+                raise InfeasibleCountError(f"{L}-words")
+        states = nxt
+    counts = defaultdict(int)
+    for key, cnt in states.items():
+        counts[key // V] += cnt
+    return dict(counts)
+
+
+def _walk_tables(call):
+    """(start, step) of every walk that call() asks for; no walk is run."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_walk_counts", lambda Ls, start, step: (
+            seen.append((start, step)) or [{} for _ in Ls]))
+        call()
+    return seen
+
+
+BLOCKS = ShiftSpace(3, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))  # two closed classes
+KATOK_TABLE_CASES = [
+    (full_shift(2), bernoulli(0.7)),
+    (full_shift(3), _random_chain(3, 0)),
+    (full_shift(3), TIED),
+    (golden_mean_shift(), MarkovMeasure([[0.6, 0.4], [1.0, 0.0]],
+                                        shift=golden_mean_shift())),
+    (BLOCKS, MarkovMeasure([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]],
+                           [0.225, 0.375, 0.4], shift=BLOCKS)),
+]
+LEVELSET_TABLE_CASES = [
+    (sh, _table(d, sh.alphabet_size, values))
+    for sh in (full_shift(2), full_shift(3), golden_mean_shift(), BLOCKS)
+    for d, values in ((1, [0.0, -0.4, 0.7]), (2, DEPTH2_VALUES),
+                      (3, DEPTH3_VALUES))]
+
+
+def _katok_tables(shift, m, Ls):
+    [tables] = _walk_tables(lambda: _cylinder_mass_classes(shift, m, Ls))
+    return tables
+
+
+def _levelset_tables(shift, phi):
+    [tables] = _walk_tables(lambda: _birkhoff_sums(shift, phi, 1))
+    return tables
+
+
+@pytest.mark.parametrize("shift, m", KATOK_TABLE_CASES)
+def test_katok_walk_snapshots_match_one_walk_per_length(shift, m):
+    # the tables weigh by radix max(Ls); each snapshot must be the walk at
+    # its own length on those same tables
+    for Ls in ([1], [1, 2, 3], [2, 5, 9], [3, 4, 8, 12]):
+        start, step = _katok_tables(shift, m, Ls)
+        got = _walk_counts(Ls, start, step)
+        assert len(got) == len(Ls)
+        for L, counts in zip(Ls, got):
+            assert counts == _packed_walk_counts(L, start, step)
+
+
+@pytest.mark.parametrize("shift, phi", LEVELSET_TABLE_CASES)
+def test_levelset_walk_snapshots_match_one_walk_per_length(shift, phi):
+    # weights of both signs and zero; the first length is the start table
+    start, step = _levelset_tables(shift, phi)
+    s = max(phi.depth - 1, 1)
+    for Ls in ([s], [s, s + 1, s + 4], [s + 2, s + 9]):
+        got = _walk_counts(Ls, start, step)
+        assert len(got) == len(Ls)
+        for L, counts in zip(Ls, got):
+            assert counts == _packed_walk_counts(L, start, step)
+
+
+@pytest.mark.parametrize("shift, m, top", ORACLE_GRID)
+def test_katok_entropy_grid_matches_counts_per_n(shift, m, top):
+    k, rng = shift.alphabet_size, np.random.default_rng(top + 7 * len(m.pi))
+    for _ in range(3):
+        q, delta = int(rng.integers(0, 3)), float(rng.choice([0.1, 0.25]))
+        ns = np.arange(1, top - q + 1)
+        grid = sorted(rng.choice(ns, size=min(int(rng.integers(1, 5)),
+                                              len(ns)), replace=False).tolist())
+        est = katok_entropy(shift, m, 2.0 ** -q, delta, grid)
+        assert [row[0] for row in est.diagnostics] == grid
+        for n, count, rate in est.diagnostics:
+            assert count == katok_count(shift, m, n, 2.0 ** -q, delta)
+            assert rate == math.log(count) / n
+            if k ** (n + q) <= 5000:
+                assert count == _enumerated_count(shift, m, n + q, delta)
+
+
+def test_each_katok_call_walks_once(monkeypatch):
+    lengths, walk = [], entropy._walk_counts
+    monkeypatch.setattr(entropy, "_walk_counts", lambda Ls, start, step: (
+        lengths.append(list(Ls)) or walk(Ls, start, step)))
+    m = bernoulli([0.5, 0.3, 0.2])
+    katok_entropy(full_shift(3), m, 0.5, 0.1, [8, 10, 12])
+    assert lengths == [[9, 11, 13]]
+    katok_count(full_shift(3), m, 7, 0.25, 0.1)
+    assert lengths == [[9, 11, 13], [9]]
+
+
+def _raises_past_budget(call):
+    try:
+        call()
+    except InfeasibleCountError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("budget", [12, 40, 150])
+def test_walk_budget_refuses_what_the_packed_walk_refuses(monkeypatch,
+                                                          budget):
+    monkeypatch.setattr(entropy, "TABLE_BUDGET", budget)
+    seen = set()
+    for L in range(1, 15):
+        cases = [_katok_tables(shift, m, [L]) for shift, m in KATOK_TABLE_CASES]
+        cases += [_levelset_tables(shift, phi)
+                  for shift, phi in LEVELSET_TABLE_CASES
+                  if L >= max(phi.depth - 1, 1)]
+        for start, step in cases:
+            want = _raises_past_budget(
+                lambda: _packed_walk_counts(L, start, step))
+            for Ls in ([L], sorted({1, (L + 1) // 2, L})):
+                if Ls[0] >= len(next(iter(start))):
+                    assert _raises_past_budget(
+                        lambda: _walk_counts(Ls, start, step)) == want
+            seen.add(want)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("n, epsilon", [(-1, 0.5), (0, 1.0), (-1, 1.0),
+                                        (-3, 0.125)])
+def test_katok_count_refuses_n_outside_its_domain(n, epsilon):
+    # n = -1 at q = 1 and n = 0 at q = 0 divided by zero (radix 0)
+    with pytest.raises(ValueError, match=r"n must be >= 0 and n \+ q >= 1"):
+        katok_count(full_shift(2), bernoulli(0.7), n, epsilon, 0.1)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, True])
+def test_levelset_counts_refuse_n_below_one(n):
+    # 0 and -3 came back tagged empty from levelset_count, and 0 divided by
+    # zero in levelset_counts_at
+    phi = frequency_observable(1)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        levelset_count(full_shift(2), LevelSetQuery(phi, 0.4, 0.6, n))
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        levelset_counts_at(full_shift(2), phi, [0.5], n)

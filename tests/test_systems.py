@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,22 @@ def test_tent_map_values():
         TentMap(1.0)
     with pytest.raises(ValueError):
         TentMap(2.5)
+
+
+@pytest.mark.parametrize("slope", [2.0, 1.9, 1.7, 1.5, 1.2, 1.0 + 2.0 ** -40])
+def test_tent_value_matches_the_branch_form(slope):
+    # s * min(x, 2 - x) against the two-branch form: 2 - x is exact on
+    # [1, 2] and rounds to at least 1 below 1, so it is never below x there
+    ends = np.array([0.0, 1.0, 2.0])
+    x = np.concatenate([
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+        np.random.default_rng(5).uniform(-0.5, 2.5, 10_000),
+        np.random.default_rng(6).uniform(0.0, 2.0, 10_000),
+        [-0.0, np.inf, -np.inf, np.nan]])
+    branches = np.where(x <= 1.0, slope * x, slope * (2.0 - x))
+    got = TentMap(slope).value(x)
+    assert np.array_equal(got, branches, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(branches))
 
 
 def test_tent_pieces_cover_domain():
