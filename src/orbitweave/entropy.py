@@ -201,8 +201,9 @@ def _katok_counts(shift: ShiftSpace, m: MarkovMeasure, ns: Sequence[int],
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
     q = _epsilon_to_q(epsilon)
-    if not (ns[0] >= 0 and ns[0] + q >= 1):
-        raise ValueError(f"n must be >= 0 and n + q >= 1; got {ns[0]}, q={q}")
+    if not (type(ns[0]) is int and ns[0] >= 0 and ns[0] + q >= 1):
+        raise ValueError(f"n must be >= 0 and n + q >= 1 with n an integer; "
+                         f"got {ns[0]!r}, q={q}")
     counts = []
     for classes, unit in _cylinder_mass_classes(shift, m, [n + q for n in ns]):
         # cum is an integer, so cum > target iff cum / unit > 1 - delta

@@ -73,16 +73,18 @@ class MarkovMeasure:
         P = np.asarray(stochastic, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("stochastic matrix must be square")
-        if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
+        # each check is written so that a NaN fails it
+        if not (np.all(P >= 0) and np.all(np.abs(P.sum(axis=1) - 1) <= 1e-12)):
             raise ValueError("rows must be nonnegative and sum to 1 within 1e-12")
         self.P = P
         if stationary is None:
             stationary = _stationary_vector(P)
         pi = np.asarray(stationary, dtype=float)
-        if np.any(np.abs(pi @ P - pi) > 1e-10):
+        if not np.all(np.abs(pi @ P - pi) <= 1e-10):
             raise ValueError("stationary vector is not fixed by the matrix")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("stationary vector must sum to 1")
+        if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-12):
+            raise ValueError("stationary vector must be nonnegative and sum "
+                             "to 1")
         self.pi = pi
         if shift is not None:
             if P.shape[0] != shift.alphabet_size:
@@ -144,9 +146,9 @@ class MixtureMeasure:
 
     def __post_init__(self):
         total = sum(float(a) for a, _ in self.components)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a NaN weight fails here
             raise ValueError("mixture weights must sum to 1")
-        if any(float(a) <= 0 for a, _ in self.components):
+        if not all(float(a) > 0 for a, _ in self.components):
             raise ValueError("mixture weights must be positive")
 
     def cylinder_mass(self, w) -> float:

@@ -70,8 +70,8 @@ class PseudoOrbit:
     def __post_init__(self):
         if len(self.states) < 2:
             raise ValueError("pseudo-orbit needs at least 2 states")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not self.delta >= 0:  # NaN fails too
+            raise ValueError(f"delta must be nonnegative; got {self.delta!r}")
 
 
 @dataclass

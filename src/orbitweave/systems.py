@@ -117,18 +117,15 @@ class ShiftSpace:
         return strongly_connected(np.array(self.transition, dtype=bool))
 
     def admissible(self, x: Word, depth: int | None = None) -> bool:
-        """Check transition legality up to `depth` (full exactness if None)."""
+        """Check symbols 0..depth and the transitions between them (full
+        exactness if None)."""
         if depth is None:
             depth = len(x.head) + 2 * len(x.cycle)
-        for i in range(depth):
-            a, b = x.symbol(i), x.symbol(i + 1)
-            if not (0 <= a < self.alphabet_size) or not self.allowed(a, b):
-                return False
-        return True
+        return self.word_admissible(x.prefix(depth + 1))
 
     def word_admissible(self, w) -> bool:
-        return all(self.allowed(a, b) for a, b in zip(w, w[1:])) and all(
-            0 <= a < self.alphabet_size for a in w)
+        return all(0 <= a < self.alphabet_size for a in w) and all(
+            self.allowed(a, b) for a, b in zip(w, w[1:]))
 
     def admissible_words(self, length: int) -> list[tuple[int, ...]]:
         """Admissible words of the given length, in lexicographic order."""
@@ -173,7 +170,7 @@ class EndpointFixedMap:
             raise ValueError("need matching breakpoint/value knot lists, length >= 2")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(b >= c for b, c in zip(bp, bp[1:])):
+        if not all(b < c for b, c in zip(bp, bp[1:])):  # NaN fails too
             raise ValueError("breakpoints must be strictly increasing")
         if any(not (0.0 <= v <= 1.0) for v in vals):
             raise ValueError("values must lie in [0,1]")

@@ -91,55 +91,41 @@ def _positive(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _perron_vectors(M: np.ndarray, shifted: np.ndarray):
+def _perron_vectors(M: np.ndarray, mu: np.ndarray):
     """(v, root): positive Perron vectors of the irreducible stack M (K x m x
-    m) by inverse iteration from ones, each with the shift shifted = mu I
-    just above its root, where (mu I - M)^-1 is a positive matrix.  An item
-    is certified, and frozen, at its first iterate whose Collatz-Wielandt
+    m) by inverse iteration from ones, item k with the shift mu[k] just above
+    its root, where (mu I - M)^-1 is a positive matrix.  An item is
+    certified, and frozen, at its first iterate whose Collatz-Wielandt
     bounds min and max of (M v) / v, which bracket the root, pinch to
     POWER_TOL relative spread.  A positive iterate moves its item to D^-1 M
     D, D = diag(v), whose Perron vector is near ones: where v spans many
     decades, the ratios at its tiny entries keep their precision only there.
-    Every step acts on each item alone, so stacking changes no bit; masks
-    come in only where items part ways.  Where the vector spans past the
-    float range, an entry of its scale underflows to 0, and the item raises
-    _Underflow instead of coming back with that 0."""
-    A, live = shifted - M, None  # live: the items not frozen, once some are
+    Every step acts on each item alone, and an item whose iterate is not
+    positive skips that step's certificate and move (u = 1), so stacking
+    changes no bit.  Where the vector spans past the float range, an entry
+    of its scale underflows to 0, and the item raises _Underflow instead of
+    coming back with that 0."""
+    shifted = mu[:, None, None] * np.eye(M.shape[1])  # mu I
+    live = np.ones(len(M), dtype=bool)  # the items not frozen yet
+    vec, root = np.empty(M.shape[:2]), np.empty(len(M))
     scale = v = np.ones(M.shape[:2])
     for _ in range(50):  # each step damps the rest of the spectrum ~1e10-fold
-        v = np.linalg.solve(A, v[..., None])[..., 0]
+        v = np.linalg.solve(shifted - M, v[..., None])[..., 0]
         v = v / v.sum(axis=1, keepdims=True)
-        if v.min() > 0:
-            pos, u = True, v
-        else:
-            pos = v.min(axis=1) > 0
-            u = np.where(pos[:, None], v, 1.0)
+        pos = v.min(axis=1) > 0
+        u = np.where(pos[:, None], v, 1.0)
         ratios = np.sort((M @ u[..., None])[..., 0] / u, axis=1)
         lo, hi = ratios[:, 0], ratios[:, -1]
-        done = pos & (hi - lo <= POWER_TOL * hi)
-        if live is None:
-            if done.all():
-                return _positive(scale * v), 0.5 * (lo + hi)
-            if done.any():
-                vec, root, live = scale * v, 0.5 * (lo + hi), ~done
-        else:
-            fresh = live & done
-            vec[fresh] = (scale * v)[fresh]
-            root[fresh] = (0.5 * (lo + hi))[fresh]
-            live &= ~done
-            if not live.any():
-                return _positive(vec), root
-        # frozen items move too: their later iterates are never read
-        if pos is True:
-            scale, M = scale * v, M * v[:, None, :] / v[:, :, None]
-            v = np.ones_like(v)
-        else:
-            scale = np.where(pos[:, None], scale * u, scale)
-            M = np.where(pos[:, None, None], M * u[:, None, :] / u[:, :, None],
-                         M)
-            v = np.where(pos[:, None], 1.0, v)
-        A = shifted - M
-    stuck = ~scale.all(axis=1) & (True if live is None else live)
+        # a live item's pair is overwritten until the step that freezes it
+        np.copyto(vec, scale * v, where=live[:, None])
+        np.copyto(root, 0.5 * (lo + hi), where=live)
+        live &= ~(pos & (hi - lo <= POWER_TOL * hi))
+        if not live.any():
+            return _positive(vec), root
+        # frozen items move too: their later iterates are never read; v / u
+        # is exactly ones where the item moved
+        scale, M, v = scale * u, M * u[:, None, :] / u[:, :, None], v / u
+    stuck = ~scale.all(axis=1) & live
     if stuck.any():
         raise _Underflow(int(stuck.argmax()))
     raise ArithmeticError("Perron vector failed its Collatz-Wielandt bound")
@@ -191,12 +177,10 @@ def _gibbs(shift: ShiftSpace, depth: int, F: np.ndarray,
     M = np.zeros((B, m * m))
     M[:, cells] = np.exp(x)
     M = M.reshape(B, m, m)
-    eye = np.eye(m)
-    shifted = np.linalg.eigvals(M).real.max(axis=1)[:, None, None] * (
-        1.0 + 1e-10) * eye
+    mu = np.linalg.eigvals(M).real.max(axis=1) * (1.0 + 1e-10)
     try:
         vec, root = _perron_vectors(np.concatenate((M, M.transpose(0, 2, 1))),
-                                    np.concatenate((shifted, shifted)))
+                                    np.concatenate((mu, mu)))
     except _Underflow as exc:  # a right or left vector of item args[0] mod B
         raise _range_error(c[exc.args[0] % B]) from None
     r, l, lam = vec[:B], vec[B:], root[:B]
@@ -210,7 +194,7 @@ def _gibbs(shift: ShiftSpace, depth: int, F: np.ndarray,
     C = F - mean[:, None, :]
     h = np.zeros((m, B, F.shape[1]))
     np.add.at(h, src, (step[:, :, None] * C).transpose(1, 0, 2))
-    g = np.linalg.solve(eye - Q + pi[:, None, :], h.transpose(1, 0, 2))
+    g = np.linalg.solve(np.eye(m) - Q + pi[:, None, :], h.transpose(1, 0, 2))
     Z = C + g.take(dst, axis=1) - g.take(src, axis=1)
     P = np.array([math.log(x) for x in lam.tolist()]) + top
     return Gibbs(P, Q, pi, mean, Z.transpose(0, 2, 1) @ (mass[:, :, None] * Z))

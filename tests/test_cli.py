@@ -454,6 +454,7 @@ def test_analysis_artifacts_byte_identical(tmp_path, name):
 
 
 TENT = {"kind": "tent", "s": 2.0}
+NAN_PI = {"P": [[0.5, 0.5], [0.5, 0.5]], "pi": [math.nan, math.nan]}
 # name -> (command, config (None: no file; str: the file's text), message):
 # every config or precondition failure takes the one EXIT_CODES channel
 CONFIG_FAILURES = {
@@ -505,6 +506,36 @@ CONFIG_FAILURES = {
     "shrink_mixture": ("shrink", {"system": FULL2, "nu": MIXTURE,
                                   "delta_grid": [0.1]},
                        "shrink requires a Markov measure nu"),
+    # NaN masses failed no check: shrink exited 0 with h_nu=nan, katok 5 and
+    # weave 4, and NaN rows made LAPACK print to the console before exit 2
+    **{f"{command}_nan_pi": (command, {"system": FULL2, key: NAN_PI, **extra},
+                             "stationary vector is not fixed by the matrix")
+       for command, key, extra in (
+           ("shrink", "nu", {"delta_grid": [0.1]}),
+           ("katok", "measure", {"q": 1, "n_grid": [8]}),
+           ("weave", "target", {}))},
+    "shrink_nan_P": ("shrink", {"system": FULL2, "delta_grid": [0.1],
+                                "nu": {"P": [[math.nan, math.nan],
+                                             [0.5, 0.5]]}},
+                     "rows must be nonnegative and sum to 1"),
+    **{f"{command}_negative_pi": (
+        command, {"system": FULL2, key: {"P": [[1, 0], [0, 1]],
+                                         "pi": [1.5, -0.5]}, **extra},
+        "stationary vector must be nonnegative and sum to 1")
+       for command, key, extra in (
+           ("shrink", "nu", {"delta_grid": [0.1]}),
+           ("katok", "measure", {"q": 1, "n_grid": [8]}))},
+    "weave_mixture_nan": ("weave", {"system": FULL2, "target": {"mixture": [
+        [math.nan, {"bernoulli": 0.3}], [0.5, {"bernoulli": 0.7}]]}},
+                          "mixture weights must sum to 1"),
+    "plmap_nan": ("shadow", {"system": {"kind": "plmap",
+                                        "breakpoints": [0, math.nan, 1],
+                                        "values": [0, 0.9, 1]},
+                             "mode": "modulus", "trials": 10, "length": 50},
+                  "breakpoints must be strictly increasing"),
+    "tent_delta_nan": ("shadow", {"system": TENT, "mode": "single",
+                                  "delta": math.nan, "length": 50},
+                       "delta must be nonnegative; got nan"),
     "missing_file": ("katok", None, "No such file or directory"),
     "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
 }

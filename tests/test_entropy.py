@@ -739,9 +739,11 @@ def test_walk_budget_refuses_what_the_packed_walk_refuses(monkeypatch,
 
 
 @pytest.mark.parametrize("n, epsilon", [(-1, 0.5), (0, 1.0), (-1, 1.0),
-                                        (-3, 0.125)])
+                                        (-3, 0.125), (2.5, 0.5), (2.0, 0.5),
+                                        (True, 0.5)])
 def test_katok_count_refuses_n_outside_its_domain(n, epsilon):
-    # n = -1 at q = 1 and n = 0 at q = 0 divided by zero (radix 0)
+    # n = -1 at q = 1 and n = 0 at q = 0 divided by zero (radix 0); n = 2.5
+    # raised TypeError from the walk's range, and True counted as 1
     with pytest.raises(ValueError, match=r"n must be >= 0 and n \+ q >= 1"):
         katok_count(full_shift(2), bernoulli(0.7), n, epsilon, 0.1)
 

@@ -232,3 +232,27 @@ def test_weights_validated():
         AtomicMeasure(((Word.periodic((0,)), 0.5),))
     with pytest.raises(ValueError):
         MixtureMeasure(((0.5, bernoulli(0.2)),))
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.nan),
+                                     (1.5, -0.5)])
+def test_mixture_refuses_nan_and_negative_weights(weights):
+    # a NaN weight failed no comparison, so the mixture was accepted
+    with pytest.raises(ValueError, match="mixture weights must"):
+        MixtureMeasure(tuple(zip(weights, (bernoulli(0.3), bernoulli(0.7)))))
+
+
+@pytest.mark.parametrize("P, pi, message", [
+    ([[0.5, 0.5], [0.5, 0.5]], [math.nan, math.nan], "not fixed"),
+    ([[0.5, 0.5], [0.5, 0.5]], [0.5, math.nan], "not fixed"),
+    ([[math.nan, math.nan], [0.5, 0.5]], None, "rows must be"),
+    ([[math.nan, 1.0], [0.5, 0.5]], [0.5, 0.5], "rows must be"),
+    ([[math.inf, 0.0], [0.5, 0.5]], [0.5, 0.5], "rows must be"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.5, -0.5], "nonnegative and sum to 1"),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.4], "nonnegative and sum to 1"),
+])
+def test_markov_measure_refuses_nan_and_negative_mass(P, pi, message):
+    # NaN entries failed no comparison and were accepted, and pi = (1.5,
+    # -0.5) gave the cylinder [1] a negative mass
+    with pytest.raises(ValueError, match=message):
+        MarkovMeasure(P, pi)

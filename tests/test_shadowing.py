@@ -115,6 +115,15 @@ def test_shadow_interval_reports_failure():
     assert shadow_interval(f, po, 0.2500001).point == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("delta", [math.nan, -0.5])
+def test_pseudo_orbit_refuses_nan_and_negative_delta(delta):
+    # a NaN delta passed `delta < 0`, so the tent ran its unperturbed orbit
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        PseudoOrbit((0.1, 0.2), delta)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        perturbed_orbit(TentMap(2.0), 0.37, 10, delta, seed=0)
+
+
 def test_shadow_interval_long_expanding_orbit():
     # precision check: expansion 2^100 must not empty the tracked set
     f = TentMap(2.0)

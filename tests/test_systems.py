@@ -94,6 +94,43 @@ def test_golden_mean_admissibility():
     assert gm.is_irreducible()
 
 
+def _loop_admissible(shift, x, depth=None):
+    """Reference: the transition loop `admissible` ran before, which range
+    checks the symbols before `depth` and only indexes symbol `depth`."""
+    if depth is None:
+        depth = len(x.head) + 2 * len(x.cycle)
+    for i in range(depth):
+        a, b = x.symbol(i), x.symbol(i + 1)
+        if not (0 <= a < shift.alphabet_size) or not shift.allowed(a, b):
+            return False
+    return True
+
+
+def test_admissible_checks_the_symbol_at_depth():
+    # symbol 1 was only an index into the table: 5 raised IndexError and -1
+    # read the row's last entry
+    sh = full_shift(2)
+    assert not sh.admissible(Word((0, 5), (0,)), depth=1)
+    assert not sh.admissible(Word((0, -1), (0,)), depth=1)
+    assert sh.admissible(Word((0, 1), (7,)), depth=1)  # 7 lies past depth
+    assert not sh.admissible(Word((0, 1), (7,)))
+
+
+SHIFTS = [full_shift(2), golden_mean_shift(), full_shift(3),
+          ShiftSpace(3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_admissible_matches_the_loop_on_alphabet_words(data):
+    shift = data.draw(st.sampled_from(SHIFTS))
+    symbols = st.integers(0, shift.alphabet_size - 1)
+    x = Word(tuple(data.draw(st.lists(symbols, max_size=6))),
+             tuple(data.draw(st.lists(symbols, min_size=1, max_size=4))))
+    depth = data.draw(st.none() | st.integers(0, 12))
+    assert shift.admissible(x, depth) == _loop_admissible(shift, x, depth)
+
+
 def test_reducible_matrix_detected():
     sh = ShiftSpace(2, ((1, 1), (0, 1)))
     assert not sh.is_irreducible()
@@ -148,6 +185,14 @@ def test_endpoint_fixed_map_rejects_interior_fixed_point():
     with pytest.raises(InteriorFixedPointError):
         # segment crossing the diagonal strictly inside
         EndpointFixedMap((0.0, 1.0), (0.9, 0.1))
+
+
+@pytest.mark.parametrize("bp", [(0.0, math.nan, 1.0), (0.0, 0.5, 0.5, 1.0),
+                                (0.0, 0.6, 0.4, 1.0)])
+def test_endpoint_fixed_map_refuses_unordered_breakpoints(bp):
+    # a NaN breakpoint failed every comparison and passed the order check
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EndpointFixedMap(bp, (0.0,) + (0.9,) * (len(bp) - 2) + (1.0,))
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
