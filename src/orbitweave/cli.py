@@ -12,8 +12,9 @@ exists); 5 internal invariant violation or any other unexpected error.  Each
 config or precondition failure prints one stderr line starting
 `config/precondition error: `; an argparse usage error keeps argparse's own
 message.  `count_n`, when given, is an integer >= 1, every `n_grid` entry
-an integer >= 1 and `q` an integer in [0, 1074].  No failure prints a
-traceback.
+an integer >= 1, `q` an integer in [0, 1074], a weave's `bound` finite and
+>= 0, and a shadow's `epsilon` finite and > 0 and `delta` finite and >= 0.
+No failure prints a traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -144,6 +146,9 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
     system = system_from_json(config["system"])
     if not isinstance(system, ShiftSpace):
         raise ValueError("weave requires a shift system")
+    bound = float(config.get("bound", 0.05))
+    if not 0 <= bound < math.inf:  # NaN fails too
+        raise ValueError(f"bound must be finite and >= 0; got {bound!r}")
     family = _family(config, system.alphabet_size)
     target = measure_from_json(config["target"], shift=system)
     # the keys the config names, cast; run_weave's defaults fill the rest
@@ -167,7 +172,6 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
         print(f"schedule truncated to level {schedule.truncation_level}",
               file=sys.stderr)
         return EXIT_TRUNCATION
-    bound = float(config.get("bound", 0.05))
     return EXIT_OK if outcome.final_distance <= bound else EXIT_MISS
 
 
@@ -178,6 +182,8 @@ def cmd_shadow(config: dict, seed: int, out: str) -> int:
         raise ValueError(
             f"shadow mode must be single or modulus, got {mode!r}")
     epsilon = float(config.get("epsilon", 1e-3))
+    if not 0 < epsilon < math.inf:  # read in every mode; NaN fails too
+        raise ValueError(f"epsilon must be finite and > 0; got {epsilon!r}")
     length = int(config.get("length", 100))
     if mode == "modulus":
         trials = int(config.get("trials", 100))

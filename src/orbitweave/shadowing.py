@@ -152,6 +152,9 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
     A batch of one of the kernels that `shadowing_modulus` runs."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not 0 <= delta < math.inf:  # NaN fails too
+        raise ValueError(
+            f"delta must be nonnegative and finite; got {delta!r}")
     apply_map(system, x0)  # rejects a start of the wrong kind or domain
     if isinstance(system, ShiftSpace) and delta == 0:
         return PseudoOrbit(tuple(orbit(system, x0, n)), 0.0)

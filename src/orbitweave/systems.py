@@ -228,20 +228,13 @@ def _require_shift_state(system, x):
             raise KindMismatchError("interval system requires float states")
 
 
-def _in_domain(system, x) -> bool:
-    if isinstance(system, ShiftSpace):
-        depth = len(x.head) + len(x.cycle)
-        return all(0 <= x.symbol(i) < system.alphabet_size for i in range(depth))
-    lo, hi = system.domain
-    return lo <= x <= hi
-
-
 def apply_map(system: System, x: State) -> State:
     """One step of the dynamics: left shift, or the interval map."""
     _require_shift_state(system, x)
     if isinstance(system, ShiftSpace):
         return x.shift()
-    if not _in_domain(system, x):
+    lo, hi = system.domain
+    if not lo <= x <= hi:
         raise ValueError(f"point {x} outside domain {system.domain}")
     return float(system.value(float(x)))
 

@@ -181,7 +181,6 @@ def connector(shift: ShiftSpace, from_cell: int, to_cell: int):
 class Layout(NamedTuple):
     """Where the woven point's segments start (symbols from 0)."""
 
-    offsets: dict  # (k, j) -> the family's offset in a cycle of level k
     keys: list[tuple]  # the (k, j, i, t) slots in the construction's order
     slots: dict  # (k, j) -> (indices into keys, starts), both (T_k, reps)
     bridges: dict  # (from cell, to cell) -> (s, connector starts)
@@ -219,22 +218,12 @@ class WeaveSchedule:
         to = self.cells[(k2 - 1) % self.k_max][j2 - 1]
         return len(self.connectors[(self.cells[k1 - 1][j1 - 1], to)])
 
-    # ---- offsets; indices are 1-based like the construction ----
-    def M(self, q: int) -> int:
+    def M(self, q: int) -> int:  # level q's start; 1-based like the paper
         return self.offsets_M[q - 1]
-
-    def M_i(self, q: int, i: int) -> int:
-        return self.M(q) + (i - 1) * self.Y[q - 1]
-
-    def M_ij(self, q: int, i: int, j: int) -> int:
-        return self.M_i(q, i) + self.layout.offsets[(q, j)]
-
-    def M_ijt(self, q: int, i: int, j: int, t: int) -> int:
-        return self.M_ij(q, i, j) + (t - 1) * self.block_lengths[q - 1][j - 1]
 
     @functools.cached_property
     def layout(self) -> Layout:
-        offsets, keys, slots, bridges, pos = {}, [], {}, {}, 0
+        keys, slots, bridges, pos = [], {}, {}, 0
 
         def bridge(a, b, s, starts):  # files a connector, returns its length
             bridges.setdefault((a, b), (s, []))[1].append(starts)
@@ -249,7 +238,6 @@ class WeaveSchedule:
                      for j, r in enumerate(reps, 1) for t in range(1, r + 1)]
             at = 0
             for j, (n, r) in enumerate(zip(ns, reps), start=1):
-                offsets[(k, j)] = at
                 slots[(k, j)] = (firsts[:, None] + np.arange(r),
                                  cycles[:, None] + at + n * np.arange(r))
                 firsts, at = firsts + r, at + r * n
@@ -261,7 +249,7 @@ class WeaveSchedule:
             if at != self.Y[k - 1] or pos != self.offsets_M[k]:
                 raise AssertionError(f"level {k} ends at {pos}, scheduled "
                                      f"{self.offsets_M[k]}")
-        return Layout(offsets, keys, slots,
+        return Layout(keys, slots,
                       {pair: (s, np.concatenate(starts))
                        for pair, (s, starts) in bridges.items()})
 
@@ -535,7 +523,7 @@ def separation_audit(shift: ShiftSpace, schedule: WeaveSchedule,
     if len(diff) != 1:
         raise ValueError(f"outcomes differ in {len(diff)} slots, need exactly 1")
     (m, j, i, t) = schedule.layout.keys[diff[0]]
-    off = schedule.M_ijt(m, i, j, t)
+    off = int(schedule.layout.slots[(m, j)][1][i - 1, t - 1])  # M_{m,i,j,t}
     n_mj = schedule.block_lengths[m - 1][j - 1]
     if off + n_mj > outcome_a.total_length:
         raise ValueError("slot offset out of range")

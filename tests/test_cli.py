@@ -533,9 +533,22 @@ CONFIG_FAILURES = {
                                         "values": [0, 0.9, 1]},
                              "mode": "modulus", "trials": 10, "length": 50},
                   "breakpoints must be strictly increasing"),
-    "tent_delta_nan": ("shadow", {"system": TENT, "mode": "single",
-                                  "delta": math.nan, "length": 50},
-                       "delta must be nonnegative; got nan"),
+    # checked before any kernel runs: an infinite delta wrote
+    # "delta": Infinity to shadow.json on the tent (exit 0) and overflowed
+    # in the shift kernel (exit 3), and a NaN reached numpy on a shift
+    **{f"{name}_delta_{label}": ("shadow", {
+        "system": system, "mode": "single", "delta": delta, "length": 50},
+        f"delta must be nonnegative and finite; got {delta!r}")
+       for name, system in (("tent", TENT), ("shift", FULL2))
+       for label, delta in (("nan", math.nan), ("inf", math.inf))},
+    # single mode on a shift never read epsilon, so a NaN exited 0
+    "shift_epsilon_nan": ("shadow", {"system": FULL2, "mode": "single",
+                                     "epsilon": math.nan, "length": 50},
+                          "epsilon must be finite and > 0; got nan"),
+    # a NaN bound read as an honest miss: exit 1 with every artifact written
+    "weave_bound_nan": ("weave", {"system": FULL2, "target": {"bernoulli": 0.7},
+                                  "bound": math.nan},
+                        "bound must be finite and >= 0; got nan"),
     "missing_file": ("katok", None, "No such file or directory"),
     "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
 }

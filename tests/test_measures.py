@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitweave.measures import (AtomicMeasure, CylinderIndicator,
-                                 DecompositionError, MarkovMeasure,
+                                 DecompositionError,
+                                 LocallyConstantObservable, MarkovMeasure,
                                  MixtureMeasure, TestFunctionFamily,
                                  bernoulli, convex_decompose, empirical,
                                  frequency_observable, integrate,
@@ -191,6 +193,83 @@ def test_integrate_observable():
     assert integrate(bernoulli(0.3), phi) == pytest.approx(0.3)
     mix = MixtureMeasure(((0.5, bernoulli(0.2)), (0.5, bernoulli(0.8))))
     assert integrate(mix, phi) == pytest.approx(0.5)
+
+
+def _ladder_integrate(measure, phi) -> float:
+    """Reference: one branch per measure type, each atom matched symbol by
+    symbol and each Markov word enumerated."""
+    if isinstance(phi, CylinderIndicator):
+        if isinstance(measure, AtomicMeasure):
+            return sum(w for x, w in measure.atoms
+                       if all(x.symbol(i) == s for i, s in enumerate(phi.word)))
+        return measure.cylinder_mass(phi.word)
+    if isinstance(measure, AtomicMeasure):
+        out = 0.0
+        for x, w in measure.atoms:
+            if not isinstance(x, Word):
+                raise TypeError("locally constant observables need shift states")
+            out += w * phi.value(x.prefix(phi.depth))
+        return out
+    if isinstance(measure, MixtureMeasure):
+        return sum(float(a) * _ladder_integrate(m, phi)
+                   for a, m in measure.components)
+    out = 0.0
+    for w in itertools.product(range(measure.alphabet_size), repeat=phi.depth):
+        m = measure.cylinder_mass(w)
+        if m > 0:
+            out += m * phi.value(w)
+    return out
+
+
+def _random_chain(rng, k):
+    P = rng.random((k, k)) * (rng.random((k, k)) < 0.7)
+    P[np.arange(k), rng.integers(k, size=k)] += 0.1  # no empty row
+    return MarkovMeasure(P / P.sum(axis=1, keepdims=True))
+
+
+def _random_measures(rng, k):
+    atoms = [(Word(tuple(rng.integers(k, size=rng.integers(0, 4)).tolist()),
+                   tuple(rng.integers(k, size=rng.integers(1, 4)).tolist())),
+              float(rng.integers(1, 6))) for _ in range(rng.integers(1, 6))]
+    total = sum(w for _, w in atoms)
+    mix = rng.random(3) + 0.1
+    return [AtomicMeasure(tuple((x, w / total) for x, w in atoms)),
+            _random_chain(rng, k),
+            MixtureMeasure(tuple((float(a), _random_chain(rng, k))
+                                 for a in mix / mix.sum()))]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_integrate_matches_the_type_ladder(k):
+    rng = make_rng(40 + k)
+    for _ in range(60):
+        depth = int(rng.integers(1, 4))
+        phi = LocallyConstantObservable(depth, tuple(
+            (w, float(rng.normal()))
+            for w in itertools.product(range(k), repeat=depth)))
+        cyl = CylinderIndicator(tuple(
+            rng.integers(k, size=rng.integers(1, 5)).tolist()))
+        for measure in _random_measures(rng, k):
+            for f in (phi, cyl):
+                assert abs(integrate(measure, f)
+                           - _ladder_integrate(measure, f)) <= 1e-12
+
+
+def test_integrate_needs_shift_states_and_a_full_table():
+    interval = AtomicMeasure(((0.25, 0.5), (0.75, 0.5)))
+    for f in (CylinderIndicator((0,)), frequency_observable(1)):
+        with pytest.raises(TypeError, match="need shift states"):
+            integrate(interval, f)
+    # a table missing a word of positive mass is refused ...
+    partial = LocallyConstantObservable(2, (((0, 0), 1.0), ((0, 1), 2.0),
+                                            ((1, 0), 3.0)))
+    for measure in (bernoulli(0.3), AtomicMeasure.dirac(Word.periodic((1,)))):
+        with pytest.raises(KeyError, match="carries mass"):
+            integrate(measure, partial)
+    # ... but on the golden mean the missing word 11 carries none
+    golden = MarkovMeasure([[0.6, 0.4], [1.0, 0.0]])
+    assert abs(integrate(golden, partial)
+               - _ladder_integrate(golden, partial)) <= 1e-12
 
 
 def test_convex_decompose_ergodic_is_identity():

@@ -219,6 +219,11 @@ def _single_level_schedule(n=16, min_total=0):
                           epsilon=0.25, min_total_length=min_total)
 
 
+def _slot_start(schedule, k, i, j, t):
+    """M_{k,i,j,t}, read where the layout keeps it (1-based like the paper)."""
+    return int(schedule.layout.slots[(k, j)][1][i - 1, t - 1])
+
+
 def test_build_schedule_single_level():
     sched = _single_level_schedule()
     assert sched.certified
@@ -260,8 +265,17 @@ def test_offsets_recurrences():
                            k_max=2, epsilon=0.25)
     assert sched.M(1) == 0
     assert sched.M(2) == sched.T[0] * sched.Y[0] + sched.s(1, 1, 2, 1)
-    assert sched.M_i(1, 3) == 2 * sched.Y[0]
-    assert sched.M_ijt(1, 2, 1, 4) == sched.M_ij(1, 2, 1) + 3 * 12
+    # cycle i of level k starts at M_k + (i - 1) Y_k, block t of it t - 1
+    # blocks of length 12 later; the last block and its connector back into
+    # the cell end the cycle
+    for k in (1, 2):
+        T, Y, reps = sched.T[k - 1], sched.Y[k - 1], sched.repetitions(k, 1)
+        for i in range(1, T + 1):
+            for t in range(1, reps + 1):
+                assert _slot_start(sched, k, i, 1, t) \
+                    == sched.M(k) + (i - 1) * Y + (t - 1) * 12
+            assert _slot_start(sched, k, i, 1, reps) + 12 \
+                + sched.s(k, 1, k, 1) == sched.M(k) + i * Y
 
 
 @pytest.mark.parametrize("bounds", [
@@ -278,11 +292,12 @@ def test_batched_draws_repeat_per_slot_draws(bounds):
 
 
 def _paper_offset(schedule, k, i, j, t):
-    """M_{k,i,j,t} = M_i + sum_{p<j} (N n_p C_p + s) + (t - 1) n_j, summed
-    in Fractions as the construction writes it."""
+    """M_{k,i,j,t} = M_i + sum_{p<j} (N n_p C_p + s) + (t - 1) n_j with
+    M_i = M_k + (i - 1) Y_k, summed in Fractions as the construction writes
+    it."""
     N, n, C = schedule.N[k - 1], schedule.block_lengths[k - 1], \
         schedule.C[k - 1]
-    return schedule.M_i(k, i) + sum(
+    return schedule.M(k) + (i - 1) * schedule.Y[k - 1] + sum(
         (N * n[p - 1] * C[p - 1] + schedule.s(k, p, k, p + 1)
          for p in range(1, j)), Fraction(0)) + (t - 1) * n[j - 1]
 
@@ -309,8 +324,7 @@ def test_layout_tiles_the_point_at_the_paper_offsets(case):
         for x, start in zip(index.ravel().tolist(), starts.ravel().tolist()):
             (k2, j2, i, t) = layout.keys[x]
             assert (k2, j2) == (k, j)
-            assert start == _paper_offset(schedule, k, i, j, t) \
-                == schedule.M_ijt(k, i, j, t)
+            assert start == _paper_offset(schedule, k, i, j, t)
         np.add.at(cover, (starts[..., None] + np.arange(n)).ravel(), 1)
     for (a, b), (s, starts) in layout.bridges.items():
         assert s == connector(shift, a, b)[0]
@@ -338,7 +352,7 @@ def test_concatenate_length_and_block_windows():
     assert set(z[sched.total_length:].tolist()) == {sched.cells[0][0]}
     # every block window holds the picked block's prefix verbatim
     for (k, j, i, t), idx in zip(sched.layout.keys, choice.tolist()):
-        off = sched.M_ijt(k, i, j, t)
+        off = _slot_start(sched, k, i, j, t)
         n = sched.block_lengths[k - 1][j - 1]
         assert np.array_equal(z[off:off + n], fam.blocks[idx, :n])
 
@@ -446,7 +460,8 @@ def test_splice_violation_matches_per_position_oracle():
     states, _ = _per_position_states(FULL, sched, {(1, 1): fam}, picks)
     with pytest.raises(PseudoOrbitViolation) as ref:
         validate_pseudo(FULL, states, 0.5)
-    assert got.value.index == ref.value.index == sched.M_ijt(1, 3, 1, 1) + 3
+    assert got.value.index == ref.value.index \
+        == _slot_start(sched, 1, 3, 1, 1) + 3
     assert got.value.gap == ref.value.gap
 
 
@@ -481,7 +496,7 @@ def test_splice_deviation_is_the_first_mismatching_column(column):
     if column == 0:  # a jump of 1 at the first block's end
         with pytest.raises(PseudoOrbitViolation) as got:
             concatenate(gm, sched, {(1, 1): fam})
-        assert got.value.index == sched.M_ijt(1, 1, 1, 1) + 3
+        assert got.value.index == _slot_start(sched, 1, 1, 1, 1) + 3
         assert got.value.gap == 1.0
     else:
         _z, deviation, _choice = concatenate(gm, sched, {(1, 1): fam})
@@ -548,29 +563,48 @@ def test_separation_audit_pair():
         separation_audit(FULL, schedule, outcome, outcome)
 
 
+def _audit_outcome(sched, symbols, slot, pick):
+    """An outcome whose every slot picks block 0 but `slot`, which picks
+    `pick`."""
+    keys = sched.layout.keys
+    choice = np.zeros(len(keys), dtype=np.int64)
+    choice[keys.index(slot)] = pick
+    return WeaveOutcome(symbols=symbols, total_length=sched.total_length,
+                        convergence=[], per_block_deviation=0.0,
+                        final_distance=0.0, choice=choice, keys=keys)
+
+
 @pytest.mark.parametrize("past, separated", [(2, True), (3, False)])
 def test_separation_audit_difference_past_the_block(past, separated):
     # epsilon 0.25: threshold 1/8 and a scan of n + 4 symbols; a first
     # difference at c = n + past is read as 2^-(past + 1) apart
     sched = _single_level_schedule(n=16, min_total=100)
     slot = (1, 1, 2, 1)  # (k, j, i, t)
-    off, L = sched.M_ijt(1, 2, 1, 1), sched.total_length
-
-    keys = sched.layout.keys
-
-    def outcome(symbols, pick):
-        choice = np.zeros(len(keys), dtype=np.int64)
-        choice[keys.index(slot)] = pick
-        return WeaveOutcome(
-            symbols=symbols, total_length=L, convergence=[],
-            per_block_deviation=0.0, final_distance=0.0, choice=choice,
-            keys=keys)
-
+    off, L = _slot_start(sched, 1, 2, 1, 1), sched.total_length
     za = np.zeros(L + AUDIT_DEPTH, dtype=np.int8)
     zb = za.copy()
     zb[off + 16 + past] = 1
-    assert separation_audit(FULL, sched, outcome(za, 0),
-                            outcome(zb, 1)) is separated
+    assert separation_audit(FULL, sched, _audit_outcome(sched, za, slot, 0),
+                            _audit_outcome(sched, zb, slot, 1)) is separated
+
+
+def test_separation_audit_reads_each_slot_start():
+    # two levels of 4-blocks: level 2 runs two blocks per cycle, so each
+    # slot's audit window starts at its own (i, t), as the paper's
+    # offsets place it; a difference 2 past the block separates, 3 does not
+    m = bernoulli(0.5)
+    sched = build_schedule(FULL, [[(Fraction(1), m)]] * 2, [[4]] * 2,
+                           [[0]] * 2, k_max=2, epsilon=0.25)
+    assert sched.repetitions(2, 1) == 2
+    za = np.zeros(sched.total_length + AUDIT_DEPTH, dtype=np.int8)
+    for (k, j, i, t) in sched.layout.keys:
+        off = int(_paper_offset(sched, k, i, j, t))
+        for past, separated in ((2, True), (3, False)):
+            zb = za.copy()
+            zb[off + 4 + past] = 1
+            assert separation_audit(
+                FULL, sched, _audit_outcome(sched, za, (k, j, i, t), 0),
+                _audit_outcome(sched, zb, (k, j, i, t), 1)) is separated
 
 
 def test_separation_audit_needs_exactly_one_differing_slot():
