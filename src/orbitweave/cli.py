@@ -11,21 +11,26 @@ exhausted its budget: a cap on the work, not evidence that no block
 exists); 5 internal invariant violation or any other unexpected error.  Each
 config or precondition failure prints one stderr line starting
 `config/precondition error: `; an argparse usage error keeps argparse's own
-message.  `count_n`, when given, is an integer >= 1, every `n_grid` entry
-an integer >= 1, `q` an integer in [0, 1074], a weave's `bound` finite and
->= 0, and a shadow's `epsilon` finite and > 0 and `delta` finite and >= 0.
-No failure prints a traceback.
+message.  A config's keys are its command's keyword-only parameters (weave's
+others are `run_weave`'s): an unknown or missing key, or a value of another
+type than its annotation (a bool is no number, an int is a float), exits 2.
+`count_n`, when given, is an integer >= 1, every `n_grid` entry an integer
+>= 1, `q` an integer in [0, 1074], a weave's `bound` finite and >= 0, a
+shadow's `epsilon` finite and > 0 and `delta` finite and >= 0, and every
+shadow key one its mode reads.  No failure prints a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
@@ -59,6 +64,8 @@ EXIT_CODES = [
      "internal invariant violation"),
     (Exception, EXIT_INTERNAL, "internal error"),
 ]
+
+_hints = functools.cache(typing.get_type_hints)  # it re-evaluates per call
 
 
 def _config_hash(config: dict, seed: int) -> str:
@@ -96,33 +103,52 @@ def _header(config, seed, **extra) -> str:
     return " ".join(cells)
 
 
-def _observable(doc: dict, alphabet: int) -> LocallyConstantObservable:
-    if doc.get("kind") == "frequency":
-        return frequency_observable(int(doc["symbol"]), alphabet)
-    table = tuple((tuple(int(s) for s in w), float(v)) for w, v in doc["table"])
-    return LocallyConstantObservable(int(doc["depth"]), table)
+def _fits(value, kind) -> bool:
+    """A list[T] holds Ts; an annotation that is no class is the callee's."""
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(
+            _fits(v, typing.get_args(kind)[0]) for v in value)
+    if kind in (int, float):
+        return type(value) is not bool and isinstance(value, (int, kind))
+    return not isinstance(kind, type) or isinstance(value, kind)
 
 
-def _family(config, alphabet: int) -> TestFunctionFamily:
-    return TestFunctionFamily("cylinder", int(config.get("family_N", 16)),
-                              alphabet)
+def _call(fn, *args, **keys):
+    """fn(*args, **keys) once every key's value fits its parameter's
+    annotation; Python's own binding refuses an unknown or missing key."""
+    for key, value in keys.items():
+        if not _fits(value, kind := _hints(fn).get(key)):
+            name = kind if typing.get_origin(kind) else kind.__name__
+            raise TypeError(f"{key} must be of type {name}; got {value!r}")
+    return fn(*args, **keys)
 
 
-def cmd_spectrum(config: dict, seed: int, out: str) -> int:
-    system = system_from_json(config["system"])
+def _shift(doc: dict, command: str) -> ShiftSpace:
+    system = system_from_json(doc)
     if not isinstance(system, ShiftSpace):
-        raise ValueError("spectrum requires a shift system")
-    phi = _observable(config["observable"], system.alphabet_size)
-    grid = [float(a) for a in config["alpha_grid"]]
+        raise ValueError(f"{command} requires a shift system")
+    return system
+
+
+def _observable(alphabet: int, kind: str = "table", **keys):
+    """Kind "frequency" reads `symbol`, kind "table" `depth` and `table`."""
+    if kind == "frequency":
+        return _call(frequency_observable, alphabet_size=alphabet, **keys)
+    if kind == "table":
+        return _call(LocallyConstantObservable, **keys)
+    raise ValueError(f"observable kind must be frequency or table; got {kind!r}")
+
+
+def cmd_spectrum(config: dict, seed: int, out: str, *, system: dict,
+                 observable: dict, alpha_grid: list[float],
+                 constraint: dict = {}, count_n=None) -> int:
+    system = _shift(system, "spectrum")
+    phi = _observable(system.alphabet_size, **observable)
     vlo, vhi = phi.value_range
-    if not all(vlo <= a <= vhi for a in grid):  # a NaN alpha fails too
+    if not all(vlo <= a <= vhi for a in alpha_grid):  # a NaN alpha fails too
         raise ValueError("alpha grid leaves the observable's value range")
-    cons = config.get("constraint", {})
-    lo = float(cons.get("lo", vlo))
-    hi = float(cons.get("hi", vhi))
-    closed = bool(cons.get("closed", True))
-    result = spectrum(system, phi, lo, hi, closed, grid,
-                      count_n=config.get("count_n"))
+    result = _call(spectrum, system, phi, alpha_grid=alpha_grid, count_n=count_n,
+                   **{"lo": vlo, "hi": vhi, "closed": True, **constraint})
     rows = []
     for pt in result.points:
         gap = pt.h_count - pt.h_var if pt.h_count is not None else None
@@ -142,22 +168,15 @@ def _run_length_encode(symbols: np.ndarray) -> str:
                              object)[at].tolist())
 
 
-def cmd_weave(config: dict, seed: int, out: str) -> int:
-    system = system_from_json(config["system"])
-    if not isinstance(system, ShiftSpace):
-        raise ValueError("weave requires a shift system")
-    bound = float(config.get("bound", 0.05))
+def cmd_weave(config: dict, seed: int, out: str, *, system: dict, target: dict,
+              bound: float = 0.05, family_N: int = 16, **options) -> int:
+    system = _shift(system, "weave")
     if not 0 <= bound < math.inf:  # NaN fails too
         raise ValueError(f"bound must be finite and >= 0; got {bound!r}")
-    family = _family(config, system.alphabet_size)
-    target = measure_from_json(config["target"], shift=system)
-    # the keys the config names, cast; run_weave's defaults fill the rest
-    options = {key: cast(config[key]) for key, cast in (
-        ("k_max", int), ("gamma", float), ("block_length", int),
-        ("epsilon", float), ("budget", int), ("min_total_length", int),
-        ("length_cap", int)) if key in config}
-    schedule, _families, outcome = run_weave(system, target, family,
-                                             seed=seed, **options)
+    family = TestFunctionFamily("cylinder", family_N, system.alphabet_size)
+    target = measure_from_json(target, shift=system)
+    schedule, _families, outcome = _call(run_weave, system, target, family,
+                                         seed=seed, **options)
     doc = {key: getattr(schedule, key) for key in (
         "k_max", "N", "X", "Y", "T", "block_lengths", "cells", "offsets_M",
         "total_length", "epsilon", "delta_prime", "diam_xi",
@@ -175,25 +194,24 @@ def cmd_weave(config: dict, seed: int, out: str) -> int:
     return EXIT_OK if outcome.final_distance <= bound else EXIT_MISS
 
 
-def cmd_shadow(config: dict, seed: int, out: str) -> int:
-    system = system_from_json(config["system"])
-    mode = config.get("mode", "single")
-    if mode not in ("single", "modulus"):
-        raise ValueError(
-            f"shadow mode must be single or modulus, got {mode!r}")
-    epsilon = float(config.get("epsilon", 1e-3))
+def cmd_shadow(config: dict, seed: int, out: str, *, system: dict,
+               mode: str = "single", epsilon: float = 1e-3, length: int = 100,
+               trials: int = 100, delta: float = 2.0 ** -8) -> int:
+    system = system_from_json(system)
+    unread = {"single": "trials", "modulus": "delta"}.get(mode)
+    if unread is None:
+        raise ValueError(f"shadow mode must be single or modulus, got {mode!r}")
+    if unread in config:
+        raise ValueError(f"shadow {mode} mode does not read {unread}")
     if not 0 < epsilon < math.inf:  # read in every mode; NaN fails too
         raise ValueError(f"epsilon must be finite and > 0; got {epsilon!r}")
-    length = int(config.get("length", 100))
     if mode == "modulus":
-        trials = int(config.get("trials", 100))
         delta_hat, table = shadowing_modulus(system, epsilon, trials, length,
                                              seed)
         _write_csv(os.path.join(out, "modulus.csv"),
                    _header(config, seed, delta_hat=delta_hat),
                    ["delta", "successes", "trials"], table)
         return EXIT_OK
-    delta = float(config.get("delta", 2.0 ** -8))
     rng = make_rng(seed)
     x0 = _random_start(system, rng)
     po = perturbed_orbit(system, x0, length, delta, seed=seed + 1)
@@ -213,34 +231,29 @@ def cmd_shadow(config: dict, seed: int, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_katok(config: dict, seed: int, out: str) -> int:
-    system = system_from_json(config["system"])
-    if not isinstance(system, ShiftSpace):
-        raise ValueError("katok requires a shift system")
-    m = measure_from_json(config["measure"], shift=system)
+def cmd_katok(config: dict, seed: int, out: str, *, system: dict,
+              measure: dict, q, n_grid: list, delta: float = 0.1) -> int:
+    system = _shift(system, "katok")
+    m = measure_from_json(measure, shift=system)
     if not isinstance(m, MarkovMeasure):
         raise ValueError("katok requires a Markov measure")
-    q = config["q"]  # epsilon = 2^-q; 2^-1074 is the least positive float
-    if type(q) is not int or not 0 <= q <= 1074:
+    if type(q) is not int or not 0 <= q <= 1074:  # epsilon = 2^-q >= 2^-1074
         raise ValueError(f"q must be an integer in [0, 1074]; got {q!r}")
-    delta = float(config.get("delta", 0.1))
-    est = katok_entropy(system, m, 2.0 ** (-q), delta, config["n_grid"])
+    est = katok_entropy(system, m, 2.0 ** (-q), delta, n_grid)
     _write_csv(os.path.join(out, "katok.csv"),
                _header(config, seed, markov_entropy=markov_entropy(m)),
                ["n", "count", "rate"], est.diagnostics)
     return EXIT_OK
 
 
-def cmd_shrink(config: dict, seed: int, out: str) -> int:
-    system = system_from_json(config["system"])
-    if not isinstance(system, ShiftSpace):
-        raise ValueError("shrink requires a shift system")
-    nu = measure_from_json(config["nu"], shift=system)
+def cmd_shrink(config: dict, seed: int, out: str, *, system: dict, nu: dict,
+               delta_grid: list[float], family_N: int = 16) -> int:
+    system = _shift(system, "shrink")
+    nu = measure_from_json(nu, shift=system)
     if not isinstance(nu, MarkovMeasure):
         raise ValueError("shrink requires a Markov measure nu")
-    family = _family(config, system.alphabet_size)
-    grid = [float(d) for d in config["delta_grid"]]
-    rows = shrink_experiment(system, nu, family, grid)
+    family = TestFunctionFamily("cylinder", family_N, system.alphabet_size)
+    rows = shrink_experiment(system, nu, family, delta_grid)
     gap = max(r.upper - r.lower for r in rows)
     # sup_hat is the certified lower bound; budget_used is kept blank
     _write_csv(os.path.join(out, "shrink.csv"),
@@ -277,7 +290,7 @@ def main(argv=None) -> int:
         print(f"config/precondition error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](config, args.seed, args.out)
+        return _call(COMMANDS[args.command], config, args.seed, args.out, **config)
     except Exception as exc:
         code, label = next((code, label) for kinds, code, label in EXIT_CODES
                            if isinstance(exc, kinds))

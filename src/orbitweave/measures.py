@@ -36,7 +36,6 @@ __all__ = [
     "convex_decompose",
     "DecompositionError",
     "measure_from_json",
-    "measure_to_json",
 ]
 
 
@@ -77,7 +76,7 @@ class MarkovMeasure:
     """Row-stochastic matrix plus its stationary vector; shift-invariant measure."""
 
     def __init__(self, stochastic, stationary=None, shift: ShiftSpace | None = None):
-        P = np.asarray(stochastic, dtype=float)
+        P = _numbers(stochastic, "stochastic matrix P")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("stochastic matrix must be square")
         # each check is written so that a NaN fails it
@@ -86,7 +85,7 @@ class MarkovMeasure:
         self.P = P
         if stationary is None:
             stationary = _stationary_vector(P)
-        pi = np.asarray(stationary, dtype=float)
+        pi = _numbers(stationary, "stationary vector pi")
         if not np.all(np.abs(pi @ P - pi) <= 1e-10):
             raise ValueError("stationary vector is not fixed by the matrix")
         if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-12):
@@ -97,10 +96,8 @@ class MarkovMeasure:
             if P.shape[0] != shift.alphabet_size:
                 raise ValueError(f"{P.shape[0]}-symbol measure on a "
                                  f"{shift.alphabet_size}-symbol shift")
-            for i in range(P.shape[0]):
-                for j in range(P.shape[0]):
-                    if P[i, j] > 0 and not shift.allowed(i, j):
-                        raise ValueError("support transition forbidden by the SFT")
+            if np.any((P > 0) & (np.array(shift.transition) == 0)):
+                raise ValueError("support transition forbidden by the SFT")
         self.shift = shift
 
     @property
@@ -152,7 +149,7 @@ class MixtureMeasure:
     components: tuple[tuple[Union[float, Fraction], MarkovMeasure], ...]
 
     def __post_init__(self):
-        total = sum(float(a) for a, _ in self.components)
+        total = math.fsum(a for a, _ in self.components)  # a str raises
         if not abs(total - 1.0) <= 1e-12:  # a NaN weight fails here
             raise ValueError("mixture weights must sum to 1")
         if not all(float(a) > 0 for a, _ in self.components):
@@ -165,10 +162,8 @@ class MixtureMeasure:
 def bernoulli(p, shift: ShiftSpace | None = None) -> MarkovMeasure:
     """Bernoulli measure: i.i.d. symbols with the given probability vector
     (a scalar p means the 2-letter (1-p, p) measure)."""
-    if np.isscalar(p):
-        probs = np.array([1.0 - float(p), float(p)])
-    else:
-        probs = np.asarray(p, dtype=float)
+    probs = _numbers(p, "bernoulli parameter")
+    probs = np.array([1.0 - probs, probs]) if probs.ndim == 0 else probs
     P = np.tile(probs, (len(probs), 1))
     return MarkovMeasure(P, probs, shift=shift)
 
@@ -189,20 +184,30 @@ class LocallyConstantObservable:
     depth: int
     table: tuple[tuple[tuple[int, ...], float], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "table", tuple((tuple(w), v) for w, v in self.table))
+        words = [list(w) for w, _ in self.table]
+        if not words or len(dict(self.table)) < len(words) or any(
+                len(w) != self.depth or {type(a) for a in w} - {int} for w in words):
+            raise ValueError(f"observable table needs distinct words of "
+                             f"{self.depth} integer symbols; got {words}")
+        _numbers([v for _, v in self.table], "observable values")
+
     def value(self, w: Sequence[int]) -> float:
-        key = tuple(w[: self.depth])
-        for pat, v in self.table:
-            if pat == key:
-                return v
-        raise KeyError(f"no value for word {key}")
+        return self.lookup()[tuple(w[: self.depth])]
 
     def lookup(self) -> dict:
-        return dict(self.table)
+        return _Lookup(self.table)
 
     @property
     def value_range(self) -> tuple[float, float]:
         vals = [v for _, v in self.table]
         return min(vals), max(vals)
+
+
+class _Lookup(dict):  # a missing word raises ValueError, naming it
+    def __missing__(self, word):
+        raise ValueError(f"observable table misses the word {list(word)}")
 
 
 def frequency_observable(symbol: int, alphabet_size: int = 2) -> LocallyConstantObservable:
@@ -307,6 +312,13 @@ def chain_entropy(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return -terms.reshape(*terms.shape[:-2], P.shape[-1] ** 2).sum(axis=-1)
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """values as floats, refused unless each is an int or a float."""
+    if np.asarray(values).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers; got {values!r}")
+    return np.asarray(values, dtype=float)
+
+
 def _stationary_vector(P: np.ndarray) -> np.ndarray:
     n = P.shape[0]
     A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
@@ -374,27 +386,17 @@ def _rational_weights(weights, q):
 
 
 def measure_from_json(doc, shift: ShiftSpace | None = None):
-    """Measures from JSON: {"P": ..., "pi": ...}, {"bernoulli": p}, or
-    {"mixture": [[weight, component], ...]}."""
-    if "mixture" in doc:
-        comps = tuple((float(w), measure_from_json(c, shift))
-                      for w, c in doc["mixture"])
-        return MixtureMeasure(comps)
-    if "bernoulli" in doc:
+    """Measures from JSON: {"P": ..., "pi": ...} (pi optional), {"bernoulli":
+    p}, or {"mixture": [[weight, component], ...]}, checked uncast."""
+    keys = sorted(doc)
+    if keys == ["mixture"]:
+        return MixtureMeasure(tuple((w, measure_from_json(c, shift))
+                                    for w, c in doc["mixture"]))
+    if keys == ["bernoulli"]:
         return bernoulli(doc["bernoulli"], shift=shift)
-    P = doc["P"]
-    pi = doc.get("pi")
-    return MarkovMeasure(P, pi, shift=shift)
-
-
-def measure_to_json(m) -> dict:
-    if isinstance(m, MarkovMeasure):
-        return {"P": m.P.tolist(), "pi": m.pi.tolist()}
-    if isinstance(m, MixtureMeasure):
-        return {"mixture": [[float(a), measure_to_json(c)] for a, c in m.components]}
-    if isinstance(m, AtomicMeasure):
-        return {"atomic": [[_state_json(x), w] for x, w in m.atoms]}
-    raise TypeError(type(m).__name__)
+    if keys not in (["P"], ["P", "pi"]):
+        raise ValueError(f"measure keys are P (pi), bernoulli or mixture; got {keys}")
+    return MarkovMeasure(doc["P"], doc.get("pi"), shift=shift)
 
 
 def _state_json(x):

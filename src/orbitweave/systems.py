@@ -98,8 +98,8 @@ class ShiftSpace:
     transition: tuple[tuple[int, ...], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+        if type(self.alphabet_size) is not int or self.alphabet_size < 2:
+            raise ValueError(f"alphabet size {self.alphabet_size!r} is no integer >= 2")
         if self.transition is None:
             ones = tuple(tuple(1 for _ in range(self.alphabet_size))
                          for _ in range(self.alphabet_size))
@@ -107,8 +107,8 @@ class ShiftSpace:
         t = self.transition
         if len(t) != self.alphabet_size or any(len(r) != self.alphabet_size for r in t):
             raise ValueError("transition matrix shape mismatch")
-        if any(v not in (0, 1) for r in t for v in r):
-            raise ValueError("transition entries must be 0/1")
+        if any(isinstance(v, (bool, float)) or v not in (0, 1) for r in t for v in r):
+            raise ValueError(f"transition entries must be 0/1; got {t}")
 
     def allowed(self, a: int, b: int) -> bool:
         return self.transition[a][b] == 1
@@ -140,8 +140,8 @@ class TentMap:
     slope: float
 
     def __post_init__(self):
-        if not (1.0 < self.slope <= 2.0):
-            raise ValueError("slope must be in (1, 2]")
+        if not (isinstance(self.slope, (int, float)) and 1.0 < self.slope <= 2.0):
+            raise ValueError(f"slope must be in (1, 2]; got {self.slope!r}")
 
     domain = (0.0, 2.0)
 
@@ -291,16 +291,12 @@ def orbit(system: System, x: State, n: int) -> list:
 
 
 def system_from_json(doc: dict) -> System:
-    """Build a system from its JSON description."""
+    """Build a system from its JSON description, its keys bound as arguments."""
+    readers = {"full_shift": full_shift, "plmap": EndpointFixedMap,
+               "sft": lambda transition: ShiftSpace(
+                   len(transition), tuple(map(tuple, transition))),
+               "tent": lambda s: TentMap(s)}
     kind = doc.get("kind")
-    if kind == "full_shift":
-        return full_shift(int(doc["k"]))
-    if kind == "sft":
-        t = tuple(tuple(int(v) for v in row) for row in doc["transition"])
-        return ShiftSpace(alphabet_size=len(t), transition=t)
-    if kind == "tent":
-        return TentMap(slope=float(doc["s"]))
-    if kind == "plmap":
-        return EndpointFixedMap(tuple(float(b) for b in doc["breakpoints"]),
-                                tuple(float(v) for v in doc["values"]))
-    raise ValueError(f"unknown system kind: {kind!r}")
+    if kind not in readers:
+        raise ValueError(f"unknown system kind: {kind!r}")
+    return readers[kind](**{k: v for k, v in doc.items() if k != "kind"})

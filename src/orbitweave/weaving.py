@@ -498,6 +498,11 @@ def run_weave(shift: ShiftSpace, target, family: TestFunctionFamily,
     """Full pipeline: decompose the target per level, select block families,
     build the certified schedule, concatenate, shadow, and audit convergence.
     Returns (schedule, families, outcome)."""
+    if not (0 < epsilon < math.inf and budget >= 1 and block_length >= 1
+            and min_total_length >= 0):  # a NaN epsilon fails too
+        raise ValueError(f"need finite epsilon > 0, budget >= 1, block_length "
+                         f">= 1, min_total_length >= 0; got {epsilon=}, "
+                         f"{budget=}, {block_length=}, {min_total_length=}")
     decomposition, families, block_lengths, cells = [], {}, [], []
     for k in range(1, k_max + 1):
         comps = convex_decompose(target, k, family)

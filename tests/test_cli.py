@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -338,7 +341,8 @@ def test_weave_artifacts_byte_identical(tmp_path, name):
     {"length_cap": "big"}])
 def test_weave_option_of_wrong_type_exits_2_without_artifact(tmp_path, capsys,
                                                              bad):
-    # every option the CLI forwards to run_weave is read and cast
+    # every option the CLI forwards to run_weave is checked against
+    # run_weave's annotation
     cfg = {"system": FULL2, "target": {"bernoulli": 0.7}} | bad
     code, out = run(tmp_path, "weave", cfg)
     assert code == 2
@@ -454,6 +458,10 @@ def test_analysis_artifacts_byte_identical(tmp_path, name):
 
 
 TENT = {"kind": "tent", "s": 2.0}
+WEAVE_B07 = {"system": FULL2, "target": {"bernoulli": 0.7}}
+KATOK_B07 = {"system": FULL2, "measure": {"bernoulli": 0.7}, "q": 1,
+             "n_grid": [8]}
+SHRINK_B08 = {"system": FULL2, "nu": {"bernoulli": 0.8}, "delta_grid": [0.1]}
 NAN_PI = {"P": [[0.5, 0.5], [0.5, 0.5]], "pi": [math.nan, math.nan]}
 # name -> (command, config (None: no file; str: the file's text), message):
 # every config or precondition failure takes the one EXIT_CODES channel
@@ -549,6 +557,89 @@ CONFIG_FAILURES = {
     "weave_bound_nan": ("weave", {"system": FULL2, "target": {"bernoulli": 0.7},
                                   "bound": math.nan},
                         "bound must be finite and >= 0; got nan"),
+    # unknown keys were ignored (exit 0); budget is no longer a shrink key
+    "weave_block_lenght": ("weave", {**WEAVE_B07, "block_lenght": 99},
+                           "unexpected keyword argument 'block_lenght'"),
+    "katok_qq": ("katok", {**KATOK_B07, "qq": 3},
+                 "unexpected keyword argument 'qq'"),
+    "spectrum_clossed": ("spectrum", {**SPECTRUM_CFG,
+                                      "constraint": {"clossed": False}},
+                         "unexpected keyword argument 'clossed'"),
+    "shrink_budget": ("shrink", {**SHRINK_B08, "budget": 60},
+                      "unexpected keyword argument 'budget'"),
+    # int(), float() and bool() rewrote these and the run exited 0
+    "weave_budget_float": ("weave", {**WEAVE_B07, "budget": 2.5},
+                           "budget must be of type int; got 2.5"),
+    "shadow_length_float": ("shadow", {"system": FULL2, "length": 100.7},
+                            "length must be of type int; got 100.7"),
+    "shadow_trials_bool": ("shadow", {"system": TENT, "mode": "modulus",
+                                      "trials": True},
+                           "trials must be of type int; got True"),
+    "katok_k_float": ("katok", {**KATOK_B07, "system": {"kind": "full_shift",
+                                                        "k": 2.9}},
+                      "alphabet size 2.9 is no integer >= 2"),
+    "spectrum_symbol_float": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "kind": "frequency", "symbol": 1.5}}, "symbol must be of type int; got 1.5"),
+    "shrink_family_N_float": ("shrink", {**SHRINK_B08, "family_N": 16.9},
+                              "family_N must be of type int; got 16.9"),
+    **{f"spectrum_closed_{text}": (
+        "spectrum", {**SPECTRUM_CFG, "constraint": {"closed": text}},
+        f"closed must be of type bool; got {text!r}")
+       for text in ("no", "false")},
+    "katok_sft_half": ("katok", {**KATOK_B07, "system": {
+        "kind": "sft", "transition": [[1, 1], [1, 0.5]]}},
+        "transition entries must be 0/1; got ((1, 1), (1, 0.5))"),
+    "katok_bernoulli_string": ("katok", {**KATOK_B07,
+                                         "measure": {"bernoulli": "0.7"}},
+                               "bernoulli parameter must hold numbers; got "
+                               "'0.7'"),
+    "shadow_tent_s_string": ("shadow", {"system": {"kind": "tent", "s": "2"}},
+                             "slope must be in (1, 2]; got '2'"),
+    # list elements follow the same rule: True ran as alpha 1, and the
+    # strings failed a comparison with a message that named no key
+    **{f"spectrum_alpha_{label}": (
+        "spectrum", {**SPECTRUM_CFG, "alpha_grid": [0.5, value]},
+        f"alpha_grid must be of type list[float]; got [0.5, {value!r}]")
+       for label, value in (("bool", True), ("string", "0.7"))},
+    "shrink_delta_string": ("shrink", {**SHRINK_B08, "delta_grid": ["0.1"]},
+                            "delta_grid must be of type list[float]; got "
+                            "['0.1']"),
+    # a misspelled kind exited 2 with the bare message 'table'
+    "spectrum_kind_frequncy": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "kind": "frequncy", "symbol": 1}},
+        "observable kind must be frequency or table; got 'frequncy'"),
+    # a table's words are checked against its depth, and a missing
+    # admissible word is named: these exited 2 with "(1, 1)" and "(0, 0)"
+    "spectrum_table_misses_11": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "depth": 2, "table": [[[0, 0], 0.0], [[0, 1], 1.0], [[1, 0], 1.0]]}},
+        "observable table misses the word [1, 1]"),
+    "spectrum_table_short_words": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "depth": 2, "table": [[[0], 0.0], [[1], 1.0]]}},
+        "distinct words of 2 integer symbols; got [[0], [1]]"),
+    "spectrum_table_empty": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "depth": 1, "table": []}}, "distinct words of 1 integer symbols; got []"),
+    "spectrum_table_repeated": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "depth": 1, "table": [[[0], 0.0], [[0], 1.0], [[1], 1.0]]}},
+        "got [[0], [0], [1]]"),
+    "spectrum_table_string_value": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "depth": 1, "table": [[[0], 0.0], [[1], "1"]]}},
+        "observable values must hold numbers"),
+    # Infinity overflowed to exit 3, NaN, 0 and -1 exited 2 on bare numeric
+    # messages, and a zero budget or block length posed as a resource cap
+    **{f"weave_{key}_{label}": (
+        "weave", {**WEAVE_B07, key: value}, f"{key}={value!r}")
+       for key, label, value in (
+           ("epsilon", "inf", math.inf), ("epsilon", "nan", math.nan),
+           ("epsilon", "zero", 0), ("epsilon", "negative", -1),
+           ("budget", "zero", 0), ("block_length", "zero", 0),
+           ("min_total_length", "negative", -1))},
+    # a key the shadow mode never reads was ignored
+    "shadow_single_trials": ("shadow", {"system": FULL2, "mode": "single",
+                                        "trials": 10},
+                             "shadow single mode does not read trials"),
+    "shadow_modulus_delta": ("shadow", {"system": TENT, "mode": "modulus",
+                                        "delta": 0.01},
+                             "shadow modulus mode does not read delta"),
     "missing_file": ("katok", None, "No such file or directory"),
     "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
 }
@@ -704,3 +795,107 @@ def test_weave_three_symbols(tmp_path):
     symbols = [int(s) for s, n in runs for _ in range(int(n))]
     assert len(symbols) == sched["total_length"] >= 6000
     assert set(symbols) == {0, 1, 2}
+
+
+def test_spectrum_table_may_leave_out_inadmissible_words(tmp_path):
+    # the golden mean admits no 11, so a table without it is whole there
+    cfg = {"system": GOLDEN, "alpha_grid": [0.25], "observable": {
+        "depth": 2, "table": [[[0, 0], 0.0], [[0, 1], 1.0], [[1, 0], 0.5]]}}
+    code, out = run(tmp_path, "spectrum", cfg)
+    assert code == 0
+    assert (out / "spectrum.csv").exists()
+
+
+# one small valid config per command and nested document; every int leaf
+# sits where an int is expected and every float leaf where a number is
+VALID_CONFIGS = [
+    ("spectrum", {"system": FULL2, "observable": FREQ, "alpha_grid": [0.5],
+                  "count_n": 4}),
+    ("spectrum", {"system": {"kind": "full_shift", "k": 2},
+                  "observable": {"depth": 1, "table": [[[0], 0.0],
+                                                       [[1], 1.0]]},
+                  "alpha_grid": [0.25, 0.5],
+                  "constraint": {"lo": 0.1, "hi": 0.9, "closed": False}}),
+    ("katok", {"system": GOLDEN, "measure": {"P": [[0.6, 0.4], [1.0, 0.0]]},
+               "q": 1, "n_grid": [4, 6], "delta": 0.1}),
+    ("weave", {"system": FULL2, "target": {"mixture": [
+        [0.5, {"bernoulli": 0.3}], [0.5, {"bernoulli": 0.7}]]},
+        "k_max": 1, "gamma": 0.25, "block_length": 8, "epsilon": 0.25,
+        "budget": 50, "min_total_length": 0, "length_cap": 10000,
+        "bound": 0.5, "family_N": 8}),
+    ("weave", {"system": {"kind": "full_shift", "k": 3},
+               "target": {"bernoulli": [0.5, 0.3, 0.2]}, "k_max": 1}),
+    ("shadow", {"system": TENT, "mode": "modulus", "epsilon": 0.001,
+                "trials": 5, "length": 20}),
+    ("shadow", {"system": {"kind": "plmap", "breakpoints": [0.0, 0.25, 1.0],
+                           "values": [0.0, 0.9, 1.0]},
+                "mode": "single", "delta": 0.001, "length": 20}),
+    ("shrink", {"system": FULL2, "nu": {"P": [[0.5, 0.5], [0.5, 0.5]],
+                                        "pi": [0.5, 0.5]},
+                "delta_grid": [0.1], "family_N": 8}),
+]
+
+
+def _nodes(doc, path=()):
+    """(path, node) of doc and of everything below it."""
+    yield path, doc
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutations(doc) -> list:
+    """(path, value): an unknown key in any document, a bool or a float for
+    an int, a string for a number, or the other container."""
+    out = []
+    for path, node in _nodes(doc):
+        if isinstance(node, dict):
+            out += [(path + (name,), 1) for name in ("qq", "clossed")]
+            out += [(path, [])] if path else []
+        elif isinstance(node, list):
+            out += [(path, {}), (path, "[]")]
+        elif isinstance(node, bool):
+            out += [(path, str(node).lower()), (path, int(node))]
+        elif isinstance(node, int):
+            out += [(path, True), (path, False), (path, node + 0.5),
+                    (path, float(node)), (path, str(node))]
+        elif isinstance(node, float):
+            out += [(path, str(node))]
+    return out
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_config_exits_2_on_one_line_without_artifact(data):
+    # each mutation of a valid config is refused before any work; before
+    # the keys were bound, most of these ran to exit 0 on a cast value
+    command, cfg = data.draw(st.sampled_from(VALID_CONFIGS))
+    path, value = data.draw(st.sampled_from(_mutations(cfg)))
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(config, "w") as f:
+            json.dump(_mutated(cfg, path, value), f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", config, "--seed", "1", "--out", out,
+                         "--command", command])
+        assert code == 2, (path, value, err.getvalue())
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("config/precondition error: ")
+        assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command, cfg", VALID_CONFIGS)
+def test_valid_configs_of_the_mutation_test_run(tmp_path, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code in (0, 1)

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import re
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -757,3 +758,13 @@ def test_levelset_counts_refuse_n_below_one(n):
         levelset_count(full_shift(2), LevelSetQuery(phi, 0.4, 0.6, n))
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         levelset_counts_at(full_shift(2), phi, [0.5], n)
+
+
+def test_birkhoff_sums_name_the_admissible_word_the_table_misses():
+    phi = LocallyConstantObservable(2, (((0, 0), 0.3), ((0, 1), 1.0),
+                                        ((1, 0), -0.5)))
+    with pytest.raises(ValueError, match=re.escape("misses the word [1, 1]")):
+        _birkhoff_sums(full_shift(2), phi, 4)
+    # on the golden mean every admissible 5-word has its sum
+    sums, _ = _birkhoff_sums(golden_mean_shift(), phi, 4)
+    assert sum(sums.values()) == len(golden_mean_shift().admissible_words(5))

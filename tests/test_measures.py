@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,7 @@ from orbitweave.measures import (AtomicMeasure, CylinderIndicator,
                                  bernoulli, convex_decompose, empirical,
                                  frequency_observable, integrate,
                                  markov_entropy,
-                                 measure_from_json, measure_to_json,
-                                 weak_star_distance)
+                                 measure_from_json, weak_star_distance)
 from orbitweave.shadowing import make_rng
 from orbitweave.systems import Word, full_shift, golden_mean_shift
 
@@ -295,13 +295,21 @@ def test_convex_decompose_cap_reported():
     assert exc.value.achieved < 1.0
 
 
+def _measure_to_json(m) -> dict:
+    """The JSON document of a Markov measure or a mixture of them."""
+    if isinstance(m, MixtureMeasure):
+        return {"mixture": [[float(a), _measure_to_json(c)]
+                            for a, c in m.components]}
+    return {"P": m.P.tolist(), "pi": m.pi.tolist()}
+
+
 def test_measure_json_round_trip():
     m = bernoulli(0.4)
-    doc = measure_to_json(m)
+    doc = _measure_to_json(m)
     back = measure_from_json(doc)
     assert np.allclose(back.P, m.P)
     mix = MixtureMeasure(((0.5, bernoulli(0.2)), (0.5, bernoulli(0.8))))
-    back2 = measure_from_json(measure_to_json(mix))
+    back2 = measure_from_json(_measure_to_json(mix))
     assert isinstance(back2, MixtureMeasure)
     assert back2.cylinder_mass((1,)) == pytest.approx(0.5)
 
@@ -335,3 +343,52 @@ def test_markov_measure_refuses_nan_and_negative_mass(P, pi, message):
     # -0.5) gave the cylinder [1] a negative mass
     with pytest.raises(ValueError, match=message):
         MarkovMeasure(P, pi)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"bernoulli": 0.7, "p": 0.3}, "measure keys are P (pi), bernoulli or "
+                                   "mixture; got ['bernoulli', 'p']"),
+    ({"P": [[0.5, 0.5], [0.5, 0.5]], "Pi": [0.5, 0.5]}, "got ['P', 'Pi']"),
+    ({"mixture": [[1.0, {"bernoulli": 0.7, "q": 1}]]}, "got ['bernoulli', 'q']"),
+    ({"bernoulli": "0.7"}, "bernoulli parameter must hold numbers; got '0.7'"),
+    ({"bernoulli": True}, "bernoulli parameter must hold numbers; got True"),
+    ({"bernoulli": [0.5, "0.5"]}, "bernoulli parameter must hold numbers"),
+    ({"P": [[0.5, "0.5"], [0.5, 0.5]]}, "stochastic matrix P must hold numbers"),
+    ({"P": [[0.5, 0.5], [0.5, 0.5]], "pi": ["0.5", 0.5]},
+     "stationary vector pi must hold numbers"),
+])
+def test_measure_from_json_refuses_unknown_keys_and_non_numbers(doc, message):
+    # "0.7" was read as 0.7 by float(), and an unknown key was ignored
+    with pytest.raises(ValueError, match=re.escape(message)):
+        measure_from_json(doc)
+
+
+def test_mixture_weight_is_not_cast():
+    with pytest.raises(TypeError):
+        measure_from_json({"mixture": [["0.5", {"bernoulli": 0.3}],
+                                       [0.5, {"bernoulli": 0.7}]]})
+
+
+@pytest.mark.parametrize("depth, table, message", [
+    (1, [], "got []"),
+    (2, [((0,), 0.0), ((1,), 1.0)], "words of 2 integer symbols; got [[0], [1]]"),
+    (2, [((0, 0), 0.0), ((0, 1, 1), 1.0)], "got [[0, 0], [0, 1, 1]]"),
+    (1, [((0,), 0.0), ((0,), 1.0)], "distinct words"),
+    (1, [((0.0,), 0.0), ((1,), 1.0)], "integer symbols; got [[0.0], [1]]"),
+    (1, [((True,), 0.0), ((0,), 1.0)], "integer symbols; got [[True], [0]]"),
+    (1, [((0,), "0.5"), ((1,), 1.0)], "observable values must hold numbers"),
+    (1, [((0,), None), ((1,), 1.0)], "observable values must hold numbers"),
+])
+def test_observable_table_is_checked_against_its_depth(depth, table, message):
+    # each of these was accepted and failed later, if at all, on a bare key
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LocallyConstantObservable(depth, table)
+
+
+def test_observable_lookup_names_the_word_it_misses():
+    # a table may leave out a word, as long as nothing reads it
+    phi = LocallyConstantObservable(2, (((0, 0), 0.0), ((0, 1), 1.0),
+                                        ((1, 0), 1.0)))
+    assert phi.lookup()[(0, 1)] == phi.value((0, 1, 1)) == 1.0
+    with pytest.raises(ValueError, match=re.escape("misses the word [1, 1]")):
+        phi.lookup()[(1, 1)]

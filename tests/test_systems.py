@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,27 @@ def test_irreducible_cycles_need_every_path_length():
         broken = tuple(tuple(int(b == a + 1) for b in range(k))
                        for a in range(k))
         assert not ShiftSpace(k, broken).is_irreducible()
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ({"kind": "full_shift", "k": 2.9}, ValueError, "alphabet size 2.9 is no"),
+    ({"kind": "full_shift", "k": True}, ValueError, "alphabet size True is no"),
+    ({"kind": "full_shift", "k": 2, "K": 3}, TypeError, "argument 'K'"),
+    ({"kind": "sft", "transition": [[1, 1], [1, 0.5]]}, ValueError,
+     "transition entries must be 0/1; got ((1, 1), (1, 0.5))"),
+    ({"kind": "sft", "transition": [[1, 1], [1, 1.0]]}, ValueError,
+     "transition entries must be 0/1"),
+    ({"kind": "sft", "transition": [[1, 1], [True, 0]]}, ValueError,
+     "transition entries must be 0/1"),
+    ({"kind": "tent", "s": "2"}, ValueError, "slope must be in (1, 2]; got '2'"),
+    ({"kind": "tent", "s": True}, ValueError, "slope must be in (1, 2]; got True"),
+    ({"kind": "tent", "slope": 2.0}, TypeError, "argument 'slope'"),
+    ({"kind": "plmap", "breakpoints": [0.0, 1.0], "values": [0.0, 1.0],
+      "s": 1.0}, TypeError, "argument 's'"),
+    ({"kind": "Tent", "s": 2.0}, ValueError, "unknown system kind: 'Tent'"),
+])
+def test_system_from_json_binds_keys_and_casts_nothing(doc, error, message):
+    # int() and float() read 2.9 as 2, 0.5 as 0 and "2" as 2.0, and an
+    # unknown key was ignored
+    with pytest.raises(error, match=re.escape(message)):
+        system_from_json(doc)

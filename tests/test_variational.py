@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -851,3 +852,14 @@ def test_perron_stack_survives_a_nonpositive_iterate(monkeypatch):
                               getattr(clean, field)[1]), field
     assert dirty.P[0] == pytest.approx(clean.P[0], rel=1e-12)
     assert np.abs(dirty.pi[0] - clean.pi[0]).max() <= 1e-10
+
+
+def test_phi_column_names_the_admissible_word_the_table_misses():
+    # the KeyError of the missing word reached the console as "(1, 1)"
+    phi = LocallyConstantObservable(2, (((0, 0), 0.3), ((0, 1), 1.0),
+                                        ((1, 0), -0.5)))
+    with pytest.raises(ValueError, match=re.escape("misses the word [1, 1]")):
+        variational._phi_column(FULL, phi)
+    # on the golden mean no edge word ends in 11
+    column = variational._phi_column(golden_mean_shift(), phi)
+    assert set(column[:, 0]) == {0.3, 1.0, -0.5}

@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitweave.measures import (MixtureMeasure, TestFunctionFamily, bernoulli,
+from orbitweave.measures import (MarkovMeasure, MixtureMeasure,
+                                 TestFunctionFamily, bernoulli,
                                  integrate)
 from orbitweave.shadowing import (AUDIT_DEPTH, PseudoOrbitViolation,
                                   make_rng, shadow_shift, validate_pseudo,
@@ -639,3 +641,18 @@ def test_weave_on_golden_mean():
         epsilon=0.25, budget=300, seed=2, min_total_length=4000)
     assert gm.admissible(outcome.point, depth=200)
     assert outcome.final_distance <= 0.08
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", 0),
+    ("epsilon", -1.0), ("budget", 0), ("block_length", 0),
+    ("min_total_length", -1)])
+def test_run_weave_refuses_out_of_domain_options_before_sampling(
+        monkeypatch, key, value):
+    # an infinite epsilon overflowed to exit 3, and a zero budget or block
+    # length read as an exhausted block search (exit 4)
+    def no_draws(*args):
+        raise AssertionError("sampled words")
+    monkeypatch.setattr(MarkovMeasure, "sample_words", no_draws)
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value!r}")):
+        run_weave(FULL, bernoulli(0.7), FAMILY, **{key: value})
