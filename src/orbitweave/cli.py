@@ -13,7 +13,8 @@ config or precondition failure prints one stderr line starting
 `config/precondition error: `; an argparse usage error keeps argparse's own
 message.  A config's keys are its command's keyword-only parameters (weave's
 others are `run_weave`'s): an unknown or missing key, or a value of another
-type than its annotation (a bool is no number, an int is a float), exits 2.
+type than its annotation exits 2 (a bool is no number; an int is read as
+the float it equals).
 `count_n`, when given, is an integer >= 1, every `n_grid` entry an integer
 >= 1, `q` an integer in [0, 1074], a weave's `bound` finite and >= 0, a
 shadow's `epsilon` finite and > 0 and `delta` finite and >= 0, and every
@@ -104,22 +105,29 @@ def _header(config, seed, **extra) -> str:
 
 
 def _fits(value, kind) -> bool:
-    """A list[T] holds Ts; an annotation that is no class is the callee's."""
+    """A list[T] holds Ts; any other generic (Python 3.10 reads tuple[...] as
+    a class), or an annotation that is no class, is the callee's."""
     if typing.get_origin(kind) is list:
         return isinstance(value, list) and all(
             _fits(v, typing.get_args(kind)[0]) for v in value)
     if kind in (int, float):
         return type(value) is not bool and isinstance(value, (int, kind))
-    return not isinstance(kind, type) or isinstance(value, kind)
+    return (typing.get_origin(kind) is not None or not isinstance(kind, type)
+            or isinstance(value, kind))
 
 
 def _call(fn, *args, **keys):
     """fn(*args, **keys) once every key's value fits its parameter's
-    annotation; Python's own binding refuses an unknown or missing key."""
+    annotation, an int widened to the float it equals where a float is
+    annotated; Python's own binding refuses an unknown or missing key."""
     for key, value in keys.items():
         if not _fits(value, kind := _hints(fn).get(key)):
             name = kind if typing.get_origin(kind) else kind.__name__
             raise TypeError(f"{key} must be of type {name}; got {value!r}")
+        if kind is float:
+            keys[key] = float(value)
+        elif kind == list[float]:
+            keys[key] = [float(v) for v in value]
     return fn(*args, **keys)
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "convex_decompose",
     "DecompositionError",
     "measure_from_json",
+    "measure_to_json",
 ]
 
 
@@ -96,8 +97,10 @@ class MarkovMeasure:
             if P.shape[0] != shift.alphabet_size:
                 raise ValueError(f"{P.shape[0]}-symbol measure on a "
                                  f"{shift.alphabet_size}-symbol shift")
-            if np.any((P > 0) & (np.array(shift.transition) == 0)):
-                raise ValueError("support transition forbidden by the SFT")
+            for i in range(P.shape[0]):
+                for j in range(P.shape[0]):
+                    if P[i, j] > 0 and not shift.allowed(i, j):
+                        raise ValueError("support transition forbidden by the SFT")
         self.shift = shift
 
     @property
@@ -185,16 +188,13 @@ class LocallyConstantObservable:
     table: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple((tuple(w), v) for w, v in self.table))
-        words = [list(w) for w, _ in self.table]
-        if not words or len(dict(self.table)) < len(words) or any(
-                len(w) != self.depth or {type(a) for a in w} - {int} for w in words):
-            raise ValueError(f"observable table needs distinct words of "
-                             f"{self.depth} integer symbols; got {words}")
-        _numbers([v for _, v in self.table], "observable values")
-
-    def value(self, w: Sequence[int]) -> float:
-        return self.lookup()[tuple(w[: self.depth])]
+        words = [tuple(w) for w, _ in self.table]
+        if not words or any(len(w) != self.depth or {type(a) for a in w} - {int}
+                            for w in words) or len(set(words)) < len(words):
+            raise ValueError(f"observable table needs distinct words of {self.depth} "
+                             f"integer symbols; got {[list(w) for w in words]}")
+        values = _numbers([v for _, v in self.table], "observable values")
+        object.__setattr__(self, "table", tuple(zip(words, values.tolist())))
 
     def lookup(self) -> dict:
         return _Lookup(self.table)
@@ -397,6 +397,16 @@ def measure_from_json(doc, shift: ShiftSpace | None = None):
     if keys not in (["P"], ["P", "pi"]):
         raise ValueError(f"measure keys are P (pi), bernoulli or mixture; got {keys}")
     return MarkovMeasure(doc["P"], doc.get("pi"), shift=shift)
+
+
+def measure_to_json(m) -> dict:
+    if isinstance(m, MarkovMeasure):
+        return {"P": m.P.tolist(), "pi": m.pi.tolist()}
+    if isinstance(m, MixtureMeasure):
+        return {"mixture": [[float(a), measure_to_json(c)] for a, c in m.components]}
+    if isinstance(m, AtomicMeasure):
+        return {"atomic": [[_state_json(x), w] for x, w in m.atoms]}
+    raise TypeError(type(m).__name__)
 
 
 def _state_json(x):

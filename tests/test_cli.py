@@ -899,3 +899,37 @@ def test_mutated_config_exits_2_on_one_line_without_artifact(data):
 def test_valid_configs_of_the_mutation_test_run(tmp_path, command, cfg):
     code, _ = run(tmp_path, command, cfg)
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("command, ints, floats, artifact", [
+    ("weave", {**WEAVE_B07, "epsilon": 1}, {**WEAVE_B07, "epsilon": 1.0},
+     "schedule.json"),
+    ("spectrum", {"system": FULL2, "alpha_grid": [0, 0.5, 1],
+                  "observable": {"depth": 1, "table": [[[0], 0], [[1], 1]]},
+                  "constraint": {"lo": 0, "hi": 1}},
+     {"system": FULL2, "alpha_grid": [0.0, 0.5, 1.0],
+      "observable": {"depth": 1, "table": [[[0], 0.0], [[1], 1.0]]},
+      "constraint": {"lo": 0.0, "hi": 1.0}}, "spectrum.csv"),
+])
+def test_int_for_a_float_writes_what_the_float_writes(tmp_path, command, ints,
+                                                      floats, artifact):
+    # an int is widened to the float it equals, as the casts did; without
+    # the widening schedule.json read "epsilon": 1 where 1.0 wrote 1.0
+    texts = []
+    for name, cfg in (("ints", ints), ("floats", floats)):
+        code, out = run(tmp_path, command, cfg, outdir=name)
+        assert code == 0
+        # the first line of a CSV carries the config's hash
+        text = (out / artifact).read_text()
+        texts.append(text.split("\n", 1)[1] if artifact.endswith(".csv") else text)
+    assert texts[0] == texts[1]
+
+
+def test_generic_annotation_is_left_to_the_callee():
+    # Python 3.10 reads tuple[...] as a class, and isinstance then raises
+    # on it; the observable's table annotation is one
+    from orbitweave.cli import _fits
+    kind = tuple[tuple[tuple[int, ...], float], ...]
+    assert _fits([[[0], 0.0], [[1], 1.0]], kind)
+    assert _fits("checked by the callee", kind)
+    assert not _fits([0.5, "0.5"], list[float])

@@ -15,7 +15,8 @@ from orbitweave.measures import (AtomicMeasure, CylinderIndicator,
                                  bernoulli, convex_decompose, empirical,
                                  frequency_observable, integrate,
                                  markov_entropy,
-                                 measure_from_json, weak_star_distance)
+                                 measure_from_json, measure_to_json,
+                                 weak_star_distance)
 from orbitweave.shadowing import make_rng
 from orbitweave.systems import Word, full_shift, golden_mean_shift
 
@@ -208,7 +209,7 @@ def _ladder_integrate(measure, phi) -> float:
         for x, w in measure.atoms:
             if not isinstance(x, Word):
                 raise TypeError("locally constant observables need shift states")
-            out += w * phi.value(x.prefix(phi.depth))
+            out += w * phi.lookup()[tuple(x.prefix(phi.depth))]
         return out
     if isinstance(measure, MixtureMeasure):
         return sum(float(a) * _ladder_integrate(m, phi)
@@ -217,7 +218,7 @@ def _ladder_integrate(measure, phi) -> float:
     for w in itertools.product(range(measure.alphabet_size), repeat=phi.depth):
         m = measure.cylinder_mass(w)
         if m > 0:
-            out += m * phi.value(w)
+            out += m * phi.lookup()[w]
     return out
 
 
@@ -295,21 +296,13 @@ def test_convex_decompose_cap_reported():
     assert exc.value.achieved < 1.0
 
 
-def _measure_to_json(m) -> dict:
-    """The JSON document of a Markov measure or a mixture of them."""
-    if isinstance(m, MixtureMeasure):
-        return {"mixture": [[float(a), _measure_to_json(c)]
-                            for a, c in m.components]}
-    return {"P": m.P.tolist(), "pi": m.pi.tolist()}
-
-
 def test_measure_json_round_trip():
     m = bernoulli(0.4)
-    doc = _measure_to_json(m)
+    doc = measure_to_json(m)
     back = measure_from_json(doc)
     assert np.allclose(back.P, m.P)
     mix = MixtureMeasure(((0.5, bernoulli(0.2)), (0.5, bernoulli(0.8))))
-    back2 = measure_from_json(_measure_to_json(mix))
+    back2 = measure_from_json(measure_to_json(mix))
     assert isinstance(back2, MixtureMeasure)
     assert back2.cylinder_mass((1,)) == pytest.approx(0.5)
 
@@ -389,6 +382,6 @@ def test_observable_lookup_names_the_word_it_misses():
     # a table may leave out a word, as long as nothing reads it
     phi = LocallyConstantObservable(2, (((0, 0), 0.0), ((0, 1), 1.0),
                                         ((1, 0), 1.0)))
-    assert phi.lookup()[(0, 1)] == phi.value((0, 1, 1)) == 1.0
+    assert phi.lookup()[(0, 1)] == 1.0
     with pytest.raises(ValueError, match=re.escape("misses the word [1, 1]")):
         phi.lookup()[(1, 1)]

@@ -73,7 +73,7 @@ def _reference_matrix(shift, phi, q):
                 ok = u[1:] == v[:-1] and shift.allowed(u[-1], v[-1])
                 w = u + v[-1:]
             if ok:
-                M[i, j] = math.exp(q * phi.value(w))
+                M[i, j] = math.exp(q * phi.lookup()[w])
                 eval_word[(i, j)] = w
     return M, eval_word
 
@@ -103,7 +103,7 @@ def _reference_gibbs(shift, phi, q):
     Q = Q / Q.sum(axis=1, keepdims=True)
     pi = l * r
     pi = pi / pi.sum()
-    integral = sum(pi[i] * Q[i, j] * phi.value(w)
+    integral = sum(pi[i] * Q[i, j] * phi.lookup()[w]
                    for (i, j), w in eval_word.items())
     return math.log(lam), Q, pi, integral
 
