@@ -211,6 +211,9 @@ class _Lookup(dict):  # a missing word raises ValueError, naming it
 
 
 def frequency_observable(symbol: int, alphabet_size: int = 2) -> LocallyConstantObservable:
+    if not 0 <= symbol < alphabet_size:
+        raise ValueError(f"frequency symbol {symbol} is not in the alphabet "
+                         f"of {alphabet_size} symbols")
     table = tuple(((a,), 1.0 if a == symbol else 0.0) for a in range(alphabet_size))
     return LocallyConstantObservable(depth=1, table=table)
 

@@ -6,16 +6,18 @@ within 2^-(m+1).  On interval maps the values a shadow can take at time t
 form one interval (the maps are continuous), tracked forward over the linear
 pieces; the shadow is rebuilt backward from it, with no cap on the work.
 
-`shadowing_modulus` runs each delta row as one batch over all trials.  On
-interval maps it counts from the forward pass alone: a rebuilt shadow stays
-in the tracked intervals, so a trial whose intervals stay nonempty and lie
-within epsilon of the pseudo-orbit is shadowed (Hammel, Yorke and Grebogi's
+`shadowing_modulus` writes the one row a lemma settles, on every shift
+(the splice) and on the slope-2 tent, without drawing a trial.  Other
+interval maps run each delta row as one batch over all trials, counting
+from the forward pass alone: a rebuilt shadow stays in the tracked
+intervals, so a trial whose intervals stay nonempty and lie within epsilon
+of the pseudo-orbit is shadowed (Hammel, Yorke and Grebogi's
 certify-rather-than-build); the window margin makes that hold for every
 live trial, so none is rebuilt.
-`perturbed_orbit` and `shadow_interval` are batches of one of its kernels;
-`shadow_shift` shares only the deviation kernel, on windows read from the
-states' Words, and `validate_pseudo` checks one state at a time.  Shift
-symbols, of random starts and perturbations alike, are
+`perturbed_orbit` and `shadow_interval` are batches of one of the interval
+kernels, or of the shift heads; `shadow_shift` runs the deviation kernel on
+windows read from the states' Words, and `validate_pseudo` checks one state
+at a time.  Shift symbols, of random starts and perturbations alike, are
 succ[floor(u * len(succ))] for uniforms u.
 """
 
@@ -42,12 +44,12 @@ START_LENGTH = 32  # drawn symbols of a random shift start
 SWEEP = 14  # most rows of the modulus's halving sweep
 SUCCESS_TARGET = 0.95  # share of shadowed trials that makes a delta good
 REFINE_ROUNDS = 4  # bisection rounds after the sweep
-SPLICE_CHUNK = 1 << 18  # symbols compared per chunk of splice trials
 # Interval windows have radius eps - MARGIN: on [0, 2], a rounded sum or
 # difference of values below 4 errs by at most 2^-52, a quarter of MARGIN, so
 # for every eps > MARGIN the certificate ends fl(x_t - lo_t), fl(hi_t - x_t)
 # of a live trial stay below eps (past eps = 2 a window holds the domain)
 MARGIN = 2.0 ** -50
+CERTIFIED_TENT_EPS = 2.0 ** -48  # least eps of a certified slope-2 tent row
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -149,7 +151,7 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
                     seed: int) -> PseudoOrbit:
     """Seeded delta-pseudo-orbit: uniform kicks on interval maps, tail
     resampling below resolution delta on shifts; delta = 0 gives the orbit.
-    A batch of one of the kernels that `shadowing_modulus` runs."""
+    A batch of one of _shift_heads or _interval_orbits."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0 <= delta < math.inf:  # NaN fails too
@@ -209,18 +211,6 @@ def _shift_heads(shift: ShiftSpace, start: np.ndarray, delta: float,
     return heads
 
 
-def _splice(shift: ShiftSpace, start: np.ndarray, heads: np.ndarray):
-    """(windows, z) for _splice_deviations: the first AUDIT_DEPTH symbols of
-    states 0..n-1 (the start window, then each head continued by the
-    canonical cycle through its last symbol) and the spliced point."""
-    windows = np.empty((len(heads), heads.shape[1] + 1, AUDIT_DEPTH), np.int8)
-    windows[:, 0] = start[:, :AUDIT_DEPTH]
-    windows[:, 1:] = continue_words(shift, heads, AUDIT_DEPTH)
-    tail = continue_words(shift, heads[:, -1],  # one period past the windows
-                          heads.shape[-1] + AUDIT_DEPTH + shift.alphabet_size)
-    return windows, np.concatenate([start[:, :1], heads[:, :-1, 0], tail], 1)
-
-
 def _admissible(shift: ShiftSpace, seq: np.ndarray) -> bool:
     """Every symbol and every transition along the last axis allowed; a -> b
     is entry a * k + b of the flat table (k * k overflows int8 from k = 12)."""
@@ -261,9 +251,9 @@ def _interval_orbits(map_: TentMap | EndpointFixedMap, x0: np.ndarray,
     lo, hi = map_.domain
     xs = np.empty((u.shape[1] + 1, len(x0)))
     xs[0] = x0
-    for i in range(u.shape[1]):
+    kicks = -delta / 2 + (delta / 2 - -delta / 2) * u.T  # (n - 1, trials)
+    for i, kick in enumerate(kicks):
         y = map_.value(xs[i])
-        kick = -delta / 2 + (delta / 2 - -delta / 2) * u[:, i]
         xs[i + 1] = np.minimum(np.maximum(y + kick, lo), hi) if delta > 0 else y
     return xs
 
@@ -361,39 +351,43 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
                       seed: int):
     """Empirical delta(epsilon): sweep delta downward by halving, then bisect
     around the success threshold; returns (delta_hat, table of
-    (delta, successes, trials)).  Starts and perturbation uniforms are drawn
-    once per call, and each row runs all trials as one batch.  An interval
-    row runs _interval_track and counts a trial as shadowed when S_n is
-    nonempty and the certificate max_t max(x_t - lo_t, hi_t - x_t) is below
-    epsilon: the rebuild keeps y_t in S_t, and rounded subtraction is
-    monotone, so fl|y_t - x_t| is at most the certificate.  MARGIN keeps the
-    certificate of every live trial below epsilon, so every count is that of
-    a rebuild of every trial, and none is rebuilt.  On a shift epsilon must
-    be < 1: the first row's delta is epsilon, and a shift kick needs
-    delta < 1; on an interval map it must be > MARGIN."""
+    (delta, successes, trials)).  Past the refusals, a table that a lemma
+    settles is one certified row (epsilon, trials, trials), and nothing is
+    drawn.  On a shift the splice shadows a 2^-m <= epsilon pseudo-orbit
+    within epsilon / 2.  The slope-2 tent maps the window of radius r =
+    epsilon - MARGIN around x onto a set holding the radius-2r one around
+    f(x) (in [0, 2]), which holds the next window after a step of at most
+    epsilon / 2 with slack epsilon / 2 - 2^-50 >= 2^-50 from
+    CERTIFIED_TENT_EPS on; a step's roundings (a doubled and a new window
+    end, the kick and the kicked sum; the images are exact) take at most
+    2^-51 + epsilon 2^-52 of it, so every S_t is a whole window.  Other
+    interval maps draw starts and uniforms once per call and run each row
+    as one batch of _interval_track, counting a trial as shadowed when S_n
+    is nonempty and the certificate max_t max(x_t - lo_t, hi_t - x_t) is
+    below epsilon: the rebuild keeps y_t in S_t, and rounded subtraction is
+    monotone, so fl|y_t - x_t| is at most the certificate.  MARGIN keeps
+    the certificate of every live trial below epsilon, so every count is
+    that of a rebuild of every trial, and none is rebuilt.  On a shift
+    epsilon must be < 1 and every symbol needs a successor; on an interval
+    map epsilon must be > MARGIN (_interval_track refuses it, below the
+    tent's floor)."""
     if not (math.isfinite(epsilon) and epsilon > 0 and trials >= 1
             and length >= 2):
         raise ValueError(f"need finite epsilon > 0, trials >= 1, length >= 2; "
                          f"got {epsilon}, {trials}, {length}")
-    if isinstance(system, ShiftSpace) and epsilon >= 1:
-        raise ValueError(f"epsilon must be < 1 on a shift; got {epsilon}")
-    rngs = (make_rng(seed + 7919 * t) for t in range(trials))  # one pass
-    u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
     if isinstance(system, ShiftSpace):
-        words = _shift_starts(system, np.array([r.random(START_LENGTH) for r in rngs]))
-        # continued as far as the heads of the sweep's smallest delta reach
-        start = continue_words(system, words, max(
-            AUDIT_DEPTH, _resolution(epsilon / 2 ** (SWEEP - 1)) + 1))
-        step = max(1, SPLICE_CHUNK // (length * AUDIT_DEPTH))
-    else:
-        x0 = np.array([_random_start(system, r) for r in rngs])
+        if epsilon >= 1:
+            raise ValueError(f"epsilon must be < 1 on a shift; got {epsilon}")
+        _successor_table(system)  # refuses a symbol with no successor
+        return epsilon, [(epsilon, trials, trials)]
+    if (isinstance(system, TentMap) and system.slope == 2.0
+            and epsilon >= CERTIFIED_TENT_EPS):
+        return epsilon, [(epsilon, trials, trials)]
+    x0 = np.array([_random_start(system, make_rng(seed + 7919 * t))
+                   for t in range(trials)])
+    u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
 
     def run(delta: float) -> int:
-        if isinstance(system, ShiftSpace):
-            heads = _shift_heads(system, start, delta, u)
-            return sum(int(np.count_nonzero(_splice_deviations(
-                system, *_splice(system, start[a:a + step], heads[a:a + step])
-            ).max(axis=-1) < epsilon)) for a in range(0, trials, step))
         xs = _interval_orbits(system, x0, delta, u)
         s = _interval_track(system, xs, epsilon)
         alive = s[-1, 0] <= -s[-1, 1]

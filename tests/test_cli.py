@@ -640,6 +640,15 @@ CONFIG_FAILURES = {
     "shadow_modulus_delta": ("shadow", {"system": TENT, "mode": "modulus",
                                         "delta": 0.01},
                              "shadow modulus mode does not read delta"),
+    # a symbol outside the alphabet built an all-zero table, and spectrum
+    # exited 2 on a message that named neither the symbol nor the alphabet
+    "spectrum_symbol_outside": ("spectrum", {**SPECTRUM_CFG, "observable": {
+        "kind": "frequency", "symbol": 5}},
+        "frequency symbol 5 is not in the alphabet of 2 symbols"),
+    # the shift modulus draws no trials, yet still refuses a dead end
+    "shadow_modulus_dead_end": ("shadow", _modulus(
+        {"kind": "sft", "transition": [[1, 1], [0, 0]]}, 2.0 ** -6, 10, 50),
+        "a symbol has no allowed successor"),
     "missing_file": ("katok", None, "No such file or directory"),
     "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
 }

@@ -10,7 +10,7 @@ from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
                                   PseudoOrbitViolation, _admissible,
                                   _interval_orbits, _interval_shadow,
                                   _interval_track, _random_start,
-                                  _shift_heads, _shift_starts, _splice,
+                                  _shift_heads, _shift_starts,
                                   _splice_deviations, _uniforms,
                                   canonical_cycle, continue_words, make_rng,
                                   perturbed_orbit, shadow_interval,
@@ -142,17 +142,15 @@ def test_pseudo_orbit_composition():
 
 
 def test_shadowing_modulus_shift():
-    sh = full_shift(2)
+    # the splice shadows every trial at delta = epsilon: one certified row
     eps = 2.0 ** -5
-    delta_hat, table = shadowing_modulus(sh, eps, trials=20, length=60, seed=2)
-    assert delta_hat >= eps  # the splice succeeds already at delta = epsilon
-    assert all(t == 20 for _, _, t in table)
+    assert shadowing_modulus(full_shift(2), eps, trials=20, length=60,
+                             seed=2) == (eps, [(eps, 20, 20)])
 
 
 def test_shadowing_modulus_tent():
-    f = TentMap(2.0)
-    delta_hat, table = shadowing_modulus(f, 1e-3, trials=15, length=50, seed=8)
-    assert delta_hat > 0.0
+    assert shadowing_modulus(TentMap(2.0), 1e-3, trials=15, length=50,
+                             seed=8) == (1e-3, [(1e-3, 15, 15)])
 
 
 def test_make_rng_deterministic():
@@ -410,6 +408,18 @@ def windows(states, width=AUDIT_DEPTH):
     return np.array([s.prefix(width) for s in states], dtype=np.int8)
 
 
+def splice(shift, start, heads):
+    """(windows, z) for _splice_deviations: the first AUDIT_DEPTH symbols of
+    states 0..n-1 (the start window, then each head continued by the
+    canonical cycle through its last symbol) and the spliced point."""
+    wins = np.empty((len(heads), heads.shape[1] + 1, AUDIT_DEPTH), np.int8)
+    wins[:, 0] = start[:, :AUDIT_DEPTH]
+    wins[:, 1:] = continue_words(shift, heads, AUDIT_DEPTH)
+    tail = continue_words(shift, heads[:, -1],  # one period past the windows
+                          heads.shape[-1] + AUDIT_DEPTH + shift.alphabet_size)
+    return wins, np.concatenate([start[:, :1], heads[:, :-1, 0], tail], 1)
+
+
 @pytest.mark.parametrize("map_", INTERVAL_MAPS)
 def test_interval_orbits_match_reference_bitwise(map_):
     x0, u = batch_inputs(map_, 12, 80, 5)
@@ -628,8 +638,8 @@ def test_shift_kernel_matches_word_splice(shift):
     x0, u = batch_inputs(shift, 15, 70, 11)
     for delta in (0.3, 2.0 ** -5, 2.0 ** -9, 1e-12):
         heads = _shift_heads(shift, windows(x0), delta, u)
-        deviation = _splice_deviations(shift, *_splice(shift, windows(x0),
-                                                       heads))
+        deviation = _splice_deviations(shift, *splice(shift, windows(x0),
+                                                      heads))
         for t in range(15):
             states = ref_shift_orbit(shift, x0[t], 70, delta,
                                      11 + 104729 * t + 1)
@@ -718,7 +728,7 @@ def test_splice_deviations_match_column_loop(shift):
     for delta in (0.5, 2.0 ** -3, 2.0 ** -7, 2.0 ** -20, 2.0 ** -60):
         width = max(AUDIT_DEPTH, math.ceil(-math.log2(delta)) + 1)
         heads = _shift_heads(shift, windows(x0, width), delta, u)
-        wins, z = _splice(shift, start, heads)
+        wins, z = splice(shift, start, heads)
         got = _splice_deviations(shift, wins, z)
         assert got.tolist() == ref_splice_deviations(
             shift, lambda j: wins[..., j], z).tolist()
@@ -730,12 +740,72 @@ def test_splice_deviations_match_column_loop(shift):
             ref_splice_deviations(shift, lambda j: bent[..., j], z).tolist()
         for chunk in (1, 7):  # a batch of trials is the sum of its parts
             assert np.array_equal(got[:chunk], _splice_deviations(
-                shift, *_splice(shift, start[:chunk], heads[:chunk])))
+                shift, *splice(shift, start[:chunk], heads[:chunk])))
     z[3, 10:12] = -1
     for check in (_splice_deviations,
                   lambda sh, w, z: ref_splice_deviations(sh, lambda j: w[..., j], z)):
         with pytest.raises(ValueError, match="inadmissible"):
             check(shift, wins, z)
+
+
+def drawn_row(system, epsilon, trials, length, seed):
+    """Successes of the modulus row at delta = epsilon, drawn with the batch
+    kernels: the shift splice or the interval rebuild of every trial."""
+    x0, u = batch_inputs(system, trials, length, seed)
+    if isinstance(system, ShiftSpace):
+        start = windows(x0, max(AUDIT_DEPTH, math.ceil(-math.log2(epsilon)) + 1))
+        heads = _shift_heads(system, start, epsilon, u)
+        deviation = _splice_deviations(system, *splice(system, start, heads))
+        return int(np.count_nonzero(deviation.max(axis=-1) < epsilon))
+    xs = _interval_orbits(system, np.array(x0), epsilon, u)
+    return int(np.count_nonzero(shadow_batch(system, xs, epsilon)[0]))
+
+
+# name -> (system, least and largest certified epsilon tested)
+CERTIFIED = {name: (system, math.nextafter(2.0 ** -30, 1.0),
+                    math.nextafter(1.0, 0.0))
+             for name, system in (("full", full_shift(2)),
+                                  ("golden", golden_mean_shift()),
+                                  ("three", THREE))}
+CERTIFIED["tent2"] = (TentMap(2.0), 2.0 ** -48, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CERTIFIED)), share=st.floats(0.0, 1.0),
+       trials=st.integers(1, 4), length=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 16))
+@example(name="tent2", share=0.0, trials=3, length=300, seed=0)
+@example(name="tent2", share=1.0, trials=3, length=300, seed=1)
+@example(name="three", share=1.0, trials=3, length=300, seed=2)
+@example(name="golden", share=0.0, trials=3, length=300, seed=3)
+def test_certified_rows_match_drawn_trials(name, share, trials, length, seed):
+    # the certified table is one full row, and the Monte Carlo it replaces
+    # shadows every drawn trial: shifts at eps in (2^-30, 1), the slope-2
+    # tent at eps in [2^-48, 3]; share 0 and 1 are the ends
+    system, least, largest = CERTIFIED[name]
+    epsilon = min(max(least * (largest / least) ** share, least), largest)
+    assert shadowing_modulus(system, epsilon, trials, length, seed) == (
+        epsilon, [(epsilon, trials, trials)])
+    assert drawn_row(system, epsilon, trials, length, seed) == trials
+
+
+def test_tent_below_certified_floor_draws(monkeypatch):
+    # at 2^-48 the slope-2 tent draws nothing; one ulp below it draws its
+    # rows again, and they match the per-trial reference
+    import orbitweave.shadowing as sh_mod
+    drawn, orbits = [], sh_mod._interval_orbits
+    monkeypatch.setattr(sh_mod, "_interval_orbits",
+                        lambda *a: drawn.append(a[2]) or orbits(*a))
+    f, trials, length, seed, floor = TentMap(2.0), 6, 150, 5, 2.0 ** -48
+    assert shadowing_modulus(f, floor, trials, length, seed) == (
+        floor, [(floor, trials, trials)])
+    assert drawn == []
+    epsilon = math.nextafter(floor, 0.0)
+    delta_hat, table = shadowing_modulus(f, epsilon, trials, length, seed)
+    assert sorted(drawn, reverse=True) == [d for d, _, _ in table]
+    for delta, ok, _ in table:
+        assert ok == ref_modulus_row(f, epsilon, trials, length, seed, delta)
+    assert delta_hat == epsilon
 
 
 def ref_steering_word(shift, a, b):
@@ -862,9 +932,10 @@ def test_successor_draw_clamps_to_last_successor(monkeypatch, value):
     validate_pseudo(THREE, po.states, 2.0 ** -3)
 
 
-@pytest.mark.parametrize("system", [TentMap(2.0), full_shift(2)])
+@pytest.mark.parametrize("system", [TentMap(1.2), PLMAP])
 def test_broken_kernel_input_raises(monkeypatch, system):
-    # a shape error inside a row must surface, not read as 0 successes
+    # a shape error inside a row must surface, not read as 0 successes (the
+    # slope-2 tent and the shifts draw no rows at epsilon = 1e-3)
     import orbitweave.shadowing as sh_mod
     good = sh_mod._uniforms
     monkeypatch.setattr(sh_mod, "_uniforms", lambda *a: good(*a)[..., None])
