@@ -14,7 +14,7 @@ config or precondition failure prints one stderr line starting
 message.  A config's keys are its command's keyword-only parameters (weave's
 others are `run_weave`'s): an unknown or missing key, or a value of another
 type than its annotation exits 2 (a bool is no number; an int is read as
-the float it equals).
+the float it equals, and refused past the float range).
 `count_n`, when given, is an integer >= 1, every `n_grid` entry an integer
 >= 1, `q` an integer in [0, 1074], a weave's `bound` finite and >= 0, a
 shadow's `epsilon` finite and > 0 and `delta` finite and >= 0, and every
@@ -110,8 +110,9 @@ def _fits(value, kind) -> bool:
     if typing.get_origin(kind) is list:
         return isinstance(value, list) and all(
             _fits(v, typing.get_args(kind)[0]) for v in value)
-    if kind in (int, float):
-        return type(value) is not bool and isinstance(value, (int, kind))
+    if kind in (int, float):  # an int past the float range is no float
+        return type(value) is not bool and (isinstance(value, kind) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max))
     return (typing.get_origin(kind) is not None or not isinstance(kind, type)
             or isinstance(value, kind))
 

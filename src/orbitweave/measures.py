@@ -1,6 +1,6 @@
 """Probability measures on state space and the weak* metric.
 
-Empirical measures are finitely supported; Markov measures carry an exact
+Atomic measures are finitely supported; Markov measures carry an exact
 entropy formula; mixtures of Markov measures stay explicit weighted lists so
 entropy is affine by construction.  The weak* distance is evaluated against a
 deterministic truncated test-function family of cylinder indicators; every
@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .systems import ShiftSpace, State, System, Word, orbit
+from .systems import ShiftSpace, State, Word
 
 __all__ = [
     "AtomicMeasure",
@@ -28,7 +28,6 @@ __all__ = [
     "CylinderIndicator",
     "LocallyConstantObservable",
     "bernoulli",
-    "empirical",
     "weak_star_distance",
     "markov_entropy",
     "chain_entropy",
@@ -36,7 +35,6 @@ __all__ = [
     "convex_decompose",
     "DecompositionError",
     "measure_from_json",
-    "measure_to_json",
 ]
 
 
@@ -60,10 +58,6 @@ class AtomicMeasure:
             raise ValueError(f"weights sum to {total}, not 1")
         if any(w <= 0 for _, w in self.atoms):
             raise ValueError("weights must be positive")
-
-    @staticmethod
-    def dirac(x: State) -> "AtomicMeasure":
-        return AtomicMeasure(((x, 1.0),))
 
     def cylinder_mass(self, w: Sequence[int]) -> float:
         """Summed weight of the atoms whose prefix is w."""
@@ -97,10 +91,8 @@ class MarkovMeasure:
             if P.shape[0] != shift.alphabet_size:
                 raise ValueError(f"{P.shape[0]}-symbol measure on a "
                                  f"{shift.alphabet_size}-symbol shift")
-            for i in range(P.shape[0]):
-                for j in range(P.shape[0]):
-                    if P[i, j] > 0 and not shift.allowed(i, j):
-                        raise ValueError("support transition forbidden by the SFT")
+            if np.any((P > 0) & ~np.array(shift.transition, bool)):
+                raise ValueError("support transition forbidden by the SFT")
         self.shift = shift
 
     @property
@@ -248,33 +240,8 @@ class TestFunctionFamily:
 
 
 def _enumerate_cylinders(k: int):
-    length = 1
-    while True:
-        for w in itertools.product(range(k), repeat=length):
-            yield CylinderIndicator(w)
-        length += 1
-
-
-def empirical(system: System, x: State, n: int) -> AtomicMeasure:
-    """Uniform mass along the first n orbit points; equal atoms merged."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pts = orbit(system, x, n)
-    merged: dict = {}
-    for p in pts:
-        key = _atom_key(p)
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + 1)
-        else:
-            merged[key] = (p, 1)
-    return AtomicMeasure(tuple((p, c / n) for p, c in merged.values()))
-
-
-def _atom_key(p):
-    if isinstance(p, Word):
-        # canonical finite key; exact for the stored representation
-        return ("w", p.head, p.cycle)
-    return ("r", p)
+    for length in itertools.count(1):
+        yield from map(CylinderIndicator, ShiftSpace(k).admissible_words(length))
 
 
 def integrate(measure, phi) -> float:
@@ -316,8 +283,11 @@ def chain_entropy(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def _numbers(values, name: str) -> np.ndarray:
-    """values as floats, refused unless each is an int or a float."""
-    if np.asarray(values).dtype.kind not in "iuf":
+    """values as floats, refused unless each is an int or a float (numpy
+    reads a bool among numbers as one)."""
+    if np.asarray(values).dtype.kind not in "iuf" or any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(values, dtype=object).flat):
         raise ValueError(f"{name} must hold numbers; got {values!r}")
     return np.asarray(values, dtype=float)
 
@@ -400,16 +370,6 @@ def measure_from_json(doc, shift: ShiftSpace | None = None):
     if keys not in (["P"], ["P", "pi"]):
         raise ValueError(f"measure keys are P (pi), bernoulli or mixture; got {keys}")
     return MarkovMeasure(doc["P"], doc.get("pi"), shift=shift)
-
-
-def measure_to_json(m) -> dict:
-    if isinstance(m, MarkovMeasure):
-        return {"P": m.P.tolist(), "pi": m.pi.tolist()}
-    if isinstance(m, MixtureMeasure):
-        return {"mixture": [[float(a), measure_to_json(c)] for a, c in m.components]}
-    if isinstance(m, AtomicMeasure):
-        return {"atomic": [[_state_json(x), w] for x, w in m.atoms]}
-    raise TypeError(type(m).__name__)
 
 
 def _state_json(x):

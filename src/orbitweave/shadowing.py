@@ -17,8 +17,8 @@ live trial, so none is rebuilt.
 `perturbed_orbit` and `shadow_interval` are batches of one of the interval
 kernels, or of the shift heads; `shadow_shift` runs the deviation kernel on
 windows read from the states' Words, and `validate_pseudo` checks one state
-at a time.  Shift symbols, of random starts and perturbations alike, are
-succ[floor(u * len(succ))] for uniforms u.
+at a time.  Every shift symbol, of random starts and perturbations alike,
+comes from `_successor_chain`: succ[floor(u * len(succ))], u uniform.
 """
 
 from __future__ import annotations
@@ -191,32 +191,27 @@ def _shift_heads(shift: ShiftSpace, start: np.ndarray, delta: float,
                  u: np.ndarray) -> np.ndarray:
     """Heads (trials, n - 1, m + 8) of states 1..n-1, 2^-m <= delta, from the
     start windows (trials, >= m + 1).  Only the first of the 8 resampled
-    symbols survives into later heads: one sequential spine column runs
+    symbols survives into later heads: one sequential spine chain runs
     across trials, the other 7 all at once."""
     m = _resolution(delta)
+    spine = np.concatenate([start[:, :m], _successor_chain(
+        shift, start[:, m], u[..., 0])], axis=1)
+    windows = sliding_window_view(spine, m + 1, axis=1)[:, 1:]
+    return np.concatenate([windows[..., :m], _successor_chain(
+        shift, windows[..., m], u[..., 1:])], axis=-1)
+
+
+def _successor_chain(shift: ShiftSpace, first: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """int8 (..., 1 + u.shape[-1]): first, then per uniform u along the last
+    axis a successor of the symbol before, table[a, floor(u * count[a])]."""
     table, count = _successor_table(shift)
-    trials, steps = u.shape[:2]
-    spine = np.empty((trials, m + 1 + steps), dtype=np.int8)
-    spine[:, :m + 1] = start[:, :m + 1]
-    # first resampled symbol of every step, for every current symbol
-    nxt = table[np.arange(len(count)), (u[..., :1] * count).astype(np.intp)]
-    rows = np.arange(trials)
-    for i in range(steps):
-        spine[:, m + 1 + i] = nxt[rows, i, spine[:, m + i]]
-    heads = np.empty((trials, steps, m + 8), dtype=np.int8)
-    heads[..., :m + 1] = sliding_window_view(spine, m + 1, axis=1)[:, 1:]
-    for j in range(m + 1, m + 8):
-        a = heads[..., j - 1]
-        heads[..., j] = table[a, (u[..., j - m] * count[a]).astype(np.intp)]
-    return heads
-
-
-def _admissible(shift: ShiftSpace, seq: np.ndarray) -> bool:
-    """Every symbol and every transition along the last axis allowed; a -> b
-    is entry a * k + b of the flat table (k * k overflows int8 from k = 12)."""
-    k, allowed = shift.alphabet_size, np.array(shift.transition, bool).ravel()
-    return bool(seq.min() >= 0 and seq.max() < k and (allowed.all() or np.all(
-        allowed[seq[..., :-1].astype(np.intp) * k + seq[..., 1:]])))
+    out = np.empty(first.shape + (1 + u.shape[-1],), dtype=np.int8)
+    out[..., 0] = first
+    for j in range(u.shape[-1]):
+        a = out[..., j]
+        out[..., j + 1] = table[a, (u[..., j] * count[a]).astype(np.intp)]
+    return out
 
 
 def _splice_deviations(shift: ShiftSpace, windows: np.ndarray,
@@ -224,7 +219,7 @@ def _splice_deviations(shift: ShiftSpace, windows: np.ndarray,
     """2^-j per state (..., n), j the first mismatch of z[i:] with window i
     of windows (..., n, AUDIT_DEPTH), 0 if none; z must also cover one
     period of the spliced point, which is checked."""
-    if not _admissible(shift, z):
+    if not shift.word_admissible(z):
         raise ValueError("spliced point inadmissible; pseudo-orbit was not validated")
     n = windows.shape[-2]
     differ = sliding_window_view(z, AUDIT_DEPTH, axis=-1)[..., :n, :] != windows
@@ -418,14 +413,9 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
 
 def _shift_starts(shift: ShiftSpace, u: np.ndarray) -> np.ndarray:
     """int8 words of the shape of the uniforms u: symbol 0 is floor(u * k),
-    each later one a successor, drawn as _shift_heads draws them."""
-    table, count = _successor_table(shift)
-    out = np.empty(u.shape, dtype=np.int8)
-    out[:, 0] = np.minimum(u[:, 0] * len(count), len(count) - 1)
-    for j in range(1, u.shape[1]):
-        a = out[:, j - 1]
-        out[:, j] = table[a, (u[:, j] * count[a]).astype(np.intp)]
-    return out
+    each later one a successor drawn by _successor_chain."""
+    k = shift.alphabet_size
+    return _successor_chain(shift, np.minimum(u[:, 0] * k, k - 1), u[:, 1:])
 
 
 def _random_start(system: System, rng) -> State:

@@ -4,12 +4,13 @@ and piecewise-linear interval maps with fixed points only at the endpoints.
 Shift states are eventually periodic symbol sequences stored as a finite
 head plus a repeating cycle, so every operation on them is exact up to a
 documented coordinate depth (and fully exact when no depth cap is given).
-Interval states are plain floats.
+`ShiftSpace.word_admissible` is the one admissibility check of a shift's
+stored 0/1 matrix, on any int sequence or int8 array.  Interval states are
+plain floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -98,17 +99,18 @@ class ShiftSpace:
     transition: tuple[tuple[int, ...], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if type(self.alphabet_size) is not int or self.alphabet_size < 2:
-            raise ValueError(f"alphabet size {self.alphabet_size!r} is no integer >= 2")
-        if self.transition is None:
-            ones = tuple(tuple(1 for _ in range(self.alphabet_size))
-                         for _ in range(self.alphabet_size))
-            object.__setattr__(self, "transition", ones)
-        t = self.transition
-        if len(t) != self.alphabet_size or any(len(r) != self.alphabet_size for r in t):
+        k = self.alphabet_size
+        if type(k) is not int or k < 2:
+            raise ValueError(f"alphabet size {k!r} is no integer >= 2")
+        t = ((1,) * k,) * k if self.transition is None else tuple(
+            map(tuple, self.transition))
+        if len(t) != k or any(len(r) != k for r in t):
             raise ValueError("transition matrix shape mismatch")
-        if any(isinstance(v, (bool, float)) or v not in (0, 1) for r in t for v in r):
+        if any(type(v) is bool or not isinstance(v, (int, np.integer))
+               or v not in (0, 1) for r in t for v in r):
             raise ValueError(f"transition entries must be 0/1; got {t}")
+        object.__setattr__(self, "transition",
+                           tuple(tuple(map(int, r)) for r in t))
 
     def allowed(self, a: int, b: int) -> bool:
         return self.transition[a][b] == 1
@@ -123,14 +125,22 @@ class ShiftSpace:
             depth = len(x.head) + 2 * len(x.cycle)
         return self.word_admissible(x.prefix(depth + 1))
 
-    def word_admissible(self, w) -> bool:
-        return all(0 <= a < self.alphabet_size for a in w) and all(
-            self.allowed(a, b) for a, b in zip(w, w[1:]))
+    def word_admissible(self, seq) -> bool:
+        """Symbols and transitions along the last axis allowed; a -> b is flat
+        entry a * k + b (k * k overflows int8 from k = 12)."""
+        seq = np.asarray(seq)
+        k, allowed = self.alphabet_size, np.array(self.transition, bool).ravel()
+        return bool(seq.size == 0 or seq.min() >= 0 and seq.max() < k and (
+            allowed.all() or np.all(
+                allowed[seq[..., :-1].astype(np.intp) * k + seq[..., 1:]])))
 
     def admissible_words(self, length: int) -> list[tuple[int, ...]]:
         """Admissible words of the given length, in lexicographic order."""
-        words = itertools.product(range(self.alphabet_size), repeat=length)
-        return [w for w in words if self.word_admissible(w)]
+        words, k = [()], self.alphabet_size
+        for _ in range(length):
+            words = [w + (b,) for w in words for b in range(k)
+                     if not w or self.transition[w[-1]][b]]
+        return words
 
 
 @dataclass(frozen=True)
@@ -293,8 +303,7 @@ def orbit(system: System, x: State, n: int) -> list:
 def system_from_json(doc: dict) -> System:
     """Build a system from its JSON description, its keys bound as arguments."""
     readers = {"full_shift": full_shift, "plmap": EndpointFixedMap,
-               "sft": lambda transition: ShiftSpace(
-                   len(transition), tuple(map(tuple, transition))),
+               "sft": lambda transition: ShiftSpace(len(transition), transition),
                "tent": lambda s: TentMap(s)}
     kind = doc.get("kind")
     if kind not in readers:

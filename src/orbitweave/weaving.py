@@ -24,9 +24,8 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from .measures import MarkovMeasure, TestFunctionFamily, convex_decompose
-from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, _admissible,
-                        canonical_cycle, continue_words, make_rng,
-                        steering_word)
+from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, canonical_cycle,
+                        continue_words, make_rng, steering_word)
 from .systems import ShiftSpace, Word
 
 __all__ = [
@@ -440,7 +439,7 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
                 raise PseudoOrbitViolation(int(ends[miss].min()) - 1, 1.0)
             deviation = 2.0 ** -(1 + e)
             break
-    if not _admissible(shift, z):
+    if not shift.word_admissible(z):
         raise ValueError("spliced point inadmissible")
     return z, deviation, got
 

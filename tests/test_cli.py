@@ -649,6 +649,12 @@ CONFIG_FAILURES = {
     "shadow_modulus_dead_end": ("shadow", _modulus(
         {"kind": "sft", "transition": [[1, 1], [0, 0]]}, 2.0 ** -6, 10, 50),
         "a symbol has no allowed successor"),
+    # a true among numbers ran as 1.0 and exited 0, and an int past the
+    # float range overflowed in the widening and exited 3 as a truncation
+    "katok_P_true": ("katok", {**KATOK_B07, "measure": {
+        "P": [[True, 0.0], [0.5, 0.5]]}}, "stochastic matrix P must hold numbers"),
+    "weave_epsilon_huge_int": ("weave", {**WEAVE_B07, "epsilon": 10 ** 400},
+                               "epsilon must be of type float; got 1000"),
     "missing_file": ("katok", None, "No such file or directory"),
     "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
 }

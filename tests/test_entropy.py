@@ -768,3 +768,66 @@ def test_birkhoff_sums_name_the_admissible_word_the_table_misses():
     # on the golden mean every admissible 5-word has its sum
     sums, _ = _birkhoff_sums(golden_mean_shift(), phi, 4)
     assert sum(sums.values()) == len(golden_mean_shift().admissible_words(5))
+
+
+def _two_block(shift, m):
+    """The 2-block presentation X2 of shift and the lift of the chain m: the
+    symbols are the admissible 2-words, (a, b) -> (b, c) is allowed,
+    P2[(a,b),(b,c)] = P[b,c] and pi2[(a,b)] = pi[a] P[a,b], taken from the
+    decimals of pi and P so that the decimals of pi2 are the exact products."""
+    words = shift.admissible_words(2)
+    P, pi = m.P.tolist(), m.pi.tolist()
+    X2 = ShiftSpace(len(words), [[int(b == v[0]) for v in words]
+                                 for _, b in words])
+    P2 = [[P[b][c] if b == b2 else 0.0 for b2, c in words] for _, b in words]
+    pi2 = [float(Fraction(str(pi[a])) * Fraction(str(P[a][b])))
+           for a, b in words]
+    return X2, MarkovMeasure(P2, pi2, shift=X2)
+
+
+def _renamed(shift, perm):
+    """(shift with symbol a renamed perm[a], old) with old[perm[a]] = a."""
+    old = np.argsort(perm)
+    T = np.array(shift.transition)[np.ix_(old, old)]
+    return ShiftSpace(shift.alphabet_size, T), old
+
+
+RECODED = [KATOK_TABLE_CASES[i] for i in (0, 3, 4)]  # full 2, golden, BLOCKS
+
+
+@pytest.mark.parametrize("shift, m", RECODED)
+def test_katok_counts_agree_on_the_two_block_presentation(shift, m):
+    # an (n+q)-cylinder of X is an (n+q-1)-cylinder of X2 with the same mass
+    X2, m2 = _two_block(shift, m)
+    for n, q, delta in itertools.product((5, 9, 14), (1, 2, 3), (0.1, 0.25)):
+        assert katok_count(shift, m, n, 2.0 ** -q, delta) == katok_count(
+            X2, m2, n, 2.0 ** -(q - 1), delta)
+
+
+@pytest.mark.parametrize("shift, m", RECODED)
+def test_katok_counts_ignore_the_names_of_symbols(shift, m):
+    for perm in itertools.permutations(range(shift.alphabet_size)):
+        renamed, old = _renamed(shift, perm)
+        m_renamed = MarkovMeasure(m.P[np.ix_(old, old)], m.pi[old],
+                                  shift=renamed)
+        for n, q in itertools.product((5, 9, 14), (1, 2)):
+            assert katok_count(shift, m, n, 2.0 ** -q, 0.1) == katok_count(
+                renamed, m_renamed, n, 2.0 ** -q, 0.1)
+
+
+@pytest.mark.parametrize("shift, phi", [
+    (full_shift(2), frequency_observable(1)),
+    (golden_mean_shift(), frequency_observable(1)),
+    (full_shift(3), _table(2, 3, DEPTH2_VALUES))])
+def test_h_var_ignores_the_names_of_symbols(shift, phi):
+    from orbitweave.variational import spectrum
+    lo, hi = phi.value_range
+    grid = np.linspace(lo, hi, 7)[1:-1].tolist()
+    want = spectrum(shift, phi, lo, hi, True, grid)
+    for perm in itertools.permutations(range(shift.alphabet_size)):
+        psi = LocallyConstantObservable(phi.depth, tuple(
+            (tuple(perm[a] for a in w), v) for w, v in phi.table))
+        got = spectrum(_renamed(shift, perm)[0], psi, lo, hi, True, grid)
+        for p, r in zip(want.points, got.points):
+            assert p.h_var is not None and abs(p.h_var - r.h_var) <= 1e-12
+        assert abs(want.sup_value - got.sup_value) <= 1e-12

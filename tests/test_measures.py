@@ -12,10 +12,9 @@ from orbitweave.measures import (AtomicMeasure, CylinderIndicator,
                                  DecompositionError,
                                  LocallyConstantObservable, MarkovMeasure,
                                  MixtureMeasure, TestFunctionFamily,
-                                 bernoulli, convex_decompose, empirical,
+                                 bernoulli, convex_decompose,
                                  frequency_observable, integrate,
-                                 markov_entropy,
-                                 measure_from_json, measure_to_json,
+                                 markov_entropy, measure_from_json,
                                  weak_star_distance)
 from orbitweave.shadowing import make_rng
 from orbitweave.systems import Word, full_shift, golden_mean_shift
@@ -40,14 +39,14 @@ def test_dirac_distance_reference_value():
     # delta at 000... versus delta at 111..., truncated at N = 2:
     # both depth-1 indicators disagree by 1, weights 1/4 and 1/8
     fam2 = TestFunctionFamily("cylinder", 2, 2)
-    mu = AtomicMeasure.dirac(Word.periodic((0,)))
-    nu = AtomicMeasure.dirac(Word.periodic((1,)))
+    mu = AtomicMeasure(((Word.periodic((0,)), 1.0),))
+    nu = AtomicMeasure(((Word.periodic((1,)), 1.0),))
     assert weak_star_distance(mu, nu, fam2) == 0.375
 
 
 def test_distance_bounded_by_one():
-    mu = AtomicMeasure.dirac(Word.periodic((0,)))
-    nu = AtomicMeasure.dirac(Word.periodic((1,)))
+    mu = AtomicMeasure(((Word.periodic((0,)), 1.0),))
+    nu = AtomicMeasure(((Word.periodic((1,)), 1.0),))
     assert weak_star_distance(mu, nu, FAMILY) <= 1.0
 
 
@@ -175,14 +174,6 @@ def test_mixture_entropy_affine():
     assert markov_entropy(mix) == pytest.approx(expected)
 
 
-def test_empirical_merges_atoms():
-    sh = full_shift(2)
-    x = Word.periodic((0, 1))
-    mu = empirical(sh, x, 10)
-    assert len(mu.atoms) == 2
-    assert sorted(w for _, w in mu.atoms) == [0.5, 0.5]
-
-
 def test_integrate_cylinder_against_markov():
     m = bernoulli(0.3)
     phi = CylinderIndicator((1, 0))
@@ -264,7 +255,8 @@ def test_integrate_needs_shift_states_and_a_full_table():
     # a table missing a word of positive mass is refused ...
     partial = LocallyConstantObservable(2, (((0, 0), 1.0), ((0, 1), 2.0),
                                             ((1, 0), 3.0)))
-    for measure in (bernoulli(0.3), AtomicMeasure.dirac(Word.periodic((1,)))):
+    dirac = AtomicMeasure(((Word.periodic((1,)), 1.0),))
+    for measure in (bernoulli(0.3), dirac):
         with pytest.raises(KeyError, match="carries mass"):
             integrate(measure, partial)
     # ... but on the golden mean the missing word 11 carries none
@@ -297,12 +289,10 @@ def test_convex_decompose_cap_reported():
 
 
 def test_measure_json_round_trip():
-    m = bernoulli(0.4)
-    doc = measure_to_json(m)
-    back = measure_from_json(doc)
-    assert np.allclose(back.P, m.P)
-    mix = MixtureMeasure(((0.5, bernoulli(0.2)), (0.5, bernoulli(0.8))))
-    back2 = measure_from_json(measure_to_json(mix))
+    back = measure_from_json({"P": [[0.6, 0.4], [0.6, 0.4]], "pi": [0.6, 0.4]})
+    assert np.allclose(back.P, bernoulli(0.4).P)
+    back2 = measure_from_json({"mixture": [[0.5, {"bernoulli": 0.2}],
+                                           [0.5, {"bernoulli": 0.8}]]})
     assert isinstance(back2, MixtureMeasure)
     assert back2.cylinder_mass((1,)) == pytest.approx(0.5)
 
@@ -349,6 +339,9 @@ def test_markov_measure_refuses_nan_and_negative_mass(P, pi, message):
     ({"P": [[0.5, "0.5"], [0.5, 0.5]]}, "stochastic matrix P must hold numbers"),
     ({"P": [[0.5, 0.5], [0.5, 0.5]], "pi": ["0.5", 0.5]},
      "stationary vector pi must hold numbers"),
+    # numpy read a true among numbers as 1.0
+    ({"P": [[True, 0.0], [0.5, 0.5]]}, "stochastic matrix P must hold numbers"),
+    ({"bernoulli": [0.5, np.bool_(True)]}, "bernoulli parameter must hold"),
 ])
 def test_measure_from_json_refuses_unknown_keys_and_non_numbers(doc, message):
     # "0.7" was read as 0.7 by float(), and an unknown key was ignored

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
-                                  PseudoOrbitViolation, _admissible,
-                                  _interval_orbits, _interval_shadow,
-                                  _interval_track, _random_start,
-                                  _shift_heads, _shift_starts,
-                                  _splice_deviations, _uniforms,
+                                  PseudoOrbitViolation, _interval_orbits,
+                                  _interval_shadow, _interval_track,
+                                  _random_start, _shift_heads, _shift_starts,
+                                  _splice_deviations, _successor_table,
+                                  _uniforms,
                                   canonical_cycle, continue_words, make_rng,
                                   perturbed_orbit, shadow_interval,
                                   shadow_shift, shadowing_modulus,
@@ -680,26 +680,39 @@ def test_inadmissible_splice_raises_on_both_paths():
         ref_splice_deviations(gm, lambda j: windows(states)[None, :, j], z[None])
 
 
+def ref_word_admissible(shift, w):
+    """The former tuple loop: every symbol in the alphabet and every
+    transition allowed."""
+    return all(0 <= a < shift.alphabet_size for a in w) and all(
+        shift.allowed(a, b) for a, b in zip(w, w[1:]))
+
+
 @pytest.mark.parametrize("forbidden", [(11, 11), (2, 7)])
 def test_admissible_on_twelve_symbols(forbidden):
     # 11 * 12 + 11 = 143 wraps to -113 in int8, which reads (2, 7): each
     # shift forbids one of the two transitions and allows the other
     t = [[int((a, b) != forbidden) for b in range(12)] for a in range(12)]
-    shift = ShiftSpace(12, tuple(map(tuple, t)))
-    assert _admissible(shift, np.array([3, 11, 11], np.int8)) is \
+    shift = ShiftSpace(12, t)
+    assert shift.word_admissible(np.array([3, 11, 11], np.int8)) is \
         (forbidden != (11, 11))
-    assert _admissible(shift, np.array([2, 7, 0], np.int8)) is \
+    assert shift.word_admissible(np.array([2, 7, 0], np.int8)) is \
         (forbidden != (2, 7))
-    assert not _admissible(shift, np.array([0, 12], np.int8))
-    assert not _admissible(shift, np.array([-1, 0], np.int8))
+    assert not shift.word_admissible(np.array([0, 12], np.int8))
+    assert not shift.word_admissible(np.array([-1, 0], np.int8))
     rng = np.random.default_rng(12)
     seqs = rng.integers(0, 12, (400, 6)).astype(np.int8)
     seqs[::7, 2:4] = forbidden
+    seqs[5::11, 4] = rng.choice([-1, 12], len(seqs[5::11]))
     for seq in seqs:
-        assert _admissible(shift, seq) == shift.word_admissible(seq.tolist())
-    assert _admissible(shift, seqs) == all(map(shift.word_admissible,
-                                               seqs.tolist()))
-    assert _admissible(shift, seqs[1:7])
+        ref = ref_word_admissible(shift, seq.tolist())
+        assert shift.word_admissible(seq) == ref
+        assert shift.word_admissible(tuple(seq.tolist())) == ref
+    assert shift.word_admissible(seqs) == all(
+        ref_word_admissible(shift, w) for w in seqs.tolist())
+    assert shift.word_admissible(seqs[1:5])
+    assert shift.word_admissible(seqs[1:5].reshape(2, 2, 6))
+    assert not shift.word_admissible(seqs[:14].reshape(2, 7, 6))
+    assert shift.word_admissible(()) and shift.word_admissible((11,))
 
 
 THREE = ShiftSpace(3, ((0, 0, 1), (1, 1, 0), (1, 1, 1)))  # 1, 2, 3 successors
@@ -816,7 +829,7 @@ def ref_steering_word(shift, a, b):
     for rest in itertools.chain.from_iterable(
             itertools.product(range(k), repeat=s) for s in range(k)):
         word = (a,) + rest
-        if shift.word_admissible(word) and shift.allowed(word[-1], b):
+        if ref_word_admissible(shift, word) and shift.allowed(word[-1], b):
             return word
     return None
 
@@ -930,6 +943,56 @@ def test_successor_draw_clamps_to_last_successor(monkeypatch, value):
         tail = s.head[2:]
         assert all(b == last[a] for a, b in zip(tail, tail[1:]))
     validate_pseudo(THREE, po.states, 2.0 ** -3)
+
+
+def ref_shift_heads(shift, start, delta, u):
+    """The former spine and tail loops of _shift_heads: the first successor
+    of every step precomputed for every current symbol, one spine column
+    at a time, then the 7 tail columns."""
+    m = int(math.ceil(-math.log2(delta)))
+    table, count = _successor_table(shift)
+    trials, steps = u.shape[:2]
+    spine = np.empty((trials, m + 1 + steps), dtype=np.int8)
+    spine[:, :m + 1] = start[:, :m + 1]
+    nxt = table[np.arange(len(count)), (u[..., :1] * count).astype(np.intp)]
+    rows = np.arange(trials)
+    for i in range(steps):
+        spine[:, m + 1 + i] = nxt[rows, i, spine[:, m + i]]
+    heads = np.empty((trials, steps, m + 8), dtype=np.int8)
+    heads[..., :m + 1] = np.lib.stride_tricks.sliding_window_view(
+        spine, m + 1, axis=1)[:, 1:]
+    for j in range(m + 1, m + 8):
+        a = heads[..., j - 1]
+        heads[..., j] = table[a, (u[..., j - m] * count[a]).astype(np.intp)]
+    return heads
+
+
+def ref_shift_starts(shift, u):
+    """The former start loop: floor(u * k), then one successor a column."""
+    table, count = _successor_table(shift)
+    out = np.empty(u.shape, dtype=np.int8)
+    out[:, 0] = np.minimum(u[:, 0] * len(count), len(count) - 1)
+    for j in range(1, u.shape[1]):
+        a = out[:, j - 1]
+        out[:, j] = table[a, (u[:, j] * count[a]).astype(np.intp)]
+    return out
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
+def test_successor_chain_matches_the_former_loops(shift):
+    # one chain serves the starts, the spine and the tails, symbol for symbol
+    x0, u = batch_inputs(shift, 12, 60, 31)
+    top = np.ones_like(u)  # u = 1 reads the last successor
+    for uniforms in (u, top, np.nextafter(top, 0.0)):
+        for delta in (0.5, 2.0 ** -5, 2.0 ** -40):
+            start = windows(x0, max(AUDIT_DEPTH, -int(math.log2(delta)) + 1))
+            got = _shift_heads(shift, start, delta, uniforms)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, ref_shift_heads(shift, start, delta,
+                                                       uniforms))
+        flat = uniforms.reshape(len(uniforms), -1)
+        assert np.array_equal(_shift_starts(shift, flat),
+                              ref_shift_starts(shift, flat))
 
 
 @pytest.mark.parametrize("system", [TentMap(1.2), PLMAP])

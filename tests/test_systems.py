@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -130,6 +131,40 @@ def test_admissible_matches_the_loop_on_alphabet_words(data):
              tuple(data.draw(st.lists(symbols, min_size=1, max_size=4))))
     depth = data.draw(st.none() | st.integers(0, 12))
     assert shift.admissible(x, depth) == _loop_admissible(shift, x, depth)
+
+
+def test_admissible_words_match_the_product_filter():
+    # the enumeration that extends each word by its successors lists what
+    # the k^L product and its per-word filter listed, in the same order
+    rng = np.random.default_rng(7)
+    for k in rng.integers(2, 6, size=40).tolist():
+        allowed = (rng.random((k, k)) < 0.6).astype(int)
+        allowed[rng.integers(k)] = 0  # a symbol with no successor
+        shift = ShiftSpace(k, allowed)
+        for length in range(7):
+            ref = [w for w in itertools.product(range(k), repeat=length)
+                   if all(shift.allowed(a, b) for a, b in zip(w, w[1:]))]
+            assert shift.admissible_words(length) == ref
+
+
+def test_transition_is_stored_as_one_tuple_matrix():
+    # a list matrix built, then broke the spectrum's lift cache (unhashable)
+    from orbitweave.measures import frequency_observable
+    from orbitweave.variational import spectrum
+    golden = golden_mean_shift()
+    phi = frequency_observable(1)
+    want = spectrum(golden, phi, 0.0, 0.5, True, [0.2, 0.4])
+    for matrix in ([[1, 1], [1, 0]], np.array([[1, 1], [1, 0]]),
+                   np.array([[1, 1], [1, 0]], np.int8)):
+        shift = ShiftSpace(2, matrix)
+        assert shift == golden and hash(shift) == hash(golden)
+        assert {type(v) for r in shift.transition for v in r} == {int}
+        assert spectrum(shift, phi, 0.0, 0.5, True, [0.2, 0.4]) == want
+    for matrix in (np.array([[1, 1], [1, 0]], bool),
+                   np.array([[1, 1], [1, 0]], float),
+                   np.array([[1, 1], [1, 0]], np.float32)):
+        with pytest.raises(ValueError, match="transition entries must be 0/1"):
+            ShiftSpace(2, matrix)
 
 
 def test_reducible_matrix_detected():
