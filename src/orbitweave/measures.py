@@ -10,6 +10,7 @@ bound is 2^-N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .systems import ShiftSpace, State, Word
+from .systems import ShiftSpace, State, Word, real_number
 
 __all__ = [
     "AtomicMeasure",
@@ -144,7 +145,10 @@ class MixtureMeasure:
     components: tuple[tuple[Union[float, Fraction], MarkovMeasure], ...]
 
     def __post_init__(self):
-        total = math.fsum(a for a, _ in self.components)  # a str raises
+        if not all(real_number(a) for a, _ in self.components):
+            raise TypeError("mixture weights must be numbers; got "
+                            f"{[a for a, _ in self.components]!r}")
+        total = math.fsum(a for a, _ in self.components)
         if not abs(total - 1.0) <= 1e-12:  # a NaN weight fails here
             raise ValueError("mixture weights must sum to 1")
         if not all(float(a) > 0 for a, _ in self.components):
@@ -234,7 +238,7 @@ class TestFunctionFamily:
     def tail(self) -> float:
         return 2.0 ** (-self.N)
 
-    @property
+    @functools.cached_property
     def max_depth(self) -> int:
         return max(f.depth for f in self.functions)
 
@@ -283,11 +287,10 @@ def chain_entropy(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def _numbers(values, name: str) -> np.ndarray:
-    """values as floats, refused unless each is an int or a float (numpy
-    reads a bool among numbers as one)."""
-    if np.asarray(values).dtype.kind not in "iuf" or any(
-            isinstance(v, (bool, np.bool_))
-            for v in np.asarray(values, dtype=object).flat):
+    """values as floats, refused unless each is an int or a float, in rows of
+    one length (numpy reads a bool among numbers as one, and fails on ragged
+    rows with a message that names neither the key nor the value)."""
+    if not all(map(real_number, np.asarray(values, dtype=object).flat)):
         raise ValueError(f"{name} must hold numbers; got {values!r}")
     return np.asarray(values, dtype=float)
 

@@ -37,7 +37,8 @@ from .systems import (EndpointFixedMap, ShiftSpace, State, System, TentMap,
 __all__ = ["PseudoOrbit", "ShadowResult", "PseudoOrbitViolation",
            "validate_pseudo", "perturbed_orbit", "shadow_shift",
            "shadow_interval", "shadowing_modulus", "steering_word",
-           "canonical_cycle", "continue_words", "make_rng"]
+           "canonical_cycle", "continue_words", "symbol_continuation",
+           "make_rng"]
 
 AUDIT_DEPTH = 64  # coordinate depth to which shadow deviations are measured
 START_LENGTH = 32  # drawn symbols of a random shift start
@@ -145,6 +146,14 @@ def continue_words(shift: ShiftSpace, words: np.ndarray,
         cyc = canonical_cycle(shift, a)
         tail[a] = np.resize(cyc[1:] + cyc[:1], tail.shape[1])
     return np.concatenate([words[..., :width], tail[last]], axis=-1)
+
+
+@functools.cache
+def symbol_continuation(shift: ShiftSpace, a: int, width: int) -> np.ndarray:
+    """Read-only `continue_words` (1, width) of the word (a,), cached."""
+    row = continue_words(shift, np.array([[a]], np.int8), width)
+    row.flags.writeable = False
+    return row
 
 
 def perturbed_orbit(system: System, x0: State, n: int, delta: float,

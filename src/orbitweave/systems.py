@@ -11,7 +11,9 @@ plain floats.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -88,6 +90,10 @@ def strongly_connected(adjacency: np.ndarray) -> bool:
     return bool(reach.all())
 
 
+def real_number(v) -> bool:  # Python and numpy read a bool as the int 1
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class ShiftSpace:
     """Full shift or subshift of finite type on {0,...,k-1}.
@@ -125,14 +131,18 @@ class ShiftSpace:
             depth = len(x.head) + 2 * len(x.cycle)
         return self.word_admissible(x.prefix(depth + 1))
 
+    @functools.cached_property  # read-only, a -> b is entry a * k + b
+    def _allowed(self) -> np.ndarray:
+        return np.frombuffer(np.array(self.transition, bool).tobytes(), bool)
+
     def word_admissible(self, seq) -> bool:
-        """Symbols and transitions along the last axis allowed; a -> b is flat
-        entry a * k + b (k * k overflows int8 from k = 12)."""
+        """Symbols and transitions along the last axis allowed (k * k
+        overflows int8 from k = 12)."""
         seq = np.asarray(seq)
-        k, allowed = self.alphabet_size, np.array(self.transition, bool).ravel()
+        k, allowed = self.alphabet_size, self._allowed
         return bool(seq.size == 0 or seq.min() >= 0 and seq.max() < k and (
-            allowed.all() or np.all(
-                allowed[seq[..., :-1].astype(np.intp) * k + seq[..., 1:]])))
+            allowed.all() or np.all(np.take(
+                allowed, seq[..., :-1].astype(np.intp) * k + seq[..., 1:]))))
 
     def admissible_words(self, length: int) -> list[tuple[int, ...]]:
         """Admissible words of the given length, in lexicographic order."""
@@ -173,6 +183,9 @@ class EndpointFixedMap:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        for key in ("breakpoints", "values"):
+            if not all(map(real_number, knots := getattr(self, key))):
+                raise TypeError(f"{key} must be numbers; got {knots!r}")
         bp, vals = tuple(self.breakpoints), tuple(self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)

@@ -6,16 +6,21 @@ The infinite nested construction is truncated at a finite level; the
 truncation level, the orbit-length cap, and the achieved empirical distance
 are all reported rather than hidden.  Partition cells are depth-1 cylinders,
 so the pseudo-orbit jumps stay below 1/2 and the symbolic splice shadows them
-within 1/4.  On a shift the woven orbit is one int8 array: the schedule lays
-it out once (`WeaveSchedule.layout`), the splice writes each family's picks
-with one fancy index and checks the segment ends up to the first mismatching
-column, and one bincount counts every cylinder at every grid point.
+within 1/4.  On a shift the woven orbit is one int8 array.  The schedule lays
+it out once (`WeaveSchedule.layout`): every segment's fill positions and end,
+the convergence grid and each position's grid segment.  A splice, and so a
+repick of one slot, pays only for the gather of the picked blocks, the fill
+(one fancy index per family), the check of the segment ends up to the first
+mismatching column, and one distance table: one bincount and two cumulative
+sums count every cylinder at every grid point, against a leaf table built
+once per test-function family.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +30,8 @@ import numpy as np
 
 from .measures import MarkovMeasure, TestFunctionFamily, convex_decompose
 from .shadowing import (AUDIT_DEPTH, PseudoOrbitViolation, canonical_cycle,
-                        continue_words, make_rng, steering_word)
+                        continue_words, make_rng, steering_word,
+                        symbol_continuation)
 from .systems import ShiftSpace, Word
 
 __all__ = [
@@ -81,42 +87,64 @@ class BlockFamily:
             self.shift, self.blocks, self.n + AUDIT_DEPTH - 1)[:, self.n:]
 
 
-def _cylinder_distances(symbols, ms, measure,
-                        family: TestFunctionFamily) -> np.ndarray:
+def _segments(bounds):  # position p lies in the first s with p < bounds[s]
+    return np.repeat(np.arange(len(bounds)), np.diff(bounds, prepend=0))
+
+
+@functools.cache
+def _leaf_table(k: int, depth: int, words: tuple) -> tuple:
+    """(rank, runs, leaves): rank[c] is the sorted index of the leaf (longest
+    listed prefix) of the depth-word of base-k code c, and listed word i
+    owns the sorted leaves runs[i][0] <= u < runs[i][1]."""
+    listed = set(words)
+    leaf = [next((w[:d] for d in range(depth, 0, -1) if w[:d] in listed), ())
+            for w in np.ndindex((k,) * depth)]
+    leaves = sorted(set(leaf))
+    rank = np.array([bisect.bisect_left(leaves, u) for u in leaf])
+    rank.flags.writeable = False
+    return rank, tuple(tuple(bisect.bisect_left(leaves, w + e)
+                             for e in ((), (k,))) for w in words), len(leaves)
+
+
+def _cylinder_distances(symbols, ms, measure, family: TestFunctionFamily,
+                        segment: np.ndarray | None = None) -> np.ndarray:
     """Weak* distance between the m-window empirical measure of a symbol
     sequence and a Markov/mixture measure, for every window length m in ms,
     via exact cylinder frequencies: the m-window frequency of a cylinder
     counts its occurrences starting at positions 0..m-1.  Leading axes of
     `symbols` are batch axes: a (B, L) matrix gives a (B, len(ms)) array,
-    each row equal to the call on that row alone.  One bincount and one
-    cumsum count each position's leaf (the longest listed prefix of its
-    depth-max_depth word) per (row, segment), the segments ending at the
-    sorted ms; a cylinder's hits sum the run of sorted leaves below it."""
+    each row equal to the call on that row alone.  One bincount counts each
+    position's leaf per (row, segment), the segments ending at the sorted ms
+    (a given `segment` is `_segments(ms)`, ms sorted and distinct); summed
+    over segments, then leaves, below[u] counts the leaves < u, and the run
+    lo <= u < hi of a cylinder's leaves has below[hi] - below[lo] hits."""
     sym = np.asarray(symbols, dtype=np.int8)
     ms = np.asarray(ms, dtype=np.int64)
     k, depth, L = family.alphabet_size, family.max_depth, sym.shape[-1]
     top = int(ms.max())
     if top + depth - 1 > L or sym.size and not 0 <= sym.min() <= sym.max() < k:
         raise ValueError("word too short, or a symbol outside the alphabet")
-    listed = {phi.word for phi in family.functions}
-    leaf = [next((w[:d] for d in range(depth, 0, -1) if w[:d] in listed), ())
-            for w in np.ndindex((k,) * depth)]
-    leaves = sorted(set(leaf))
-    bounds, where = np.unique(ms, return_inverse=True)
+    rank, runs, n = _leaf_table(
+        k, depth, tuple(phi.word for phi in family.functions))
+    bounds, where = np.unique(ms, return_inverse=True) if segment is None \
+        else (ms, slice(None))
+    segment = _segments(bounds) if segment is None else segment
     B, S = math.prod(sym.shape[:-1]), len(bounds)
     code = np.zeros((B, top), dtype=np.min_scalar_type(-k ** depth))
     for d in range(depth):  # base-k code of the deepest word at each position
         code = code * k + sym.reshape(B, L)[:, d:d + top]
-    bins = np.take([bisect.bisect_left(leaves, u) * B * S for u in leaf], code)
-    bins += np.arange(B)[:, None] * S + np.repeat(
-        np.arange(S), np.diff(bounds, prepend=0))  # (leaf, row, segment)
-    runs = np.bincount(bins.ravel(), minlength=len(leaves) * B * S)
-    flat = np.cumsum(runs, out=runs).reshape(len(leaves) * B, S)
-    flat[1:] -= flat[:-1, -1:]  # each (leaf, row) run counts from 0
-    runs, total = runs.reshape(len(leaves), B, S), np.zeros((B, S))
-    for i, phi in enumerate(family.functions, start=1):
-        lo, hi = (bisect.bisect_left(leaves, phi.word + e) for e in ((), (k,)))
-        total += np.abs(runs[lo:hi].sum(axis=0) / bounds
+    # (leaf, row, segment); take gathers far faster by intp than int8 indices
+    bins = np.take(rank * (B * S), code.astype(np.intp))
+    bins += segment
+    bins += S * np.arange(B)[:, None]
+    hits = np.bincount(bins.ravel(), minlength=n * B * S).reshape(n, B, S)
+    np.cumsum(hits, axis=2, out=hits)
+    below = np.zeros((n + 1, B, S), dtype=np.int64)
+    for u in range(n):  # one add per leaf plane, where a cumsum is far slower
+        np.add(below[u], hits[u], out=below[u + 1])
+    total = np.zeros((B, S))
+    for i, (phi, (lo, hi)) in enumerate(zip(family.functions, runs), start=1):
+        total += np.abs((below[hi] - below[lo]) / bounds
                         - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
     return total[:, where].reshape(sym.shape[:-1] + ms.shape)
 
@@ -178,11 +206,16 @@ def connector(shift: ShiftSpace, from_cell: int, to_cell: int):
 
 
 class Layout(NamedTuple):
-    """Where the woven point's segments start (symbols from 0)."""
+    """Where the woven point's segments start (symbols from 0), and the
+    read-only arrays that a splice and its convergence table read."""
 
     keys: list[tuple]  # the (k, j, i, t) slots in the construction's order
     slots: dict  # (k, j) -> (indices into keys, starts), both (T_k, reps)
     bridges: dict  # (from cell, to cell) -> (s, connector starts)
+    fill: tuple  # per slot family, then bridge: (count, length) positions
+    ends: np.ndarray  # every segment's end, in the order of fill
+    grid: np.ndarray  # the convergence grid: cycle starts and the length
+    segment: np.ndarray  # _segments(grid)
 
 
 @dataclass
@@ -222,7 +255,7 @@ class WeaveSchedule:
 
     @functools.cached_property
     def layout(self) -> Layout:
-        keys, slots, bridges, pos = [], {}, {}, 0
+        keys, slots, bridges, spans, grid, pos = [], {}, {}, [], [], 0
 
         def bridge(a, b, s, starts):  # files a connector, returns its length
             bridges.setdefault((a, b), (s, []))[1].append(starts)
@@ -232,6 +265,7 @@ class WeaveSchedule:
                 zip(self.cells, self.block_lengths, self.T), start=1):
             reps = [self.repetitions(k, j) for j in range(1, len(ns) + 1)]
             cycles = pos + self.Y[k - 1] * np.arange(T)  # their starts
+            grid.append(cycles)
             firsts = len(keys) + sum(reps) * np.arange(T)  # their first slots
             keys += [(k, j, i, t) for i in range(1, T + 1)
                      for j, r in enumerate(reps, 1) for t in range(1, r + 1)]
@@ -239,6 +273,7 @@ class WeaveSchedule:
             for j, (n, r) in enumerate(zip(ns, reps), start=1):
                 slots[(k, j)] = (firsts[:, None] + np.arange(r),
                                  cycles[:, None] + at + n * np.arange(r))
+                spans.append((slots[(k, j)][1], n))
                 firsts, at = firsts + r, at + r * n
                 at += bridge(cells[j - 1], cells[j % len(ns)],
                              self.s(k, j, k, j % len(ns) + 1), cycles + at)
@@ -248,9 +283,16 @@ class WeaveSchedule:
             if at != self.Y[k - 1] or pos != self.offsets_M[k]:
                 raise AssertionError(f"level {k} ends at {pos}, scheduled "
                                      f"{self.offsets_M[k]}")
-        return Layout(keys, slots,
-                      {pair: (s, np.concatenate(starts))
-                       for pair, (s, starts) in bridges.items()})
+        bridges = {pair: (s, np.concatenate(starts))
+                   for pair, (s, starts) in bridges.items()}
+        fill = tuple(starts.reshape(-1, 1) + np.arange(n) for starts, n in
+                     spans + [(starts, s) for s, starts in bridges.values()])
+        grid = np.concatenate(grid + [[pos]])[1:]  # increasing, from M_1 = 0
+        ends = np.concatenate([f[:, -1] + 1 for f in fill])
+        segment = _segments(grid)
+        for a in (*fill, ends, grid, segment):
+            a.flags.writeable = False
+        return Layout(keys, slots, bridges, fill, ends, grid, segment)
 
     @property
     def total_length(self) -> int:
@@ -389,9 +431,9 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     check and the shadow deviations only involve segment ends, and the
     shadowing point is the concatenated segment symbols followed by the last
     state.  The point is one preallocated int8 array written at the layout's
-    starts, one fancy index per family and per connector word.  Past its
-    end, a segment's last state holds its family's continuation row (for a
-    connector, the cycle through its target); the ends are checked column
+    fill positions, one fancy index per family and per connector word.  Past
+    its end, a segment's last state holds its family's continuation row (for
+    a connector, the cycle through its target); the ends are checked column
     by column, up to the first column where any of them differs.
 
     families maps (k, j) to a BlockFamily; picks (slot -> block index) fixes
@@ -403,30 +445,31 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
     its cycle, and choice the block index of every slot in layout.keys order.
     """
     layout, depth = schedule.layout, AUDIT_DEPTH - 1
-    bounds = np.empty(len(layout.keys), dtype=np.int64)
+    keys, ends = layout.keys, layout.ends
+    bounds = np.empty(len(keys), dtype=np.int64)
     for (k, j), (index, _starts) in layout.slots.items():
         if families[(k, j)].n != schedule.block_lengths[k - 1][j - 1]:
             raise ValueError("schedule/family block length mismatch")
         bounds[index] = len(families[(k, j)].blocks)
-    picks = picks or {}
-    got = np.array([picks.get(key, -1) for key in layout.keys], dtype=np.int64)
+    # picks in layout order (as WeaveOutcome.picks gives them) read as is
+    got = np.full(len(keys), -1, dtype=np.int64) if not picks else np.fromiter(
+        picks.values() if list(picks) == keys
+        else map(picks.get, keys, itertools.repeat(-1)), np.int64, len(keys))
     if (draw := got < 0).any():
         got[draw] = make_rng(seed).integers(bounds[draw])
-    segments = []  # (starts, symbols, continuations, each one's row)
-    for key, (index, starts) in layout.slots.items():
+    segments = []  # (symbols, continuations, each one's row)
+    for key, (index, _starts) in layout.slots.items():
         fam, idx = families[key], got[index].ravel()
-        segments.append((starts.ravel(), fam.blocks[idx, :fam.n],
-                         fam.continuation, idx))
+        segments.append((fam.blocks[idx, :fam.n], fam.continuation, idx))
     for (a, b), (_s, starts) in layout.bridges.items():
-        word = np.array([schedule.connectors[(a, b)]], dtype=np.int8)
-        segments.append((starts, word, continue_words(
-            shift, np.array([[b]], np.int8), depth), np.zeros_like(starts)))
+        segments.append((np.array([schedule.connectors[(a, b)]], np.int8),
+                         symbol_continuation(shift, b, depth),
+                         np.zeros(len(starts), np.intp)))
     L, last = schedule.total_length, schedule.cells[0][0]  # the last target
     z = np.empty(L + AUDIT_DEPTH + len(canonical_cycle(shift, last)), np.int8)
-    for starts, symbols, *_ in segments:
-        z[starts[:, None] + np.arange(symbols.shape[1])] = symbols
-    z[L:] = continue_words(shift, np.array([last], np.int8), len(z) - L)
-    ends = np.concatenate([s + word.shape[1] for s, word, *_ in segments])
+    for fill, (symbols, *_) in zip(layout.fill, segments):
+        z[fill] = symbols
+    z[L:] = symbol_continuation(shift, last, len(z) - L)[0]
     # e = the first column where some segment's continuation and the point
     # differ: the jump at that segment's end is 2^-e (e = 0 breaks the
     # 1/2-pseudo-orbit) and its last state is 2^-(1+e) from the shifted point
@@ -477,11 +520,9 @@ def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
     z, deviation, choice = concatenate(shift, schedule, families, seed=seed,
                                        picks=picks)
     L = schedule.total_length
-    grid = np.unique(np.concatenate(
-        [schedule.M(k) + schedule.Y[k - 1] * np.arange(schedule.T[k - 1])
-         for k in range(1, schedule.k_max + 1)] + [[L]]))
-    grid = grid[grid >= 1]
-    D = _cylinder_distances(z[:L + family.max_depth], grid, target, family)
+    grid = schedule.layout.grid
+    D = _cylinder_distances(z[:L + family.max_depth], grid, target, family,
+                            segment=schedule.layout.segment)
     convergence = list(zip(grid.tolist(), D.tolist()))
     return WeaveOutcome(
         symbols=z, total_length=L, convergence=convergence,

@@ -655,6 +655,21 @@ CONFIG_FAILURES = {
         "P": [[True, 0.0], [0.5, 0.5]]}}, "stochastic matrix P must hold numbers"),
     "weave_epsilon_huge_int": ("weave", {**WEAVE_B07, "epsilon": 10 ** 400},
                                "epsilon must be of type float; got 1000"),
+    # numpy's "inhomogeneous shape" error named neither P nor the value
+    "katok_P_ragged": ("katok", {**KATOK_B07, "measure": {
+        "P": [[0.5, 0.5], [1.0]]}},
+        "stochastic matrix P must hold numbers; got [[0.5, 0.5], [1.0]]"),
+    # a string knot or weight failed a comparison or a sum on a message that
+    # named no key, and a true knot ran as 1 and exited 0
+    **{f"plmap_knot_{label}": ("shadow", {"system": {
+        "kind": "plmap", "breakpoints": knots, "values": [0, 0.9, 1]},
+        "mode": "modulus", "trials": 10, "length": 50},
+        f"breakpoints must be numbers; got {knots!r}")
+       for label, knots in (("string", [0, "0.25", 1]),
+                            ("true", [0, 0.25, True]))},
+    "weave_mixture_weight_string": ("weave", {**WEAVE_B07, "target": {
+        "mixture": [["0.5", {"bernoulli": 0.3}], [0.5, {"bernoulli": 0.7}]]}},
+        "mixture weights must be numbers; got ['0.5', 0.5]"),
     "missing_file": ("katok", None, "No such file or directory"),
     "not_json": ("katok", "{system: full_shift}", "Expecting property name"),
 }

@@ -15,7 +15,8 @@ from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
                                   canonical_cycle, continue_words, make_rng,
                                   perturbed_orbit, shadow_interval,
                                   shadow_shift, shadowing_modulus,
-                                  steering_word, validate_pseudo, word_state)
+                                  steering_word, symbol_continuation,
+                                  validate_pseudo, word_state)
 from orbitweave.systems import (EndpointFixedMap, ShiftSpace, TentMap, Word,
                                 apply_map, dist, full_shift, golden_mean_shift,
                                 orbit)
@@ -876,6 +877,17 @@ def test_continue_words_matches_word_state(shift):
         assert np.array_equal(
             continue_words(shift, words.reshape(5, 6, 6), width),
             got.reshape(5, 6, width))
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
+def test_symbol_continuation_is_the_cached_continue_words(shift):
+    for a in range(shift.alphabet_size):
+        for width in (1, 63, 70):
+            got = symbol_continuation(shift, a, width)
+            assert got is symbol_continuation(shift, a, width)
+            assert not got.flags.writeable
+            assert np.array_equal(got, continue_words(
+                shift, np.array([[a]], np.int8), width))
 
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -165,6 +166,19 @@ def test_transition_is_stored_as_one_tuple_matrix():
                    np.array([[1, 1], [1, 0]], np.float32)):
         with pytest.raises(ValueError, match="transition entries must be 0/1"):
             ShiftSpace(2, matrix)
+
+
+def test_word_admissible_reads_one_cached_read_only_table():
+    golden = golden_mean_shift()
+    assert golden.word_admissible(np.array([0, 1, 0, 0, 1], np.int8))
+    table = golden._allowed
+    assert table is golden._allowed and not table.flags.writeable
+    assert table.tolist() == [True, True, True, False]
+    # the cache is no field: equality and hashing still read the two fields
+    fresh = ShiftSpace(2, ((1, 1), (1, 0)))
+    assert fresh == golden and hash(fresh) == hash(golden)
+    assert [f.name for f in dataclasses.fields(golden)] == [
+        "alphabet_size", "transition"]
 
 
 def test_reducible_matrix_detected():

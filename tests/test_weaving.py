@@ -1,9 +1,12 @@
+import bisect
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitweave.measures import (MarkovMeasure, MixtureMeasure,
                                  TestFunctionFamily, bernoulli,
@@ -150,6 +153,56 @@ def test_cylinder_distances_match_reference_on_batches(k, N):
             sym, ms[::3], measure, family))
     with pytest.raises(ValueError, match="alphabet"):
         _cylinder_distances(np.full(30, k), ms, measure, family)
+
+
+def ref_cylinder_distances(symbols, ms, measure, family):
+    """The kernel before the cumulative count table, its oracle: a cylinder's
+    hits summed over its run of sorted leaves, leaf by leaf."""
+    sym = np.asarray(symbols, dtype=np.int8)
+    ms = np.asarray(ms, dtype=np.int64)
+    k, depth, L = family.alphabet_size, family.max_depth, sym.shape[-1]
+    top = int(ms.max())
+    listed = {phi.word for phi in family.functions}
+    leaf = [next((w[:d] for d in range(depth, 0, -1) if w[:d] in listed), ())
+            for w in np.ndindex((k,) * depth)]
+    leaves = sorted(set(leaf))
+    bounds, where = np.unique(ms, return_inverse=True)
+    B, S = math.prod(sym.shape[:-1]), len(bounds)
+    code = np.zeros((B, top), dtype=np.min_scalar_type(-k ** depth))
+    for d in range(depth):
+        code = code * k + sym.reshape(B, L)[:, d:d + top]
+    bins = np.take([bisect.bisect_left(leaves, u) * B * S for u in leaf], code)
+    bins += np.arange(B)[:, None] * S + np.repeat(
+        np.arange(S), np.diff(bounds, prepend=0))
+    runs = np.bincount(bins.ravel(), minlength=len(leaves) * B * S)
+    flat = np.cumsum(runs, out=runs).reshape(len(leaves) * B, S)
+    flat[1:] -= flat[:-1, -1:]
+    runs, total = runs.reshape(len(leaves), B, S), np.zeros((B, S))
+    for i, phi in enumerate(family.functions, start=1):
+        lo, hi = (bisect.bisect_left(leaves, phi.word + e) for e in ((), (k,)))
+        total += np.abs(runs[lo:hi].sum(axis=0) / bounds
+                        - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
+    return total[:, where].reshape(sym.shape[:-1] + ms.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cylinder_distances_match_the_leaf_run_kernel(data):
+    # every D bitwise: the same integer hits, then the same float steps per
+    # cylinder added in the family's order
+    k = data.draw(st.integers(2, 4), label="k")
+    family = TestFunctionFamily("cylinder", data.draw(
+        st.sampled_from([1, 5, 16, 40]), label="N"), k)
+    shape = data.draw(st.sampled_from([(3000,), (400, 30), (3, 20, 30)]),
+                      label="shape")
+    top = shape[-1] - family.max_depth + 1
+    ms = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=50),
+                   label="ms")  # unsorted and repeated
+    rng = make_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    measure = bernoulli(rng.dirichlet(np.ones(k)))
+    sym = rng.integers(0, k, shape).astype(np.int8)
+    assert np.array_equal(_cylinder_distances(sym, ms, measure, family),
+                          ref_cylinder_distances(sym, ms, measure, family))
 
 
 def _loop_select_blocks(measure, n, epsilon, k, gamma, budget, seed, family):
@@ -522,6 +575,71 @@ def test_outcome_views_match_word_state():
     assert outcome.picks == dict(zip(sched.layout.keys,
                                      outcome.choice.tolist()))
     assert set(outcome.picks.values()) == {0, 1}
+
+
+def _listcomp_choice(schedule, families, seed, picks):
+    """The former read of picks, one dict lookup per slot in layout order,
+    then one draw for every slot left open."""
+    keys = schedule.layout.keys
+    got = np.array([picks.get(key, -1) for key in keys], dtype=np.int64)
+    bounds = np.array([len(families[key[:2]].blocks) for key in keys])
+    if (draw := got < 0).any():
+        got[draw] = make_rng(seed).integers(bounds[draw])
+    return got
+
+
+def _reweave_base():
+    schedule, families, outcome = run_weave(
+        FULL, bernoulli(0.7), FAMILY, k_max=2, gamma=0.25, block_length=12,
+        epsilon=0.25, budget=300, seed=4, min_total_length=3000)
+    assert min(len(f.blocks) for f in families.values()) > 1
+    return schedule, families, outcome
+
+
+def test_concatenate_reads_picks_in_any_order():
+    schedule, families, outcome = _reweave_base()
+    ordered, keys = outcome.picks, schedule.layout.keys
+    shuffled = [keys[i]
+                for i in np.random.default_rng(0).permutation(len(keys))]
+    one_open = dict(ordered)
+    one_open[keys[5]] = -1  # negative: drawn
+    for picks in (ordered, {key: ordered[key] for key in shuffled},
+                  dict(reversed(ordered.items())), one_open,
+                  {key: ordered[key] for key in keys[::3]},
+                  {key: ordered[key] for key in shuffled[:40]},
+                  {**ordered, (9, 9, 9, 9): 0}, {}, None):
+        _z, _deviation, choice = concatenate(FULL, schedule, families, seed=7,
+                                             picks=picks)
+        assert np.array_equal(choice, _listcomp_choice(
+            schedule, families, 7, picks or {}))
+
+
+def test_weave_point_repeats_on_one_schedule_with_a_read_only_layout():
+    schedule, families, outcome = _reweave_base()
+    picks = dict(outcome.picks)
+    slot = next(iter(picks))
+    picks[slot] = (picks[slot] + 1) % len(families[slot[:2]].blocks)
+    a, b, again = (weave_point(FULL, schedule, families, bernoulli(0.7),
+                               FAMILY, seed=4, picks=p)
+                   for p in (picks, picks, outcome.picks))
+    for x, y in ((a, b), (again, outcome)):
+        assert np.array_equal(x.symbols, y.symbols)
+        assert np.array_equal(x.choice, y.choice)
+        assert x.convergence == y.convergence
+        assert x.per_block_deviation == y.per_block_deviation
+    layout, L = schedule.layout, schedule.total_length
+    arrays = (*layout.fill, layout.ends, layout.grid, layout.segment)
+    assert not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        layout.grid[0] = 0
+    # the fill positions tile the point once, and each position's segment
+    # is the first grid point past it
+    assert np.array_equal(np.sort(np.concatenate(
+        [f.ravel() for f in layout.fill])), np.arange(L))
+    assert layout.grid[0] >= 1 and np.all(np.diff(layout.grid) > 0)
+    assert layout.grid[-1] == L
+    assert np.array_equal(layout.segment, np.searchsorted(
+        layout.grid, np.arange(L), side="right"))
 
 
 def test_weave_point_bernoulli_half():
