@@ -250,9 +250,6 @@ class WeaveSchedule:
         to = self.cells[(k2 - 1) % self.k_max][j2 - 1]
         return len(self.connectors[(self.cells[k1 - 1][j1 - 1], to)])
 
-    def M(self, q: int) -> int:  # level q's start; 1-based like the paper
-        return self.offsets_M[q - 1]
-
     @functools.cached_property
     def layout(self) -> Layout:
         keys, slots, bridges, spans, grid, pos = [], {}, {}, [], [], 0
@@ -321,11 +318,8 @@ class WeaveSchedule:
             lhs = (k + 1) * self.Y[k]
             rhs = sum(self.Y[r] * self.T[r] for r in range(k))
             assert lhs <= rhs, "first cycle-count inequality fails"
-            lhs2 = (k + 1) * sum(self.Y[r] * self.T[r]
-                                 + self._next_level_connector(r + 1)
-                                 for r in range(k))
-            rhs2 = self.Y[k] * self.T[k]
-            assert lhs2 <= rhs2, "second cycle-count inequality fails"
+            assert (k + 1) * self.offsets_M[k] <= self.Y[k] * self.T[k], \
+                "second cycle-count inequality fails"
         self.layout  # its cycles and levels tie out with Y_k and offsets_M
         self.certified = True
         return self
@@ -350,10 +344,11 @@ def build_schedule(shift: ShiftSpace, decomposition, block_lengths, cells,
     the shift's `connector` joins every pair of used cells.
 
     N_k is the least integer making every N_k C_{k,j} integral subject to the
-    connector-budget bound; T_k is the least strictly increasing sequence
-    satisfying both cycle-count inequalities (the final level may be inflated
-    to reach min_total_length).  Exceeding length_cap truncates k_max and
-    reports the forced level.
+    connector-budget bound.  T_k is the largest of T_{k-1} + 1 (or 1), ceil(k
+    M_k / Y_k) and, below the top level, ceil(((k+1) Y_{k+1} - sum_{r<k} Y_r
+    T_r) / Y_k), at it ceil((min_total_length - M_k - s_k) / Y_k), in exact
+    integers; M_1 = 0 and M_{k+1} = M_k + Y_k T_k + s_k.  Past length_cap, it
+    keeps the most levels that fit, their number reported as truncation_level.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -373,51 +368,35 @@ def build_schedule(shift: ShiftSpace, decomposition, block_lengths, cells,
             k_max=km, coefficients=coeffs[:km],
             block_lengths=[list(b) for b in block_lengths[:km]],
             cells=[list(c) for c in cells[:km]], C=C,
-            N=[], X=[], Y=[], T=[], connectors=connectors, epsilon=epsilon)
+            N=[], X=[], Y=[], T=[], connectors=connectors, epsilon=epsilon,
+            truncated=km < k_max, truncation_level=km if km < k_max else None,
+            offsets_M=[0])
         for k in range(1, km + 1):
             sk = len(coeffs[k - 1])
             lcm = math.lcm(*(c.denominator for c in C[k - 1]))
-            bound = k * sched._connector_sum(k)
-            N_k = lcm * max(1, math.ceil(bound / lcm))
+            N_k = lcm * max(1, -(-k * sched._connector_sum(k) // lcm))
             sched.N.append(N_k)
             X_k = sum(sched.s(k, j, k, j % sk + 1) for j in range(1, sk + 1))
             sched.X.append(X_k)
             sched.Y.append(N_k + X_k)
-        # least admissible strictly increasing cycle counts
-        T = []
-        for k in range(1, km + 1):
-            t = 1 if not T else T[-1] + 1
-            prior = sum(sched.Y[r] * T[r] + sched._next_level_connector(r + 1)
-                        for r in range(k - 1))
-            t = max(t, math.ceil(k * prior / sched.Y[k - 1]))
-            T.append(t)
-            if k < km:  # feasibility of the first inequality at this level
-                need = (k + 1) * sched.Y[k] - sum(sched.Y[r] * T[r]
-                                                  for r in range(k - 1))
-                T[-1] = max(T[-1], math.ceil(need / sched.Y[k - 1]))
-        # inflating the final level to min_total_length keeps every
-        # inequality valid
-        need = min_total_length - sum(
-            sched.Y[r] * T[r] + sched._next_level_connector(r + 1)
-            for r in range(km - 1)) - sched._next_level_connector(km)
-        T[-1] = max(T[-1], math.ceil(need / sched.Y[km - 1]))
-        sched.T, sched.offsets_M = T, [0]
-        for q in range(km):
-            sched.offsets_M.append(sched.offsets_M[-1] + T[q] * sched.Y[q]
-                                   + sched._next_level_connector(q + 1))
+        YT = 0  # sum_{r<k} Y_r T_r
+        for k, Y in enumerate(sched.Y, start=1):
+            M, s = sched.offsets_M[-1], sched._next_level_connector(k)
+            need = (k + 1) * sched.Y[k] - YT if k < km \
+                else min_total_length - M - s
+            T = max(sched.T[-1] + 1 if sched.T else 1, -(-k * M // Y),
+                    -(-need // Y))
+            sched.T.append(T)
+            YT += Y * T
+            sched.offsets_M.append(M + Y * T + s)
         return sched
 
-    sched = make(k_max)
-    km = k_max
-    while sched.total_length > length_cap and km > 1:
-        km -= 1
+    for km in range(k_max, 0, -1):
         sched = make(km)
-        sched.truncated = True
-        sched.truncation_level = km
-    if sched.total_length > length_cap:
-        raise OverflowError(
-            f"even a single level needs {sched.total_length} > cap {length_cap}")
-    return sched.certify()
+        if sched.total_length <= length_cap:
+            return sched.certify()
+    raise OverflowError(
+        f"even a single level needs {sched.total_length} > cap {length_cap}")
 
 
 def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
@@ -490,16 +469,25 @@ def concatenate(shift: ShiftSpace, schedule: WeaveSchedule,
 @dataclass
 class WeaveOutcome:
     """A woven point and its audits, kept as arrays: the point's first
-    symbols (see concatenate) and each slot's block index, in the order of
-    `keys` (layout.keys).  `point` and `picks` are views built on first use."""
+    symbols (see concatenate), the distance D at each layout.grid point, and
+    each slot's block index, in the order of `keys` (layout.keys).  `point`,
+    `picks` and the (n, D) rows of `convergence` are built on first use."""
 
     symbols: np.ndarray
     total_length: int
-    convergence: list[tuple[int, float]]
+    grid: np.ndarray
+    D: np.ndarray
     per_block_deviation: float
-    final_distance: float
     choice: np.ndarray
     keys: list[tuple]
+
+    @property
+    def final_distance(self) -> float:
+        return float(self.D[-1])
+
+    @functools.cached_property
+    def convergence(self) -> list[tuple[int, float]]:
+        return list(zip(self.grid.tolist(), self.D.tolist()))
 
     @functools.cached_property
     def point(self) -> Word:  # period len(z) - L - AUDIT_DEPTH from L + 1 on
@@ -519,15 +507,12 @@ def weave_point(shift: ShiftSpace, schedule: WeaveSchedule, families: dict,
     target along the offset grid and at the full length."""
     z, deviation, choice = concatenate(shift, schedule, families, seed=seed,
                                        picks=picks)
-    L = schedule.total_length
-    grid = schedule.layout.grid
-    D = _cylinder_distances(z[:L + family.max_depth], grid, target, family,
-                            segment=schedule.layout.segment)
-    convergence = list(zip(grid.tolist(), D.tolist()))
+    L, layout = schedule.total_length, schedule.layout
+    D = _cylinder_distances(z[:L + family.max_depth], layout.grid, target,
+                            family, segment=layout.segment)
     return WeaveOutcome(
-        symbols=z, total_length=L, convergence=convergence,
-        per_block_deviation=deviation, final_distance=convergence[-1][1],
-        choice=choice, keys=schedule.layout.keys)
+        symbols=z, total_length=L, grid=layout.grid, D=D,
+        per_block_deviation=deviation, choice=choice, keys=layout.keys)
 
 
 def run_weave(shift: ShiftSpace, target, family: TestFunctionFamily,

@@ -292,8 +292,14 @@ def test_weave_and_truncation(tmp_path):
     cfg["k_max"] = 4
     cfg["length_cap"] = 700
     cfg.pop("min_total_length")
-    code2, _ = run(tmp_path, "weave", cfg, seed=11, outdir="trunc")
+    code2, trunc = run(tmp_path, "weave", cfg, seed=11, outdir="trunc")
     assert code2 == 3
+    sched = json.loads((trunc / "schedule.json").read_text())
+    assert sched["truncated"] is True
+    assert sched["truncation_level"] == sched["k_max"] < 4
+    assert sched["total_length"] <= 700
+    runs = (trunc / "woven.txt").read_text().split()
+    assert sum(int(r.split("x")[1]) for r in runs) == sched["total_length"]
 
 
 FULL2 = {"kind": "full_shift", "k": 2}

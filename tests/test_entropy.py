@@ -21,8 +21,10 @@ from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
                                  bernoulli, frequency_observable)
 from orbitweave.systems import (EndpointFixedMap, KindMismatchError,
-                                ShiftSpace, TentMap, Word, dist_n, full_shift,
+                                ShiftSpace, TentMap, Word, full_shift,
                                 golden_mean_shift)
+
+from bowen import dist_n
 
 
 def all_periodic(n):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from orbitweave.systems import (EndpointFixedMap, InteriorFixedPointError,
                                 KindMismatchError, ShiftSpace, TentMap, Word,
-                                apply_map, dist, dist_n, full_shift,
+                                apply_map, dist, full_shift,
                                 golden_mean_shift, orbit, system_from_json)
+
+from bowen import dist_n
 
 words = st.builds(
     Word,

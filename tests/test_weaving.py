@@ -15,7 +15,8 @@ from orbitweave.shadowing import (AUDIT_DEPTH, PseudoOrbitViolation,
                                   make_rng, shadow_shift, validate_pseudo,
                                   word_state)
 from orbitweave.systems import full_shift, golden_mean_shift
-from orbitweave.weaving import (BlockFamily, BlockSearchError, WeaveOutcome,
+from orbitweave.weaving import (DEFAULT_LENGTH_CAP, BlockFamily,
+                                BlockSearchError, WeaveOutcome, WeaveSchedule,
                                 _cylinder_distances, build_schedule,
                                 concatenate, connector, run_weave,
                                 select_blocks, separation_audit, weave_point,
@@ -303,6 +304,16 @@ def test_build_schedule_min_total_length():
     assert sched.total_length >= 4000
 
 
+def test_build_schedule_ceilings_are_exact_past_the_float_range():
+    # Y_1 = 14 and s_1 = 1: T_1 = ceil(2^60 / 14) gives 14 T_1 + 1; a float
+    # ceiling gave 2^60 - 63, below the asked minimum
+    with pytest.raises(OverflowError,
+                       match="needs 1152921504606846983 > cap 1000$"):
+        build_schedule(FULL, [[(Fraction(1), bernoulli(0.5))]], [[13]], [[0]],
+                       k_max=1, epsilon=0.25, length_cap=1000,
+                       min_total_length=2 ** 60 + 1)
+
+
 def test_build_schedule_length_cap_truncates():
     m = bernoulli(0.5)
     decomposition = [[(Fraction(1), m)] for _ in range(4)]
@@ -318,8 +329,8 @@ def test_offsets_recurrences():
                      [(Fraction(1), bernoulli(0.5))]]
     sched = build_schedule(FULL, decomposition, [[12], [12]], [[0], [0]],
                            k_max=2, epsilon=0.25)
-    assert sched.M(1) == 0
-    assert sched.M(2) == sched.T[0] * sched.Y[0] + sched.s(1, 1, 2, 1)
+    assert sched.offsets_M[0] == 0
+    assert sched.offsets_M[1] == sched.T[0] * sched.Y[0] + sched.s(1, 1, 2, 1)
     # cycle i of level k starts at M_k + (i - 1) Y_k, block t of it t - 1
     # blocks of length 12 later; the last block and its connector back into
     # the cell end the cycle
@@ -328,9 +339,116 @@ def test_offsets_recurrences():
         for i in range(1, T + 1):
             for t in range(1, reps + 1):
                 assert _slot_start(sched, k, i, 1, t) \
-                    == sched.M(k) + (i - 1) * Y + (t - 1) * 12
+                    == sched.offsets_M[k - 1] + (i - 1) * Y + (t - 1) * 12
             assert _slot_start(sched, k, i, 1, reps) + 12 \
-                + sched.s(k, 1, k, 1) == sched.M(k) + i * Y
+                + sched.s(k, 1, k, 1) == sched.offsets_M[k - 1] + i * Y
+
+
+def ref_build_schedule(shift, decomposition, block_lengths, cells, k_max,
+                       epsilon, length_cap=DEFAULT_LENGTH_CAP,
+                       min_total_length=0):
+    """The former build_schedule: every level start summed afresh, float
+    ceilings, and a while loop that sets the truncation flags after it."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    coeffs = [[Fraction(a) for a, _m in level] for level in decomposition]
+    for level in coeffs:
+        if sum(level) != 1 or any(a <= 0 for a in level):
+            raise ValueError("coefficients must be positive rationals summing to 1")
+    used = {c for level in cells[:k_max] for c in level}
+    connectors = {(a, b): tuple(connector(shift, a, b)[1]) for a in used
+                  for b in used}
+
+    def make(km):
+        C = [[a / n for a, n in zip(coeffs[k], block_lengths[k])]
+             for k in range(km)]
+        sched = WeaveSchedule(
+            k_max=km, coefficients=coeffs[:km],
+            block_lengths=[list(b) for b in block_lengths[:km]],
+            cells=[list(c) for c in cells[:km]], C=C,
+            N=[], X=[], Y=[], T=[], connectors=connectors, epsilon=epsilon)
+        for k in range(1, km + 1):
+            sk = len(coeffs[k - 1])
+            lcm = math.lcm(*(c.denominator for c in C[k - 1]))
+            bound = k * sched._connector_sum(k)
+            N_k = lcm * max(1, math.ceil(bound / lcm))
+            sched.N.append(N_k)
+            X_k = sum(sched.s(k, j, k, j % sk + 1) for j in range(1, sk + 1))
+            sched.X.append(X_k)
+            sched.Y.append(N_k + X_k)
+        T = []
+        for k in range(1, km + 1):
+            t = 1 if not T else T[-1] + 1
+            prior = sum(sched.Y[r] * T[r] + sched._next_level_connector(r + 1)
+                        for r in range(k - 1))
+            t = max(t, math.ceil(k * prior / sched.Y[k - 1]))
+            T.append(t)
+            if k < km:
+                need = (k + 1) * sched.Y[k] - sum(sched.Y[r] * T[r]
+                                                  for r in range(k - 1))
+                T[-1] = max(T[-1], math.ceil(need / sched.Y[k - 1]))
+        need = min_total_length - sum(
+            sched.Y[r] * T[r] + sched._next_level_connector(r + 1)
+            for r in range(km - 1)) - sched._next_level_connector(km)
+        T[-1] = max(T[-1], math.ceil(need / sched.Y[km - 1]))
+        sched.T, sched.offsets_M = T, [0]
+        for q in range(km):
+            sched.offsets_M.append(sched.offsets_M[-1] + T[q] * sched.Y[q]
+                                   + sched._next_level_connector(q + 1))
+        return sched
+
+    sched = make(k_max)
+    km = k_max
+    while sched.total_length > length_cap and km > 1:
+        km -= 1
+        sched = make(km)
+        sched.truncated = True
+        sched.truncation_level = km
+    if sched.total_length > length_cap:
+        raise OverflowError(
+            f"even a single level needs {sched.total_length} > cap {length_cap}")
+    return sched.certify()
+
+
+@st.composite
+def schedule_inputs(draw):
+    """A shift, 1-4 levels of 1-3 components with block lengths 2-20 and
+    cells drawn from the alphabet, a min_total_length and a length_cap."""
+    shift = draw(st.sampled_from([FULL, full_shift(3), golden_mean_shift()]))
+    decomposition, block_lengths, cells = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        size = len(weights)
+        decomposition.append([(Fraction(w, sum(weights)), None)
+                              for w in weights])
+        block_lengths.append(draw(st.lists(
+            st.integers(2, 20), min_size=size, max_size=size)))
+        cells.append(draw(st.lists(st.integers(0, shift.alphabet_size - 1),
+                                   min_size=size, max_size=size)))
+    return (shift, decomposition, block_lengths, cells, len(cells), 0.25), {
+        "min_total_length": draw(st.integers(0, 40_000)),
+        "length_cap": draw(st.integers(200, 10 ** 6))}
+
+
+@given(schedule_inputs())
+@settings(max_examples=150, deadline=None)
+def test_build_schedule_matches_the_former_schedule(case):
+    args, options = case
+    try:
+        want = ref_build_schedule(*args, **options)
+    except OverflowError as refused:
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(refused))}$"):
+            build_schedule(*args, **options)
+        return
+    got = build_schedule(*args, **options)
+    for name in ("k_max", "N", "X", "Y", "T", "offsets_M", "truncated",
+                 "truncation_level", "total_length", "certified"):
+        assert getattr(got, name) == getattr(want, name), name
+    a, b = got.layout, want.layout
+    assert a.keys == b.keys
+    for x, y in zip((*a.fill, a.ends, a.grid, a.segment),
+                    (*b.fill, b.ends, b.grid, b.segment), strict=True):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -352,7 +470,7 @@ def _paper_offset(schedule, k, i, j, t):
     it."""
     N, n, C = schedule.N[k - 1], schedule.block_lengths[k - 1], \
         schedule.C[k - 1]
-    return schedule.M(k) + (i - 1) * schedule.Y[k - 1] + sum(
+    return schedule.offsets_M[k - 1] + (i - 1) * schedule.Y[k - 1] + sum(
         (N * n[p - 1] * C[p - 1] + schedule.s(k, p, k, p + 1)
          for p in range(1, j)), Fraction(0)) + (t - 1) * n[j - 1]
 
@@ -690,8 +808,8 @@ def _audit_outcome(sched, symbols, slot, pick):
     choice = np.zeros(len(keys), dtype=np.int64)
     choice[keys.index(slot)] = pick
     return WeaveOutcome(symbols=symbols, total_length=sched.total_length,
-                        convergence=[], per_block_deviation=0.0,
-                        final_distance=0.0, choice=choice, keys=keys)
+                        grid=np.empty(0), D=np.empty(0),
+                        per_block_deviation=0.0, choice=choice, keys=keys)
 
 
 @pytest.mark.parametrize("past, separated", [(2, True), (3, False)])
@@ -733,8 +851,8 @@ def test_separation_audit_needs_exactly_one_differing_slot():
     z = np.zeros(L + AUDIT_DEPTH, dtype=np.int8)
 
     def outcome(choice):
-        return WeaveOutcome(symbols=z, total_length=L, convergence=[],
-                            per_block_deviation=0.0, final_distance=0.0,
+        return WeaveOutcome(symbols=z, total_length=L, grid=np.empty(0),
+                            D=np.empty(0), per_block_deviation=0.0,
                             choice=np.array(choice), keys=keys)
 
     base = [0] * len(keys)
