@@ -111,18 +111,21 @@ class MarkovMeasure:
     def sample_words(self, count: int, n: int, rng) -> np.ndarray:
         """(count, n) int8 matrix of words, drawn from one uniform array by
         inverse CDF one column at a time: column 0 from pi, each later column
-        from the row of P of the symbol before it.  A uniform past a row's
-        float sum goes to that row's last positive-probability symbol, so no
-        zero-probability symbol or transition is ever drawn."""
-        u = rng.random((count, n))
+        from the row of P of the symbol before it, the symbol being how many
+        of the row's cumulative sums the uniform reaches.  A uniform past a
+        row's float sum goes to that row's last positive-probability symbol,
+        so no zero-probability symbol or transition is ever drawn."""
+        u = rng.random((count, n)).T.copy()  # u[j]: column j, contiguous
         table = np.vstack([self.pi, self.P])  # row 0 is pi, row 1 + a is P[a]
-        cum = np.cumsum(table, axis=1)
+        cum = np.cumsum(table, axis=1).T.copy()  # cum[c]: sums to c per row
         last = self.alphabet_size - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
         W = np.empty((count, n), dtype=np.int8)
         row = np.zeros(count, dtype=np.intp)
-        for j in range(n):
-            sym = np.minimum((u[:, j, None] >= cum[row]).sum(axis=1), last[row])
-            W[:, j] = sym
+        for j, uj in enumerate(u):
+            sym = np.zeros(count, dtype=np.intp)
+            for c in cum:
+                sym += uj >= c[row]
+            W[:, j] = np.minimum(sym, last[row], out=sym)
             row = sym + 1
         return W
 

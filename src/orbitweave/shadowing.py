@@ -8,8 +8,9 @@ pieces; the shadow is rebuilt backward from it, with no cap on the work.
 
 `shadowing_modulus` writes the one row a lemma settles, on every shift
 (the splice) and on the slope-2 tent, without drawing a trial.  Other
-interval maps run each delta row as one batch over all trials, counting
-from the forward pass alone: a rebuilt shadow stays in the tracked
+interval maps draw their delta rows in passes, several rows' trials side by
+side in one batch, and keep only the rows the row-by-row search visits,
+counting from the forward pass alone: a rebuilt shadow stays in the tracked
 intervals, so a trial whose intervals stay nonempty and lie within epsilon
 of the pseudo-orbit is shadowed (Hammel, Yorke and Grebogi's
 certify-rather-than-build); the window margin makes that hold for every
@@ -45,6 +46,7 @@ START_LENGTH = 32  # drawn symbols of a random shift start
 SWEEP = 14  # most rows of the modulus's halving sweep
 SUCCESS_TARGET = 0.95  # share of shadowed trials that makes a delta good
 REFINE_ROUNDS = 4  # bisection rounds after the sweep
+PASS_COLUMNS = 400  # most (rows x trials) columns a drawn modulus pass runs
 # Interval windows have radius eps - MARGIN: on [0, 2], a rounded sum or
 # difference of values below 4 errs by at most 2^-52, a quarter of MARGIN, so
 # for every eps > MARGIN the certificate ends fl(x_t - lo_t), fl(hi_t - x_t)
@@ -248,17 +250,25 @@ def shadow_shift(shift: ShiftSpace, po: PseudoOrbit) -> ShadowResult:
 
 
 def _interval_orbits(map_: TentMap | EndpointFixedMap, x0: np.ndarray,
-                     delta: float, u: np.ndarray) -> np.ndarray:
-    """Perturbed orbits (n, trials), time-major: the kick a + (b - a) * u,
-    (a, b) = (-delta/2, delta/2), is the double rng.uniform(a, b) draws.  No
-    -0.0 arises in forward passes, so numpy's min and max equal Python's."""
+                     delta, u: np.ndarray) -> np.ndarray:
+    """Perturbed orbits (n, columns), time-major, of the starts x0
+    (columns,), columns a multiple of the trials of u (trials, n - 1):
+    column c kicks with u[c % trials].  delta is a float or one positive
+    value per column; the kick a + (b - a) * u, (a, b) = (-delta/2,
+    delta/2), is the double rng.uniform(a, b) draws, so a column matches
+    its trial run alone bit for bit.  No -0.0 arises in forward passes, so
+    numpy's min and max equal Python's."""
     lo, hi = map_.domain
     xs = np.empty((u.shape[1] + 1, len(x0)))
     xs[0] = x0
-    kicks = -delta / 2 + (delta / 2 - -delta / 2) * u.T  # (n - 1, trials)
+    kicks = np.empty(xs[1:].shape)  # (n - 1, columns)
+    kicks.reshape(len(kicks), -1, len(u))[:] = u.T[:, None]
+    kicks *= delta / 2 - -delta / 2
+    kicks += -delta / 2  # (b - a) * u + a: the same sum
+    kicked = np.ndim(delta) > 0 or delta > 0
     for i, kick in enumerate(kicks):
         y = map_.value(xs[i])
-        xs[i + 1] = np.minimum(np.maximum(y + kick, lo), hi) if delta > 0 else y
+        xs[i + 1] = np.minimum(np.maximum(y + kick, lo), hi) if kicked else y
     return xs
 
 
@@ -365,13 +375,18 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     CERTIFIED_TENT_EPS on; a step's roundings (a doubled and a new window
     end, the kick and the kicked sum; the images are exact) take at most
     2^-51 + epsilon 2^-52 of it, so every S_t is a whole window.  Other
-    interval maps draw starts and uniforms once per call and run each row
-    as one batch of _interval_track, counting a trial as shadowed when S_n
-    is nonempty and the certificate max_t max(x_t - lo_t, hi_t - x_t) is
-    below epsilon: the rebuild keeps y_t in S_t, and rounded subtraction is
-    monotone, so fl|y_t - x_t| is at most the certificate.  MARGIN keeps
-    the certificate of every live trial below epsilon, so every count is
-    that of a rebuild of every trial, and none is rebuilt.  On a shift
+    interval maps draw starts and uniforms once per call and count a trial
+    as shadowed when S_n is nonempty and the certificate max_t max(x_t -
+    lo_t, hi_t - x_t) is below epsilon: the rebuild keeps y_t in S_t, and
+    rounded subtraction is monotone, so fl|y_t - x_t| is at most the
+    certificate.  MARGIN keeps the certificate of every live trial below
+    epsilon, so every count is that of a rebuild of every trial, and none
+    is rebuilt.  Rows are drawn in passes of at most PASS_COLUMNS columns
+    (rows x trials, at least one row), one _interval_track call each: a
+    sweep pass the next halvings, a bisection pass every midpoint the next
+    rounds can visit.  A column's count is that of its row run alone, and
+    the search replays its decisions from the counts, so the table holds
+    exactly the rows, and counts, of the row-by-row search.  On a shift
     epsilon must be < 1 and every symbol needs a successor; on an interval
     map epsilon must be > MARGIN (_interval_track refuses it, below the
     tent's floor)."""
@@ -391,33 +406,53 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
                    for t in range(trials)])
     u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
 
-    def run(delta: float) -> int:
-        xs = _interval_orbits(system, x0, delta, u)
+    def run(deltas: list[float]) -> list[int]:  # one count per delta
+        xs = _interval_orbits(system, np.tile(x0, len(deltas)),
+                              np.repeat(deltas, trials), u)
         s = _interval_track(system, xs, epsilon)
         alive = s[-1, 0] <= -s[-1, 1]
         np.subtract(s[:, 0], xs, out=s[:, 0])  # lo - x
         np.add(s[:, 1], xs, out=s[:, 1])  # x - hi
         reach = np.negative(s, out=s).max(axis=(0, 1))  # the certificate
-        return int(np.count_nonzero(alive & (reach < epsilon)))
+        ok = (alive & (reach < epsilon)).reshape(len(deltas), trials)
+        return np.count_nonzero(ok, axis=1).tolist()
 
-    delta, bad, table = epsilon, None, []  # coarse sweep, then bisection
+    delta, bad, table, drawn = epsilon, None, [], {}  # sweep, then bisection
+    rows = max(1, PASS_COLUMNS // trials)  # halvings per sweep pass
+    # bisection rounds per pass: the most with (2^depth - 1) trials columns
+    depth = max(1, (PASS_COLUMNS // trials + 1).bit_length() - 1)
 
-    def good(d: float) -> bool:  # runs and records one row
-        table.append((d, run(d), trials))
-        return table[-1][1] / trials >= SUCCESS_TARGET
+    def good(d: float, ahead: list[float]) -> bool:  # records one row
+        if d not in drawn:  # a pass: d, then what the next rows can visit
+            drawn.update(zip(ahead, run(ahead)))
+        table.append((d, drawn[d], trials))
+        return drawn[d] / trials >= SUCCESS_TARGET
 
-    for _ in range(SWEEP):
-        if good(delta):
+    for i in range(SWEEP):  # halving is exact: no delta here is subnormal
+        if good(delta, [delta / 2 ** j for j in range(min(rows, SWEEP - i))]):
             break
         bad, delta = delta, delta / 2
     else:
         return 0.0, table
     lo, hi = delta, bad  # lo: the largest good delta so far
-    for _ in range(REFINE_ROUNDS if bad is not None else 0):
+    rounds = REFINE_ROUNDS if bad is not None else 0
+    for i in range(rounds):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if good(mid) else (lo, mid)
+        ahead = _midpoints(lo, hi, min(depth, rounds - i))
+        lo, hi = (mid, hi) if good(mid, ahead) else (lo, mid)
     table.sort(key=lambda r: -r[0])
     return lo, table
+
+
+def _midpoints(lo: float, hi: float, rounds: int) -> list[float]:
+    """The 2^rounds - 1 midpoints that `rounds` bisection rounds of (lo, hi)
+    can visit, round by round, the first round's first."""
+    out, level = [], [(lo, hi)]
+    for _ in range(rounds):
+        mids = [0.5 * (a + b) for a, b in level]
+        out += mids
+        level = [c for (a, b), m in zip(level, mids) for c in ((m, b), (a, m))]
+    return out
 
 
 def _shift_starts(shift: ShiftSpace, u: np.ndarray) -> np.ndarray:

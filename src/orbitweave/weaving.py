@@ -264,8 +264,9 @@ class WeaveSchedule:
             cycles = pos + self.Y[k - 1] * np.arange(T)  # their starts
             grid.append(cycles)
             firsts = len(keys) + sum(reps) * np.arange(T)  # their first slots
-            keys += [(k, j, i, t) for i in range(1, T + 1)
-                     for j, r in enumerate(reps, 1) for t in range(1, r + 1)]
+            cycle = [(j, t) for j, r in enumerate(reps, 1)
+                     for t in range(1, r + 1)]  # the slots of one cycle
+            keys += [(k, j, i, t) for i in range(1, T + 1) for j, t in cycle]
             at = 0
             for j, (n, r) in enumerate(zip(ns, reps), start=1):
                 slots[(k, j)] = (firsts[:, None] + np.arange(r),

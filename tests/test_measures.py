@@ -126,6 +126,60 @@ def test_sample_words_matches_choice_loop(P):
     assert m.sample_words(40, 25, make_rng(3)).tolist() == ref
 
 
+def ref_sample_words(m, count, n, rng):
+    """The former column loop: a (count, k) comparison against the
+    cumulative rows of the previous symbols, summed along k."""
+    u = rng.random((count, n))
+    table = np.vstack([m.pi, m.P])
+    cum = np.cumsum(table, axis=1)
+    last = m.alphabet_size - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    W = np.empty((count, n), dtype=np.int8)
+    row = np.zeros(count, dtype=np.intp)
+    for j in range(n):
+        sym = np.minimum((u[:, j, None] >= cum[row]).sum(axis=1), last[row])
+        W[:, j] = sym
+        row = sym + 1
+    return W
+
+
+@st.composite
+def markov_chains(draw):
+    """Random irreducible chains on 2-6 symbols with some entries zero: each
+    row a keeps a positive entry a -> a + 1 mod k."""
+    k = draw(st.integers(2, 6))
+    rows = []
+    for a in range(k):
+        row = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5]),
+                            min_size=k, max_size=k))
+        row[(a + 1) % k] += 1.0
+        rows.append([x / sum(row) for x in row])
+    return MarkovMeasure(rows)
+
+
+class OnTheSums:
+    """A stub generator whose uniforms are 0 or a cumulative sum of the
+    chain's pi or P, where >= and > part."""
+
+    def __init__(self, m, seed):
+        self.values = np.cumsum(np.vstack([[0.0] * m.alphabet_size, m.pi,
+                                           m.P]), axis=1).ravel()
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.choice(self.values, shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=markov_chains(), count=st.integers(1, 50), n=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32), on_sums=st.booleans())
+def test_sample_words_matches_former_column_loop(m, count, n, seed, on_sums):
+    # the same comparisons, one contiguous column at a time: the same bits
+    rng = (lambda: OnTheSums(m, seed)) if on_sums else lambda: make_rng(seed)
+    W = m.sample_words(count, n, rng())
+    assert W.dtype == np.int8
+    assert np.array_equal(W, ref_sample_words(m, count, n, rng()))
+
+
 def test_sample_words_clamps_past_row_sum():
     # the float sum of (0.7, 0.2, 0.1, 0) is 1 - 2^-53, which the largest
     # uniform reaches: the draw must be symbol 2, not the zero-mass 3

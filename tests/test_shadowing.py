@@ -545,6 +545,75 @@ def test_shadowing_modulus_matches_reference(system, epsilon, trials, length,
     assert delta_hat == (max(good) if good else 0.0)
 
 
+def ref_shadowing_modulus(system, epsilon, trials, length, seed):
+    """The former drawn search, one row at a time: each delta the sweep and
+    the bisection visit runs as one batch of its own when visited."""
+    x0, u = batch_inputs(system, trials, length, seed)
+
+    def good(delta):
+        xs = _interval_orbits(system, np.array(x0), delta, u)
+        s = _interval_track(system, xs, epsilon)
+        alive = s[-1, 0] <= -s[-1, 1]
+        reach = np.maximum(xs - s[:, 0], -s[:, 1] - xs).max(axis=0)
+        table.append((delta, int(np.count_nonzero(alive & (reach < epsilon))),
+                      trials))
+        return table[-1][1] / trials >= 0.95
+
+    delta, bad, table = epsilon, None, []
+    for _ in range(14):
+        if good(delta):
+            break
+        bad, delta = delta, delta / 2
+    else:
+        return 0.0, table
+    lo, hi = delta, bad
+    for _ in range(4 if bad is not None else 0):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if good(mid) else (lo, mid)
+    return lo, sorted(table, key=lambda r: -r[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_=st.one_of(
+           st.floats(1.0, 2.0, exclude_min=True, exclude_max=True).map(TentMap),
+           st.sampled_from([PLMAP, FLAT])),
+       exponent=st.floats(1.0, 40.0), trials=st.integers(1, 60),
+       length=st.integers(2, 120), seed=st.integers(0, 2 ** 16))
+@example(map_=TentMap(1.2), exponent=-math.log2(1e-3), trials=60,
+         length=120, seed=1)
+@example(map_=PLMAP, exponent=1.0, trials=7, length=50, seed=0)
+@example(map_=TentMap(1.05), exponent=40.0, trials=1, length=2, seed=3)
+def test_shadowing_modulus_matches_former_search(map_, exponent, trials,
+                                                 length, seed):
+    # drawn in passes, the table holds exactly the rows the row-by-row search
+    # visits, in the same order, with the same counts and delta_hat
+    epsilon = 2.0 ** -exponent
+    assert shadowing_modulus(map_, epsilon, trials, length, seed) == (
+        ref_shadowing_modulus(map_, epsilon, trials, length, seed))
+
+
+@pytest.mark.parametrize("trials,length,seed", [(400, 60, 2), (100, 200, 1)])
+def test_modulus_passes_draw_only_what_the_search_can_visit(
+        monkeypatch, trials, length, seed):
+    # from 400 trials up a pass is one row: every kernel call carries exactly
+    # `trials` columns, one per visited row.  At 100 trials a sweep pass
+    # draws 4 halvings and a bisection pass the 3 midpoints of two rounds,
+    # so each visited midpoint was drawn in the pass before it
+    import orbitweave.shadowing as sh_mod
+    columns, orbits = [], sh_mod._interval_orbits
+    monkeypatch.setattr(sh_mod, "_interval_orbits",
+                        lambda *a: columns.append(len(a[1])) or orbits(*a))
+    f, epsilon = TentMap(1.2), 1e-3
+    delta_hat, table = shadowing_modulus(f, epsilon, trials, length, seed)
+    assert (delta_hat, table) == ref_shadowing_modulus(f, epsilon, trials,
+                                                       length, seed)
+    assert len(table) > 4
+    if trials == 400:
+        assert columns == [trials] * len(table)
+    else:
+        assert columns == [400] * -(-(len(table) - 4) // 4) + [300, 300]
+
+
 @pytest.mark.parametrize("epsilon", [3.0, 2.0, 1.0, 0.3, 1e-2, 1e-3, 1e-5,
                                      1e-7, 1e-9, 1e-12, 1e-14])
 @pytest.mark.parametrize("map_", INTERVAL_MAPS)
@@ -625,7 +694,8 @@ def test_modulus_fails_witness_on_window_edge(monkeypatch, epsilon, shadowed):
     xs = np.array([[0.45, 0.7, 0.45, 0.1],
                    [0.8, 0.85, 0.78, 0.9],
                    [0.9, 0.925, 0.5, 0.5]])
-    monkeypatch.setattr(sh_mod, "_interval_orbits", lambda *args: xs.copy())
+    monkeypatch.setattr(sh_mod, "_interval_orbits",  # xs for every row
+                        lambda f, x0, delta, u: np.tile(xs, len(x0) // 4))
     _, table = shadowing_modulus(FLAT, epsilon, 4, len(xs), 0)
     ok, ys, _ = shadow_batch(FLAT, xs, epsilon)
     assert ok.tolist() == shadowed
@@ -805,18 +875,19 @@ def test_certified_rows_match_drawn_trials(name, share, trials, length, seed):
 
 def test_tent_below_certified_floor_draws(monkeypatch):
     # at 2^-48 the slope-2 tent draws nothing; one ulp below it draws its
-    # rows again, and they match the per-trial reference
+    # rows again (in passes that may draw rows the search never visits),
+    # and they match the per-trial reference
     import orbitweave.shadowing as sh_mod
     drawn, orbits = [], sh_mod._interval_orbits
     monkeypatch.setattr(sh_mod, "_interval_orbits",
-                        lambda *a: drawn.append(a[2]) or orbits(*a))
+                        lambda *a: drawn.extend(a[2].tolist()) or orbits(*a))
     f, trials, length, seed, floor = TentMap(2.0), 6, 150, 5, 2.0 ** -48
     assert shadowing_modulus(f, floor, trials, length, seed) == (
         floor, [(floor, trials, trials)])
     assert drawn == []
     epsilon = math.nextafter(floor, 0.0)
     delta_hat, table = shadowing_modulus(f, epsilon, trials, length, seed)
-    assert sorted(drawn, reverse=True) == [d for d, _, _ in table]
+    assert table and {d for d, _, _ in table} <= set(drawn)
     for delta, ok, _ in table:
         assert ok == ref_modulus_row(f, epsilon, trials, length, seed, delta)
     assert delta_hat == epsilon
