@@ -170,7 +170,7 @@ def cmd_spectrum(config: dict, seed: int, out: str, *, system: dict,
 
 def _run_length_encode(symbols: np.ndarray) -> str:
     """Space-separated `AxN` tokens, one per run of N copies of symbol A."""
-    starts = np.flatnonzero(np.diff(symbols, prepend=-1))
+    starts = np.flatnonzero(np.r_[len(symbols) > 0, symbols[1:] != symbols[:-1]])
     keys, at = np.unique(np.diff(starts, append=len(symbols)) * 128
                          + symbols[starts], return_inverse=True)  # N * 128 + A
     return " ".join(np.array([f"{p % 128}x{p // 128}" for p in keys.tolist()],

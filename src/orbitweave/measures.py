@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .systems import ShiftSpace, State, Word, real_number
+from .systems import ShiftSpace, State, Word, int8_symbols, real_number
 
 __all__ = [
     "AtomicMeasure",
@@ -119,7 +119,7 @@ class MarkovMeasure:
         table = np.vstack([self.pi, self.P])  # row 0 is pi, row 1 + a is P[a]
         cum = np.cumsum(table, axis=1).T.copy()  # cum[c]: sums to c per row
         last = self.alphabet_size - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
-        W = np.empty((count, n), dtype=np.int8)
+        W = np.empty((count, n), dtype=int8_symbols(self.alphabet_size))
         row = np.zeros(count, dtype=np.intp)
         for j, uj in enumerate(u):
             sym = np.zeros(count, dtype=np.intp)

@@ -16,10 +16,10 @@ of the pseudo-orbit is shadowed (Hammel, Yorke and Grebogi's
 certify-rather-than-build); the window margin makes that hold for every
 live trial, so none is rebuilt.
 `perturbed_orbit` and `shadow_interval` are batches of one of the interval
-kernels, or of the shift heads; `shadow_shift` runs the deviation kernel on
-windows read from the states' Words, and `validate_pseudo` checks one state
-at a time.  Every shift symbol, of random starts and perturbations alike,
-comes from `_successor_chain`: succ[floor(u * len(succ))], u uniform.
+kernels; a shift pseudo-orbit is one int8 window array, which `shadow_shift`
+reads, and `validate_pseudo` checks one state at a time.  Every shift
+symbol, of random starts and perturbations alike, comes from
+`_successor_chain`: succ[floor(u * len(succ))], u uniform.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .systems import (EndpointFixedMap, ShiftSpace, State, System, TentMap,
-                      Word, apply_map, dist, orbit)
+                      Word, apply_map, dist, int8_symbols, orbit)
 
 __all__ = ["PseudoOrbit", "ShadowResult", "PseudoOrbitViolation",
            "validate_pseudo", "perturbed_orbit", "shadow_shift",
@@ -69,14 +69,33 @@ class PseudoOrbitViolation(ValueError):
 
 @dataclass(frozen=True)
 class PseudoOrbit:
+    """States x_0 .. x_{n-1}, each d(f(x_i), x_{i+1}) <= delta; given states
+    carry no `windows` (perturbed_orbit's shift ones: _ShiftWindows)."""
+
     states: tuple
     delta: float
+    windows = None
 
     def __post_init__(self):
         if len(self.states) < 2:
             raise ValueError("pseudo-orbit needs at least 2 states")
         if not self.delta >= 0:  # NaN fails too
             raise ValueError(f"delta must be nonnegative; got {self.delta!r}")
+
+
+class _ShiftWindows(PseudoOrbit):
+    """perturbed_orbit's shift pseudo-orbit: int8 `windows` (n, width >=
+    AUDIT_DEPTH), each state's first symbols, state i >= 1 being word_state
+    of row i's first `head`; the Word `states` are built on first read."""
+
+    def __init__(self, shift, x0: Word, windows, head: int, delta: float):
+        self.__dict__.update(shift=shift, x0=x0, windows=windows, head=head,
+                             delta=delta)  # past the frozen __setattr__
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        heads = self.windows[1:, :self.head].tolist()
+        return (self.x0,) + tuple(word_state(self.shift, h) for h in heads)
 
 
 @dataclass
@@ -162,7 +181,7 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
                     seed: int) -> PseudoOrbit:
     """Seeded delta-pseudo-orbit: uniform kicks on interval maps, tail
     resampling below resolution delta on shifts; delta = 0 gives the orbit.
-    A batch of one of _shift_heads or _interval_orbits."""
+    A batch of one of _interval_orbits or _shift_heads (a _ShiftWindows)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0 <= delta < math.inf:  # NaN fails too
@@ -173,10 +192,12 @@ def perturbed_orbit(system: System, x0: State, n: int, delta: float,
         return PseudoOrbit(tuple(orbit(system, x0, n)), 0.0)
     u = _uniforms(system, n, [seed])
     if isinstance(system, ShiftSpace):
-        start = np.array([x0.prefix(_resolution(delta) + 1)], dtype=np.int8)
-        heads = _shift_heads(system, start, delta, u)[0].tolist()
-        return PseudoOrbit((x0,) + tuple(word_state(system, h) for h in heads),
-                           delta)
+        width = max(AUDIT_DEPTH, head := _resolution(delta) + 8)
+        windows = np.empty((n, width), int8_symbols(system.alphabet_size))
+        windows[0] = x0.prefix(width)
+        windows[1:] = continue_words(
+            system, _shift_heads(system, windows[:1], delta, u)[0], width)
+        return _ShiftWindows(system, x0, windows, head, delta)
     xs = _interval_orbits(system, np.array([float(x0)]), delta, u)
     return PseudoOrbit(tuple(xs[:, 0].tolist()), delta)
 
@@ -202,8 +223,8 @@ def _shift_heads(shift: ShiftSpace, start: np.ndarray, delta: float,
                  u: np.ndarray) -> np.ndarray:
     """Heads (trials, n - 1, m + 8) of states 1..n-1, 2^-m <= delta, from the
     start windows (trials, >= m + 1).  Only the first of the 8 resampled
-    symbols survives into later heads: one sequential spine chain runs
-    across trials, the other 7 all at once."""
+    symbols survives into later heads: one spine chain of n - 1 steps per
+    trial, then chains of the other 7 from every spine window at once."""
     m = _resolution(delta)
     spine = np.concatenate([start[:, :m], _successor_chain(
         shift, start[:, m], u[..., 0])], axis=1)
@@ -215,14 +236,19 @@ def _shift_heads(shift: ShiftSpace, start: np.ndarray, delta: float,
 def _successor_chain(shift: ShiftSpace, first: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
     """int8 (..., 1 + u.shape[-1]): first, then per uniform u along the last
-    axis a successor of the symbol before, table[a, floor(u * count[a])]."""
+    axis a successor of the symbol before, table[a, floor(u * count[a])].
+    A doubling scan composes the steps' maps (row j of `maps`): round d turns
+    row j from steps j - d + 1 .. j into j - 2d + 1 .. j."""
     table, count = _successor_table(shift)
-    out = np.empty(first.shape + (1 + u.shape[-1],), dtype=np.int8)
-    out[..., 0] = first
-    for j in range(u.shape[-1]):
-        a = out[..., j]
-        out[..., j + 1] = table[a, (u[..., j] * count[a]).astype(np.intp)]
-    return out
+    maps = table[np.arange(len(count)), (u[..., None] * count).astype(np.intp)]
+    flat = maps.reshape(-1)  # a view: maps[..., j, a] is flat[at[..., j] + a]
+    at = np.arange(0, flat.size, len(count)).reshape(maps.shape[:-1] + (1,))
+    d = 1
+    while d < u.shape[-1]:
+        maps[..., d:, :] = flat[maps[..., :-d, :] + at[..., d:, :]]
+        d *= 2
+    first = np.asarray(first, np.intp)[..., None]  # a float one truncates
+    return np.concatenate([first, flat[at[..., 0] + first]], -1).astype(np.int8)
 
 
 def _splice_deviations(shift: ShiftSpace, windows: np.ndarray,
@@ -240,10 +266,15 @@ def _splice_deviations(shift: ShiftSpace, windows: np.ndarray,
 
 def shadow_shift(shift: ShiftSpace, po: PseudoOrbit) -> ShadowResult:
     """Symbolic splice: z_i is the first symbol of states[i], tail from the
-    last state.  For delta = 2^-m the deviation is at most 2^-(m+1)."""
-    states = po.states
-    windows = np.array([s.prefix(AUDIT_DEPTH) for s in states])
-    z = Word(tuple(windows[:-1, 0].tolist()) + states[-1].head, states[-1].cycle)
+    last state.  For delta = 2^-m the deviation is at most 2^-(m+1).  Builds
+    one Word, the last state, from a _ShiftWindows; reads given states."""
+    if po.windows is None:
+        windows = np.array([s.prefix(AUDIT_DEPTH) for s in po.states])
+        last = po.states[-1]
+    else:
+        windows = po.windows[:, :AUDIT_DEPTH]
+        last = word_state(shift, po.windows[-1, :po.head].tolist())
+    z = Word(tuple(windows[:-1, 0].tolist()) + last.head, last.cycle)
     seq = z.prefix(len(z.head) + len(z.cycle) + AUDIT_DEPTH)
     per_step = _splice_deviations(shift, windows, np.array(seq)).tolist()
     return ShadowResult(point=z, max_deviation=max(per_step), per_step=per_step)
@@ -387,9 +418,9 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     rounds can visit.  A column's count is that of its row run alone, and
     the search replays its decisions from the counts, so the table holds
     exactly the rows, and counts, of the row-by-row search.  On a shift
-    epsilon must be < 1 and every symbol needs a successor; on an interval
-    map epsilon must be > MARGIN (_interval_track refuses it, below the
-    tent's floor)."""
+    epsilon must be < 1, and of at most 128 symbols each needs a successor;
+    on an interval map epsilon must be > MARGIN (_interval_track refuses
+    it, below the tent's floor)."""
     if not (math.isfinite(epsilon) and epsilon > 0 and trials >= 1
             and length >= 2):
         raise ValueError(f"need finite epsilon > 0, trials >= 1, length >= 2; "
@@ -397,7 +428,7 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     if isinstance(system, ShiftSpace):
         if epsilon >= 1:
             raise ValueError(f"epsilon must be < 1 on a shift; got {epsilon}")
-        _successor_table(system)  # refuses a symbol with no successor
+        _successor_table(system)  # refuses past 128 symbols or a dead end
         return epsilon, [(epsilon, trials, trials)]
     if (isinstance(system, TentMap) and system.slope == 2.0
             and epsilon >= CERTIFIED_TENT_EPS):
@@ -455,18 +486,13 @@ def _midpoints(lo: float, hi: float, rounds: int) -> list[float]:
     return out
 
 
-def _shift_starts(shift: ShiftSpace, u: np.ndarray) -> np.ndarray:
-    """int8 words of the shape of the uniforms u: symbol 0 is floor(u * k),
-    each later one a successor drawn by _successor_chain."""
-    k = shift.alphabet_size
-    return _successor_chain(shift, np.minimum(u[:, 0] * k, k - 1), u[:, 1:])
-
-
 def _random_start(system: System, rng) -> State:
-    """A drawn word with its canonical cycle, or a point inside the domain."""
+    """A drawn word with its canonical cycle, or a point inside the domain;
+    symbol 0 is floor(u * k), then _successor_chain draws the rest."""
     if isinstance(system, ShiftSpace):
-        u = rng.random((1, START_LENGTH))
-        return word_state(system, _shift_starts(system, u)[0].tolist())
+        u, k = rng.random(START_LENGTH), system.alphabet_size
+        word = _successor_chain(system, min(u[0] * k, k - 1), u[1:])
+        return word_state(system, word.tolist())
     lo, hi = system.domain
     return float(rng.uniform(lo + 1e-6, hi - 1e-6))
 
@@ -478,5 +504,6 @@ def _successor_table(shift: ShiftSpace):
     succ = [[b for b in range(k) if shift.allowed(a, b)] for a in range(k)]
     if not all(succ):
         raise ValueError("a symbol has no allowed successor")
-    return (np.array([s + s[-1:] * (k + 1 - len(s)) for s in succ], np.int8),
+    return (np.array([s + s[-1:] * (k + 1 - len(s)) for s in succ],
+                     int8_symbols(k)),
             np.array([len(s) for s in succ]))

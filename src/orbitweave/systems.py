@@ -93,6 +93,12 @@ def real_number(v) -> bool:  # Python and numpy read a bool as the int 1
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
+def int8_symbols(k: int) -> type:  # the dtype of drawn symbol arrays
+    if k > 128:
+        raise ValueError(f"drawn symbols are int8: at most 128 symbols; got {k}")
+    return np.int8
+
+
 @dataclass(frozen=True)
 class ShiftSpace:
     """Full shift or subshift of finite type on {0,...,k-1}.

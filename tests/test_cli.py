@@ -464,6 +464,7 @@ def test_analysis_artifacts_byte_identical(tmp_path, name):
 
 
 TENT = {"kind": "tent", "s": 2.0}
+FULL129 = {"kind": "full_shift", "k": 129}
 WEAVE_B07 = {"system": FULL2, "target": {"bernoulli": 0.7}}
 KATOK_B07 = {"system": FULL2, "measure": {"bernoulli": 0.7}, "q": 1,
              "n_grid": [8]}
@@ -655,6 +656,16 @@ CONFIG_FAILURES = {
     "shadow_modulus_dead_end": ("shadow", _modulus(
         {"kind": "sft", "transition": [[1, 1], [0, 0]]}, 2.0 ** -6, 10, 50),
         "a symbol has no allowed successor"),
+    # drawn symbols are int8: 200 symbols exited 3 on numpy's overflow, and
+    # a weave's draw wrapped symbol 128 to a negative one and exited 2 on
+    # "word too short, or a symbol outside the alphabet" (or 0 by luck)
+    **{f"{name}_129_symbols": (command, {"system": FULL129, **cfg},
+                               "drawn symbols are int8: at most 128 symbols")
+       for name, command, cfg in (
+           ("shadow_single", "shadow", {"mode": "single", "length": 50}),
+           ("shadow_modulus", "shadow", {"mode": "modulus", "trials": 10,
+                                         "length": 50}),
+           ("weave", "weave", {"target": {"bernoulli": [1 / 129] * 129}}))},
     # a true among numbers ran as 1.0 and exited 0, and an int past the
     # float range overflowed in the widening and exited 3 as a truncation
     "katok_P_true": ("katok", {**KATOK_B07, "measure": {
@@ -750,11 +761,14 @@ def _loop_run_length_encode(symbols) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3000)),
-                min_size=1, max_size=40))
+@given(st.lists(st.tuples(st.integers(0, 127), st.integers(1, 3000)),
+                max_size=40))
+@example([])
 @example([(0, 1)])
 @example([(1, 1)])
+@example([(127, 1)])
 @example([(2, 50_000)])
+@example([(127, 3), (0, 2), (127, 1)])
 def test_run_length_encode_matches_loop(runs):
     symbols = [a for a, n in runs for _ in range(n)]
     assert _run_length_encode(np.array(symbols, dtype=np.int8)) == \

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitweave.measures import MarkovMeasure
 from orbitweave.shadowing import (AUDIT_DEPTH, START_LENGTH, PseudoOrbit,
                                   PseudoOrbitViolation, _interval_orbits,
                                   _interval_shadow, _interval_track,
-                                  _random_start, _shift_heads, _shift_starts,
-                                  _splice_deviations, _successor_table,
-                                  _uniforms,
+                                  _random_start, _shift_heads,
+                                  _splice_deviations, _successor_chain,
+                                  _successor_table, _uniforms,
                                   canonical_cycle, continue_words, make_rng,
                                   perturbed_orbit, shadow_interval,
                                   shadow_shift, shadowing_modulus,
@@ -937,7 +938,7 @@ def test_steering_word_matches_brute_force():
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
 def test_continue_words_matches_word_state(shift):
-    words = _shift_starts(shift, np.random.default_rng(4).random((30, 6)))
+    words = ref_shift_starts(shift, np.random.default_rng(4).random((30, 6)))
     assert set(words[:, -1].tolist()) == set(range(shift.alphabet_size))
     for width in (1, 5, 6, 7, 70):  # below, at and past the word length
         got = continue_words(shift, words, width)
@@ -963,13 +964,13 @@ def test_symbol_continuation_is_the_cached_continue_words(shift):
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
 def test_shift_starts_match_random_start(shift):
-    # the modulus draws its starts as one array; each row is the state that
-    # _random_start builds from the same generator
+    # _random_start's word is the one-symbol-at-a-time draw from its
+    # generator's START_LENGTH uniforms, and the former start loop's row
     k = shift.alphabet_size
     succ = [[b for b in range(k) if shift.allowed(a, b)] for a in range(k)]
     seeds = [3 + 7919 * t for t in range(25)]
     u = np.array([make_rng(s).random(START_LENGTH) for s in seeds])
-    for row, s, v in zip(_shift_starts(shift, u), seeds, u):
+    for row, s, v in zip(ref_shift_starts(shift, u), seeds, u):
         x = _random_start(shift, make_rng(s))
         assert shift.admissible(x, depth=100)
         head = [min(int(v[0] * k), k - 1)]  # one symbol at a time
@@ -977,10 +978,10 @@ def test_shift_starts_match_random_start(shift):
             choices = succ[head[-1]]
             head.append(choices[min(int(w * len(choices)), len(choices) - 1)])
         assert row.tolist() == list(x.head) == head
-    top = _shift_starts(shift, np.ones((1, START_LENGTH)))[0]
+    top = _random_start(shift, _LargestUniform(1.0)).head
     last = {a: max(b for b in range(shift.alphabet_size) if shift.allowed(a, b))
             for a in range(shift.alphabet_size)}
-    assert top[0] == shift.alphabet_size - 1
+    assert len(top) == START_LENGTH and top[0] == shift.alphabet_size - 1
     assert all(b == last[a] for a, b in zip(top, top[1:]))
 
 
@@ -1009,7 +1010,9 @@ class _LargestUniform:
     def __init__(self, value):
         self.value = value
 
-    def random(self, shape, out):
+    def random(self, shape, out=None):
+        if out is None:
+            return np.full(shape, self.value)
         out[...] = self.value
 
 
@@ -1074,8 +1077,133 @@ def test_successor_chain_matches_the_former_loops(shift):
             assert np.array_equal(got, ref_shift_heads(shift, start, delta,
                                                        uniforms))
         flat = uniforms.reshape(len(uniforms), -1)
-        assert np.array_equal(_shift_starts(shift, flat),
-                              ref_shift_starts(shift, flat))
+        k = shift.alphabet_size
+        assert np.array_equal(_successor_chain(
+            shift, np.minimum(flat[:, 0] * k, k - 1), flat[:, 1:]),
+            ref_shift_starts(shift, flat))
+
+
+def ref_successor_chain(shift, first, u):
+    """The former column loop of _successor_chain: one fancy-index step per
+    symbol, every trial at once."""
+    table, count = _successor_table(shift)
+    out = np.empty(np.shape(first) + (1 + u.shape[-1],), dtype=np.int8)
+    out[..., 0] = first
+    for j in range(u.shape[-1]):
+        a = out[..., j]
+        out[..., j + 1] = table[a, (u[..., j] * count[a]).astype(np.intp)]
+    return out
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), full_shift(3),
+                                   golden_mean_shift(), THREE])
+def test_successor_scan_matches_column_loop(shift):
+    # the doubling scan equals the column loop on any batch shape, zero
+    # steps, one step and powers of two (the scan's round edges) included
+    rng = np.random.default_rng(50)
+    k = shift.alphabet_size
+    shapes = [(0,), (1,), (2,), (3,), (4,), (5,), (8,), (9,), (199,),
+              (1, 0), (3, 0), (0, 6), (1, 31), (1, 199), (199, 7), (4, 2, 17),
+              (2, 3, 1, 64)]
+    shapes += [tuple(rng.integers(0, 6, size=rng.integers(1, 4)).tolist())
+               + (int(rng.integers(0, 70)),) for _ in range(30)]
+    for shape in shapes:
+        first = rng.integers(0, k, shape[:-1]).astype(np.int8)
+        for u in (rng.random(shape), np.ones(shape), np.full(shape, 0.5)):
+            got = _successor_chain(shift, first, u)
+            assert got.dtype == np.int8 and got.shape == shape[:-1] + (
+                1 + shape[-1],)
+            assert np.array_equal(got, ref_successor_chain(shift, first, u))
+    # a float first symbol is truncated, as the start draws floor(u * k)
+    u = rng.random((5, 9))
+    assert np.array_equal(_successor_chain(shift, np.full(5, k - 0.5), u),
+                          ref_successor_chain(shift, np.full(5, k - 1), u))
+
+
+@st.composite
+def shift_spaces(draw):
+    """The full 2- and 3-shifts, the golden mean, THREE, or a random
+    irreducible SFT on 2-4 symbols (a cycle through every symbol plus
+    random edges)."""
+    named = [full_shift(2), full_shift(3), golden_mean_shift(), THREE]
+    pick = draw(st.integers(0, len(named)))
+    if pick < len(named):
+        return named[pick]
+    k = draw(st.integers(2, 4))
+    edges = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    return ShiftSpace(k, [[int(edges[a * k + b] or b == (a + 1) % k)
+                           for b in range(k)] for a in range(k)])
+
+
+DELTAS = [0.3, 0.07, 1e-12] + [2.0 ** -e for e in range(1, 14)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift=shift_spaces(), n=st.integers(2, 260),
+       delta=st.sampled_from(DELTAS), seed=st.integers(0, 2 ** 32))
+@example(shift=THREE, n=2, delta=2.0 ** -13, seed=0)
+@example(shift=golden_mean_shift(), n=260, delta=1e-12, seed=1)
+@example(shift=THREE, n=40, delta=2.0 ** -60, seed=2)  # heads past 64
+def test_int8_windows_match_word_oracle(shift, n, delta, seed):
+    # the windows perturbed_orbit writes and shadow_shift reads give the
+    # per-state Word orbit and the per-position splice, Word for Word; a
+    # head longer than AUDIT_DEPTH widens the windows
+    x0 = _random_start(shift, make_rng(seed))
+    po = perturbed_orbit(shift, x0, n, delta, seed=seed + 1)
+    assert po.windows.dtype == np.int8
+    assert po.windows.shape == (n, max(AUDIT_DEPTH, po.head))
+    res = shadow_shift(shift, po)
+    states = ref_shift_orbit(shift, x0, n, delta, seed + 1)
+    point, per_step = ref_shadow_shift(shift, states)
+    assert res.point == point and res.per_step == per_step
+    assert res.max_deviation == max(per_step)
+    assert po.states == tuple(states)
+    assert po.windows.tolist() == windows(states, po.windows.shape[1]).tolist()
+
+
+def test_shift_pair_builds_one_word(monkeypatch):
+    # perturbed_orbit writes windows, not Words, and shadow_shift builds the
+    # last state's Word alone; reading states builds the rest
+    import orbitweave.shadowing as sh_mod
+    gm = golden_mean_shift()
+    x0 = _random_start(gm, make_rng(3))
+    calls, build = [], sh_mod.word_state
+    monkeypatch.setattr(sh_mod, "word_state",
+                        lambda *a: calls.append(a) or build(*a))
+    po = perturbed_orbit(gm, x0, 200, 2.0 ** -8, seed=4)
+    res = shadow_shift(gm, po)
+    assert len(calls) <= 1
+    assert res.max_deviation <= 2.0 ** -9 and gm.admissible(res.point, 250)
+    assert len(po.states) == 200 and len(calls) == 200
+
+
+def test_largest_symbols_survive_int8():
+    # 128 symbols fit int8: symbol 127 comes back intact from the start,
+    # the kicks, the splice and a Markov draw; 129 symbols are refused
+    shift = full_shift(128)
+    x0 = _random_start(shift, _LargestUniform(1.0))
+    assert set(x0.head) == {127}
+    po = perturbed_orbit(shift, x0, 40, 2.0 ** -3, seed=5)
+    assert po.windows.max() == 127 and po.windows.min() >= 0
+    res = shadow_shift(shift, po)
+    assert 127 in res.point.head and res.max_deviation <= 2.0 ** -4
+    assert po.states[1:] == tuple(ref_shift_orbit(shift, x0, 40, 2.0 ** -3,
+                                                  5)[1:])
+    validate_pseudo(shift, po.states, 2.0 ** -3)
+    uniform = MarkovMeasure(np.full((128, 128), 1 / 128), np.full(128, 1 / 128))
+    words = uniform.sample_words(4, 300, _LargestUniform(1.0))
+    assert words.dtype == np.int8 and np.all(words == 127)
+    wide = full_shift(129)
+    with pytest.raises(ValueError, match="at most 128 symbols; got 129"):
+        _random_start(wide, make_rng(0))
+    with pytest.raises(ValueError, match="at most 128 symbols; got 129"):
+        perturbed_orbit(wide, Word((128,), (0,)), 10, 0.25, seed=0)
+    with pytest.raises(ValueError, match="at most 128 symbols; got 129"):
+        MarkovMeasure(np.full((129, 129), 1 / 129)).sample_words(
+            2, 5, make_rng(0))
+    # the true orbit stays Words: no symbol becomes int8
+    assert perturbed_orbit(wide, Word((128,), (0,)), 3, 0.0, seed=0).states[
+        0].head == (128,)
 
 
 @pytest.mark.parametrize("system", [TentMap(1.2), PLMAP])
