@@ -497,13 +497,17 @@ def _random_start(system: System, rng) -> State:
     return float(rng.uniform(lo + 1e-6, hi - 1e-6))
 
 
+@functools.cache
 def _successor_table(shift: ShiftSpace):
-    """(k, k + 1) table of allowed successors, padded with the last one, and
-    their counts: table[a, floor(u * count[a])] is uniform, u = 1 the last."""
+    """Read-only (k, k + 1) table of allowed successors, padded with the last
+    one, and their counts: table[a, floor(u * count[a])] is uniform, u = 1
+    the last (cached)."""
     k = shift.alphabet_size
     succ = [[b for b in range(k) if shift.allowed(a, b)] for a in range(k)]
     if not all(succ):
         raise ValueError("a symbol has no allowed successor")
-    return (np.array([s + s[-1:] * (k + 1 - len(s)) for s in succ],
-                     int8_symbols(k)),
-            np.array([len(s) for s in succ]))
+    table = np.array([s + s[-1:] * (k + 1 - len(s)) for s in succ],
+                     int8_symbols(k))
+    count = np.array([len(s) for s in succ])
+    table.flags.writeable = count.flags.writeable = False
+    return table, count

@@ -963,6 +963,14 @@ def test_symbol_continuation_is_the_cached_continue_words(shift):
 
 
 @pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
+def test_successor_table_is_cached_read_only(shift):
+    table, count = _successor_table(shift)
+    again = _successor_table(shift)
+    assert again[0] is table and again[1] is count
+    assert not table.flags.writeable and not count.flags.writeable
+
+
+@pytest.mark.parametrize("shift", [full_shift(2), golden_mean_shift(), THREE])
 def test_shift_starts_match_random_start(shift):
     # _random_start's word is the one-symbol-at-a-time draw from its
     # generator's START_LENGTH uniforms, and the former start loop's row

@@ -1,11 +1,15 @@
 """The benchmark's tracer wraps orbitweave functions by name; a rename or a
-deletion of a traced name must fail here, not in a traced benchmark run."""
+deletion of a traced name must fail here, not in a traced benchmark run.
+The CI workflow runs the console script only through test_console.py."""
 
 import importlib
 import importlib.util
 import pathlib
+import re
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_trace_targets_resolve():
@@ -22,3 +26,11 @@ def test_trace_targets_resolve():
         # methods are patched on the class itself, not inherited
         target = vars(owner).get(name) if path else getattr(owner, name, None)
         assert callable(target), f"{modname}.{attr} does not resolve"
+
+
+def test_workflow_checks_the_console_script_only_through_its_steps():
+    # a console check belongs in a STEPS row of test_console.py, which
+    # tier-1 runs in process; the workflow runs that file's rows
+    text = WORKFLOW.read_text()
+    assert not re.search(r"\borbitweave\s+--", text)
+    assert "<<'PY'" not in text and "<<PY" not in text
