@@ -89,12 +89,17 @@ def _write_atomic(path: str, text: str):
 
 def _write_csv(path: str, comment: str, columns: list[str], rows):
     """Every row as one line, floats as %.12g, None blank and the rest by
-    str, by a single % over all cells at once."""
+    str, by a single % over all cells at once; rows whose cells are all of
+    the first row's kinds share its format."""
     cells = ["" if v is None else v for row in rows for v in row]
     spec = ["%.12g" if isinstance(v, float) else "%s" for v in cells]
     width = len(columns)
-    body = "".join(",".join(spec[i:i + width]) + "\n"
-                   for i in range(0, len(spec), width)) % tuple(cells)
+    if spec == spec[:width] * (len(spec) // width):
+        body = (",".join(spec[:width]) + "\n") * (len(spec) // width)
+    else:
+        body = "".join(",".join(spec[i:i + width]) + "\n"
+                       for i in range(0, len(spec), width))
+    body %= tuple(cells)
     _write_atomic(path, f"# {comment}\n{','.join(columns)}\n{body}")
 
 
@@ -169,12 +174,18 @@ def cmd_spectrum(config: dict, seed: int, out: str, *, system: dict,
 
 
 def _run_length_encode(symbols: np.ndarray) -> str:
-    """Space-separated `AxN` tokens, one per run of N copies of symbol A."""
+    """Space-separated `AxN` tokens, one per run of N copies of symbol A,
+    gathered from a table indexed by the run keys N * 128 + A, or by their
+    sorted ranks where a table would hold more than 16 cells a run."""
     starts = np.flatnonzero(np.r_[len(symbols) > 0, symbols[1:] != symbols[:-1]])
-    keys, at = np.unique(np.diff(starts, append=len(symbols)) * 128
-                         + symbols[starts], return_inverse=True)  # N * 128 + A
-    return " ".join(np.array([f"{p % 128}x{p // 128}" for p in keys.tolist()],
-                             object)[at].tolist())
+    keys = np.diff(starts, append=len(symbols)) * 128 + symbols[starts]
+    dense = keys.max(initial=0) < 16 * len(keys)
+    used, at = (np.flatnonzero(np.bincount(keys)), keys) if dense \
+        else np.unique(keys, return_inverse=True)
+    tokens = np.empty(used[-1] + 1 if dense else len(used), object)
+    tokens[used if dense else slice(None)] = [
+        f"{p % 128}x{p // 128}" for p in used.tolist()]
+    return " ".join(tokens[at].tolist())
 
 
 def cmd_weave(config: dict, seed: int, out: str, *, system: dict, target: dict,

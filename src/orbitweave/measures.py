@@ -114,19 +114,23 @@ class MarkovMeasure:
         from the row of P of the symbol before it, the symbol being how many
         of the row's cumulative sums the uniform reaches.  A uniform past a
         row's float sum goes to that row's last positive-probability symbol,
-        so no zero-probability symbol or transition is ever drawn."""
+        so no zero-probability symbol or transition is ever drawn: the sums
+        from that symbol on are +inf, which no uniform reaches, and the last
+        column, always one of them, is left out."""
         u = rng.random((count, n)).T.copy()  # u[j]: column j, contiguous
         table = np.vstack([self.pi, self.P])  # row 0 is pi, row 1 + a is P[a]
-        cum = np.cumsum(table, axis=1).T.copy()  # cum[c]: sums to c per row
-        last = self.alphabet_size - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
-        W = np.empty((count, n), dtype=int8_symbols(self.alphabet_size))
+        k = self.alphabet_size
+        last = k - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+        cum = np.where(np.arange(k) < last[:, None], np.cumsum(table, axis=1),
+                       np.inf)[:, :-1].T.copy()  # cum[c]: sums to c per row
+        W = np.empty((count, n), dtype=int8_symbols(k))
         row = np.zeros(count, dtype=np.intp)
         for j, uj in enumerate(u):
             sym = np.zeros(count, dtype=np.intp)
             for c in cum:
                 sym += uj >= c[row]
-            W[:, j] = np.minimum(sym, last[row], out=sym)
-            row = sym + 1
+            W[:, j] = sym
+            row = np.add(sym, 1, out=sym)
         return W
 
     def sample_word(self, n: int, rng) -> tuple[int, ...]:

@@ -406,9 +406,10 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     CERTIFIED_TENT_EPS on; a step's roundings (a doubled and a new window
     end, the kick and the kicked sum; the images are exact) take at most
     2^-51 + epsilon 2^-52 of it, so every S_t is a whole window.  Other
-    interval maps draw starts and uniforms once per call and count a trial
-    as shadowed when S_n is nonempty and the certificate max_t max(x_t -
-    lo_t, hi_t - x_t) is below epsilon: the rebuild keeps y_t in S_t, and
+    interval maps draw the starts, then the kicks, from one make_rng(seed)
+    once per call, and count a trial as shadowed when S_n is nonempty and
+    the certificate max_t max(x_t - lo_t, hi_t - x_t) is below epsilon:
+    the rebuild keeps y_t in S_t, and
     rounded subtraction is monotone, so fl|y_t - x_t| is at most the
     certificate.  MARGIN keeps the certificate of every live trial below
     epsilon, so every count is that of a rebuild of every trial, and none
@@ -433,9 +434,9 @@ def shadowing_modulus(system: System, epsilon: float, trials: int, length: int,
     if (isinstance(system, TentMap) and system.slope == 2.0
             and epsilon >= CERTIFIED_TENT_EPS):
         return epsilon, [(epsilon, trials, trials)]
-    x0 = np.array([_random_start(system, make_rng(seed + 7919 * t))
-                   for t in range(trials)])
-    u = _uniforms(system, length, [seed + 104729 * t + 1 for t in range(trials)])
+    rng = make_rng(seed)  # starts as _random_start draws them
+    x0 = rng.uniform(system.domain[0] + 1e-6, system.domain[1] - 1e-6, trials)
+    u = rng.random((trials, length - 1))
 
     def run(deltas: list[float]) -> list[int]:  # one count per delta
         xs = _interval_orbits(system, np.tile(x0, len(deltas)),

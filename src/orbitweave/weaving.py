@@ -133,11 +133,16 @@ def _cylinder_distances(symbols, ms, measure, family: TestFunctionFamily,
     code = np.zeros((B, top), dtype=np.min_scalar_type(-k ** depth))
     for d in range(depth):  # base-k code of the deepest word at each position
         code = code * k + sym.reshape(B, L)[:, d:d + top]
-    # (leaf, row, segment); take gathers far faster by intp than int8 indices
-    bins = np.take(rank * (B * S), code.astype(np.intp))
+    # (leaf, row, segment): take gathers fast from a table of the least
+    # dtype, widened once into the one point-sized intp array
+    bins = np.take((rank * (B * S)).astype(np.min_scalar_type(-n * B * S)),
+                   code).astype(np.intp)
+    del code
     bins += segment
-    bins += S * np.arange(B)[:, None]
+    if B > 1:
+        bins += S * np.arange(B)[:, None]
     hits = np.bincount(bins.ravel(), minlength=n * B * S).reshape(n, B, S)
+    del bins  # before the count tables
     np.cumsum(hits, axis=2, out=hits)
     below = np.zeros((n + 1, B, S), dtype=np.int64)
     for u in range(n):  # one add per leaf plane, where a cumsum is far slower
@@ -147,6 +152,18 @@ def _cylinder_distances(symbols, ms, measure, family: TestFunctionFamily,
         total += np.abs((below[hi] - below[lo]) / bounds
                         - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
     return total[:, where].reshape(sym.shape[:-1] + ms.shape)
+
+
+def _distance_cap(measure, family: TestFunctionFamily) -> float:
+    """The most `_cylinder_distances` can return against the measure: a
+    frequency f lies in [0, 1], so fl(f - mu) lies in [-mu, fl(1 - mu)], and
+    each term, then each rounded partial sum in the kernel's order, is at
+    most the one here."""
+    total = 0.0
+    for i, phi in enumerate(family.functions, start=1):
+        mu = measure.cylinder_mass(phi.word)
+        total += max(mu, abs(1.0 - mu)) / 2.0 ** (i + 1)
+    return total
 
 
 def word_empirical_distance(word: Sequence[int], m: int,
@@ -175,8 +192,9 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
     W = measure.sample_words(budget, block_len, make_rng(seed))
     returns = W[:, window] == W[:, :1]  # returns[r, i]: word r back at window[i]
     ok = returns.any(axis=1)
-    ok[ok] = np.all(_cylinder_distances(W[ok], ms, measure, family) < 1.0 / k,
-                    axis=1)
+    if _distance_cap(measure, family) >= 1.0 / k:  # else every word passes
+        ok[ok] = np.all(_cylinder_distances(W[ok], ms, measure, family)
+                        < 1.0 / k, axis=1)
     if not ok.any():
         raise BlockSearchError(
             f"no block accepted in {budget} attempts", budget, 0)

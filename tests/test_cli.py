@@ -750,6 +750,35 @@ def test_run_length_encode_matches_loop(runs):
         _loop_run_length_encode(symbols)
 
 
+def _sorted_run_length_encode(symbols) -> str:
+    """The former encoder: the run keys N * 128 + A sorted by np.unique."""
+    starts = np.flatnonzero(np.r_[len(symbols) > 0, symbols[1:] != symbols[:-1]])
+    keys, at = np.unique(np.diff(starts, append=len(symbols)) * 128
+                         + symbols[starts], return_inverse=True)
+    return " ".join(np.array([f"{p % 128}x{p // 128}" for p in keys.tolist()],
+                             object)[at].tolist())
+
+
+@pytest.mark.parametrize("symbols", [
+    np.full(50_000, 5, np.int8),  # one run: keys too sparse for a table
+    np.arange(128, dtype=np.int8),  # every symbol once
+    np.repeat(np.arange(128, dtype=np.int8), np.arange(1, 129) % 7 + 1),
+    np.random.default_rng(2).integers(0, 2, 50_000).astype(np.int8),
+], ids=["one_run", "point128", "runs128", "coin"])
+def test_table_encoder_matches_sorted_encoder(symbols):
+    # the bytes of the former encoder; the one-run point allocates no
+    # 6.4-million-cell table for its one key
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        text = _run_length_encode(symbols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _sorted_run_length_encode(symbols)
+    assert peak < 64 * len(symbols) + 100_000
+
+
 def test_shrink_csv(tmp_path):
     cfg = {"system": {"kind": "full_shift", "k": 2},
            "nu": {"bernoulli": 0.8},

@@ -218,8 +218,8 @@ STEPS = [
                                     "delta": 2.0 ** -8, "length": 20000}, 1, 0,
          single_shadow),
     Step("modulus_tent12", "shadow", _modulus(TENT12, 1e-3, 100, 200), 1, 0,
-         all_of(DRAWN, digest("modulus.csv", "cb844f694fd8e68f7435a5a76f8da0"
-                "f746376d86a86337ecd2b6326ff721d14b"))),
+         all_of(DRAWN, digest("modulus.csv", "0227633479da7da16ef14b99ff2bdd"
+                "04aa0f6e4a9192142fd23a0e3979724042"))),
     *(Step(f"modulus_tent12_{t}_trials", "shadow",
            _modulus(TENT12, 1e-3, t, 200), 1, 0, DRAWN) for t in (7, 600)),
     Step("modulus_plmap", "shadow", _modulus(PLMAP, 1e-6, 60, 200), 0, 0,

@@ -183,14 +183,34 @@ def test_sample_words_matches_former_column_loop(m, count, n, seed, on_sums):
 def test_sample_words_clamps_past_row_sum():
     # the float sum of (0.7, 0.2, 0.1, 0) is 1 - 2^-53, which the largest
     # uniform reaches: the draw must be symbol 2, not the zero-mass 3
-    class TopUniform:
-        def random(self, shape):
-            return np.full(shape, np.nextafter(1.0, 0.0))
-
     m = bernoulli([0.7, 0.2, 0.1, 0.0])
     assert np.cumsum(m.pi)[-1] <= np.nextafter(1.0, 0.0)
     assert np.all(m.sample_words(3, 5, TopUniform()) == 2)
     assert np.all(bernoulli(0.0).sample_words(3, 5, TopUniform()) == 0)
+
+
+class TopUniform:
+    """A stub generator whose every uniform is the largest below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [
+    bernoulli([0.7, 0.2, 0.1, 0.0]),  # its float sum is 1 - 2^-53
+    MarkovMeasure([[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0]),  # pi has a zero
+    MarkovMeasure([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]),
+    MarkovMeasure([[1.0]]),
+    bernoulli(0.7),
+], ids=["top_sum", "zero_pi", "three_sft", "one_symbol", "b07"])
+@pytest.mark.parametrize("draws", ["rng", "top", "on_sums"])
+def test_sampler_without_unreachable_sums_matches_column_loop(m, draws):
+    # the +inf sums from each row's last positive symbol on, with the last
+    # column left out, draw what the clamp of the former loop drew
+    rng = {"rng": lambda: make_rng(7), "top": TopUniform,
+           "on_sums": lambda: OnTheSums(m, 7)}[draws]
+    assert np.array_equal(m.sample_words(300, 26, rng()),
+                          ref_sample_words(m, 300, 26, rng()))
 
 
 @pytest.mark.parametrize("P", [

@@ -192,7 +192,9 @@ def ref_value(map_, x):
 
 
 def ref_interval_orbit(map_, x0, n, delta, seed):
-    rng = make_rng(seed)
+    """One kick at a time, drawn from make_rng(seed) or from a given
+    generator (which it advances)."""
+    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     lo, hi = map_.domain
     states = [float(x0)]
     for _ in range(n - 1):
@@ -344,18 +346,22 @@ def assert_matches_union(map_, xs, epsilon, ok, ys, s):
 
 
 def ref_modulus_row(system, epsilon, trials, length, seed, delta):
-    """Successes of one modulus row, one trial at a time."""
+    """Successes of one modulus row, one trial at a time.  On an interval
+    map the starts, then each trial's kicks in turn, come from one
+    make_rng(seed) stream, as shadowing_modulus draws them; a shift, where
+    the modulus draws nothing, draws each trial from seeds of its own."""
     ok = 0
-    for t in range(trials):
-        x0 = _random_start(system, make_rng(seed + 7919 * t))
-        if isinstance(system, ShiftSpace):
+    if isinstance(system, ShiftSpace):
+        for t in range(trials):
+            x0 = _random_start(system, make_rng(seed + 7919 * t))
             po = ref_shift_orbit(system, x0, length, delta,
                                  seed + 104729 * t + 1)
             ok += max(ref_shadow_shift(system, po)[1]) < epsilon
-        else:
-            states = ref_interval_orbit(system, x0, length, delta,
-                                        seed + 104729 * t + 1)
-            ok += ref_union_outcome(system, states, epsilon)[1] is not None
+        return ok
+    rng = make_rng(seed)
+    for x0 in [_random_start(system, rng) for _ in range(trials)]:
+        states = ref_interval_orbit(system, x0, length, delta, rng)
+        ok += ref_union_outcome(system, states, epsilon)[1] is not None
     return ok
 
 
@@ -398,6 +404,14 @@ def ref_shadow_shift(shift, states):
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def modulus_inputs(system, trials, length, seed):
+    """(starts, kicks) of shadowing_modulus on an interval map: one
+    _random_start after another, then the kicks, from one stream."""
+    rng = make_rng(seed)
+    x0 = [_random_start(system, rng) for _ in range(trials)]
+    return x0, rng.random((trials, length - 1))
 
 
 def batch_inputs(system, trials, length, seed):
@@ -479,12 +493,12 @@ def test_interval_batch_mixes_outcomes_per_trial():
 
 def test_union_oracle_where_branch_histories_explode():
     # slope 1.2 at eps 0.05: at delta_hat the branchwise oracle passes its
-    # cap of 4,096 intervals on 20 trials; the merged union stays one
+    # cap of 4,096 intervals on 18 trials; the merged union stays one
     # interval and each of those trials is shadowed
     f, epsilon, length, trials, seed = TentMap(1.2), 0.05, 60, 30, 7
     delta_hat, table = shadowing_modulus(f, epsilon, trials, length, seed)
     assert delta_hat > 0.0
-    x0, u = batch_inputs(f, trials, length, seed)
+    x0, u = modulus_inputs(f, trials, length, seed)
     for delta, successes, _ in table:
         xs = _interval_orbits(f, np.array(x0), delta, u)
         ok, ys, s = shadow_batch(f, xs, epsilon)
@@ -493,7 +507,7 @@ def test_union_oracle_where_branch_histories_explode():
         if delta == delta_hat:
             over = [t for t in range(trials) if ref_outcome(
                 f, xs[:, t].tolist(), epsilon)[0] == OVER_CAP]
-            assert len(over) == 20 and ok[over].all()
+            assert len(over) == 18 and ok[over].all()
 
 
 def test_contracting_piece_witnesses_hold():
@@ -549,7 +563,7 @@ def test_shadowing_modulus_matches_reference(system, epsilon, trials, length,
 def ref_shadowing_modulus(system, epsilon, trials, length, seed):
     """The former drawn search, one row at a time: each delta the sweep and
     the bisection visit runs as one batch of its own when visited."""
-    x0, u = batch_inputs(system, trials, length, seed)
+    x0, u = modulus_inputs(system, trials, length, seed)
 
     def good(delta):
         xs = _interval_orbits(system, np.array(x0), delta, u)
@@ -632,7 +646,7 @@ def test_modulus_certificate_matches_rebuild(monkeypatch, map_, epsilon):
     for seed in range(3):
         rebuilt.clear()
         _, table = shadowing_modulus(map_, epsilon, trials, length, seed)
-        x0, u = batch_inputs(map_, trials, length, seed)
+        x0, u = modulus_inputs(map_, trials, length, seed)
         for delta, successes, _ in table:
             xs = _interval_orbits(map_, np.array(x0), delta, u)
             ok = shadow_batch(map_, xs, epsilon)[0]
@@ -1219,8 +1233,15 @@ def test_broken_kernel_input_raises(monkeypatch, system):
     # a shape error inside a row must surface, not read as 0 successes (the
     # slope-2 tent and the shifts draw no rows at epsilon = 1e-3)
     import orbitweave.shadowing as sh_mod
-    good = sh_mod._uniforms
-    monkeypatch.setattr(sh_mod, "_uniforms", lambda *a: good(*a)[..., None])
+
+    class StrayAxis:  # kicks with a stray trailing axis
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+            self.uniform = self.rng.uniform
+
+        def random(self, shape):
+            return self.rng.random(shape)[..., None]
+    monkeypatch.setattr(sh_mod, "make_rng", StrayAxis)
     with pytest.raises(ValueError, match="broadcast"):
         shadowing_modulus(system, 1e-3, trials=5, length=20, seed=1)
 

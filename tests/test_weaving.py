@@ -17,7 +17,8 @@ from orbitweave.shadowing import (AUDIT_DEPTH, PseudoOrbitViolation,
 from orbitweave.systems import full_shift, golden_mean_shift
 from orbitweave.weaving import (DEFAULT_LENGTH_CAP, BlockFamily,
                                 BlockSearchError, WeaveOutcome, WeaveSchedule,
-                                _cylinder_distances, build_schedule,
+                                _cylinder_distances, _distance_cap,
+                                build_schedule,
                                 concatenate, connector, run_weave,
                                 select_blocks, separation_audit, weave_point,
                                 word_empirical_distance)
@@ -204,6 +205,117 @@ def test_cylinder_distances_match_the_leaf_run_kernel(data):
     sym = rng.integers(0, k, shape).astype(np.int8)
     assert np.array_equal(_cylinder_distances(sym, ms, measure, family),
                           ref_cylinder_distances(sym, ms, measure, family))
+
+
+@st.composite
+def extreme_chains(draw):
+    """Chains on 2-4 symbols whose cylinder masses lie near 0 and near 1:
+    i.i.d. rows of tiny and near-one entries, or a general chain."""
+    k = draw(st.integers(2, 4))
+    entries = st.sampled_from([0.0, 1e-300, 1e-17, 1e-9, 0.3, 1.0])
+    if draw(st.booleans()):
+        row = draw(st.lists(entries, min_size=k, max_size=k))
+        row[draw(st.integers(0, k - 1))] = 1.0
+        return bernoulli(np.array(row) / sum(row))
+    rows = []
+    for a in range(k):
+        row = draw(st.lists(entries, min_size=k, max_size=k))
+        row[(a + 1) % k] += 1.0
+        rows.append([x / sum(row) for x in row])
+    return MarkovMeasure(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(measure=extreme_chains(), N=st.integers(1, 60), data=st.data())
+def test_no_distance_exceeds_the_cap(measure, N, data):
+    # the cap that lets select_blocks skip the kernel bounds every value the
+    # kernel computes, on sampled words and on constant ones (frequencies 0
+    # and 1, where the kernel comes nearest the cap)
+    k = measure.alphabet_size
+    family = TestFunctionFamily("cylinder", N, k)
+    L = data.draw(st.integers(family.max_depth, 60), label="L")
+    rng = make_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    words = np.vstack([measure.sample_words(20, L, rng),
+                       np.repeat(np.arange(k, dtype=np.int8)[:, None], L, 1)])
+    D = _cylinder_distances(words, np.arange(1, L - family.max_depth + 2),
+                            measure, family)
+    assert D.max() <= _distance_cap(measure, family)
+
+
+def select_calls(monkeypatch, forced):
+    """Count select_blocks' kernel calls; forced: the cap never decides."""
+    import orbitweave.weaving as weaving
+    calls, kernel = [], weaving._cylinder_distances
+    monkeypatch.setattr(weaving, "_cylinder_distances",
+                        lambda *a: calls.append(1) or kernel(*a))
+    if forced:
+        monkeypatch.setattr(weaving, "_distance_cap", lambda *a: math.inf)
+    return calls
+
+
+BENCH_TARGETS = {  # the weave bench's targets and mixture components
+    "b07": (FULL, bernoulli(0.7)),
+    "golden": (golden_mean_shift(), MarkovMeasure(GOLDEN_CHAIN)),
+    "b025": (FULL, bernoulli(0.25)),
+    "b08": (FULL, bernoulli(0.8)),
+    "b05": (FULL, bernoulli(0.5)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BENCH_TARGETS))
+def test_select_blocks_skips_only_tests_the_cap_decides(monkeypatch, name, k):
+    # the family, its return time, cell and acceptance rate are those of the
+    # closeness test run on every word; it runs at level 3 only, and there
+    # only where the cap reaches 1/3: on every target here but B(0.5)
+    shift, measure = BENCH_TARGETS[name]
+    args = (shift, measure, 16, 0.25, k, 0.25, 400, 1000 * k + 1)
+    forced = select_calls(monkeypatch, forced=True)
+    want = select_blocks(*args, family=FAMILY)
+    monkeypatch.undo()
+    calls = select_calls(monkeypatch, forced=False)
+    got = select_blocks(*args, family=FAMILY)
+    assert (got.n, got.cell, got.acceptance_rate) == \
+        (want.n, want.cell, want.acceptance_rate)
+    assert np.array_equal(got.blocks, want.blocks)
+    assert len(forced) == 1
+    assert len(calls) == (k == 3 and name != "b05")
+
+
+def test_cap_at_level_two_is_below_one_half():
+    # masses lie in [0, 1], so the cap is below 1/2 - 2^-(N+1) < 1/2 for
+    # every N <= 53 and level 2 never runs the kernel
+    for N in (1, 16, 53):
+        family = TestFunctionFamily("cylinder", N, 2)
+        for measure in (bernoulli(0.0), bernoulli(1e-300), bernoulli(0.7)):
+            assert _distance_cap(measure, family) <= 0.5 - 2.0 ** -(N + 1)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_select_blocks_below_level_one_is_unchanged(k):
+    # 1 / 0 raises, and no distance is below a negative 1/k
+    args = (FULL, bernoulli(0.5), 16, 0.25, k, 0.25, 50, 1)
+    with pytest.raises(ZeroDivisionError if k == 0 else BlockSearchError):
+        select_blocks(*args, family=FAMILY)
+
+
+def test_distance_table_holds_one_point_sized_intp_array():
+    # weave_point's call on a 50,006-symbol point: the widened gather is the
+    # one point-length intp array alive, so the traced peak stays below
+    # 1.6 x 8L bytes (holding the intp codes and the gather at once, 2.1)
+    import tracemalloc
+    L = 50_006
+    z = bernoulli(0.7).sample_words(1, L, make_rng(4))[0]
+    grid = np.r_[np.arange(37, L - 3, 35), L - 3]  # as many as a weave's
+    segment = np.repeat(np.arange(len(grid)), np.diff(grid, prepend=0))
+    _cylinder_distances(z, grid, bernoulli(0.7), FAMILY, segment=segment)
+    tracemalloc.start()
+    try:
+        _cylinder_distances(z, grid, bernoulli(0.7), FAMILY, segment=segment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 8 * L, peak / (8 * L)
 
 
 def _loop_select_blocks(measure, n, epsilon, k, gamma, budget, seed, family):
