@@ -7,8 +7,8 @@ among the given points.  Katok and level-set counts are exact on shifts over
 any alphabet and word length: one walk counts admissible words of every
 requested length by an integer weight summed along the word, and its
 TABLE_BUDGET entries are the only limit.  A Bowen d_n-ball of radius 2^-q is
-an (n+q)-cylinder, whose mass is fixed by pi[first] and the number of
-transitions per value of P; a level-set word weighs its Birkhoff sum.
+an (n+q)-cylinder, whose mass is fixed by how many of its factors carry each
+value of pi and P; a level-set word weighs its Birkhoff sum.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class InfeasibleCountError(ValueError):
 @dataclass
 class EntropyEstimate:
     value: float | None
-    method: str
     diagnostics: list[tuple] = field(default_factory=list)
     empty: bool = False  # tagged empty level set, not a numeric sentinel
 
@@ -170,27 +169,25 @@ def _walk_counts(Ls: list[int], start: dict, step: dict) -> list[dict]:
 def _cylinder_mass_classes(shift: ShiftSpace, m: MarkovMeasure, Ls: list):
     """[(classes, unit)] per length L of the increasing Ls: the (mass,
     multiplicity) classes of all admissible L-cylinders, masses as integers
-    over the unit.  A mass is pi[first] times P[a, b] per transition, fixed
-    by pi[first] and how many transitions carry each distinct value of P.
-    So one walk to R = max(Ls) weights a transition carrying the g-th value
-    by R^g and the first symbol by the index of its pi value one radix-R
-    digit higher: an L-word has at most L - 1 < R transitions per value, so
-    each weight is one class whose digits give its mass."""
+    over the unit.  A mass is a product of L factors, pi[first] and P[a, b]
+    per transition, so it is fixed by how many factors carry each distinct
+    positive value of pi and P together.  One walk to max(Ls) weights the
+    first symbol and each transition by R^g, g the index of its value and
+    R = max(Ls) + 1: one value fills at most L < R factors, so each weight
+    is one class whose radix-R digits give its mass."""
     k = shift.alphabet_size
     if m.alphabet_size != k:
         raise ValueError("measure alphabet mismatch")
     P, pi = m.P.tolist(), m.pi.tolist()
     edges = [(a, b) for a, b in shift.admissible_words(2) if P[a][b] > 0]
-    values = sorted({P[a][b] for a, b in edges})
-    pis = sorted({p for p in pi if p > 0})
-    R, top = Ls[-1], Ls[-1] ** len(values)
+    values = sorted({p for p in pi if p > 0} | {P[a][b] for a, b in edges})
+    R = Ls[-1] + 1
     walks = _walk_counts(
-        Ls, {(a,): pis.index(pi[a]) * top for a in range(k) if pi[a] > 0},
+        Ls, {(a,): R ** values.index(pi[a]) for a in range(k) if pi[a] > 0},
         {(a, b): R ** values.index(P[a][b]) for a, b in edges})
-    num, scale = _over_common_denominator(values + pis)
-    return [([(math.prod((num[v] ** (w // R ** g % R)
-                          for g, v in enumerate(values)),
-                         start=num[pis[w // top]]), mult)
+    num, scale = _over_common_denominator(values)
+    return [([(math.prod(num[v] ** (w // R ** g % R)
+                         for g, v in enumerate(values)), mult)
               for w, mult in classes.items()], scale ** L)
             for L, classes in zip(Ls, walks)]
 
@@ -243,8 +240,7 @@ def katok_entropy(shift: ShiftSpace, m: MarkovMeasure, epsilon: float,
                          f"each an integer; got {grid}")
     diags = [(n, cnt, math.log(cnt) / n) for n, cnt in
              zip(grid, _katok_counts(shift, m, grid, epsilon, delta))]
-    return EntropyEstimate(value=diags[-1][2], method="katok",
-                           diagnostics=diags)
+    return EntropyEstimate(value=diags[-1][2], diagnostics=diags)
 
 
 def _birkhoff_sums(shift: ShiftSpace, phi: LocallyConstantObservable,
@@ -287,16 +283,13 @@ def levelset_counts_at(shift: ShiftSpace, phi: LocallyConstantObservable,
     (2S + 1) / 2nD) of `levelset_count`, which isolates one attainable
     average.  An average no word attains comes back tagged empty."""
     sums, scale = _birkhoff_sums(shift, phi, n)
-    return [_levelset_rate(n, sums.get(S, 0),
-                           [("nearest_average", S / (n * scale))])
+    return [_levelset_rate(n, sums.get(S, 0))
             for S in (round(alpha * n * scale) for alpha in alphas)]
 
 
-def _levelset_rate(n: int, count: int, extra=()) -> EntropyEstimate:
+def _levelset_rate(n: int, count: int) -> EntropyEstimate:
     """(1/n) log count as a level-set estimate, tagged empty at count 0."""
     if count == 0:
-        return EntropyEstimate(value=None, method="levelset_count",
-                               diagnostics=list(extra), empty=True)
+        return EntropyEstimate(value=None, empty=True)
     val = math.log(count) / n
-    return EntropyEstimate(value=val, method="levelset_count",
-                           diagnostics=[(n, count, val), *extra])
+    return EntropyEstimate(value=val, diagnostics=[(n, count, val)])

@@ -167,9 +167,11 @@ class MixtureMeasure:
 
 def bernoulli(p, shift: ShiftSpace | None = None) -> MarkovMeasure:
     """Bernoulli measure: i.i.d. symbols with the given probability vector
-    (a scalar p means the 2-letter (1-p, p) measure)."""
+    (a scalar p means the 2-letter (1-p, p) measure, 1 - p taken of the
+    decimal p: 0.7 gives 0.3, not 0.30000000000000004)."""
     probs = _numbers(p, "bernoulli parameter")
-    probs = np.array([1.0 - probs, probs]) if probs.ndim == 0 else probs
+    if probs.ndim == 0:
+        probs = np.array([float(1 - Fraction(repr(float(probs)))), probs])
     P = np.tile(probs, (len(probs), 1))
     return MarkovMeasure(P, probs, shift=shift)
 

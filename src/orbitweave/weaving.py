@@ -174,7 +174,7 @@ def word_empirical_distance(word: Sequence[int], m: int,
 
 def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
                   epsilon: float, k: int, gamma: float, budget: int, seed: int,
-                  family: TestFunctionFamily | None = None) -> BlockFamily:
+                  family: TestFunctionFamily) -> BlockFamily:
     """Monte-Carlo block selection from the measure, rejecting words that miss
     the return-window or empirical-closeness conditions, then pruning to a
     separated family within the most popular cell and return time."""
@@ -184,8 +184,6 @@ def select_blocks(shift: ShiftSpace, measure: MarkovMeasure, n: int,
     if not window:
         raise ValueError("return window [n, (1+gamma)n] contains no integer")
     q_extra = max(1, round(-math.log2(epsilon)))
-    if family is None:
-        family = TestFunctionFamily("cylinder", 16, shift.alphabet_size)
     depth = family.max_depth
     block_len = window[-1] + q_extra + depth
     ms = np.arange(n, block_len - depth + 2)

@@ -113,12 +113,12 @@ def test_katok_csv(tmp_path):
 
 
 def test_katok_infeasible_exits_2(tmp_path, capsys, monkeypatch):
-    # n = 8 fits a 64-entry table and n = 20 does not: the table budget is
+    # n = 8 fits a 64-entry table and n = 40 does not: the table budget is
     # the only limit, and the rows already counted are not written
     monkeypatch.setattr(entropy, "TABLE_BUDGET", 64)
     cfg = {"system": {"kind": "full_shift", "k": 2},
            "measure": {"bernoulli": 0.7},
-           "q": 1, "delta": 0.1, "n_grid": [8, 20]}
+           "q": 1, "delta": 0.1, "n_grid": [8, 40]}
     code, out = run(tmp_path, "katok", cfg)
     assert code == 2
     assert "more than 64 table entries" in capsys.readouterr().err

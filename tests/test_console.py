@@ -242,7 +242,7 @@ STEPS = [
     Step("shrink_tiny", "shrink", {**B08, "delta_grid": [0.1, 1e-11]}, 1, 0,
          shrink_closes),
     Step("katok_b07_to_100", "katok", {**B07, "n_grid": [10, 40, 100]}, 1, 0,
-         katok_rates),
+         all_of(oracles.check_katok, katok_rates)),
     # a grid and each of its n alone write the same rows
     *(Step(f"katok_b07_{name}", "katok", {**B07, "n_grid": grid}, 1, 0,
            all_of(oracles.check_katok, katok_text))
@@ -322,9 +322,6 @@ def test_planted_fault_is_caught(ran, tmp_path, name, label, target, edit):
         verify(STEP[name], code, err, str(copy))
 
 
-@pytest.mark.xfail(raises=oracles.CheckError, strict=True, reason=(
-    "bernoulli(0.7) holds 1 - 0.7 as the float 0.30000000000000004, and the "
-    "exact count reads it as that decimal, not 3/10: count(100) is off"))
 def test_katok_b07_to_100_counts_are_exact(ran):
     code, err, out = ran("katok_b07_to_100")
     oracles.check_katok(STEP["katok_b07_to_100"].config, out, code, err)

@@ -1,14 +1,16 @@
 import bisect
+import importlib.util
 import itertools
 import math
+import pathlib
 import re
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitweave import entropy
@@ -25,6 +27,11 @@ from orbitweave.systems import (EndpointFixedMap, KindMismatchError,
                                 golden_mean_shift)
 
 from bowen import dist_n
+
+ORACLES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def all_periodic(n):
@@ -317,6 +324,88 @@ def test_tied_transition_values_merge_classes():
                 == _enumerated_count(sh, TIED, L, delta))
 
 
+def _enumerated_masses(shift, m, L):
+    """{mass: multiplicity} of every admissible L-cylinder of positive mass,
+    word by word, in exact rational arithmetic on the decimals of pi and P."""
+    k = shift.alphabet_size
+    pi = [Fraction(str(x)) for x in m.pi.tolist()]
+    P = [[Fraction(str(x)) for x in row] for row in m.P.tolist()]
+    masses = Counter()
+    for w in itertools.product(range(k), repeat=L):
+        if shift.word_admissible(w):
+            mass = pi[w[0]] * math.prod(P[a][b] for a, b in zip(w, w[1:]))
+            masses[mass] += mass > 0
+    return +masses
+
+
+@st.composite
+def _measures(draw):
+    """(shift, measure): Bernoulli measures, where pi is every row of P;
+    chains whose pi shares no value with P; rows with zero entries; and
+    chains on the golden-mean shift."""
+    kind = draw(st.sampled_from(["bernoulli", "chain", "zeros", "golden"]))
+    if kind == "golden":
+        p = draw(st.integers(1, 9)) / 10
+        gm = golden_mean_shift()
+        return gm, MarkovMeasure([[1 - p, p], [1.0, 0.0]], shift=gm)
+    k = draw(st.integers(2, 4))
+    if kind == "bernoulli":
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)
+                       .filter(any))
+        return full_shift(k), bernoulli([w / sum(weights) for w in weights])
+    rows = [draw(st.lists(st.integers(0 if kind == "zeros" else 1, 4),
+                          min_size=k, max_size=k).filter(any))
+            for _ in range(k)]
+    try:
+        m = MarkovMeasure([[w / sum(row) for w in row] for row in rows])
+    except ValueError:  # no stationary vector within the checks
+        assume(False)
+    if kind == "chain":
+        assume(not set(m.pi.tolist()) & set(m.P.ravel().tolist()))
+    return full_shift(k), m
+
+
+@given(_measures(), st.integers(1, 8), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_mass_classes_match_every_cylinder(case, L, other):
+    # each snapshot of one walk to max(Ls), at radix max(Ls) + 1, holds the
+    # enumerated masses; a Bernoulli word of one symbol puts one value in all
+    # L factors, past a radix of max(Ls)
+    shift, m = case
+    Ls = sorted({L, other})
+    for L, (classes, unit) in zip(Ls, _cylinder_mass_classes(shift, m, Ls)):
+        got = Counter()
+        for mass, mult in classes:
+            got[Fraction(mass, unit)] += mult
+        assert got == _enumerated_masses(shift, m, L)
+
+
+def test_walk_holds_one_entry_per_last_symbol_and_value_counts(monkeypatch):
+    # B(0.5, 0.3, 0.2): each factor's value is its symbol's mass, so an
+    # L-word's value counts are its symbol counts, with its last symbol >= 1
+    L, probs = 12, [0.5, 0.3, 0.2]
+    pairs = {(b, counts) for counts in itertools.product(range(L + 1),
+                                                         repeat=3)
+             if sum(counts) == L for b in range(3) if counts[b]}
+    assert len(pairs) == 3 * math.comb(L + 1, 2)
+    m = bernoulli(probs)
+    monkeypatch.setattr(entropy, "TABLE_BUDGET", len(pairs))
+    [(classes, _unit)] = _cylinder_mass_classes(full_shift(3), m, [L])
+    assert len(classes) == math.comb(L + 2, 2)
+    monkeypatch.setattr(entropy, "TABLE_BUDGET", len(pairs) - 1)
+    with pytest.raises(InfeasibleCountError):
+        _cylinder_mass_classes(full_shift(3), m, [L])
+
+
+@pytest.mark.parametrize("p", [0.7, 0.8])
+def test_katok_count_to_100_matches_the_bench_reference(p):
+    # bernoulli(p) holds 1 - p of the decimal p, so the count is the one of
+    # the masses p and 1 - p, which sum to 1
+    probs = [1 - Fraction(str(p)), Fraction(str(p))]
+    assert (katok_count(full_shift(2), bernoulli(p), 100, 0.5, 0.1)
+            == oracles.katok_reference(probs, 101, Fraction("0.1")))
+
+
 def _bernoulli_reference(probs, L, delta):
     """Fewest L-cylinders of the Bernoulli measure with mass > 1 - delta,
     greedy over multinomial classes in exact rational arithmetic."""
@@ -355,8 +444,9 @@ def test_katok_count_bernoulli_exact_reference(probs):
 
 
 def test_katok_count_large_alphabet_repeated_values():
-    # eight distinct symbol masses, yet one P value per column: 8 x C(13, 6)
-    # = 13,728 classes, where the edge-tuple key had 1,596,120
+    # eight distinct symbol masses, one value per symbol for pi and P alike:
+    # C(14, 7) = 3,432 classes, where a separate pi digit had 8 x C(13, 6) =
+    # 13,728 and the edge-tuple key 1,596,120
     exact = [Fraction(i, 36) for i in range(1, 9)]
     m = bernoulli([i / 36 for i in range(1, 9)])
     start = time.perf_counter()
@@ -378,7 +468,6 @@ def test_katok_count_respects_sft_support():
 def test_katok_entropy_diagnostics():
     sh = full_shift(2)
     est = katok_entropy(sh, bernoulli(0.5), 0.5, 0.1, [4, 8, 12])
-    assert est.method == "katok"
     assert len(est.diagnostics) == 3
     assert est.value == est.diagnostics[-1][2]
     assert abs(est.value - math.log(2)) < 0.06
@@ -399,7 +488,7 @@ def test_katok_infeasible(monkeypatch):
     monkeypatch.setattr(entropy, "TABLE_BUDGET", 64)
     assert katok_count(sh, bernoulli(0.7), 8, 0.5, 0.1) == 256
     with pytest.raises(InfeasibleCountError):
-        katok_count(sh, bernoulli(0.7), 20, 0.5, 0.1)
+        katok_count(sh, bernoulli(0.7), 40, 0.5, 0.1)
     phi = frequency_observable(1)
     assert levelset_count(sh, LevelSetQuery(phi, 0.45, 0.55, 30)).value
     with pytest.raises(InfeasibleCountError):
@@ -662,8 +751,8 @@ def _levelset_tables(shift, phi):
 
 @pytest.mark.parametrize("shift, m", KATOK_TABLE_CASES)
 def test_katok_walk_snapshots_match_one_walk_per_length(shift, m):
-    # the tables weigh by radix max(Ls); each snapshot must be the walk at
-    # its own length on those same tables
+    # the tables weigh by radix max(Ls) + 1; each snapshot must be the walk
+    # at its own length on those same tables
     for Ls in ([1], [1, 2, 3], [2, 5, 9], [3, 4, 8, 12]):
         start, step = _katok_tables(shift, m, Ls)
         got = _walk_counts(Ls, start, step)

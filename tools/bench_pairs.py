@@ -10,16 +10,19 @@ and ops/s), and `python -m compileall -q src bench` runs in each.  Each
 pair runs the tree's own, unmodified `bench/run.py` once per side, in turn
 parent first and change first, on every workload of BENCHMARK.json, at
 ROTATIONS rotations: --seconds is that many of the tree's
-NOMINAL_ROTATION_S.  Each run's record.json is read.  The output holds, per
-workload and end-to-end metric of BENCHMARK.json, both sides' values and
-medians, the parent's interquartile range, the change's pair wins and the
-verdict; and each op's least process time per side, the machine block, the
-seed and the rotation counts.
+NOMINAL_ROTATION_S.  Each run's record.json is read, and the run's minor
+page faults are read from getrusage(RUSAGE_CHILDREN) before and after it.
+The output holds, per workload and end-to-end metric of BENCHMARK.json, both
+sides' values and medians, the parent's interquartile range, the change's
+pair wins and the verdict; per op, each run's least process time and the
+verdict on those; both sides' minor faults per run and their medians; and
+the machine block, the seed and the rotation counts.
 
 The verdict on a metric holds when the change is better in at least 9 of
 every 10 pairs and the medians are apart, the change's way, by more than the
-parent's interquartile range.  The least process times are reported next to
-the medians; they replace neither them nor their bounds.
+parent's interquartile range.  The per-op verdicts and the page faults are
+reported next to the end-to-end medians; they replace neither them nor their
+bounds.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import io
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -62,14 +66,17 @@ def nominal_rotation_s(tree: str) -> dict:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced bench run of the tree; its record.json."""
+    """One untraced bench run of the tree; its record.json, with the run's
+    minor page faults as "minor_faults"."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                     "--seed", str(seed), "--seconds", str(seconds)],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     path = os.path.join(tree, ".bench_out", f"{workload}-seed{seed}-trace0",
                         "record.json")
     with open(path) as f:
-        return json.load(f)
+        return {**json.load(f), "minor_faults": faults}
 
 
 def iqr(values) -> float:
@@ -99,15 +106,22 @@ def summarize(records: dict, end_to_end: list) -> dict:
     """One workload's summary from {"parent": [record], "change": [record]},
     records in pair order; end_to_end: BENCHMARK.json's metric entries."""
     out = {"rotations": {}, "failed": {}, "correct": {}, "metrics": {},
-           "op_least_cpu_s": {}}
+           "op_least_cpu_s": {}, "minor_faults": {}}
     for side in SIDES:
         recs = records[side]
         out["rotations"][side] = sorted({r["rotations"] for r in recs})
         out["failed"][side] = [r["failed"] for r in recs]
         out["correct"][side] = all(r["correct"] for r in recs)
         out["op_least_cpu_s"][side] = {
-            op: min(min(r["op_cpu_s"][op]) for r in recs)
+            op: [min(r["op_cpu_s"][op]) for r in recs]
             for op in recs[0]["op_cpu_s"]}
+        faults = [r["minor_faults"] for r in recs]
+        out["minor_faults"][side] = faults
+        out["minor_faults"][f"{side}_median"] = statistics.median(faults)
+    least = out["op_least_cpu_s"]
+    out["op_verdicts"] = {op: verdict(least["parent"][op],
+                                      least["change"][op], "lower")
+                          for op in least["parent"]}
     for metric in end_to_end:
         name = metric["name"]
         values = {side: [r["result"]["metrics"][name]["value"]
@@ -149,14 +163,20 @@ def main(argv=None) -> int:
             print(f"{w}: pair {i + 1}/{args.pairs}", flush=True)
         summary["machine"] = records["change"][0]["machine"]
         summary["workloads"][w] = summarize(records, bench["end_to_end"])
-        for name, m in summary["workloads"][w]["metrics"].items():
+        out = summary["workloads"][w]
+        for name, m in [*out["metrics"].items(),
+                        *(("least_cpu_s " + op, v)
+                          for op, v in out["op_verdicts"].items())]:
             print(f"{w} {name}: {m['parent_median']:.6g} (IQR "
                   f"{m['parent_iqr']:.3g}) -> {m['change_median']:.6g}, "
                   f"wins {m['wins']}/{m['pairs']}, holds {m['holds']}",
                   flush=True)
-    with open(args.out, "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+        faults = out["minor_faults"]
+        print(f"{w} minor faults: {faults['parent_median']:.6g} -> "
+              f"{faults['change_median']:.6g}", flush=True)
+        with open(args.out, "w") as f:  # a cut run keeps finished workloads
+            json.dump(summary, f, indent=1, sort_keys=True)
+            f.write("\n")
     return 0
 
 
