@@ -174,9 +174,9 @@ def main(argv=None) -> int:
         faults = out["minor_faults"]
         print(f"{w} minor faults: {faults['parent_median']:.6g} -> "
               f"{faults['change_median']:.6g}", flush=True)
-        with open(args.out, "w") as f:  # a cut run keeps finished workloads
-            json.dump(summary, f, indent=1, sort_keys=True)
-            f.write("\n")
+    with open(args.out, "w") as f:
+        json.dump(summary, f, indent=1, sort_keys=True)
+        f.write("\n")
     return 0
 
 
