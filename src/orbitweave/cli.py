@@ -163,10 +163,9 @@ def cmd_spectrum(config: dict, seed: int, out: str, *, system: dict,
         raise ValueError("alpha grid leaves the observable's value range")
     result = _call(spectrum, system, phi, alpha_grid=alpha_grid, count_n=count_n,
                    **{"lo": vlo, "hi": vhi, "closed": True, **constraint})
-    rows = []
-    for pt in result.points:
-        gap = pt.h_count - pt.h_var if pt.h_count is not None else None
-        rows.append((pt.alpha, pt.h_var, pt.h_count, pt.n_count or "", gap, ""))
+    rows = [(pt.alpha, pt.h_var, pt.h_count, count_n,
+             None if pt.h_count is None else pt.h_count - pt.h_var, "")
+            for pt in result.points]
     rows.append((result.sup_alpha, result.sup_value, None, "", None, "sup"))
     _write_csv(os.path.join(out, "spectrum.csv"), _header(config, seed),
                ["alpha", "h_var", "h_count", "n_count", "gap", "flag"], rows)

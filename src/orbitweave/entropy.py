@@ -22,10 +22,9 @@ from typing import Sequence
 from .measures import LocallyConstantObservable, MarkovMeasure
 from .systems import ShiftSpace, State, System, _require_shift_state
 
-__all__ = ["EntropyEstimate", "LevelSetQuery", "SeparationResult",
-           "SpanningResult", "max_separated", "min_spanning", "katok_count",
-           "katok_entropy", "levelset_count", "levelset_counts_at",
-           "InfeasibleCountError"]
+__all__ = ["EntropyEstimate", "SeparationResult", "SpanningResult",
+           "max_separated", "min_spanning", "katok_count", "katok_entropy",
+           "levelset_count", "levelset_counts_at", "InfeasibleCountError"]
 
 TABLE_BUDGET = 2 ** 22  # entries of a walk-count table
 
@@ -43,22 +42,6 @@ class EntropyEstimate:
     def __post_init__(self):
         if not self.diagnostics and not self.empty:
             raise ValueError("diagnostics must be nonempty")
-
-
-@dataclass(frozen=True)
-class LevelSetQuery:
-    observable: LocallyConstantObservable
-    lo: float | Fraction
-    hi: float | Fraction
-    n: int
-    closed: bool = False
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError("malformed interval")
-        vlo, vhi = self.observable.value_range
-        if self.hi < vlo or self.lo > vhi:
-            raise ValueError("interval outside the observable's value range")
 
 
 @dataclass
@@ -261,16 +244,22 @@ def _birkhoff_sums(shift: ShiftSpace, phi: LocallyConstantObservable,
     return sums, scale
 
 
-def levelset_count(shift: ShiftSpace, query: LevelSetQuery) -> EntropyEstimate:
+def levelset_count(shift: ShiftSpace, phi: LocallyConstantObservable,
+                   lo: float | Fraction, hi: float | Fraction, n: int,
+                   closed: bool = False) -> EntropyEstimate:
     """(1/n) log of the number of admissible n-words whose Birkhoff average of
-    the observable lies in the window, tested exactly on integer sums over
-    one denominator; empty level sets come back tagged."""
-    n = query.n
-    sums, scale = _birkhoff_sums(shift, query.observable, n)
-    lo, hi = (Fraction(str(x)) * n * scale for x in (query.lo, query.hi))
+    phi lies in (lo, hi), or [lo, hi] when closed, which must meet phi's
+    value range; exact on integer sums, an empty level set tagged."""
+    if not (lo < hi):
+        raise ValueError("malformed interval")
+    vlo, vhi = phi.value_range
+    if hi < vlo or lo > vhi:
+        raise ValueError("interval outside the observable's value range")
+    sums, scale = _birkhoff_sums(shift, phi, n)
+    lo, hi = (Fraction(str(x)) * n * scale for x in (lo, hi))
     return _levelset_rate(n, sum(
         cnt for S, cnt in sums.items()
-        if (lo <= S <= hi if query.closed else lo < S < hi)))
+        if (lo <= S <= hi if closed else lo < S < hi)))
 
 
 def levelset_counts_at(shift: ShiftSpace, phi: LocallyConstantObservable,

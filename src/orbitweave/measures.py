@@ -10,6 +10,7 @@ bound is 2^-N.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -224,12 +225,17 @@ def frequency_observable(symbol: int, alphabet_size: int = 2) -> LocallyConstant
 
 
 class TestFunctionFamily:
-    """Deterministic truncated family behind the weak* metric.
-
-    The only kind is "cylinder": indicators of cylinders ordered by
-    (length, lexicographic).  All sup norms equal 1; the tail bound of the
-    truncation is 2^-N.
-    """
+    """The one owner of the truncated weak* metric: the first N cylinder
+    indicators on k = `alphabet_size` symbols, ordered by (length,
+    lexicographic), sup norms 1.  Indicator i (from 1) weighs weights[i -
+    1] = 2^-(i+1), read-only and exactly 0 past 2^-1074, so any N >= 1
+    works and the distance at N > 1074 is the one at N = 1074; the tail is
+    at most 2^-N.  `masses` lists a measure's N cylinder masses, `weigh`
+    sums weighted terms in order.  `leaves` is (rank, runs, count), one per
+    (k, N): rank[c] is the sorted index, among the count leaves, of the
+    leaf (longest listed prefix) of the max_depth-word of base-k code c;
+    cylinder i (from 0) prefixes exactly the words whose leaf u has
+    runs[i, 0] <= u < runs[i, 1]."""
 
     __test__ = False  # not a test case despite the class name prefix
 
@@ -238,23 +244,59 @@ class TestFunctionFamily:
             raise ValueError("truncation N must be >= 1")
         if kind != "cylinder":
             raise ValueError(f"unknown family kind {kind!r}")
-        self.N = N
-        self.alphabet_size = alphabet_size
+        if type(alphabet_size) is not int or alphabet_size < 2:
+            raise ValueError(f"alphabet size {alphabet_size!r} is no integer "
+                             ">= 2")
+        self.N, self.alphabet_size = N, alphabet_size
         self.functions = list(itertools.islice(
             _enumerate_cylinders(alphabet_size), N))
+        self.max_depth, self.tail = self.functions[-1].depth, 2.0 ** -N
+        self.weights = np.ldexp(1.0, -np.arange(2, N + 2))
+        self.weights.flags.writeable = False
+
+    def masses(self, measure) -> np.ndarray:
+        return np.array([measure.cylinder_mass(f.word)
+                         for f in self.functions])
+
+    def weigh(self, terms):
+        """sum_i terms[i] weights[i] of floats or arrays, added in order."""
+        total = 0.0
+        for term, weight in zip(terms, self.weights.tolist()):
+            total += term * weight
+        return total
 
     @property
-    def tail(self) -> float:
-        return 2.0 ** (-self.N)
+    def leaves(self) -> tuple:
+        return _cylinder_leaves(self.alphabet_size, self.N)
 
-    @functools.cached_property
-    def max_depth(self) -> int:
-        return max(f.depth for f in self.functions)
+    def prefixes(self, words) -> np.ndarray:
+        """(E, N) bool: which cylinders prefix each of E max_depth-words."""
+        words, k = np.asarray(words), self.alphabet_size
+        if words.size and not 0 <= words.min() <= words.max() < k:
+            raise ValueError(f"a symbol outside the alphabet of {k}")
+        rank, runs, _ = self.leaves
+        leaf = rank[words @ k ** np.arange(self.max_depth - 1, -1, -1)]
+        return (runs[:, 0] <= leaf[:, None]) & (leaf[:, None] < runs[:, 1])
 
 
 def _enumerate_cylinders(k: int):
     for length in itertools.count(1):
-        yield from map(CylinderIndicator, ShiftSpace(k).admissible_words(length))
+        yield from map(CylinderIndicator,
+                       itertools.product(range(k), repeat=length))
+
+
+@functools.cache
+def _cylinder_leaves(k: int, N: int) -> tuple:  # read-only arrays
+    words = [f.word for f in itertools.islice(_enumerate_cylinders(k), N)]
+    depth, listed = len(words[-1]), set(words)
+    leaf = [next((w[:d] for d in range(depth, 0, -1) if w[:d] in listed), ())
+            for w in itertools.product(range(k), repeat=depth)]
+    leaves = sorted(set(leaf))
+    rank = np.array([bisect.bisect_left(leaves, u) for u in leaf])
+    runs = np.array([[bisect.bisect_left(leaves, w + e) for e in ((), (k,))]
+                     for w in words])
+    rank.flags.writeable = runs.flags.writeable = False
+    return rank, runs, len(leaves)
 
 
 def integrate(measure, phi) -> float:
@@ -269,15 +311,10 @@ def integrate(measure, phi) -> float:
 
 
 def weak_star_distance(mu, nu, family: TestFunctionFamily) -> float:
-    """Truncated weak* distance sum_{i<=N} |int phi_i dmu - int phi_i dnu| / 2^(i+1).
-
-    The omitted tail is bounded by family.tail = 2^-N.
-    """
-    total = 0.0
-    for i, phi in enumerate(family.functions, start=1):
-        diff = abs(integrate(mu, phi) - integrate(nu, phi))
-        total += diff / 2.0 ** (i + 1)
-    return total
+    """Truncated weak* distance: the family's weighted sum of |int phi_i dmu
+    - int phi_i dnu|.  The omitted tail is bounded by family.tail = 2^-N."""
+    return family.weigh(np.abs(family.masses(mu)
+                               - family.masses(nu)).tolist())
 
 
 def markov_entropy(m) -> float:

@@ -239,7 +239,6 @@ class SpectrumPoint:
     alpha: float
     h_var: float | None
     h_count: float | None = None
-    n_count: int = 0
     empty: bool = False            # constraint set misses the attainable range
 
 
@@ -353,7 +352,6 @@ def spectrum(shift: ShiftSpace, phi: LocallyConstantObservable,
                                     count_n)
         for pt, est in zip(points, counts):
             pt.h_count = est.value
-            pt.n_count = count_n
     candidates = points + [pt for pt in (low_end, high_end) if not pt.empty]
     if not candidates:
         raise EmptyConstraintError(
@@ -448,12 +446,9 @@ def shrink_experiment(shift: ShiftSpace, nu: MarkovMeasure,
     _check_grid(grid, family.N)
     MarkovMeasure(nu.P, nu.pi, shift=shift)  # raises if nu leaves the shift
     depth = family.max_depth
-    weight = 2.0 ** -np.arange(2, family.N + 2)
-    F = weight * np.array([[w[-depth:][:f.depth] == f.word
-                            for f in family.functions]
-                           for w in _lift(shift, depth)[1]])
-    b = weight * np.array([nu.cylinder_mass(f.word)
-                           for f in family.functions])
+    F = family.weights * family.prefixes(
+        np.array(_lift(shift, depth)[1])[:, -depth:])
+    b = family.weights * family.masses(nu)
     n, h_nu = len(b), markov_entropy(nu)
     delta = np.array(grid, dtype=float)
     K = len(delta)

@@ -12,13 +12,12 @@ the convergence grid and each position's grid segment.  A splice, and so a
 repick of one slot, pays only for the gather of the picked blocks, the fill
 (one fancy index per family), the check of the segment ends up to the first
 mismatching column, and one distance table: one bincount and two cumulative
-sums count every cylinder at every grid point, against a leaf table built
-once per test-function family.
+sums count every cylinder at every grid point, against the leaf table of
+the test-function family.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -91,21 +90,6 @@ def _segments(bounds):  # position p lies in the first s with p < bounds[s]
     return np.repeat(np.arange(len(bounds)), np.diff(bounds, prepend=0))
 
 
-@functools.cache
-def _leaf_table(k: int, depth: int, words: tuple) -> tuple:
-    """(rank, runs, leaves): rank[c] is the sorted index of the leaf (longest
-    listed prefix) of the depth-word of base-k code c, and listed word i
-    owns the sorted leaves runs[i][0] <= u < runs[i][1]."""
-    listed = set(words)
-    leaf = [next((w[:d] for d in range(depth, 0, -1) if w[:d] in listed), ())
-            for w in np.ndindex((k,) * depth)]
-    leaves = sorted(set(leaf))
-    rank = np.array([bisect.bisect_left(leaves, u) for u in leaf])
-    rank.flags.writeable = False
-    return rank, tuple(tuple(bisect.bisect_left(leaves, w + e)
-                             for e in ((), (k,))) for w in words), len(leaves)
-
-
 def _cylinder_distances(symbols, ms, measure, family: TestFunctionFamily,
                         segment: np.ndarray | None = None) -> np.ndarray:
     """Weak* distance between the m-window empirical measure of a symbol
@@ -124,8 +108,7 @@ def _cylinder_distances(symbols, ms, measure, family: TestFunctionFamily,
     top = int(ms.max())
     if top + depth - 1 > L or sym.size and not 0 <= sym.min() <= sym.max() < k:
         raise ValueError("word too short, or a symbol outside the alphabet")
-    rank, runs, n = _leaf_table(
-        k, depth, tuple(phi.word for phi in family.functions))
+    rank, runs, n = family.leaves
     bounds, where = np.unique(ms, return_inverse=True) if segment is None \
         else (ms, slice(None))
     segment = _segments(bounds) if segment is None else segment
@@ -147,10 +130,9 @@ def _cylinder_distances(symbols, ms, measure, family: TestFunctionFamily,
     below = np.zeros((n + 1, B, S), dtype=np.int64)
     for u in range(n):  # one add per leaf plane, where a cumsum is far slower
         np.add(below[u], hits[u], out=below[u + 1])
-    total = np.zeros((B, S))
-    for i, (phi, (lo, hi)) in enumerate(zip(family.functions, runs), start=1):
-        total += np.abs((below[hi] - below[lo]) / bounds
-                        - measure.cylinder_mass(phi.word)) / 2.0 ** (i + 1)
+    total = family.weigh(np.abs((below[hi] - below[lo]) / bounds - mass)
+                         for (lo, hi), mass in zip(
+                             runs.tolist(), family.masses(measure).tolist()))
     return total[:, where].reshape(sym.shape[:-1] + ms.shape)
 
 
@@ -159,11 +141,8 @@ def _distance_cap(measure, family: TestFunctionFamily) -> float:
     frequency f lies in [0, 1], so fl(f - mu) lies in [-mu, fl(1 - mu)], and
     each term, then each rounded partial sum in the kernel's order, is at
     most the one here."""
-    total = 0.0
-    for i, phi in enumerate(family.functions, start=1):
-        mu = measure.cylinder_mass(phi.word)
-        total += max(mu, abs(1.0 - mu)) / 2.0 ** (i + 1)
-    return total
+    return family.weigh(max(mu, abs(1.0 - mu))
+                        for mu in family.masses(measure).tolist())
 
 
 def word_empirical_distance(word: Sequence[int], m: int,

@@ -357,6 +357,24 @@ def test_weave_over_cap_exits_3_without_artifact(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# family_N past 1022: the weights 2^-(i+1) were divided in as 2.0 ** (i + 1),
+# which overflows at i = 1023, and both weaves exited 3 with "truncation:
+# (34, 'Numerical result out of range')"
+FAMILY_1100 = {
+    name: {**cfg, "family_N": 1100, "min_total_length": 2000}
+    for name, cfg in (("b07", {"system": FULL2, "target": {"bernoulli": 0.7}}),
+                      ("mixture", {"system": FULL2, "target": WEAVE_MIXTURE,
+                                   "k_max": 2}))}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_1100))
+def test_weave_past_family_N_1022_exits_0(tmp_path, name):
+    code, out = run(tmp_path, "weave", FAMILY_1100[name], seed=1)
+    assert code == 0
+    _, rows = read_rows(out / "convergence.csv")
+    assert math.isfinite(float(rows[-1]["D"]))
+
+
 def _modulus(system, epsilon, trials, length):
     return {"system": system, "mode": "modulus", "epsilon": epsilon,
             "trials": trials, "length": length}

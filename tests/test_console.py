@@ -26,7 +26,8 @@ import pytest
 
 from orbitweave import __version__
 from orbitweave.cli import main
-from test_cli import CONFIG_FAILURES, FULL2, GOLDEN, THREE, _modulus, refused
+from test_cli import (CONFIG_FAILURES, FAMILY_1100, FULL2, GOLDEN, THREE,
+                      _modulus, refused)
 
 ORACLES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
 _spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
@@ -191,6 +192,11 @@ def katok_text(config, outdir, code, stderr):
                for n, count, rate in rows), rows
 
 
+def within_bound(config, outdir, code, stderr):
+    _, _, rows = csv(outdir, "convergence.csv")
+    assert float(rows[-1][1]) <= config["bound"], rows[-1]
+
+
 def truncated(config, outdir, code, stderr):
     level = json.loads(pathlib.Path(outdir, "schedule.json").read_text())[
         "truncation_level"]
@@ -257,6 +263,9 @@ STEPS = [
     Step("weave_b07", "weave", {"system": FULL2, "target": {"bernoulli": 0.7},
                                 "min_total_length": 50000}, 1, 0,
          oracles.check_weave),
+    # past family_N 1022, where 2.0 ** (i + 1) overflowed (exit 3)
+    Step("weave_family_1100", "weave", {**FAMILY_1100["b07"], "bound": 0.05},
+         1, 0, within_bound),
 ]
 STEP = {step.name: step for step in STEPS}
 
@@ -294,6 +303,8 @@ FAULTS = [
     ("katok_b07_grid", "last digit of a rate changed", "katok.csv",
      cell(1, 2, lambda v: v[:-1] + str((int(v[-1]) + 1) % 10))),
     ("weave_truncated", "the stderr line twice", "stderr", lambda t: t * 2),
+    ("weave_family_1100", "final D past the bound", "convergence.csv",
+     lambda t: t[:t.rindex(",") + 1] + "0.0500001\n"),
 ]
 
 

@@ -14,10 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitweave import entropy
-from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
-                                _birkhoff_sums, _cylinder_mass_classes,
-                                _walk_counts, katok_count,
-                                katok_entropy, levelset_count,
+from orbitweave.entropy import (InfeasibleCountError, _birkhoff_sums,
+                                _cylinder_mass_classes, _walk_counts,
+                                katok_count, katok_entropy, levelset_count,
                                 levelset_counts_at, max_separated,
                                 min_spanning)
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
@@ -490,9 +489,9 @@ def test_katok_infeasible(monkeypatch):
     with pytest.raises(InfeasibleCountError):
         katok_count(sh, bernoulli(0.7), 40, 0.5, 0.1)
     phi = frequency_observable(1)
-    assert levelset_count(sh, LevelSetQuery(phi, 0.45, 0.55, 30)).value
+    assert levelset_count(sh, phi, 0.45, 0.55, 30).value
     with pytest.raises(InfeasibleCountError):
-        levelset_count(sh, LevelSetQuery(phi, 0.45, 0.55, 40))
+        levelset_count(sh, phi, 0.45, 0.55, 40)
     with pytest.raises(ValueError):
         katok_count(sh, bernoulli(0.5), 4, 0.3, 0.1)  # not a power of 2
 
@@ -513,8 +512,7 @@ def test_levelset_count_binomial():
     phi = frequency_observable(1)
     n = 12
     for j in (0, 3, 6, 12):
-        q = LevelSetQuery(phi, (j - 0.5) / n, (j + 0.5) / n, n)
-        est = levelset_count(sh, q)
+        est = levelset_count(sh, phi, (j - 0.5) / n, (j + 0.5) / n, n)
         assert est.diagnostics[0][1] == math.comb(n, j)
 
 
@@ -522,8 +520,7 @@ def test_levelset_count_window():
     sh = full_shift(2)
     phi = frequency_observable(1)
     n = 10
-    q = LevelSetQuery(phi, 0.25, 0.65, n)
-    est = levelset_count(sh, q)
+    est = levelset_count(sh, phi, 0.25, 0.65, n)
     expect = sum(math.comb(n, j) for j in range(n + 1) if 0.25 < j / n < 0.65)
     assert est.diagnostics[0][1] == expect
 
@@ -532,8 +529,7 @@ def test_levelset_empty_tagged():
     gm = golden_mean_shift()
     phi = frequency_observable(1)
     # frequency of 1 above 1/2 is impossible on the golden-mean shift
-    q = LevelSetQuery(phi, 0.8, 0.95, 12)
-    est = levelset_count(gm, q)
+    est = levelset_count(gm, phi, 0.8, 0.95, 12)
     assert est.empty
     assert est.value is None
 
@@ -544,8 +540,7 @@ def test_levelset_depth_two_observable():
     phi = LocallyConstantObservable(2, (((0, 0), 1.0), ((0, 1), 0.0),
                                         ((1, 0), 0.0), ((1, 1), 0.0)))
     n = 6
-    q = LevelSetQuery(phi, -0.01, 0.01, n, closed=True)
-    est = levelset_count(sh, q)
+    est = levelset_count(sh, phi, -0.01, 0.01, n, closed=True)
     # words of length 7 with no 00 window: Fibonacci count F(9)
     assert est.diagnostics[0][1] == 34
 
@@ -557,16 +552,16 @@ def test_levelset_total_over_all_windows(n, _q):
     phi = frequency_observable(1)
     total = 0
     for j in range(n + 1):
-        q = LevelSetQuery(phi, (j - 0.5) / n, (j + 0.5) / n, n)
-        total += levelset_count(sh, q).diagnostics[0][1]
+        total += levelset_count(sh, phi, (j - 0.5) / n, (j + 0.5) / n,
+                                n).diagnostics[0][1]
     assert total == 2 ** n
 
 
-def _float_levelset_count(shift, query):
+def _float_levelset_count(shift, phi, lo, hi, n, closed):
     """The earlier level-set DP, kept as the oracle: one state per (suffix
     symbols, partial Birkhoff sum rounded to 10 decimals), the window tested
     on the float average."""
-    phi, n, d = query.observable, query.n, query.observable.depth
+    d = phi.depth
     k = shift.alphabet_size
     table = phi.lookup()
     suflen = max(d - 1, 1)
@@ -585,16 +580,16 @@ def _float_levelset_count(shift, query):
                 key = (ext[-suflen:], s2)
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
-    if query.closed:
+    if closed:
         return sum(cnt for (_suf, s), cnt in states.items()
-                   if query.lo <= s / n <= query.hi)
+                   if lo <= s / n <= hi)
     return sum(cnt for (_suf, s), cnt in states.items()
-               if query.lo < s / n < query.hi)
+               if lo < s / n < hi)
 
 
-def _levelset_total(shift, query):
+def _levelset_total(shift, *args):
     """The word count behind levelset_count, 0 for a tagged empty set."""
-    est = levelset_count(shift, query)
+    est = levelset_count(shift, *args)
     return 0 if est.empty else est.diagnostics[0][1]
 
 
@@ -631,9 +626,10 @@ def test_levelset_count_matches_float_oracle(shift, phi):
             a, b = sorted(rng.integers(lo_i - 1, hi_i, size=2))
             windows.append((a, max(b, a + 1)))
         for i, (a, b) in enumerate(windows):
-            q = LevelSetQuery(phi, (a + 0.5) / (100 * n),
-                              (b + 0.5) / (100 * n), n, closed=bool(i % 2))
-            assert _levelset_total(shift, q) == _float_levelset_count(shift, q)
+            q = (phi, (a + 0.5) / (100 * n), (b + 0.5) / (100 * n), n,
+                 bool(i % 2))
+            assert _levelset_total(shift, *q) == _float_levelset_count(shift,
+                                                                       *q)
 
 
 def _enumerated_levelset_count(shift, phi, n, lo, hi, closed):
@@ -657,9 +653,9 @@ def test_levelset_window_ends_are_exact(shift):
     for n, lo, hi in [(10, 0.3, 0.5), (11, Fraction(2, 11), Fraction(9, 22)),
                       (12, -0.25, 0.1)]:
         for closed in (False, True):
-            q = LevelSetQuery(phi, lo, hi, n, closed)
-            assert _levelset_total(shift, q) == _enumerated_levelset_count(
-                shift, phi, n, Fraction(str(lo)), Fraction(str(hi)), closed)
+            assert _levelset_total(shift, phi, lo, hi, n, closed) == \
+                _enumerated_levelset_count(shift, phi, n, Fraction(str(lo)),
+                                           Fraction(str(hi)), closed)
 
 
 def test_count_at_windows_have_rational_ends():
@@ -681,8 +677,7 @@ def test_levelset_golden_mean_counts_past_the_former_length_cap():
     # n-words with no 11 and j ones: C(n + 1 - j, j), at n = 1,000
     gm, phi, n = golden_mean_shift(), frequency_observable(1), 1000
     for j in (0, 1, 276, 500):
-        est = levelset_count(gm, LevelSetQuery(phi, (j - 0.5) / n,
-                                               (j + 0.5) / n, n))
+        est = levelset_count(gm, phi, (j - 0.5) / n, (j + 0.5) / n, n)
         assert est.diagnostics[0][1] == math.comb(n + 1 - j, j)
 
 
@@ -846,7 +841,7 @@ def test_levelset_counts_refuse_n_below_one(n):
     # zero in levelset_counts_at
     phi = frequency_observable(1)
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
-        levelset_count(full_shift(2), LevelSetQuery(phi, 0.4, 0.6, n))
+        levelset_count(full_shift(2), phi, 0.4, 0.6, n)
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         levelset_counts_at(full_shift(2), phi, [0.5], n)
 

@@ -33,6 +33,53 @@ def test_family_ordering():
     assert FAMILY.tail == 2.0 ** -16
     with pytest.raises(ValueError):
         TestFunctionFamily("hat", 4)
+    for bad in (0, 1, 2.0, True):  # an empty alphabet would never end
+        with pytest.raises(ValueError, match="no integer >= 2"):
+            TestFunctionFamily("cylinder", 4, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 5), N=st.integers(1, 200))
+def test_family_order_is_the_shift_enumeration(k, N):
+    # the former enumeration through ShiftSpace(k).admissible_words, kept as
+    # the oracle of the itertools.product one
+    former = itertools.islice(itertools.chain.from_iterable(
+        full_shift(k).admissible_words(n) for n in itertools.count(1)), N)
+    assert [f.word for f in TestFunctionFamily("cylinder", N, k).functions] \
+        == list(former)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), N=st.integers(1, 120))
+def test_leaf_runs_cover_exactly_the_words_each_cylinder_prefixes(k, N):
+    family = TestFunctionFamily("cylinder", N, k)
+    rank, runs, count = family.leaves
+    words = list(itertools.product(range(k), repeat=family.max_depth))
+    assert len(rank) == len(words) and sorted(set(rank.tolist())) == \
+        list(range(count))
+    for f, (lo, hi) in zip(family.functions, runs.tolist()):
+        assert [w for w, u in zip(words, rank.tolist()) if lo <= u < hi] == \
+            [w for w in words if w[:f.depth] == f.word]
+    with pytest.raises(ValueError):
+        rank[0] = 1
+
+
+def test_weights_are_the_exact_powers_and_0_past_2_to_the_minus_1074():
+    w = TestFunctionFamily("cylinder", 1500, 2).weights
+    assert all(w[i - 1] == 1 / 2.0 ** (i + 1) for i in range(1, 1022))
+    assert w[1072] == 2.0 ** -1074 and not w[1073:].any()
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def test_distance_past_N_1074_is_the_one_at_1074():
+    # the terms past 2^-1074 weigh 0; dividing by 2.0 ** (i + 1) overflowed
+    # at N >= 1023
+    mixture = measure_from_json({"mixture": [[0.37, {"bernoulli": 0.25}],
+                                             [0.63, {"bernoulli": 0.8}]]})
+    for N in (1022, 1074, 1100, 1500):
+        assert weak_star_distance(bernoulli(0.7), mixture, TestFunctionFamily(
+            "cylinder", N, 2)) == 0.050723081390749554
 
 
 def test_dirac_distance_reference_value():

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitweave import entropy, variational
-from orbitweave.entropy import (InfeasibleCountError, LevelSetQuery,
-                                levelset_count, levelset_counts_at)
+from orbitweave.entropy import (InfeasibleCountError, levelset_count,
+                                levelset_counts_at)
 from orbitweave.measures import (LocallyConstantObservable, MarkovMeasure,
                                  TestFunctionFamily, bernoulli, chain_entropy,
                                  frequency_observable, markov_entropy)
@@ -339,7 +340,6 @@ def test_spectrum_empty_constraint():
 def test_spectrum_attaches_counts():
     res = spectrum(FULL, PHI, 0.0, 1.0, True, [0.5], count_n=12)
     [pt] = res.points
-    assert pt.n_count == 12
     assert pt.h_count == pytest.approx(math.log(math.comb(12, 6)) / 12)
 
 
@@ -501,6 +501,47 @@ def _reference_shrink(shift, nu, family, grid):
         rows.append((lower, upper))
     lowers = np.maximum.accumulate([r[0] for r in rows][::-1])[::-1]
     return [(lo, up) for lo, (_, up) in zip(lowers, rows)]
+
+
+@st.composite
+def irreducible_sfts(draw):
+    """SFTs on 2-4 symbols: the cycle 0 -> 1 -> ... -> 0 and random edges."""
+    k = draw(st.integers(2, 4))
+    return ShiftSpace(k, [[int(b == (a + 1) % k or draw(st.booleans()))
+                           for b in range(k)] for a in range(k)])
+
+
+class _Features(Exception):
+    """Raised by the stand-in kernel, carrying the feature matrix."""
+
+
+def _stop(shift, depth, F, c):
+    raise _Features(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift=irreducible_sfts(), N=st.integers(1, 60))
+def test_shrink_features_match_the_former_compare(shift, N):
+    # the leaf-run read that shrink_experiment hands its first kernel call,
+    # against the former edges x N compare, kept as the oracle
+    family = TestFunctionFamily("cylinder", N, shift.alphabet_size)
+    T = np.array(shift.transition, dtype=float)
+    nu = MarkovMeasure(T / T.sum(axis=1, keepdims=True))
+    with mock.patch.object(variational, "_gibbs", _stop), \
+            pytest.raises(_Features) as got:
+        shrink_experiment(shift, nu, family, [0.5])
+    depth = family.max_depth
+    weight = 2.0 ** -np.arange(2, family.N + 2)
+    F = weight * np.array([[w[-depth:][:f.depth] == f.word
+                            for f in family.functions]
+                           for w in variational._lift(shift, depth)[1]])
+    assert np.array_equal(got.value.args[0], F)
+
+
+def test_shrink_refuses_a_shift_on_more_symbols_than_the_family():
+    with pytest.raises(ValueError, match="outside the alphabet of 2"):
+        shrink_experiment(full_shift(3), bernoulli([0.2, 0.3, 0.5]), FAMILY,
+                          [0.1])
 
 
 # the bench's shrink op: full 2-shift, B(0.8), 16 cylinders
@@ -798,10 +839,9 @@ def test_spectrum_counts_match_levelset_count(shift, phi, grid, n):
     assert [p.alpha for p in res.points] == grid
     for pt in res.points:
         S = round(pt.alpha * n * D)
-        est = levelset_count(shift, LevelSetQuery(
-            phi, Fraction(2 * S - 1, 2 * n * D),
-            Fraction(2 * S + 1, 2 * n * D), n))
-        assert pt.n_count == n and pt.h_count == est.value
+        est = levelset_count(shift, phi, Fraction(2 * S - 1, 2 * n * D),
+                             Fraction(2 * S + 1, 2 * n * D), n)
+        assert pt.h_count == est.value
         [one] = levelset_counts_at(shift, phi, [pt.alpha], n)
         assert pt.h_count == one.value
 
